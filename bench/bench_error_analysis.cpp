@@ -36,7 +36,6 @@ int main() {
                  {});
     g.Run(dataset).value();
     const CandidateBase& cb = g.candidate_base();
-    const CTrie& trie = g.ctrie();
 
     // Index candidate verdict by surface key.
     std::unordered_map<std::string, CandidateLabel> verdicts;
@@ -44,7 +43,6 @@ int main() {
       if (!cb.Contains(static_cast<int>(c))) continue;
       verdicts[cb.at(static_cast<int>(c)).key] = cb.at(static_cast<int>(c)).label;
     }
-    (void)trie;
 
     for (const auto& tweet : dataset.tweets) {
       for (const auto& gold : tweet.gold) {

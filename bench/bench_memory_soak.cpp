@@ -162,6 +162,7 @@ struct SoakRun {
   std::vector<size_t> epoch_bytes;        // accounted bytes after each epoch
   std::vector<size_t> epoch_min_bytes;    // min across the epoch's barriers
   std::vector<size_t> epoch_rss_bytes;    // resident set after each epoch
+  double state_bytes_per_candidate = 0;   // global state / live candidates
   MemoryGovernorStats stats;
 };
 
@@ -192,18 +193,23 @@ SoakRun RunSoak(const Dataset& d, int replays, size_t batch_size,
         std::fprintf(stderr, "ProcessBatch failed: %s\n", st.ToString().c_str());
         std::exit(1);
       }
-      // The same accounting the governor uses, sampled at every batch barrier
-      // (right after the governor's own pass) so both runs' curves are
-      // directly comparable. The per-epoch minimum is the reclaim floor: the
-      // level eviction sweeps return to.
-      bytes = g.ctrie().ApproxBytes() + g.candidate_base().ApproxBytes() +
-              g.tweet_base().ApproxBytes();
+      // The same accounting the governor uses (MemoryGovernor::ComputeBytes:
+      // every shard, the symbol table, the first-token dispatch and the gid
+      // index, plus the TweetBase), sampled at every batch barrier right
+      // after the governor's own pass so both runs' curves are directly
+      // comparable. The per-epoch minimum is the reclaim floor: the level
+      // eviction sweeps return to.
+      bytes = g.global_state().ApproxBytes() + g.tweet_base().ApproxBytes();
       epoch_min = std::min(epoch_min, bytes);
     }
     run.epoch_bytes.push_back(bytes);
     run.epoch_min_bytes.push_back(epoch_min);
     run.epoch_rss_bytes.push_back(CurrentRssBytes());
   }
+  const ShardedGlobalState& state = g.global_state();
+  run.state_bytes_per_candidate =
+      static_cast<double>(state.ApproxBytes()) /
+      std::max(1, state.num_live_candidates());
   GlobalizerOutput out = g.Finalize().value();
   run.seconds = SecondsSince(start);
   run.f1 = EvaluateMentions(d, out.mentions).f1;
@@ -289,9 +295,11 @@ int main(int argc, char** argv) {
   const emd::SoakRun unbounded =
       emd::RunSoak(d, static_cast<int>(replays), batch_size, {});
   const size_t unbounded_final = unbounded.epoch_bytes.back();
-  std::printf("  unbounded: %.1f KiB -> %.1f KiB, F1=%.4f (%.2fs)\n",
+  std::printf("  unbounded: %.1f KiB -> %.1f KiB, F1=%.4f (%.2fs), "
+              "%.0f state bytes/candidate\n",
               unbounded.epoch_bytes.front() / 1024.0,
-              unbounded_final / 1024.0, unbounded.f1, unbounded.seconds);
+              unbounded_final / 1024.0, unbounded.f1, unbounded.seconds,
+              unbounded.state_bytes_per_candidate);
   for (size_t e = 0; e < governed.epoch_bytes.size(); ++e) {
     std::printf("    epoch %zu: unbounded %8.1f KiB | governed %8.1f KiB "
                 "(floor %.1f KiB, rss %.1f MiB)\n",
@@ -338,6 +346,8 @@ int main(int argc, char** argv) {
   reporter.Add("memory_soak/governed_final", replays,
                governed.seconds * 1e9 / d.tweets.size(),
                static_cast<double>(governed_final), "bytes");
+  reporter.Add("memory_soak/unbounded_state_bytes_per_candidate", 1, 0,
+               unbounded.state_bytes_per_candidate, "bytes");
   reporter.Add("memory_soak/budget", 1, 0,
                static_cast<double>(memory.budget_bytes), "bytes");
   reporter.Add("memory_soak/evicted", 1, 0,

@@ -13,12 +13,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <unordered_map>
 
 #include "bench_common.h"
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
 #include "core/global_state.h"
-#include "core/mention_extractor.h"
 #include "core/syntactic_embedder.h"
 #include "obs/metrics.h"
 #include "nn/kernels/kernels.h"
@@ -26,8 +26,10 @@
 #include "stream/datasets.h"
 #include "stream/entity_catalog.h"
 #include "stream/tweet_generator.h"
+#include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace emd {
 namespace {
@@ -55,7 +57,8 @@ std::vector<AnnotatedTweet> BenchTweets(int n) {
 void BM_CTrieInsert(benchmark::State& state) {
   const auto tweets = BenchTweets(512);
   for (auto _ : state) {
-    CTrie trie;
+    SymbolTable symbols;
+    CTrie trie(&symbols);
     for (const auto& t : tweets) {
       for (const auto& g : t.gold) trie.Insert(t.tokens, g.span);
     }
@@ -66,16 +69,19 @@ BENCHMARK(BM_CTrieInsert);
 
 void BM_CTrieLookup(benchmark::State& state) {
   const auto tweets = BenchTweets(512);
-  CTrie trie;
+  SymbolTable symbols;
+  CTrie trie(&symbols);
   for (const auto& t : tweets) {
     for (const auto& g : t.gold) trie.Insert(t.tokens, g.span);
   }
+  std::string fold_scratch;
   size_t i = 0;
   for (auto _ : state) {
     const auto& t = tweets[i++ % tweets.size()];
     int node = trie.root();
     for (const auto& tok : t.tokens) {
-      node = trie.Step(node, tok.text);
+      node = trie.StepSymbol(
+          node, symbols.Lookup(ToLowerAsciiView(tok.text, &fold_scratch)));
       if (node == CTrie::kNoNode) node = trie.root();
     }
     benchmark::DoNotOptimize(node);
@@ -85,14 +91,18 @@ BENCHMARK(BM_CTrieLookup);
 
 void BM_MentionExtraction(benchmark::State& state) {
   const auto tweets = BenchTweets(static_cast<int>(state.range(0)));
-  CTrie trie;
+  ShardedGlobalState global;
   for (const auto& t : tweets) {
-    for (const auto& g : t.gold) trie.Insert(t.tokens, g.span);
+    for (const auto& g : t.gold) global.Insert(t.tokens, g.span);
   }
-  MentionExtractor extractor(&trie);
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> mentions;
   for (auto _ : state) {
     size_t found = 0;
-    for (const auto& t : tweets) found += extractor.Extract(t.tokens).size();
+    for (const auto& t : tweets) {
+      global.ExtractInto(t.tokens, &scratch, &mentions);
+      found += mentions.size();
+    }
     benchmark::DoNotOptimize(found);
   }
   state.SetItemsProcessed(state.iterations() * tweets.size());
@@ -341,13 +351,42 @@ void RunQuantComparison(bench::BenchReporter* reporter, int reps) {
   reporter->Add(std::string("quant_backend/") + q8.name, 1, 0, 0, "");
 }
 
-// Candidate re-scan: legacy lockstep matcher vs the interned-symbol matcher
-// over the identical sharded state (DESIGN §12). Both scans must extract the
-// identical mention set; the JSON records tokens/sec and steps/token per
-// matcher so the emd-bench-v1 trajectory captures the win. `min_speedup` > 0
-// gates interned >= min_speedup x legacy (the --scan-only CI smoke).
-void RunScanComparison(bench::BenchReporter* reporter, int num_candidates,
-                       int shards, int reps, double min_speedup) {
+// Naive §V-A oracle: at each start position the longest window whose folded
+// text is a live candidate key wins; no trie, no symbols, no shards.
+std::vector<ExtractedMention> ReferenceScan(
+    const std::unordered_map<std::string, int>& live_keys, size_t max_len,
+    const std::vector<Token>& tokens) {
+  std::vector<ExtractedMention> out;
+  size_t i = 0;
+  while (i < tokens.size()) {
+    size_t best_end = 0;
+    int best = CTrie::kNoCandidate;
+    std::string key;
+    for (size_t j = i; j < tokens.size() && j < i + max_len; ++j) {
+      if (j > i) key += ' ';
+      key += ToLowerAscii(tokens[j].text);
+      auto it = live_keys.find(key);
+      if (it != live_keys.end()) {
+        best_end = j + 1;
+        best = it->second;
+      }
+    }
+    if (best != CTrie::kNoCandidate) {
+      out.push_back({{i, best_end}, best});
+      i = best_end;
+    } else {
+      ++i;
+    }
+  }
+  return out;
+}
+
+// Candidate re-scan over a sharded state (DESIGN §12): tokens/sec and trie
+// steps/token of the symbol-keyed matcher. Every benchmarked tweet's mentions
+// are checked against ReferenceScan; any divergence exits nonzero (the
+// --scan-only CI smoke).
+void RunScanBench(bench::BenchReporter* reporter, int num_candidates,
+                  int shards, int reps) {
   Rng rng(23);
   // Word pool: enough distinct words that 1-3 word phrases stay mostly
   // unique, small enough that tweets revisit candidate vocabulary often.
@@ -362,19 +401,17 @@ void RunScanComparison(bench::BenchReporter* reporter, int num_candidates,
     vocab[i] = w + std::to_string(i % 97);
   }
 
-  // Identical candidate sets in both states (Insert dedups, so draw phrases
-  // until the target count registers).
-  ShardedGlobalState legacy(shards, ShardedGlobalState::MatcherKind::kLegacy);
-  ShardedGlobalState interned(shards,
-                              ShardedGlobalState::MatcherKind::kInterned);
+  // Insert dedups, so draw phrases until the target count registers.
+  ShardedGlobalState state(shards);
   std::vector<std::vector<std::string>> phrases;
-  while (legacy.num_candidates() < num_candidates) {
+  std::unordered_map<std::string, int> live_keys;
+  while (state.num_candidates() < num_candidates) {
     std::vector<std::string> phrase(static_cast<size_t>(rng.NextInt(1, 3)));
     for (auto& w : phrase) w = vocab[rng.NextU64(vocab.size())];
-    const int before = legacy.num_candidates();
-    legacy.Insert(phrase);
-    if (legacy.num_candidates() > before) {
-      interned.Insert(phrase);
+    const int before = state.num_candidates();
+    const int gid = state.Insert(phrase);
+    if (state.num_candidates() > before) {
+      live_keys.emplace(state.CandidateKey(gid), gid);
       phrases.push_back(std::move(phrase));
     }
   }
@@ -405,80 +442,48 @@ void RunScanComparison(bench::BenchReporter* reporter, int num_candidates,
   }
 
   obs::Counter* steps = obs::Metrics().GetCounter("emd_extract_steps_total");
-  auto run_scan = [&](const ShardedGlobalState& state, double* steps_per_token,
-                      std::vector<std::vector<ExtractedMention>>* outs) {
-    ShardedGlobalState::ScanScratch scratch;
-    outs->resize(tweets.size());
-    double best = 1e100;
-    uint64_t steps_before = 0, steps_after = 0;
-    for (int r = 0; r < reps; ++r) {
-      steps_before = steps->value();
-      const auto start = std::chrono::steady_clock::now();
-      for (size_t t = 0; t < tweets.size(); ++t) {
-        state.ExtractInto(tweets[t], &scratch, &(*outs)[t]);
-      }
-      steps_after = steps->value();
-      best = std::min(
-          best, std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count());
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<std::vector<ExtractedMention>> outs(tweets.size());
+  double best = 1e100;
+  uint64_t steps_before = 0, steps_after = 0;
+  for (int r = 0; r < reps; ++r) {
+    steps_before = steps->value();
+    const auto start = std::chrono::steady_clock::now();
+    for (size_t t = 0; t < tweets.size(); ++t) {
+      state.ExtractInto(tweets[t], &scratch, &outs[t]);
     }
-    *steps_per_token =
-        static_cast<double>(steps_after - steps_before) / total_tokens;
-    return best;
-  };
+    steps_after = steps->value();
+    best = std::min(
+        best,
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  const double steps_per_token =
+      static_cast<double>(steps_after - steps_before) / total_tokens;
 
-  double legacy_spt = 0, interned_spt = 0;
-  std::vector<std::vector<ExtractedMention>> legacy_out, interned_out;
-  const double legacy_best = run_scan(legacy, &legacy_spt, &legacy_out);
-  const double interned_best = run_scan(interned, &interned_spt, &interned_out);
-
-  // Bit-identity gate: the two matchers must extract the same mention set.
+  // Reference gate: the scan must reproduce the naive longest match.
+  const size_t max_len = static_cast<size_t>(state.max_candidate_length());
   size_t mentions = 0;
   for (size_t t = 0; t < tweets.size(); ++t) {
-    if (legacy_out[t].size() != interned_out[t].size()) {
-      std::fprintf(stderr, "FAIL: scan mention count diverges on tweet %zu\n",
-                   t);
+    if (!(outs[t] == ReferenceScan(live_keys, max_len, tweets[t]))) {
+      std::fprintf(stderr, "FAIL: scan diverges from the reference on tweet "
+                   "%zu\n", t);
       std::exit(1);
     }
-    for (size_t m = 0; m < legacy_out[t].size(); ++m) {
-      if (!(legacy_out[t][m].span == interned_out[t][m].span) ||
-          legacy_out[t][m].candidate_id != interned_out[t][m].candidate_id) {
-        std::fprintf(stderr, "FAIL: scan mention %zu diverges on tweet %zu\n",
-                     m, t);
-        std::exit(1);
-      }
-    }
-    mentions += legacy_out[t].size();
+    mentions += outs[t].size();
   }
 
-  const double legacy_tps = total_tokens / legacy_best;
-  const double interned_tps = total_tokens / interned_best;
-  const double speedup = legacy_best / interned_best;
-  std::printf(
-      "scan %dk cand / %d shards (%zu mentions): legacy %.2fM tok/s "
-      "(%.1f steps/tok), interned %.2fM tok/s (%.2f steps/tok), x%.2f\n",
-      num_candidates / 1000, shards, mentions, legacy_tps / 1e6, legacy_spt,
-      interned_tps / 1e6, interned_spt, speedup);
+  const double tps = total_tokens / best;
+  std::printf("scan %dk cand / %d shards (%zu mentions): %.2fM tok/s "
+              "(%.2f steps/tok), reference-checked\n",
+              num_candidates / 1000, shards, mentions, tps / 1e6,
+              steps_per_token);
 
   const std::string dims =
       std::to_string(num_candidates) + "x" + std::to_string(shards);
-  reporter->Add("scan_legacy/" + dims, reps, legacy_best * 1e9, legacy_tps,
-                "tokens/sec");
-  reporter->Add("scan_interned/" + dims, reps, interned_best * 1e9,
-                interned_tps, "tokens/sec");
-  reporter->Add("scan_steps_per_token_legacy/" + dims, reps, 0, legacy_spt,
+  reporter->Add("scan/" + dims, reps, best * 1e9, tps, "tokens/sec");
+  reporter->Add("scan_steps_per_token/" + dims, reps, 0, steps_per_token,
                 "steps/token");
-  reporter->Add("scan_steps_per_token_interned/" + dims, reps, 0, interned_spt,
-                "steps/token");
-  reporter->Add("scan_speedup/" + dims, reps, 0, speedup, "x");
-
-  if (min_speedup > 0 && speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: interned scan speedup x%.2f below gate x%.2f at %s\n",
-                 speedup, min_speedup, dims.c_str());
-    std::exit(1);
-  }
 }
 
 }  // namespace
@@ -515,11 +520,10 @@ int main(int argc, char** argv) {
   const bool full = !gemm_only && !quant_only && !scan_only;
   if (full) benchmark::RunSpecifiedBenchmarks(&console);
   if (scan_only) {
-    // CI scan smoke: the interned matcher must hold >= 2x legacy tokens/sec
-    // at the ISSUE-10 reference point (100k candidates / 13 shards).
-    emd::RunScanComparison(&reporter, 100000, 13, 5, 2.0);
+    // CI scan smoke at the reference point: 100k candidates / 13 shards.
+    emd::RunScanBench(&reporter, 100000, 13, 5);
   } else if (full) {
-    emd::RunScanComparison(&reporter, 20000, 13, 3, 0.0);
+    emd::RunScanBench(&reporter, 20000, 13, 3);
   }
   if (full || gemm_only) emd::RunGemmComparison(&reporter, 256, 3);
   if (full || quant_only) emd::RunQuantComparison(&reporter, 5);

@@ -196,9 +196,7 @@ struct PipelineRun {
 
 PipelineRun RunPipeline(const std::vector<AnnotatedTweet>& tweets, int dim,
                         int threads, size_t batch_size, bool token_batching,
-                        int shards = 1,
-                        ShardedGlobalState::MatcherKind matcher =
-                            ShardedGlobalState::MatcherKind::kAuto) {
+                        int shards = 1) {
   SyntheticDeepSystem system(dim);
   PhraseEmbedder pe(dim, dim / 2);
   GlobalizerOptions opt;
@@ -206,7 +204,6 @@ PipelineRun RunPipeline(const std::vector<AnnotatedTweet>& tweets, int dim,
   opt.num_threads = threads;
   opt.token_batching = token_batching;
   opt.shard_count = shards;
-  opt.matcher = matcher;
   Globalizer g(&system, &pe, nullptr, opt);
 
   const auto start = Clock::now();
@@ -323,11 +320,10 @@ int main(int argc, char** argv) {
   reporter.Add("pipeline/batching_speedup", 1, 0,
                serial_tps / unbatched.tweets_per_sec, "x");
 
-  // Candidate-scan matcher section (DESIGN §12): both matchers over every
-  // shard x thread combination of the acceptance matrix must reproduce the
-  // serial digest bit-for-bit, and the per-matcher scan-throughput numbers
-  // (tokens/sec through the extraction stage, steps/token from the obs
-  // counters) land in the JSON trajectory.
+  // Candidate-scan section (DESIGN §12): every shard x thread combination
+  // of the acceptance matrix must reproduce the serial digest bit-for-bit,
+  // and the scan-throughput numbers (tweets/sec, steps/token and dispatch
+  // probes/token from the obs counters) land in the JSON trajectory.
   {
     size_t total_tokens = 0;
     for (const auto& t : tweets) total_tokens += t.tokens.size();
@@ -335,52 +331,41 @@ int main(int argc, char** argv) {
         emd::obs::Metrics().GetCounter("emd_extract_steps_total");
     emd::obs::Counter* probes_counter =
         emd::obs::Metrics().GetCounter("emd_extract_root_probes_total");
-    const struct {
-      emd::ShardedGlobalState::MatcherKind kind;
-      const char* name;
-    } matchers[] = {
-        {emd::ShardedGlobalState::MatcherKind::kLegacy, "legacy"},
-        {emd::ShardedGlobalState::MatcherKind::kInterned, "interned"},
-    };
-    for (const auto& m : matchers) {
-      for (int shards : {1, 4, 13}) {
-        for (int threads : {1, 4}) {
-          const uint64_t steps0 = steps_counter->value();
-          const uint64_t probes0 = probes_counter->value();
-          const emd::PipelineRun run = emd::RunPipeline(
-              tweets, dim, threads, batch_size, /*token_batching=*/true,
-              shards, m.kind);
-          const double steps_per_token =
-              static_cast<double>(steps_counter->value() - steps0) /
-              total_tokens;
-          const double probes_per_token =
-              static_cast<double>(probes_counter->value() - probes0) /
-              total_tokens;
-          if (run.digest != serial_digest) {
-            std::fprintf(stderr,
-                         "FAIL: matcher=%s shards=%d threads=%d digest "
-                         "%016llx != serial %016llx\n",
-                         m.name, shards, threads,
-                         static_cast<unsigned long long>(run.digest),
-                         static_cast<unsigned long long>(serial_digest));
-            return 1;
-          }
-          std::printf(
-              "  matcher=%-8s shards=%-2d threads=%d  %8.1f tweets/sec  "
-              "(%.2f steps/tok, %.2f probes/tok)\n",
-              m.name, shards, threads, run.tweets_per_sec, steps_per_token,
-              probes_per_token);
-          const std::string tag = std::string("matcher=") + m.name +
-                                  "/shards=" + std::to_string(shards) +
-                                  "/threads=" + std::to_string(threads);
-          reporter.Add("scan/" + tag, num_tweets,
-                       run.seconds * 1e9 / num_tweets, run.tweets_per_sec,
-                       "tweets/sec");
-          reporter.Add("scan_steps_per_token/" + tag, 1, 0, steps_per_token,
-                       "steps/token");
-          reporter.Add("scan_root_probes_per_token/" + tag, 1, 0,
-                       probes_per_token, "probes/token");
+    for (int shards : {1, 4, 13}) {
+      for (int threads : {1, 4}) {
+        const uint64_t steps0 = steps_counter->value();
+        const uint64_t probes0 = probes_counter->value();
+        const emd::PipelineRun run =
+            emd::RunPipeline(tweets, dim, threads, batch_size,
+                             /*token_batching=*/true, shards);
+        const double steps_per_token =
+            static_cast<double>(steps_counter->value() - steps0) /
+            total_tokens;
+        const double probes_per_token =
+            static_cast<double>(probes_counter->value() - probes0) /
+            total_tokens;
+        if (run.digest != serial_digest) {
+          std::fprintf(stderr,
+                       "FAIL: shards=%d threads=%d digest %016llx != serial "
+                       "%016llx\n",
+                       shards, threads,
+                       static_cast<unsigned long long>(run.digest),
+                       static_cast<unsigned long long>(serial_digest));
+          return 1;
         }
+        std::printf(
+            "  scan shards=%-2d threads=%d  %8.1f tweets/sec  "
+            "(%.2f steps/tok, %.2f probes/tok)\n",
+            shards, threads, run.tweets_per_sec, steps_per_token,
+            probes_per_token);
+        const std::string tag = "shards=" + std::to_string(shards) +
+                                "/threads=" + std::to_string(threads);
+        reporter.Add("scan/" + tag, num_tweets, run.seconds * 1e9 / num_tweets,
+                     run.tweets_per_sec, "tweets/sec");
+        reporter.Add("scan_steps_per_token/" + tag, 1, 0, steps_per_token,
+                     "steps/token");
+        reporter.Add("scan_root_probes_per_token/" + tag, 1, 0,
+                     probes_per_token, "probes/token");
       }
     }
   }

@@ -11,7 +11,7 @@
 #   scripts/check.sh --docs        # additionally the docs lint (broken
 #                                  # relative links, undocumented metrics)
 #   scripts/check.sh --kernels     # additionally the kernel parity label
-#                                  # (dispatched + forced-scalar) and the
+#                                  # (dispatched + EMD_BACKEND=scalar) and the
 #                                  # both-backend GEMM smoke comparison
 #   scripts/check.sh --quant       # additionally the kernels + parallel
 #                                  # labels under EMD_BACKEND=int8 and the
@@ -30,10 +30,10 @@
 #                                  # bench_multistream run asserting 100+
 #                                  # streams and noisy-neighbor isolation
 #   scripts/check.sh --scan        # additionally the scan label (symbol
-#                                  # table, interned-vs-legacy bit-identity
-#                                  # fuzz, zero-alloc scan) and the scan
-#                                  # micro-bench at 100k candidates / 13
-#                                  # shards asserting the >=2x speedup gate
+#                                  # table, scan-vs-reference fuzz, zero-
+#                                  # alloc scan) and the scan micro-bench at
+#                                  # 100k candidates / 13 shards, checked
+#                                  # against the naive reference
 #
 # Run from the repository root.
 set -euo pipefail
@@ -119,12 +119,12 @@ if [[ "$SHARD" == 1 ]]; then
 fi
 
 if [[ "$SCAN" == 1 ]]; then
-  # The interned-symbol matcher: symbol-table/dispatch unit tests, the
-  # randomized legacy-vs-interned bit-identity fuzz, the pipeline digest
+  # The candidate matcher: symbol-table/dispatch unit tests, the randomized
+  # fuzz against the naive longest-match reference, the pipeline digest
   # matrix, and the zero-allocation gate — then the scan micro-bench at
-  # 100k candidates / 13 shards, which exits nonzero unless the interned
-  # scan clears 2x the legacy lockstep throughput (bit-identity rechecked
-  # on every benchmarked tweet). JSON lands in build/bench/BENCH_micro.json.
+  # 100k candidates / 13 shards, which exits nonzero unless every
+  # benchmarked tweet matches the reference. JSON lands in
+  # build/bench/BENCH_micro.json.
   ctest --test-dir build --output-on-failure -L scan
   (cd build/bench && ./bench_micro_core --scan-only)
 fi
@@ -134,7 +134,7 @@ if [[ "$KERNELS" == 1 ]]; then
   # dispatched backend must never be slower than the scalar blocked kernel
   # (when it is not the scalar kernel itself).
   ctest --test-dir build --output-on-failure -L kernels
-  EMD_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -L kernels
+  EMD_BACKEND=scalar ctest --test-dir build --output-on-failure -L kernels
   (cd build/bench && ./bench_micro_core --gemm-only)
   if command -v python3 >/dev/null; then
     python3 - <<'EOF'

@@ -6,35 +6,22 @@
 
 namespace emd {
 
-CTrie::CTrie() { nodes_.emplace_back(); }
-
-void CTrie::BindSymbolTable(SymbolTable* symbols) {
-  EMD_CHECK(nodes_.size() == 1 && nodes_[0].children.empty())
-      << "BindSymbolTable requires an empty trie";
-  symbols_ = symbols;
+CTrie::CTrie(SymbolTable* symbols) : symbols_(symbols) {
+  EMD_CHECK(symbols != nullptr);
+  nodes_.emplace_back();
 }
 
 void CTrie::AddSymEdge(int node, std::string_view folded, int child) {
   const int32_t sym = symbols_->Acquire(folded);
   auto& edges = nodes_[node].sym_edges;
-  auto it = std::lower_bound(
-      edges.begin(), edges.end(), sym,
-      [](const std::pair<int32_t, int32_t>& e, int32_t s) {
-        return e.first < s;
-      });
-  edges.insert(it, {sym, child});
+  edges.insert(std::lower_bound(edges.begin(), edges.end(), sym, EdgeLess),
+               {sym, child});
 }
 
-void CTrie::RemoveSymEdge(int node, std::string_view folded) {
-  const int32_t sym = symbols_->Lookup(folded);
-  EMD_CHECK_GE(sym, 0) << "removing edge '" << std::string(folded)
-                       << "': symbol not interned";
+void CTrie::RemoveSymEdge(int node, int32_t sym) {
+  EMD_CHECK_GE(sym, 0) << "removing edge: symbol not interned";
   auto& edges = nodes_[node].sym_edges;
-  auto it = std::lower_bound(
-      edges.begin(), edges.end(), sym,
-      [](const std::pair<int32_t, int32_t>& e, int32_t s) {
-        return e.first < s;
-      });
+  auto it = std::lower_bound(edges.begin(), edges.end(), sym, EdgeLess);
   EMD_CHECK(it != edges.end() && it->first == sym);
   edges.erase(it);
   symbols_->Release(sym);
@@ -60,15 +47,14 @@ int CTrie::Insert(const std::vector<std::string>& tokens) {
     const std::string folded = ToLowerAscii(tok);
     if (!key.empty()) key += ' ';
     key += folded;
-    auto it = nodes_[node].children.find(folded);
-    if (it == nodes_[node].children.end()) {
-      const int child = AllocNode();
-      nodes_[node].children.emplace(folded, child);
-      if (symbols_ != nullptr) AddSymEdge(node, folded, child);
-      node = child;
-    } else {
-      node = it->second;
+    // An interned symbol may still lack an edge at this node (it labels
+    // edges elsewhere); StepSymbol misses and the edge is created.
+    int child = StepSymbol(node, symbols_->Lookup(folded));
+    if (child == kNoNode) {
+      child = AllocNode();
+      AddSymEdge(node, folded, child);
     }
+    node = child;
   }
   if (nodes_[node].candidate_id != kNoCandidate) return nodes_[node].candidate_id;
   const int id = static_cast<int>(candidate_keys_.size());
@@ -87,20 +73,6 @@ int CTrie::Insert(const std::vector<Token>& tokens, const TokenSpan& span) {
   words.reserve(span.length());
   for (size_t t = span.begin; t < span.end; ++t) words.push_back(tokens[t].text);
   return Insert(words);
-}
-
-int CTrie::Step(int node, std::string_view token) const {
-  std::string fold_scratch;
-  return Step(node, token, &fold_scratch);
-}
-
-int CTrie::Step(int node, std::string_view token,
-                std::string* fold_scratch) const {
-  EMD_CHECK_GE(node, 0);
-  EMD_CHECK_LT(node, static_cast<int>(nodes_.size()));
-  const std::string_view folded = ToLowerAsciiView(token, fold_scratch);
-  auto it = nodes_[node].children.find(folded);
-  return it == nodes_[node].children.end() ? kNoNode : it->second;
 }
 
 int CTrie::CandidateAt(int node) const {
@@ -125,7 +97,8 @@ int CTrie::Find(const std::vector<std::string>& tokens) const {
   int node = root();
   std::string fold_scratch;
   for (const auto& tok : tokens) {
-    node = Step(node, tok, &fold_scratch);
+    node = StepSymbol(
+        node, symbols_->Lookup(ToLowerAsciiView(tok, &fold_scratch)));
     if (node == kNoNode) return kNoCandidate;
   }
   return CandidateAt(node);
@@ -144,10 +117,10 @@ int CTrie::Prune(int candidate_id) {
 
   // Re-walk the candidate's (already case-folded) key from the root,
   // remembering the path so empty suffix nodes can be unlinked bottom-up.
-  const std::string& key = candidate_keys_[candidate_id];
+  const std::string_view key = candidate_keys_[candidate_id];
   struct PathEdge {
     int parent;
-    std::string token;
+    int32_t sym;
   };
   std::vector<PathEdge> path;
   path.reserve(static_cast<size_t>(candidate_lengths_[candidate_id]));
@@ -155,14 +128,14 @@ int CTrie::Prune(int candidate_id) {
   size_t begin = 0;
   while (begin <= key.size()) {
     size_t end = key.find(' ', begin);
-    if (end == std::string::npos) end = key.size();
-    std::string token = key.substr(begin, end - begin);
-    auto it = nodes_[node].children.find(std::string_view(token));
-    EMD_CHECK(it != nodes_[node].children.end())
+    if (end == std::string_view::npos) end = key.size();
+    const int32_t sym = symbols_->Lookup(key.substr(begin, end - begin));
+    const int child = StepSymbol(node, sym);
+    EMD_CHECK(child != kNoNode)
         << "pruning candidate " << candidate_id << " ('" << key
         << "'): trie path missing";
-    path.push_back({node, std::move(token)});
-    node = it->second;
+    path.push_back({node, sym});
+    node = child;
     begin = end + 1;
   }
 
@@ -179,11 +152,10 @@ int CTrie::Prune(int candidate_id) {
   int pruned = 0;
   for (size_t i = path.size(); i-- > 0;) {
     if (nodes_[node].candidate_id != kNoCandidate ||
-        !nodes_[node].children.empty()) {
+        !nodes_[node].sym_edges.empty()) {
       break;
     }
-    if (symbols_ != nullptr) RemoveSymEdge(path[i].parent, path[i].token);
-    nodes_[path[i].parent].children.erase(path[i].token);
+    RemoveSymEdge(path[i].parent, path[i].sym);
     nodes_[node] = Node();
     free_nodes_.push_back(node);
     ++pruned;
@@ -202,22 +174,16 @@ int CTrie::AppendTombstone() {
 }
 
 size_t CTrie::ApproxBytes() const {
-  // Flat vectors plus, per node, the hash map's bucket array and one heap
-  // node per edge (key string + child id + bookkeeping pointer).
+  // Flat vectors plus each node's (symbol, child) edge array. Edge token
+  // text lives once in the shared SymbolTable, which its owner counts.
   size_t bytes = nodes_.capacity() * sizeof(Node) +
                  free_nodes_.capacity() * sizeof(int) +
                  candidate_keys_.capacity() * sizeof(std::string) +
                  candidate_lengths_.capacity() * sizeof(int) +
                  tombstoned_.capacity() * sizeof(uint8_t);
   for (const auto& key : candidate_keys_) bytes += key.capacity();
-  constexpr size_t kEdgeOverhead = 2 * sizeof(void*) + sizeof(int);
   for (const auto& node : nodes_) {
-    bytes += node.children.bucket_count() * sizeof(void*);
-    bytes += node.sym_edges.capacity() * sizeof(std::pair<int32_t, int32_t>);
-    for (const auto& [token, child] : node.children) {
-      (void)child;
-      bytes += kEdgeOverhead + sizeof(std::string) + token.capacity();
-    }
+    bytes += node.sym_edges.capacity() * sizeof(Edge);
   }
   return bytes;
 }

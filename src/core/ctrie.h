@@ -4,7 +4,10 @@
 // Extraction step (§V-A).
 //
 // Nodes correspond to (case-folded) tokens; candidates sharing prefixes share
-// subtrees. A node may mark the end of a registered candidate.
+// subtrees. A node may mark the end of a registered candidate. Edges are
+// keyed by the token's dense int32 symbol in a shared SymbolTable: each node
+// keeps one sorted (symbol, child) array, so every walk — Insert, Find,
+// Prune and the re-scan's StepSymbol — is a binary search over integers.
 //
 // Memory governance (unbounded streams): Prune() evicts a registered
 // candidate — it unmarks the terminal node, deletes the now-empty suffix
@@ -13,7 +16,7 @@
 // a pruned candidate that reappears in the stream is re-inserted under a
 // fresh id, so accumulated evidence restarts from zero — exactly the
 // semantics eviction wants. Pruning requires the same external
-// synchronization as Insert (single writer, no concurrent Step): the
+// synchronization as Insert (single writer, no concurrent scan): the
 // Globalizer only prunes at its batch merge barrier.
 
 #ifndef EMD_CORE_CTRIE_H_
@@ -24,12 +27,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "text/token.h"
-#include "util/string_util.h"
 
 namespace emd {
 
@@ -41,7 +42,10 @@ class CTrie {
   static constexpr int kNoNode = -1;
   static constexpr int kNoCandidate = -1;
 
-  CTrie();
+  /// `symbols` is the shared (not owned) table every edge token is interned
+  /// in; it must outlive the trie. Each edge holds one reference on its
+  /// symbol, taken on Insert and dropped on Prune.
+  explicit CTrie(SymbolTable* symbols);
 
   /// Registers a candidate (sequence of tokens; case-folded internally).
   /// Returns its stable candidate id; re-inserting returns the existing id.
@@ -53,45 +57,14 @@ class CTrie {
   /// Root handle for traversals.
   int root() const { return 0; }
 
-  /// Follows the edge labelled by the case-folded `token` from `node`;
-  /// returns kNoNode when no such path exists.
-  int Step(int node, std::string_view token) const;
-
-  /// Allocation-free Step for scan loops: folds `token` through the caller's
-  /// reusable `fold_scratch` (only touched when the token has uppercase
-  /// ASCII) and looks the edge up heterogeneously — zero heap allocations in
-  /// steady state once the scratch capacity covers the longest token.
-  int Step(int node, std::string_view token, std::string* fold_scratch) const;
-
-  /// Pre-folded Step: `folded` must already be case-folded (the scan folds
-  /// each token once per tweet, not once per window start). Skips the
-  /// redundant uppercase re-check inside Step; zero allocations.
-  int StepFolded(int node, std::string_view folded) const {
-    const auto& children = nodes_[node].children;
-    auto it = children.find(folded);
-    return it == children.end() ? kNoNode : it->second;
-  }
-
-  // --- Interned-symbol edges (EMD_MATCHER=interned fast path) ------------
-
-  /// Attaches a shared symbol table. Every edge of every node is then also
-  /// indexed by its token's dense int32 symbol (one table reference per
-  /// edge, taken on Insert and dropped on Prune), enabling StepSymbol. Must
-  /// be called while the trie is still empty — edges inserted earlier would
-  /// be invisible to the symbol index.
-  void BindSymbolTable(SymbolTable* symbols);
-
-  /// Integer-keyed Step: follows the edge whose token interned to `sym`;
-  /// kNoNode when absent. Requires a bound symbol table. A binary search
+  /// Follows the edge whose case-folded token interned to `sym`; kNoNode
+  /// when absent (including sym == SymbolTable::kNoSymbol). A binary search
   /// over the node's sorted (symbol, child) array — no hashing, no string
-  /// compare, no allocation.
+  /// compare, no allocation. Callers obtain `sym` from the shared table's
+  /// Lookup of the folded token.
   int StepSymbol(int node, int32_t sym) const {
     const auto& edges = nodes_[node].sym_edges;
-    auto it = std::lower_bound(
-        edges.begin(), edges.end(), sym,
-        [](const std::pair<int32_t, int32_t>& e, int32_t s) {
-          return e.first < s;
-        });
+    auto it = std::lower_bound(edges.begin(), edges.end(), sym, EdgeLess);
     return (it != edges.end() && it->first == sym) ? it->second : kNoNode;
   }
 
@@ -118,7 +91,7 @@ class CTrie {
   /// empty / 0; lookups of the phrase miss). Returns the number of trie
   /// nodes freed. Safe on shared prefixes: a node that still serves another
   /// candidate or subtree survives. No-op (returns 0) for an already-pruned
-  /// id. Caller must hold the single-writer contract (no concurrent Step).
+  /// id. Caller must hold the single-writer contract (no concurrent scan).
   int Prune(int candidate_id);
 
   /// True when `candidate_id` was pruned. Ids stay dense; tombstoned slots
@@ -142,8 +115,8 @@ class CTrie {
     return static_cast<int>(nodes_.size() - free_nodes_.size());
   }
 
-  /// Approximate heap bytes held by the trie: node slots, edge map entries,
-  /// and candidate key strings. O(nodes); an estimate for the memory
+  /// Approximate heap bytes held by the trie: node slots, edge arrays, and
+  /// candidate key strings. O(nodes); an estimate for the memory
   /// governor's budget accounting, not an allocator-exact figure.
   size_t ApproxBytes() const;
 
@@ -153,21 +126,19 @@ class CTrie {
   int max_candidate_length() const { return max_len_; }
 
  private:
+  using Edge = std::pair<int32_t, int32_t>;  // (symbol, child node)
+
   struct Node {
-    // Transparent hash/eq: Step() probes edges with a string_view key, so
-    // the scan hot path never materialises a temporary std::string.
-    std::unordered_map<std::string, int, TransparentStringHash,
-                       TransparentStringEq>
-        children;
-    // Mirror of `children` keyed by interned symbol, sorted ascending; empty
-    // unless a symbol table is bound. StepSymbol's integer fast path.
-    std::vector<std::pair<int32_t, int32_t>> sym_edges;
+    // The node's only edge structure: (symbol, child) sorted by symbol.
+    std::vector<Edge> sym_edges;
     int candidate_id = kNoCandidate;
   };
 
+  static bool EdgeLess(const Edge& e, int32_t sym) { return e.first < sym; }
+
   int AllocNode();
   void AddSymEdge(int node, std::string_view folded, int child);
-  void RemoveSymEdge(int node, std::string_view folded);
+  void RemoveSymEdge(int node, int32_t sym);
 
   std::vector<Node> nodes_;
   std::vector<int> free_nodes_;  // recycled slots from Prune
@@ -176,7 +147,7 @@ class CTrie {
   std::vector<uint8_t> tombstoned_;
   int num_tombstones_ = 0;
   int max_len_ = 0;
-  SymbolTable* symbols_ = nullptr;  // not owned; null = no symbol index
+  SymbolTable* symbols_;  // not owned
 };
 
 }  // namespace emd

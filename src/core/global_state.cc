@@ -1,7 +1,6 @@
 #include "core/global_state.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string_view>
 #include <utility>
 
@@ -26,29 +25,17 @@ obs::Counter& ExtractStepsCounter() {
 obs::Counter& ExtractRootProbesCounter() {
   static obs::Counter* c = obs::Metrics().GetCounter(
       "emd_extract_root_probes_total",
-      "Window-start root probes by the candidate re-scan (legacy matcher: "
-      "one per shard per start; interned: one dispatch lookup per start)");
+      "Window-start first-token dispatch lookups by the candidate re-scan "
+      "(one per start, independent of the shard count)");
   return *c;
 }
 
 }  // namespace
 
-ShardedGlobalState::MatcherKind ShardedGlobalState::ResolveMatcher(
-    MatcherKind requested) {
-  if (requested != MatcherKind::kAuto) return requested;
-  const char* env = std::getenv("EMD_MATCHER");
-  if (env != nullptr && std::string_view(env) == "legacy") {
-    return MatcherKind::kLegacy;
-  }
-  return MatcherKind::kInterned;
-}
-
-ShardedGlobalState::ShardedGlobalState(int shard_count, MatcherKind matcher)
-    : router_(shard_count),
-      matcher_(ResolveMatcher(matcher)),
-      symbols_(std::make_unique<SymbolTable>()),
-      shards_(shard_count) {
-  for (Shard& sh : shards_) sh.trie.BindSymbolTable(symbols_.get());
+ShardedGlobalState::ShardedGlobalState(int shard_count)
+    : router_(shard_count), symbols_(std::make_unique<SymbolTable>()) {
+  shards_.reserve(static_cast<size_t>(shard_count));
+  for (int s = 0; s < shard_count; ++s) shards_.emplace_back(symbols_.get());
 }
 
 int ShardedGlobalState::InsertFolded(const std::vector<std::string>& folded,
@@ -145,17 +132,6 @@ int ShardedGlobalState::AppendTombstone() {
   return gid;
 }
 
-void ShardedGlobalState::ExtractInto(const std::vector<Token>& tokens,
-                                     ScanScratch* scratch,
-                                     std::vector<ExtractedMention>* out) const {
-  out->clear();
-  if (matcher_ == MatcherKind::kInterned) {
-    ExtractInternedInto(tokens, scratch, out);
-  } else {
-    ExtractLegacyInto(tokens, scratch, out);
-  }
-}
-
 std::vector<ExtractedMention> ShardedGlobalState::Extract(
     const std::vector<Token>& tokens) const {
   ScanScratch scratch;
@@ -164,71 +140,10 @@ std::vector<ExtractedMention> ShardedGlobalState::Extract(
   return out;
 }
 
-void ShardedGlobalState::ExtractLegacyInto(
-    const std::vector<Token>& tokens, ScanScratch* s,
-    std::vector<ExtractedMention>* out) const {
-  const size_t T = tokens.size();
-  const size_t S = shards_.size();
-  uint64_t steps = 0;
-  uint64_t probes = 0;
-  // Fold every token exactly once per tweet (not once per window start):
-  // views alias the token text when it is already lowercase, otherwise one
-  // reusable per-position buffer.
-  if (s->fold_bufs.size() < T) s->fold_bufs.resize(T);
-  s->folded.resize(T);
-  for (size_t t = 0; t < T; ++t) {
-    s->folded[t] = ToLowerAsciiView(tokens[t].text, &s->fold_bufs[t]);
-  }
-  s->nodes.resize(S);
-  std::vector<int>& nodes = s->nodes;
-  size_t i = 0;
-  while (i < T) {
-    // Widen the scan window from position i along one trie path per shard,
-    // recording the longest window that terminates a candidate in any shard
-    // (§V-A). A given phrase is registered in exactly one shard, so at most
-    // one cursor terminates per window length — the union scan is equivalent
-    // to the single-trie scan.
-    for (size_t sh = 0; sh < S; ++sh) nodes[sh] = shards_[sh].trie.root();
-    probes += S;
-    size_t live = S;
-    size_t best_end = 0;
-    int best_shard = -1;
-    int best_local = CTrie::kNoCandidate;
-    size_t j = i;
-    while (j < T && live > 0) {
-      const std::string_view folded = s->folded[j];
-      for (size_t sh = 0; sh < S; ++sh) {
-        if (nodes[sh] == CTrie::kNoNode) continue;
-        nodes[sh] = shards_[sh].trie.StepFolded(nodes[sh], folded);
-        ++steps;
-        if (nodes[sh] == CTrie::kNoNode) {
-          --live;
-          continue;
-        }
-        const int cand = shards_[sh].trie.CandidateAt(nodes[sh]);
-        if (cand != CTrie::kNoCandidate) {
-          best_end = j + 1;
-          best_shard = static_cast<int>(sh);
-          best_local = cand;
-        }
-      }
-      ++j;
-    }
-    if (best_local != CTrie::kNoCandidate) {
-      out->push_back(
-          {{i, best_end}, shards_[best_shard].local_to_gid[best_local]});
-      i = best_end;
-    } else {
-      ++i;
-    }
-  }
-  ExtractStepsCounter().Increment(steps);
-  ExtractRootProbesCounter().Increment(probes);
-}
-
-void ShardedGlobalState::ExtractInternedInto(
-    const std::vector<Token>& tokens, ScanScratch* s,
-    std::vector<ExtractedMention>* out) const {
+void ShardedGlobalState::ExtractInto(const std::vector<Token>& tokens,
+                                     ScanScratch* s,
+                                     std::vector<ExtractedMention>* out) const {
+  out->clear();
   const size_t T = tokens.size();
   uint64_t steps = 0;
   uint64_t probes = 0;
@@ -249,7 +164,7 @@ void ShardedGlobalState::ExtractInternedInto(
     // symbol; each continuation then walks int-keyed edges. At most one
     // shard can terminate a candidate per window length (a phrase lives in
     // exactly one shard), so taking the strictly-longest terminal across
-    // continuations reproduces the legacy lockstep result exactly.
+    // continuations reproduces the single-trie longest match exactly.
     ++probes;
     size_t best_end = 0;
     int best_shard = -1;
@@ -434,9 +349,8 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
 }
 
 size_t ShardedGlobalState::ApproxBytes() const {
-  // Per-shard structures plus the service-wide matcher state (symbol table
-  // and first-token dispatch), so the memory governor's budget sees the
-  // interned index too.
+  // Per-shard structures plus the service-wide scan state (symbol table and
+  // first-token dispatch), so the memory governor's budget sees them too.
   size_t bytes = symbols_->ApproxBytes() +
                  first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
   for (const auto& list : first_token_) {

@@ -28,7 +28,6 @@
 
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
-#include "core/mention_extractor.h"
 #include "core/shard_router.h"
 #include "text/symbol_table.h"
 #include "text/token.h"
@@ -45,30 +44,25 @@ struct GidRef {
   int32_t local = -1;  // candidate id inside the shard's CTrie/CandidateBase
 };
 
+/// One candidate mention found by the §V-A re-scan: the longest registered
+/// phrase starting at `span.begin`, addressed by its gid.
+struct ExtractedMention {
+  TokenSpan span;
+  int candidate_id = CTrie::kNoCandidate;
+
+  bool operator==(const ExtractedMention& o) const {
+    return span == o.span && candidate_id == o.candidate_id;
+  }
+};
+
 /// Candidate-keyed sharded global state: N × (CTrie + CandidateBase) behind a
 /// gid-addressed facade that is drop-in equivalent to the single pair.
 class ShardedGlobalState {
  public:
-  /// Which algorithm Extract uses. Both matchers run over the same state
-  /// (the symbol table and first-token dispatch are always maintained), so
-  /// switching is a pure read-path decision and A/B comparison is exact.
-  enum class MatcherKind {
-    kAuto,      // resolve from EMD_MATCHER (unset/other -> interned)
-    kLegacy,    // lockstep per-shard trie walk with string-hash probes
-    kInterned,  // first-token dispatch + int32 symbol walk
-  };
-
-  /// Resolves kAuto against the EMD_MATCHER environment variable
-  /// ("legacy" selects the lockstep scan; anything else, including unset and
-  /// "interned", selects the interned matcher). Non-auto kinds pass through.
-  static MatcherKind ResolveMatcher(MatcherKind requested);
-
-  explicit ShardedGlobalState(int shard_count = 1,
-                              MatcherKind matcher = MatcherKind::kAuto);
+  explicit ShardedGlobalState(int shard_count = 1);
 
   int shard_count() const { return router_.num_shards(); }
   const ShardRouter& router() const { return router_; }
-  MatcherKind matcher() const { return matcher_; }
 
   // --- Registration (single-writer) -------------------------------------
 
@@ -93,27 +87,19 @@ class ShardedGlobalState {
   /// the steady-state tweet shape) ExtractInto performs zero heap
   /// allocations. One instance per worker slot — never shared concurrently.
   struct ScanScratch {
-    std::vector<int32_t> syms;             // interned: per-token symbol ids
-    std::vector<std::string_view> folded;  // legacy: per-token folded views
-    std::vector<std::string> fold_bufs;    // backing storage for `folded`
-    std::vector<int> nodes;                // legacy: one cursor per shard
-    std::string fold_scratch;              // interned: single fold buffer
+    std::vector<int32_t> syms;  // per-token symbol ids
+    std::string fold_scratch;   // single fold buffer
   };
 
   /// Longest-match candidate scan (§V-A); appends mentions carrying gids to
-  /// `*out` (cleared first). Each token is case-folded exactly once per
-  /// tweet. The matcher chosen at construction picks the algorithm:
-  ///
-  ///  * kLegacy — walks one trie cursor per shard in lockstep with
-  ///    pre-folded string probes (StepFolded). A phrase's folded key lives
-  ///    in exactly one shard, so the union scan equals a single-trie scan.
-  ///  * kInterned — interns each token to an int32 symbol, then resolves
-  ///    each window start through the service-wide first-token dispatch
-  ///    table and walks int-keyed edges (StepSymbol). Tokens that begin no
-  ///    candidate in any shard cost one table lookup regardless of S.
-  ///
-  /// Both produce the identical mention set: at most one shard terminates a
-  /// candidate per (start, length) window, so longest-match is unique.
+  /// `*out` (cleared first). Each token is case-folded and interned to an
+  /// int32 symbol exactly once per tweet; each window start then resolves
+  /// through the service-wide first-token dispatch table and walks int-keyed
+  /// edges (StepSymbol). Tokens that begin no candidate in any shard cost
+  /// one table lookup regardless of S. At most one shard terminates a
+  /// candidate per (start, length) window — a phrase lives in exactly one
+  /// shard — so the longest match is unique and the result equals a
+  /// single-trie scan at any shard count.
   void ExtractInto(const std::vector<Token>& tokens, ScanScratch* scratch,
                    std::vector<ExtractedMention>* out) const;
 
@@ -195,6 +181,7 @@ class ShardedGlobalState {
 
  private:
   struct Shard {
+    explicit Shard(SymbolTable* symbols) : trie(symbols) {}
     CTrie trie;
     CandidateBase candidates;
     std::vector<int> local_to_gid;  // dense: local candidate id -> gid
@@ -214,13 +201,7 @@ class ShardedGlobalState {
   /// continuation. Idempotent; called after every trie insert.
   void RegisterFirstToken(int shard, std::string_view first_folded);
 
-  void ExtractLegacyInto(const std::vector<Token>& tokens, ScanScratch* s,
-                         std::vector<ExtractedMention>* out) const;
-  void ExtractInternedInto(const std::vector<Token>& tokens, ScanScratch* s,
-                           std::vector<ExtractedMention>* out) const;
-
   ShardRouter router_;
-  MatcherKind matcher_;
   // Heap-owned so CTrie's raw SymbolTable* (and the dispatch table's node
   // ids) survive move-assignment of the whole state — checkpoint restore
   // builds a fresh state and moves it over the live one.

@@ -51,6 +51,21 @@ const PipelineCounters& Counters() {
   return counters;
 }
 
+/// Tallies one classified candidate into the output's label counts.
+void CountLabel(CandidateLabel label, GlobalizerOutput* out) {
+  switch (label) {
+    case CandidateLabel::kEntity:
+      ++out->num_entity;
+      break;
+    case CandidateLabel::kNonEntity:
+      ++out->num_non_entity;
+      break;
+    default:
+      ++out->num_ambiguous;
+      break;
+  }
+}
+
 }  // namespace
 
 std::string GlobalizerOutput::ResilienceSummary() const {
@@ -83,7 +98,7 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
       phrase_embedder_(phrase_embedder),
       classifier_(classifier),
       options_(options),
-      state_(options.shard_count, options.matcher),
+      state_(options.shard_count),
       governor_(&state_, &tweets_, options.memory),
       clock_(options.resilience.clock != nullptr ? options.resilience.clock
                                                  : Clock::Real()),
@@ -264,29 +279,45 @@ void Globalizer::EnsurePool() {
   }
 }
 
-void Globalizer::RunLocalStage(const AnnotatedTweet& tweet,
-                               LocalEmdSystem* primary, size_t tweet_index,
-                               LocalStage* out) {
-  out->record.tweet_id = tweet.tweet_id;
-  out->record.sentence_id = tweet.sentence_id;
-  out->record.tokens = tweet.tokens;
-
-  Rng rng = TaskRng(tweet_index);
-  Result<LocalEmdResult> local = LocalEmdResilient(
-      tweet, primary, &rng, &out->retries, &out->via_fallback);
+void Globalizer::FillLocalStage(const AnnotatedTweet& tweet,
+                                Result<LocalEmdResult> local,
+                                LocalStage* stage) {
+  stage->record.tweet_id = tweet.tweet_id;
+  stage->record.sentence_id = tweet.sentence_id;
+  stage->record.tokens = tweet.tokens;
   if (!local.ok()) {
-    out->status = local.status();
-    out->record.quarantined = true;
+    stage->status = local.status();
+    stage->record.quarantined = true;
     return;
   }
-  out->record.token_embeddings = std::move(local->token_embeddings);
+  stage->record.token_embeddings = std::move(local->token_embeddings);
   for (const TokenSpan& span : local->mentions) {
     if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
     RecordedMention m;
     m.span = span;
     m.locally_detected = true;
-    out->record.mentions.push_back(m);
+    stage->record.mentions.push_back(m);
   }
+}
+
+CandidateLabel Globalizer::ApplyLowEvidence(CandidateLabel label,
+                                            const CandidateRecord& rec) const {
+  if (label == CandidateLabel::kNonEntity &&
+      rec.embedding_count < options_.min_evidence_mentions &&
+      rec.entity_probability > options_.low_evidence_beta) {
+    return CandidateLabel::kAmbiguous;
+  }
+  return label;
+}
+
+void Globalizer::RunLocalStage(const AnnotatedTweet& tweet,
+                               LocalEmdSystem* primary, size_t tweet_index,
+                               LocalStage* out) {
+  Rng rng = TaskRng(tweet_index);
+  FillLocalStage(tweet,
+                 LocalEmdResilient(tweet, primary, &rng, &out->retries,
+                                   &out->via_fallback),
+                 out);
 }
 
 bool Globalizer::BatchedLocalEligible(int lanes, size_t batch_size) {
@@ -344,19 +375,8 @@ void Globalizer::RunLocalStageBatched(std::span<const AnnotatedTweet> batch,
     const size_t lo = std::min(n, static_cast<size_t>(c) * per);
     for (size_t r = 0; r < results[c].size(); ++r) {
       const AnnotatedTweet& tweet = batch[lo + r];
-      LocalEmdResult& local = results[c][r];
       LocalStage stage;
-      stage.record.tweet_id = tweet.tweet_id;
-      stage.record.sentence_id = tweet.sentence_id;
-      stage.record.tokens = tweet.tokens;
-      stage.record.token_embeddings = std::move(local.token_embeddings);
-      for (const TokenSpan& span : local.mentions) {
-        if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
-        RecordedMention m;
-        m.span = span;
-        m.locally_detected = true;
-        stage.record.mentions.push_back(m);
-      }
+      FillLocalStage(tweet, std::move(results[c][r]), &stage);
       {
         std::lock_guard<std::mutex> lock(breaker_mu_);
         breaker_.AllowRequest();
@@ -422,29 +442,11 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
         MergeLocalStage(batch[i], std::move(staged[i]));
       }
     } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
+      for (const AnnotatedTweet& tweet : batch) {
         LocalStage stage;
-        const AnnotatedTweet& tweet = batch[i];
-        stage.record.tweet_id = tweet.tweet_id;
-        stage.record.sentence_id = tweet.sentence_id;
-        stage.record.tokens = tweet.tokens;
-        Result<LocalEmdResult> local =
-            LocalEmdWithResilience(tweet, &stage.via_fallback);
-        if (!local.ok()) {
-          stage.status = local.status();
-          stage.record.quarantined = true;
-        } else {
-          stage.record.token_embeddings = std::move(local->token_embeddings);
-          for (const TokenSpan& span : local->mentions) {
-            if (span.begin >= span.end || span.end > tweet.tokens.size()) {
-              continue;
-            }
-            RecordedMention m;
-            m.span = span;
-            m.locally_detected = true;
-            stage.record.mentions.push_back(m);
-          }
-        }
+        FillLocalStage(tweet,
+                       LocalEmdWithResilience(tweet, &stage.via_fallback),
+                       &stage);
         MergeLocalStage(tweet, std::move(stage));
       }
     }
@@ -651,13 +653,8 @@ size_t Globalizer::ReclassifyAmbiguous() {
                     << verdict.status() << "); will retry next interval";
       break;
     }
-    CandidateLabel label = verdict->label;
-    if (label == CandidateLabel::kNonEntity &&
-        rec.embedding_count < options_.min_evidence_mentions &&
-        verdict->probability > options_.low_evidence_beta) {
-      label = CandidateLabel::kAmbiguous;
-    }
     rec.entity_probability = verdict->probability;
+    const CandidateLabel label = ApplyLowEvidence(verdict->label, rec);
     if (label != rec.label) {
       rec.label = label;
       ++flipped;
@@ -762,23 +759,8 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
       } else {
         label = CandidateLabel::kAmbiguous;
       }
-      if (label == CandidateLabel::kNonEntity &&
-          rec.embedding_count < options_.min_evidence_mentions &&
-          rec.entity_probability > options_.low_evidence_beta) {
-        label = CandidateLabel::kAmbiguous;
-      }
-      rec.label = label;
-      switch (rec.label) {
-        case CandidateLabel::kEntity:
-          ++out.num_entity;
-          break;
-        case CandidateLabel::kNonEntity:
-          ++out.num_non_entity;
-          break;
-        default:
-          ++out.num_ambiguous;
-          break;
-      }
+      rec.label = ApplyLowEvidence(label, rec);
+      CountLabel(rec.label, &out);
     }
   } else if (options_.mode == GlobalizerOptions::Mode::kFull &&
              !classifier_degraded_) {
@@ -817,23 +799,8 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
         break;
       }
       rec.entity_probability = verdict->probability;
-      rec.label = verdict->label;
-      if (rec.label == CandidateLabel::kNonEntity &&
-          rec.embedding_count < options_.min_evidence_mentions &&
-          rec.entity_probability > options_.low_evidence_beta) {
-        rec.label = CandidateLabel::kAmbiguous;
-      }
-      switch (rec.label) {
-        case CandidateLabel::kEntity:
-          ++out.num_entity;
-          break;
-        case CandidateLabel::kNonEntity:
-          ++out.num_non_entity;
-          break;
-        default:
-          ++out.num_ambiguous;
-          break;
-      }
+      rec.label = ApplyLowEvidence(verdict->label, rec);
+      CountLabel(rec.label, &out);
     }
   }
   const bool classify =

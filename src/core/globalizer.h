@@ -43,7 +43,6 @@
 #include "core/entity_classifier.h"
 #include "core/global_state.h"
 #include "core/memory_governor.h"
-#include "core/mention_extractor.h"
 #include "core/phrase_embedder.h"
 #include "core/tweet_base.h"
 #include "emd/local_emd_system.h"
@@ -160,14 +159,6 @@ struct GlobalizerOptions {
   /// publishes service-wide aggregates instead, so concurrent streams do not
   /// fight over the same gauge.
   bool publish_shard_gauges = true;
-
-  /// Candidate-scan matcher (DESIGN §12). kAuto resolves the EMD_MATCHER
-  /// environment variable: "legacy" selects the lockstep per-shard trie
-  /// walk, anything else the interned-symbol matcher (first-token dispatch +
-  /// int32 edge walk). Both produce bit-identical mention sets at any
-  /// shard/thread count — the hatch exists for A/B runs and bisection.
-  ShardedGlobalState::MatcherKind matcher =
-      ShardedGlobalState::MatcherKind::kAuto;
 };
 
 /// Final framework output plus diagnostics.
@@ -368,6 +359,19 @@ class Globalizer {
   Result<LocalEmdResult> LocalEmdWithResilience(const AnnotatedTweet& tweet,
                                                 bool* via_fallback);
 
+  /// The one LocalEmdResult -> TweetRecord conversion, shared by the
+  /// per-tweet, batched and serial local paths: identity and tokens come
+  /// from the tweet; a failed `local` quarantines the record, a successful
+  /// one contributes its token embeddings and every in-range mention span.
+  static void FillLocalStage(const AnnotatedTweet& tweet,
+                             Result<LocalEmdResult> local, LocalStage* stage);
+
+  /// The low-evidence rule of every classify loop: a kNonEntity verdict on
+  /// a candidate pooled from fewer than min_evidence_mentions mentions whose
+  /// entity_probability exceeds low_evidence_beta is kept kAmbiguous.
+  CandidateLabel ApplyLowEvidence(CandidateLabel label,
+                                  const CandidateRecord& rec) const;
+
   /// Computes one tweet's local stage into `out` (no shared mutation except
   /// the guarded breaker).
   void RunLocalStage(const AnnotatedTweet& tweet, LocalEmdSystem* primary,
@@ -440,7 +444,7 @@ class Globalizer {
   std::vector<ForwardArena> lane_arenas_;
 
   // Candidate-scan scratch, one per worker lane (slot-exclusive under
-  // ParallelFor): folded-token / interned-symbol buffers reused across
+  // ParallelFor): fold / per-token symbol buffers reused across
   // tweets and batches so the extraction stage allocates nothing in steady
   // state.
   std::vector<ShardedGlobalState::ScanScratch> scan_scratch_;

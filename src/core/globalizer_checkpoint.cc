@@ -391,7 +391,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   // Parse into local stores; the members are only touched once the whole
   // checkpoint has validated, so a corrupt file leaves this Globalizer as
   // freshly constructed.
-  ShardedGlobalState state(options_.shard_count, options_.matcher);
+  ShardedGlobalState state(options_.shard_count);
   TweetBase tweets;
 
   // Candidate keys. Both layouts produce the same inputs to the generic

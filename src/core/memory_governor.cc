@@ -190,7 +190,7 @@ bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
     if (!EMD_FAILPOINT("core.memory_governor.evict").ok()) return false;
     const size_t freed = state_->at(id).ApproxBytes();
     state_->Evict(id);
-    // Prune also unwinds the interned matcher: per-edge symbol references
+    // Prune also unwinds the scan index: per-edge symbol references
     // are released (dead symbol ids recycle) and the shard's first-token
     // dispatch entry is unregistered once its root edge disappears, so the
     // scan index shrinks with the trie instead of accreting garbage.

@@ -9,22 +9,10 @@
 namespace emd {
 namespace kernels {
 
-bool ForceScalar() {
-  static const bool force = [] {
-    const char* v = std::getenv("EMD_FORCE_SCALAR");
-    if (v == nullptr || v[0] == '\0') return false;
-    return !(v[0] == '0' && v[1] == '\0');
-  }();
-  return force;
-}
-
 BackendSelect SelectedBackend() {
   static const BackendSelect select = [] {
     const char* v = std::getenv("EMD_BACKEND");
-    if (v == nullptr || v[0] == '\0') {
-      // Legacy knob: honoured only when the tri-state selector is unset.
-      return ForceScalar() ? BackendSelect::kScalar : BackendSelect::kAuto;
-    }
+    if (v == nullptr || v[0] == '\0') return BackendSelect::kAuto;
     if (std::strcmp(v, "scalar") == 0) return BackendSelect::kScalar;
     if (std::strcmp(v, "avx2") == 0) return BackendSelect::kAvx2;
     if (std::strcmp(v, "int8") == 0) return BackendSelect::kInt8;

@@ -22,8 +22,7 @@
 // Dispatch policy (dispatch.cc): a single tri-state selector, read once at
 // first use from EMD_BACKEND in {auto, scalar, avx2, int8}:
 //   * auto (default) — avx2 when the binary has it and the CPU reports
-//     AVX2+FMA, otherwise scalar. Legacy EMD_FORCE_SCALAR (set to anything
-//     but "" or "0") maps to scalar when EMD_BACKEND is unset.
+//     AVX2+FMA, otherwise scalar.
 //   * scalar — always the scalar fp32 table; int8 disabled.
 //   * avx2 — the AVX2 fp32 table; falls back to scalar (with the gauge
 //     reporting the fallback) when unavailable; int8 disabled.
@@ -132,13 +131,8 @@ const QuantizedBackend* Avx2Int8Kernels();
 /// regardless of Int8Enabled(); both implementations are bit-identical.
 const QuantizedBackend& Int8Kernels();
 
-/// True when the EMD_FORCE_SCALAR environment variable requests the scalar
-/// backend (set to anything but empty or "0"). Read once. Superseded by
-/// EMD_BACKEND, which wins when both are set.
-bool ForceScalar();
-
-/// The tri-state selector, parsed once from EMD_BACKEND (legacy
-/// EMD_FORCE_SCALAR maps to kScalar). Unknown values fall back to kAuto.
+/// The tri-state selector, parsed once from EMD_BACKEND (unset or empty
+/// means kAuto). Unknown values fall back to kAuto.
 enum class BackendSelect { kAuto, kScalar, kAvx2, kInt8 };
 BackendSelect SelectedBackend();
 

@@ -1,6 +1,6 @@
 // Scalar reference backend. The GEMM, softmax, layer-norm and logsumexp
 // bodies are the pre-kernel-layer implementations moved verbatim from
-// nn/matrix.cc / nn/layer_norm.cc so that EMD_FORCE_SCALAR=1 reproduces
+// nn/matrix.cc / nn/layer_norm.cc so that EMD_BACKEND=scalar reproduces
 // pre-SIMD pipeline output bit for bit. This file must be compiled WITHOUT
 // -mavx2/-mfma (and without fast-math) for the same reason: no FP
 // contraction differences against the historical build.

@@ -1,9 +1,8 @@
 // SymbolTable — dense int32 interning of case-folded scan tokens.
 //
-// The global re-scan (§V-A) used to probe one string-keyed hash map per trie
-// edge per shard. Interning every distinct folded token to a dense int32
-// symbol turns those probes into integer compares: the CTrie keeps a sorted
-// (symbol, child) edge array per node, and the scan loop touches only
+// Interning every distinct folded token to a dense int32 symbol turns the
+// global re-scan's (§V-A) trie probes into integer compares: each CTrie node
+// keeps one sorted (symbol, child) edge array, and the scan loop touches only
 // int32[] once each token of a batch has been folded + interned exactly once
 // (docs/SHARDING.md, DESIGN §12).
 //

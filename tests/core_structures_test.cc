@@ -1,46 +1,21 @@
-// Tests for the Global EMD data structures: BIO codec, CTrie, the candidate
-// mention extractor, the syntactic embedder, TweetBase/CandidateBase, and
-// mention-level metrics. Includes parameterized property sweeps.
+// Tests for the Global EMD data structures: BIO codec, CTrie, the §V-A
+// candidate re-scan (ShardedGlobalState::Extract), the syntactic embedder,
+// TweetBase/CandidateBase, and mention-level metrics. Includes parameterized
+// property sweeps.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
-#include "core/mention_extractor.h"
+#include "core/global_state.h"
 #include "core/syntactic_embedder.h"
 #include "core/tweet_base.h"
 #include "text/bio.h"
 #include "eval/metrics.h"
+#include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
 #include "util/rng.h"
-
-// Global allocation counter: CTrieTest.StepIsAllocationFreeInSteadyState
-// asserts the scan hot path performs zero heap allocations once warm.
-// GCC cannot see that the replacement operator new/delete below are a
-// matched malloc/free pair and warns at every inlined delete site.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-std::atomic<long> g_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "util/string_util.h"
 
 namespace emd {
 namespace {
@@ -104,7 +79,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BioRoundTripTest,
 // ------------------------------------------------------------------- CTrie
 
 TEST(CTrieTest, InsertFindCaseInsensitive) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int id = trie.Insert({"Andy", "Beshear"});
   EXPECT_EQ(trie.Find({"andy", "beshear"}), id);
   EXPECT_EQ(trie.Find({"ANDY", "BESHEAR"}), id);
@@ -114,7 +90,8 @@ TEST(CTrieTest, InsertFindCaseInsensitive) {
 }
 
 TEST(CTrieTest, ReinsertReturnsSameId) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int a = trie.Insert({"coronavirus"});
   const int b = trie.Insert({"CORONAVIRUS"});
   EXPECT_EQ(a, b);
@@ -122,7 +99,8 @@ TEST(CTrieTest, ReinsertReturnsSameId) {
 }
 
 TEST(CTrieTest, PrefixCandidatesCoexist) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int shorter = trie.Insert({"andy"});
   const int longer = trie.Insert({"andy", "beshear"});
   EXPECT_NE(shorter, longer);
@@ -132,56 +110,33 @@ TEST(CTrieTest, PrefixCandidatesCoexist) {
 }
 
 TEST(CTrieTest, StepTraversal) {
-  CTrie trie;
-  trie.Insert({"new", "york", "city"});
+  SymbolTable syms;
+  CTrie trie(&syms);
+  trie.Insert({"New", "York", "City"});
+  // Edges are keyed by the symbol of the case-folded token.
+  auto step = [&](int node, const std::string& tok) {
+    return trie.StepSymbol(node, syms.Lookup(ToLowerAscii(tok)));
+  };
   int node = trie.root();
-  node = trie.Step(node, "New");
+  node = step(node, "New");
   ASSERT_NE(node, CTrie::kNoNode);
   EXPECT_EQ(trie.CandidateAt(node), CTrie::kNoCandidate);
-  node = trie.Step(node, "YORK");
+  node = step(node, "YORK");
   ASSERT_NE(node, CTrie::kNoNode);
-  node = trie.Step(node, "city");
+  node = step(node, "city");
   ASSERT_NE(node, CTrie::kNoNode);
   EXPECT_NE(trie.CandidateAt(node), CTrie::kNoCandidate);
-  EXPECT_EQ(trie.Step(trie.root(), "boston"), CTrie::kNoNode);
-}
-
-TEST(CTrieTest, StepIsAllocationFreeInSteadyState) {
-  CTrie trie;
-  // Long, mixed-case tokens push past small-string optimization so a naive
-  // fold-into-temporary would be forced to allocate.
-  trie.Insert({"supercalifragilistic", "expialidocious", "entity"});
-  trie.Insert({"new", "york", "city"});
-
-  const std::vector<std::string> scan = {
-      "SuperCaliFragilistic", "EXPIALIDOCIOUS", "Entity",
-      "New",                  "YORK",           "city",
-      "unrelated-token",      "ANOTHER-Unrelated-Long-Token"};
-
-  // Warm the fold scratch to its steady-state capacity.
-  std::string fold_scratch;
-  for (const std::string& tok : scan) {
-    (void)trie.Step(trie.root(), tok, &fold_scratch);
-  }
-
-  const long before = g_allocations.load(std::memory_order_relaxed);
-  for (int round = 0; round < 100; ++round) {
-    int node = trie.root();
-    for (const std::string& tok : scan) {
-      node = trie.Step(node, tok, &fold_scratch);
-      if (node == CTrie::kNoNode) node = trie.root();
-    }
-  }
-  const long after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0)
-      << "CTrie::Step allocated on the steady-state scan path";
+  EXPECT_EQ(step(trie.root(), "boston"), CTrie::kNoNode);
+  // Interned (as the child of "new"), but not a root edge.
+  EXPECT_EQ(step(trie.root(), "york"), CTrie::kNoNode);
 }
 
 class CTriePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CTriePropertyTest, EveryInsertedCandidateIsFindable) {
   Rng rng(GetParam());
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   std::vector<std::pair<std::vector<std::string>, int>> inserted;
   const std::vector<std::string> words = {"alpha", "beta", "gamma", "delta", "eps"};
   for (int i = 0; i < 60; ++i) {
@@ -197,74 +152,67 @@ TEST_P(CTriePropertyTest, EveryInsertedCandidateIsFindable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CTriePropertyTest, ::testing::Values(11, 22, 33, 44));
 
-// ------------------------------------------------------- MentionExtractor
+// ---------------------------------------- candidate re-scan (§V-A)
 
-TEST(MentionExtractorTest, FindsAllCaseVariants) {
-  CTrie trie;
-  const int id = trie.Insert({"coronavirus"});
-  MentionExtractor ex(&trie);
+TEST(CandidateScanTest, FindsAllCaseVariants) {
+  ShardedGlobalState state;
+  const int id = state.Insert({"coronavirus"});
   auto tokens = Toks("the Coronavirus and CORONAVIRUS and coronavirus spread");
-  auto mentions = ex.Extract(tokens);
+  auto mentions = state.Extract(tokens);
   ASSERT_EQ(mentions.size(), 3u);
   for (const auto& m : mentions) EXPECT_EQ(m.candidate_id, id);
 }
 
-TEST(MentionExtractorTest, LongestMatchWins) {
-  CTrie trie;
-  trie.Insert({"andy"});
-  const int full = trie.Insert({"andy", "beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("governor Andy Beshear spoke"));
+TEST(CandidateScanTest, LongestMatchWins) {
+  ShardedGlobalState state;
+  state.Insert({"andy"});
+  const int full = state.Insert({"andy", "beshear"});
+  auto mentions = state.Extract(Toks("governor Andy Beshear spoke"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].candidate_id, full);
   EXPECT_EQ(mentions[0].span, (TokenSpan{1, 3}));
 }
 
-TEST(MentionExtractorTest, PartialExtractionCorrection) {
+TEST(CandidateScanTest, PartialExtractionCorrection) {
   // Local EMD found only "Andy" here but the full string was registered from
-  // another tweet: the extractor returns the full mention (§V-A example).
-  CTrie trie;
-  trie.Insert({"Andy", "Beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("andy beshear says schools stay closed"));
+  // another tweet: the re-scan returns the full mention (§V-A example).
+  ShardedGlobalState state;
+  state.Insert({"Andy", "Beshear"});
+  auto mentions = state.Extract(Toks("andy beshear says schools stay closed"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{0, 2}));
 }
 
-TEST(MentionExtractorTest, FallsBackToShorterCandidateOnLongerMiss) {
-  CTrie trie;
-  const int shorter = trie.Insert({"andy"});
-  trie.Insert({"andy", "beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("Andy spoke today"));
+TEST(CandidateScanTest, FallsBackToShorterCandidateOnLongerMiss) {
+  ShardedGlobalState state;
+  const int shorter = state.Insert({"andy"});
+  state.Insert({"andy", "beshear"});
+  auto mentions = state.Extract(Toks("Andy spoke today"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].candidate_id, shorter);
 }
 
-TEST(MentionExtractorTest, NonOverlappingLeftToRight) {
-  CTrie trie;
-  trie.Insert({"us"});
-  trie.Insert({"us", "open"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("US Open starts as US fans arrive"));
+TEST(CandidateScanTest, NonOverlappingLeftToRight) {
+  ShardedGlobalState state;
+  state.Insert({"us"});
+  state.Insert({"us", "open"});
+  auto mentions = state.Extract(Toks("US Open starts as US fans arrive"));
   ASSERT_EQ(mentions.size(), 2u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{0, 2}));  // "US Open"
   EXPECT_EQ(mentions[1].span, (TokenSpan{4, 5}));  // "US"
 }
 
-TEST(MentionExtractorTest, EmptyTrieFindsNothing) {
-  CTrie trie;
-  MentionExtractor ex(&trie);
-  EXPECT_TRUE(ex.Extract(Toks("nothing to see here")).empty());
+TEST(CandidateScanTest, EmptyTrieFindsNothing) {
+  ShardedGlobalState state;
+  EXPECT_TRUE(state.Extract(Toks("nothing to see here")).empty());
 }
 
-TEST(MentionExtractorTest, MidWindowRestartFindsLaterCandidate) {
+TEST(CandidateScanTest, MidWindowRestartFindsLaterCandidate) {
   // A failed long window must not swallow a candidate starting inside it.
-  CTrie trie;
-  trie.Insert({"new", "york"});
-  trie.Insert({"york", "times"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("the new york times building"));
+  ShardedGlobalState state;
+  state.Insert({"new", "york"});
+  state.Insert({"york", "times"});
+  auto mentions = state.Extract(Toks("the new york times building"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{1, 3}));  // longest from leftmost start
 }

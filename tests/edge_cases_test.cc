@@ -1,5 +1,5 @@
 // Edge-case battery across modules: tokenizer corner inputs, dropout
-// statistics, embedding pad-row invariants, extractor boundary conditions,
+// statistics, embedding pad-row invariants, re-scan boundary conditions,
 // Finalize idempotence, and diagnostic-count consistency.
 
 #include <gtest/gtest.h>
@@ -199,36 +199,32 @@ TEST(EmbeddingTest, PadRowStaysZeroThroughTraining) {
 // ------------------------------------------------------------ extractor
 
 TEST(ExtractorEdgeTest, CandidateAtSentenceEnd) {
-  CTrie trie;
-  trie.Insert({"beshear"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state;
+  state.Insert({"beshear"});
   auto toks = TweetTokenizer().Tokenize("a statement from Beshear");
-  auto mentions = ex.Extract(toks);
+  auto mentions = state.Extract(toks);
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span.end, toks.size());
 }
 
 TEST(ExtractorEdgeTest, CandidateLongerThanSentence) {
-  CTrie trie;
-  trie.Insert({"one", "two", "three", "four"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state;
+  state.Insert({"one", "two", "three", "four"});
   auto toks = TweetTokenizer().Tokenize("one two three");
-  EXPECT_TRUE(ex.Extract(toks).empty());
+  EXPECT_TRUE(state.Extract(toks).empty());
 }
 
 TEST(ExtractorEdgeTest, EmptySentence) {
-  CTrie trie;
-  trie.Insert({"x"});
-  MentionExtractor ex(&trie);
-  EXPECT_TRUE(ex.Extract({}).empty());
+  ShardedGlobalState state;
+  state.Insert({"x"});
+  EXPECT_TRUE(state.Extract({}).empty());
 }
 
 TEST(ExtractorEdgeTest, RepeatedAdjacentMentions) {
-  CTrie trie;
-  trie.Insert({"goal"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state;
+  state.Insert({"goal"});
   auto toks = TweetTokenizer().Tokenize("goal goal goal");
-  EXPECT_EQ(ex.Extract(toks).size(), 3u);
+  EXPECT_EQ(state.Extract(toks).size(), 3u);
 }
 
 // ----------------------------------------------------------- globalizer

@@ -69,30 +69,12 @@ TEST(KernelDispatchTest, DispatchReturnsKnownBackend) {
   EXPECT_EQ(&Kernels(), &k);
 }
 
-TEST(KernelDispatchTest, ForceScalarEnvSelectsScalar) {
-  // Must run before anything in this process touches Kernels(): under ctest
-  // each TEST is its own process, so setting the env here is effective. The
-  // legacy knob only applies while EMD_BACKEND is unset.
-  unsetenv("EMD_BACKEND");
-  setenv("EMD_FORCE_SCALAR", "1", /*overwrite=*/1);
-  EXPECT_TRUE(kernels::ForceScalar());
-  EXPECT_STREQ(Kernels().name, "scalar");
-}
-
 TEST(KernelDispatchTest, BackendEnvScalarSelectsScalar) {
   setenv("EMD_BACKEND", "scalar", /*overwrite=*/1);
   EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kScalar);
   EXPECT_FALSE(kernels::Int8Enabled());
   EXPECT_STREQ(Kernels().name, "scalar");
   EXPECT_STREQ(kernels::BackendName(), "scalar");
-}
-
-TEST(KernelDispatchTest, BackendEnvOverridesLegacyForceScalar) {
-  // EMD_BACKEND wins over the superseded EMD_FORCE_SCALAR knob.
-  setenv("EMD_FORCE_SCALAR", "1", /*overwrite=*/1);
-  setenv("EMD_BACKEND", "auto", /*overwrite=*/1);
-  EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kAuto);
-  EXPECT_FALSE(kernels::Int8Enabled());
 }
 
 TEST(KernelDispatchTest, BackendEnvInt8EnablesQuantizedInference) {

@@ -25,6 +25,7 @@
 #include "net/wire.h"
 #include "stream/datasets.h"
 #include "stream/ingest_queue.h"
+#include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
 #include "util/binary_io.h"
 #include "util/crc32.h"
@@ -84,7 +85,8 @@ void CheckTrieCandidateInvariants(const CTrie& trie,
 // --------------------------------------------------------- CTrie pruning --
 
 TEST(CTriePruneTest, PrunedPhraseMissesOnLookup) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int id = trie.Insert({"andy", "beshear"});
   ASSERT_EQ(trie.Find({"andy", "beshear"}), id);
 
@@ -98,7 +100,8 @@ TEST(CTriePruneTest, PrunedPhraseMissesOnLookup) {
 }
 
 TEST(CTriePruneTest, SharedPrefixSurvivesSiblingPrune) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int beshear = trie.Insert({"andy", "beshear"});
   const int cohen = trie.Insert({"andy", "cohen"});
   const int andy = trie.Insert({"andy"});
@@ -117,7 +120,8 @@ TEST(CTriePruneTest, SharedPrefixSurvivesSiblingPrune) {
 }
 
 TEST(CTriePruneTest, PruneRecyclesNodeSlotsAndIdsStayFresh) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   const int first = trie.Insert({"some", "long", "candidate", "phrase"});
   const int nodes_before = trie.num_live_nodes();
   ASSERT_EQ(trie.Prune(first), 4);
@@ -134,7 +138,8 @@ TEST(CTriePruneTest, PruneRecyclesNodeSlotsAndIdsStayFresh) {
 }
 
 TEST(CTriePruneTest, ApproxBytesShrinksWithPruning) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   for (int i = 0; i < 32; ++i) {
     trie.Insert({"prefix", "number", std::to_string(i)});
   }

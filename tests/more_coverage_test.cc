@@ -14,6 +14,7 @@
 #include "stream/conll_io.h"
 #include "stream/datasets.h"
 #include "stream/topic_classifier.h"
+#include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
 #include "text/vocabulary.h"
 #include "util/rng.h"
@@ -93,7 +94,8 @@ TEST(ConllDetailTest, ExplicitIdsSurviveRoundTrip) {
 }
 
 TEST(CTrieScaleTest, ThousandsOfCandidates) {
-  CTrie trie;
+  SymbolTable syms;
+  CTrie trie(&syms);
   Rng rng(5);
   std::vector<std::pair<std::vector<std::string>, int>> all;
   for (int i = 0; i < 5000; ++i) {

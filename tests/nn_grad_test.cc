@@ -27,8 +27,8 @@ namespace {
 // Finite differences divide forward-pass error by 2h, so the ~1e-7-accurate
 // vectorized exp/tanh approximations would read as percent-level gradient
 // noise. Pin the exact scalar kernels before the dispatcher's one-time choice.
-const bool kForceScalarKernels = [] {
-  setenv("EMD_FORCE_SCALAR", "1", /*overwrite=*/1);
+const bool kScalarKernels = [] {
+  setenv("EMD_BACKEND", "scalar", /*overwrite=*/1);
   return true;
 }();
 

@@ -1,7 +1,7 @@
 // Parameterized property sweeps over the pipeline invariants:
 //  * tokenizer offsets always reconstruct the source,
 //  * incremental pooling == batch mean regardless of arrival order/batching,
-//  * mention extractor outputs are sorted, non-overlapping, and all true
+//  * candidate re-scan outputs are sorted, non-overlapping, and all true
 //    occurrences of registered candidates are covered,
 //  * syntactic categories partition all mentions,
 //  * Globalizer's full-mode output is a subset of extraction-mode output.
@@ -13,7 +13,6 @@
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
 #include "core/globalizer.h"
-#include "core/mention_extractor.h"
 #include "core/syntactic_embedder.h"
 #include "mock_local_system.h"
 #include "stream/datasets.h"
@@ -82,17 +81,16 @@ TEST_P(SeededTest, ExtractorOutputsSortedNonOverlappingAndComplete) {
   gopt.seed = GetParam() * 5 + 2;
   TweetGenerator gen(&catalog, Topic::kSports, gopt);
 
-  CTrie trie;
+  ShardedGlobalState state;
   std::vector<AnnotatedTweet> tweets;
   for (int i = 0; i < 80; ++i) {
     tweets.push_back(gen.Next());
     for (const auto& g : tweets.back().gold) {
-      trie.Insert(tweets.back().tokens, g.span);
+      state.Insert(tweets.back().tokens, g.span);
     }
   }
-  MentionExtractor extractor(&trie);
   for (const auto& tweet : tweets) {
-    const auto mentions = extractor.Extract(tweet.tokens);
+    const auto mentions = state.Extract(tweet.tokens);
     size_t prev_end = 0;
     for (const auto& m : mentions) {
       ASSERT_GE(m.span.begin, prev_end) << "overlap or disorder";

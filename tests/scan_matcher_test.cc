@@ -1,12 +1,11 @@
-// Interned-symbol candidate matcher tests (DESIGN §12, ctest label `scan`):
-// SymbolTable refcount/recycle semantics, CTrie symbol edges agreeing with
-// the string-keyed edges, bit-identity between the legacy lockstep scan and
-// the interned first-token-dispatch scan — on fixed corpora, under a
-// randomized fuzz with insert/evict/rebuild churn and non-ASCII tokens, and
-// through the Globalizer across shard counts {1,4,13} x thread counts {1,4}
-// — plus eviction unregistering dispatch/symbol state, checkpoint restore
-// rebuilding the symbol table, the EMD_MATCHER escape hatch, and a
-// zero-steady-state-allocation guarantee for both scan loops.
+// Candidate matcher tests (DESIGN §12, ctest label `scan`): SymbolTable
+// refcount/recycle semantics, the CTrie's symbol-keyed edges, the sharded
+// first-token-dispatch scan agreeing with a naive longest-match reference
+// (ReferenceScan below) — on fixed corpora and under a randomized fuzz with
+// insert/evict/rebuild churn and non-ASCII tokens — the pipeline digest
+// across shard counts {1,4,13} x thread counts {1,4}, eviction unregistering
+// dispatch/symbol state, checkpoint restore rebuilding the symbol table, and
+// a zero-steady-state-allocation guarantee for the scan loop.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +14,7 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 // GCC cannot see that the replacement operator new/delete below are a
@@ -53,8 +53,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace emd {
 namespace {
 
-using MK = ShardedGlobalState::MatcherKind;
-
 std::vector<Token> Toks(const std::string& text) {
   std::vector<Token> out;
   for (const std::string& w : Split(text)) {
@@ -77,6 +75,34 @@ void ExpectSameMentions(const std::vector<ExtractedMention>& expected,
     EXPECT_EQ(expected[i].candidate_id, actual[i].candidate_id)
         << what << " mention " << i;
   }
+}
+
+// Test-only §V-A oracle: left to right, the longest window whose folded text
+// is a live candidate key wins — no trie, no symbols, no shards.
+std::vector<ExtractedMention> ReferenceScan(const ShardedGlobalState& state,
+                                            const std::vector<Token>& tokens) {
+  std::unordered_map<std::string, int> live;  // folded key -> gid
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    if (!state.IsTombstone(gid)) live.emplace(state.CandidateKey(gid), gid);
+  }
+  std::vector<ExtractedMention> out;
+  size_t i = 0;
+  while (i < tokens.size()) {
+    ExtractedMention best{{i, i}, CTrie::kNoCandidate};
+    std::string key;
+    for (size_t j = i; j < tokens.size(); ++j) {
+      key += (j > i ? " " : "") + ToLowerAscii(tokens[j].text);
+      auto it = live.find(key);
+      if (it != live.end()) best = {{i, j + 1}, it->second};
+    }
+    if (best.candidate_id == CTrie::kNoCandidate) {
+      ++i;
+    } else {
+      out.push_back(best);
+      i = best.span.end;
+    }
+  }
+  return out;
 }
 
 // ----------------------------------------------------------- SymbolTable --
@@ -109,25 +135,24 @@ TEST(SymbolTableTest, AcquireLookupReleaseRecyclesIds) {
 
 // --------------------------------------------------- CTrie symbol edges --
 
-TEST(CTrieSymbolTest, StepSymbolAndStepFoldedAgreeWithStep) {
+TEST(CTrieSymbolTest, StepSymbolFollowsInsertedEdges) {
   SymbolTable syms;
-  CTrie trie;
-  trie.BindSymbolTable(&syms);
-  trie.Insert({"new", "york"});
+  CTrie trie(&syms);
+  trie.Insert({"New", "York"});
   trie.Insert({"new", "york", "times"});
   trie.Insert({"boston"});
 
-  const int n1 = trie.Step(trie.root(), "New");
+  const int n1 = trie.StepSymbol(trie.root(), syms.Lookup("new"));
   ASSERT_NE(n1, CTrie::kNoNode);
-  EXPECT_EQ(trie.StepFolded(trie.root(), "new"), n1);
-  EXPECT_EQ(trie.StepSymbol(trie.root(), syms.Lookup("new")), n1);
   EXPECT_EQ(trie.RootChildForSymbol(syms.Lookup("new")), n1);
+  EXPECT_EQ(trie.CandidateAt(n1), CTrie::kNoCandidate);
 
-  const int n2 = trie.Step(n1, "YORK");
+  const int n2 = trie.StepSymbol(n1, syms.Lookup("york"));
   ASSERT_NE(n2, CTrie::kNoNode);
-  EXPECT_EQ(trie.StepSymbol(n1, syms.Lookup("york")), n2);
-  EXPECT_EQ(trie.StepSymbol(n2, syms.Lookup("times")),
-            trie.Step(n2, "times"));
+  EXPECT_EQ(trie.CandidateAt(n2), trie.Find({"NEW", "york"}));
+  const int n3 = trie.StepSymbol(n2, syms.Lookup("times"));
+  ASSERT_NE(n3, CTrie::kNoNode);
+  EXPECT_EQ(trie.CandidateAt(n3), trie.Find({"new", "york", "times"}));
 
   // Unknown token: Lookup yields kNoSymbol, which matches no edge.
   EXPECT_EQ(syms.Lookup("chicago"), SymbolTable::kNoSymbol);
@@ -139,8 +164,7 @@ TEST(CTrieSymbolTest, StepSymbolAndStepFoldedAgreeWithStep) {
 
 TEST(CTrieSymbolTest, PruneReleasesSymbolsWithTheirEdges) {
   SymbolTable syms;
-  CTrie trie;
-  trie.BindSymbolTable(&syms);
+  CTrie trie(&syms);
   const int ny = trie.Insert({"new", "york"});
   const int nyt = trie.Insert({"new", "york", "times"});
   // Edges: new, york, times — "new"/"york" shared by both candidates.
@@ -156,7 +180,28 @@ TEST(CTrieSymbolTest, PruneReleasesSymbolsWithTheirEdges) {
   EXPECT_EQ(syms.num_live(), 0);
 }
 
-// -------------------------------------------- fixed-corpus bit-identity --
+TEST(CTrieSymbolTest, InsertAddsEdgeForSymbolInternedElsewhere) {
+  SymbolTable syms;
+  CTrie trie(&syms);
+  const int yt = trie.Insert({"york", "times"});
+  // "york" is interned (a root edge) but is not yet a child of "new": the
+  // Insert must create that edge rather than treat the symbol as present.
+  const int ny = trie.Insert({"new", "york"});
+  EXPECT_NE(ny, yt);
+  EXPECT_EQ(trie.Find({"new", "york"}), ny);
+  EXPECT_EQ(trie.Find({"york", "times"}), yt);
+  EXPECT_EQ(syms.ref_count(syms.Lookup("york")), 2u);  // one per edge
+  EXPECT_EQ(syms.num_live(), 3);
+
+  trie.Prune(yt);
+  EXPECT_EQ(trie.Find({"new", "york"}), ny);
+  trie.Prune(ny);
+  EXPECT_EQ(syms.num_live(), 0);
+  EXPECT_EQ(trie.num_live_candidates(), 0);
+  EXPECT_EQ(trie.num_live_nodes(), 1);  // just the root
+}
+
+// ----------------------------------------------- fixed-corpus reference --
 
 TEST(ScanMatcherTest, FixedCorpusIdenticalAcrossMatchersAndShardCounts) {
   const std::vector<std::vector<std::string>> phrases = {
@@ -172,30 +217,30 @@ TEST(ScanMatcherTest, FixedCorpusIdenticalAcrossMatchersAndShardCounts) {
       "andy",
       "",
   };
-  ShardedGlobalState reference(1, MK::kLegacy);
-  for (const auto& p : phrases) reference.Insert(p);
   for (int shards : {1, 4, 13}) {
-    for (MK kind : {MK::kLegacy, MK::kInterned}) {
-      ShardedGlobalState state(shards, kind);
-      for (const auto& p : phrases) state.Insert(p);
-      for (const std::string& text : corpus) {
-        const auto tokens = Toks(text);
-        ExpectSameMentions(reference.Extract(tokens), state.Extract(tokens),
-                           "shards=" + std::to_string(shards) + " matcher=" +
-                               (kind == MK::kLegacy ? "legacy" : "interned") +
-                               " tweet '" + text + "'");
-      }
+    ShardedGlobalState state(shards);
+    for (const auto& p : phrases) state.Insert(p);
+    size_t mentions = 0;
+    for (const std::string& text : corpus) {
+      const auto tokens = Toks(text);
+      const auto found = state.Extract(tokens);
+      ExpectSameMentions(ReferenceScan(state, tokens), found,
+                         "shards=" + std::to_string(shards) + " tweet '" +
+                             text + "'");
+      mentions += found.size();
     }
+    EXPECT_EQ(mentions, 10u) << "shards=" << shards;
   }
 }
 
 // ------------------------------------------------------------- fuzzing --
 
-// Randomized churn: every state (3 shard counts x 2 matchers) receives the
-// identical insert/evict/scan sequence; every scan must agree with the
-// 1-shard legacy reference. Vocabulary includes non-ASCII tokens (ASCII-only
-// case folding must still match byte-for-byte) and tweets inject registered
-// phrases under random casing between in-vocab and out-of-vocab noise.
+// Randomized churn: every state (3 shard counts) receives the identical
+// insert/evict/scan sequence; every scan must agree with ReferenceScan over
+// the live keys (gid spaces are equal across shard counts). Vocabulary
+// includes non-ASCII tokens (ASCII-only case folding must still match
+// byte-for-byte) and tweets inject registered phrases under random casing
+// between in-vocab and out-of-vocab noise.
 TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   Rng rng(20260808);
   std::vector<std::string> vocab;
@@ -207,8 +252,7 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   const std::vector<int> shard_counts = {1, 4, 13};
   std::vector<std::unique_ptr<ShardedGlobalState>> states;
   for (int sc : shard_counts) {
-    states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kLegacy));
-    states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kInterned));
+    states.push_back(std::make_unique<ShardedGlobalState>(sc));
   }
   ShardedGlobalState& reference = *states[0];
 
@@ -267,8 +311,8 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
     // Scan: every state must reproduce the reference exactly.
     for (int t = 0; t < 32; ++t) {
       const auto tokens = random_tweet();
-      const auto expected = reference.Extract(tokens);
-      for (size_t s = 1; s < states.size(); ++s) {
+      const auto expected = ReferenceScan(reference, tokens);
+      for (size_t s = 0; s < states.size(); ++s) {
         ExpectSameMentions(
             expected, states[s]->Extract(tokens),
             "round " + std::to_string(round) + " state " + std::to_string(s));
@@ -283,20 +327,19 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   // holes) and require the rebuilt scan to still match the live reference —
   // this is exactly the path that rebuilds the symbol table from the tries.
   for (int sc : shard_counts) {
-    for (MK kind : {MK::kLegacy, MK::kInterned}) {
-      ShardedGlobalState rebuilt(sc, kind);
-      for (int gid = 0; gid < reference.num_candidates(); ++gid) {
-        if (reference.IsTombstone(gid)) {
-          rebuilt.AppendTombstone();
-        } else {
-          rebuilt.Insert(Split(reference.CandidateKey(gid)));
-        }
+    ShardedGlobalState rebuilt(sc);
+    for (int gid = 0; gid < reference.num_candidates(); ++gid) {
+      if (reference.IsTombstone(gid)) {
+        rebuilt.AppendTombstone();
+      } else {
+        rebuilt.Insert(Split(reference.CandidateKey(gid)));
       }
-      for (int t = 0; t < 16; ++t) {
-        const auto tokens = random_tweet();
-        ExpectSameMentions(reference.Extract(tokens), rebuilt.Extract(tokens),
-                           "rebuilt shards=" + std::to_string(sc));
-      }
+    }
+    for (int t = 0; t < 16; ++t) {
+      const auto tokens = random_tweet();
+      ExpectSameMentions(ReferenceScan(reference, tokens),
+                         rebuilt.Extract(tokens),
+                         "rebuilt shards=" + std::to_string(sc));
     }
   }
 }
@@ -304,7 +347,7 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
 // ------------------------------------------- eviction unregisters index --
 
 TEST(ScanMatcherTest, PruneUnregistersDispatchAndRecyclesSymbols) {
-  ShardedGlobalState state(1, MK::kInterned);
+  ShardedGlobalState state(1);
   const int g1 = state.Insert({"shared", "alpha"});
   const int g2 = state.Insert({"shared", "beta"});
   state.Insert({"solo"});
@@ -384,30 +427,26 @@ Dataset ScanStream(int copies) {
   return d;
 }
 
-TEST(ScanMatcherPipelineTest, DigestIdenticalAcrossMatchersShardsThreads) {
+TEST(ScanMatcherPipelineTest, DigestIdenticalAcrossShardsThreads) {
   uint32_t baseline = 0;
   bool have_baseline = false;
-  for (MK kind : {MK::kLegacy, MK::kInterned}) {
-    for (int shards : {1, 4, 13}) {
-      for (int threads : {1, 4}) {
-        GlobalizerOptions opt;
-        opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-        opt.batch_size = 8;
-        opt.shard_count = shards;
-        opt.num_threads = threads;
-        opt.matcher = kind;
-        MockLocalSystem mock(ScanRules());
-        Globalizer g(&mock, nullptr, nullptr, opt);
-        ASSERT_TRUE(g.Run(ScanStream(6)).ok());
-        const uint32_t digest = MentionDigest(g.Finalize().value());
-        if (!have_baseline) {
-          baseline = digest;
-          have_baseline = true;
-        }
-        EXPECT_EQ(digest, baseline)
-            << "matcher=" << (kind == MK::kLegacy ? "legacy" : "interned")
-            << " shards=" << shards << " threads=" << threads;
+  for (int shards : {1, 4, 13}) {
+    for (int threads : {1, 4}) {
+      GlobalizerOptions opt;
+      opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+      opt.batch_size = 8;
+      opt.shard_count = shards;
+      opt.num_threads = threads;
+      MockLocalSystem mock(ScanRules());
+      Globalizer g(&mock, nullptr, nullptr, opt);
+      ASSERT_TRUE(g.Run(ScanStream(6)).ok());
+      const uint32_t digest = MentionDigest(g.Finalize().value());
+      if (!have_baseline) {
+        baseline = digest;
+        have_baseline = true;
       }
+      EXPECT_EQ(digest, baseline)
+          << "shards=" << shards << " threads=" << threads;
     }
   }
 }
@@ -417,7 +456,6 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.shard_count = 4;
-  opt.matcher = MK::kLegacy;
   MockLocalSystem mock(ScanRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
   ASSERT_TRUE(g.Run(ScanStream(3)).ok());
@@ -425,13 +463,11 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   ASSERT_TRUE(g.Run(ScanStream(2)).ok());
   const uint32_t want = MentionDigest(g.Finalize().value());
 
-  // Restore into a different shard count with the interned matcher: the
-  // symbol table and dispatch table rebuild from the re-inserted keys (the
-  // v5 format carries no symbol section), and the continued stream must
-  // produce the identical mentions.
+  // Restore into a different shard count: the symbol table and dispatch
+  // table rebuild from the re-inserted keys (the v5 format carries no symbol
+  // section), and the continued stream must produce the identical mentions.
   GlobalizerOptions ropt = opt;
   ropt.shard_count = 13;
-  ropt.matcher = MK::kInterned;
   MockLocalSystem rmock(ScanRules());
   Globalizer restored(&rmock, nullptr, nullptr, ropt);
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
@@ -441,82 +477,56 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   std::filesystem::remove(path);
 }
 
-// --------------------------------------------------- EMD_MATCHER hatch --
-
-TEST(ScanMatcherTest, MatcherResolvesFromEnvironment) {
-  unsetenv("EMD_MATCHER");
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kInterned);
-  setenv("EMD_MATCHER", "legacy", 1);
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kLegacy);
-  // Explicit kinds win over the environment.
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kInterned), MK::kInterned);
-  {
-    ShardedGlobalState state(2);
-    EXPECT_EQ(state.matcher(), MK::kLegacy);
-  }
-  setenv("EMD_MATCHER", "interned", 1);
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kInterned);
-  {
-    ShardedGlobalState state(2);
-    EXPECT_EQ(state.matcher(), MK::kInterned);
-  }
-  unsetenv("EMD_MATCHER");
-}
-
 // ------------------------------------------------ zero-allocation scan --
 
 TEST(ScanMatcherTest, SteadyStateScanIsAllocationFree) {
-  for (MK kind : {MK::kLegacy, MK::kInterned}) {
-    ShardedGlobalState state(4, kind);
-    Rng rng(77);
-    std::vector<std::vector<std::string>> phrases;
-    for (int i = 0; i < 200; ++i) {
-      std::vector<std::string> phrase(static_cast<size_t>(rng.NextInt(1, 3)));
-      for (auto& w : phrase) w = "word" + std::to_string(rng.NextInt(0, 120));
-      state.Insert(phrase);
-      phrases.push_back(std::move(phrase));
-    }
-    std::vector<std::vector<Token>> tweets;
-    for (int t = 0; t < 8; ++t) {
-      std::vector<Token> tokens;
-      while (tokens.size() < 16) {
-        for (const auto& w : phrases[rng.NextU64(phrases.size())]) {
-          Token tok;
-          tok.text = rng.NextBernoulli(0.5) ? ToUpperAscii(w) : w;
-          tokens.push_back(std::move(tok));
-        }
-        Token noise;
-        noise.text = "Noise" + std::to_string(rng.NextInt(0, 99));
-        tokens.push_back(std::move(noise));
-      }
-      tokens.resize(16);
-      tweets.push_back(std::move(tokens));
-    }
-
-    ShardedGlobalState::ScanScratch scratch;
-    std::vector<ExtractedMention> out;
-    size_t mentions = 0;
-    // Warm-up: scratch buffers and the output vector grow to steady state
-    // (and the obs counters lazily register).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& tokens : tweets) {
-        state.ExtractInto(tokens, &scratch, &out);
-        mentions += out.size();
-      }
-    }
-    ASSERT_GT(mentions, 0u);  // the loop under test does real matching
-
-    const long before = g_allocations.load(std::memory_order_relaxed);
-    for (int pass = 0; pass < 5; ++pass) {
-      for (const auto& tokens : tweets) {
-        state.ExtractInto(tokens, &scratch, &out);
-      }
-    }
-    const long after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0)
-        << (kind == MK::kLegacy ? "legacy" : "interned")
-        << " scan allocated in steady state";
+  ShardedGlobalState state(4);
+  Rng rng(77);
+  std::vector<std::vector<std::string>> phrases;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::string> phrase(static_cast<size_t>(rng.NextInt(1, 3)));
+    for (auto& w : phrase) w = "word" + std::to_string(rng.NextInt(0, 120));
+    state.Insert(phrase);
+    phrases.push_back(std::move(phrase));
   }
+  std::vector<std::vector<Token>> tweets;
+  for (int t = 0; t < 8; ++t) {
+    std::vector<Token> tokens;
+    while (tokens.size() < 16) {
+      for (const auto& w : phrases[rng.NextU64(phrases.size())]) {
+        Token tok;
+        tok.text = rng.NextBernoulli(0.5) ? ToUpperAscii(w) : w;
+        tokens.push_back(std::move(tok));
+      }
+      Token noise;
+      noise.text = "Noise" + std::to_string(rng.NextInt(0, 99));
+      tokens.push_back(std::move(noise));
+    }
+    tokens.resize(16);
+    tweets.push_back(std::move(tokens));
+  }
+
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> out;
+  size_t mentions = 0;
+  // Warm-up: scratch buffers and the output vector grow to steady state
+  // (and the obs counters lazily register).
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& tokens : tweets) {
+      state.ExtractInto(tokens, &scratch, &out);
+      mentions += out.size();
+    }
+  }
+  ASSERT_GT(mentions, 0u);  // the loop under test does real matching
+
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 5; ++pass) {
+    for (const auto& tokens : tweets) {
+      state.ExtractInto(tokens, &scratch, &out);
+    }
+  }
+  const long after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << "scan allocated in steady state";
 }
 
 }  // namespace
