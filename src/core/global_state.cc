@@ -46,12 +46,19 @@ int ShardedGlobalState::InsertFolded(const std::vector<std::string>& folded,
   RegisterFirstToken(shard, folded.front());
   if (local == static_cast<int>(sh.local_to_gid.size())) {
     // Freshly discovered candidate: next gid in global discovery order.
-    const int gid = static_cast<int>(gids_.size());
-    gids_.push_back({shard, local});
+    const int gid = AppendGid({shard, local});
     sh.local_to_gid.push_back(gid);
     return gid;
   }
   return sh.local_to_gid[local];
+}
+
+int ShardedGlobalState::AppendGid(GidRef ref) {
+  const int gid = static_cast<int>(gids_.size());
+  gids_.push_back(ref);
+  labels_.push_back(static_cast<uint8_t>(CandidateLabel::kUnlabeled));
+  dirty_flags_.push_back(0);
+  return gid;
 }
 
 void ShardedGlobalState::RegisterFirstToken(int shard,
@@ -126,8 +133,7 @@ int ShardedGlobalState::AppendTombstone() {
   Shard& sh = shards_[0];
   const int local = sh.trie.AppendTombstone();
   EMD_CHECK_EQ(local, static_cast<int>(sh.local_to_gid.size()));
-  const int gid = static_cast<int>(gids_.size());
-  gids_.push_back({0, local});
+  const int gid = AppendGid({0, local});
   sh.local_to_gid.push_back(gid);
   return gid;
 }
@@ -248,6 +254,7 @@ GidRef ShardedGlobalState::ref(int gid) const {
 CandidateRecord& ShardedGlobalState::GetOrCreate(int gid) {
   const GidRef r = ref(gid);
   Shard& sh = shards_[r.shard];
+  if (!sh.candidates.Contains(r.local)) OnRecordCreated(gid);
   return sh.candidates.GetOrCreate(r.local, sh.trie.CandidateKey(r.local),
                                    sh.trie.CandidateLength(r.local));
 }
@@ -256,7 +263,14 @@ CandidateRecord& ShardedGlobalState::GetOrCreate(int gid,
                                                  const std::string& key,
                                                  int num_tokens) {
   const GidRef r = ref(gid);
-  return shards_[r.shard].candidates.GetOrCreate(r.local, key, num_tokens);
+  CandidateBase& cb = shards_[r.shard].candidates;
+  if (!cb.Contains(r.local)) OnRecordCreated(gid);
+  return cb.GetOrCreate(r.local, key, num_tokens);
+}
+
+void ShardedGlobalState::OnRecordCreated(int gid) {
+  ++live_by_label_[labels_[gid]];
+  MarkDirty(gid);
 }
 
 CandidateRecord& ShardedGlobalState::at(int gid) {
@@ -283,7 +297,49 @@ void ShardedGlobalState::AddMention(int gid, const MentionRef& mention,
 
 void ShardedGlobalState::Evict(int gid) {
   const GidRef r = ref(gid);
-  shards_[r.shard].candidates.Evict(r.local);
+  CandidateBase& cb = shards_[r.shard].candidates;
+  --live_by_label_[labels_[gid]];
+  labels_[gid] = static_cast<uint8_t>(cb.at(r.local).label);
+  dirty_flags_[gid] = 0;
+  cb.Evict(r.local);
+}
+
+void ShardedGlobalState::MarkDirty(int gid) {
+  EMD_CHECK_LT(static_cast<size_t>(gid), dirty_flags_.size());
+  if (dirty_flags_[gid] != 0) return;
+  dirty_flags_[gid] = 1;
+  dirty_.push_back(gid);
+}
+
+const std::vector<int>& ShardedGlobalState::DirtyGids() {
+  // An entry is stale once SetLabel / Evict cleared its flag, and repeated
+  // when the gid was re-marked after that.
+  std::erase_if(dirty_, [this](int gid) { return dirty_flags_[gid] == 0; });
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  return dirty_;
+}
+
+void ShardedGlobalState::SetLabel(int gid, CandidateLabel label) {
+  at(gid).label = label;
+  --live_by_label_[labels_[gid]];
+  ++live_by_label_[static_cast<size_t>(label)];
+  labels_[gid] = static_cast<uint8_t>(label);
+  dirty_flags_[gid] = 0;
+}
+
+void ShardedGlobalState::RebuildLabelColumn() {
+  live_by_label_ = {};
+  for (int gid = 0; gid < num_candidates(); ++gid) {
+    if (Contains(gid)) {
+      const CandidateLabel label = at(gid).label;
+      labels_[gid] = static_cast<uint8_t>(label);
+      ++live_by_label_[static_cast<size_t>(label)];
+      MarkDirty(gid);
+    } else {
+      labels_[gid] = static_cast<uint8_t>(EvictedLabel(gid));
+    }
+  }
 }
 
 int ShardedGlobalState::Prune(int gid) {
@@ -351,6 +407,9 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
 size_t ShardedGlobalState::ApproxBytes() const {
   // Per-shard structures plus the service-wide scan state (symbol table and
   // first-token dispatch), so the memory governor's budget sees them too.
+  // The per-gid label / dirty columns (2 B per gid plus the dirty list) are
+  // not counted: the budget governs candidate payload, and counting them
+  // would move every budgeted eviction point.
   size_t bytes = symbols_->ApproxBytes() +
                  first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
   for (const auto& list : first_token_) {

@@ -9,9 +9,10 @@
 // every emitted label are bit-identical at any shard count. A gid→(shard,
 // local id) index translates between the two spaces.
 //
-// Concurrency contract: registration (Insert / GetOrCreate / AppendTombstone)
-// and structural mutation (Evict / Prune) require the single-writer batch
-// barrier, exactly like the unsharded CTrie. Extract() is read-only and safe
+// Concurrency contract: registration (Insert / GetOrCreate / AppendTombstone),
+// structural mutation (Evict / Prune) and the label column / dirty set
+// (MarkDirty / SetLabel) require the single-writer batch barrier, exactly
+// like the unsharded CTrie. Extract() is read-only and safe
 // from worker threads. AddMention(gid) mutates only the owning shard, so the
 // Globalizer's shard-aware merge may pool different shards from different
 // workers concurrently as long as no two workers touch the same shard.
@@ -19,6 +20,7 @@
 #ifndef EMD_CORE_GLOBAL_STATE_H_
 #define EMD_CORE_GLOBAL_STATE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -126,6 +128,7 @@ class ShardedGlobalState {
   // --- Candidate records (gid-addressed CandidateBase facade) ------------
 
   /// Ensures a record exists for `gid` (key/len read from the owning trie).
+  /// A newly created record starts kUnlabeled and dirty.
   CandidateRecord& GetOrCreate(int gid);
   /// Restore-path variant with an explicit key (the trie is already built).
   CandidateRecord& GetOrCreate(int gid, const std::string& key, int num_tokens);
@@ -134,7 +137,8 @@ class ShardedGlobalState {
   bool Contains(int gid) const;
   /// Adds a mention + pools its embedding. Mutates only the owning shard.
   void AddMention(int gid, const MentionRef& mention, const Mat& local_emb);
-  /// Frees the record, preserving its final label in the shard's side table.
+  /// Frees the record, preserving its final label in the shard's side table
+  /// and freezing it in the label column; drops any dirty mark.
   void Evict(int gid);
   /// Prunes the phrase from its owning trie; returns trie nodes freed.
   int Prune(int gid);
@@ -142,6 +146,40 @@ class ShardedGlobalState {
   bool WasEvicted(int gid) const;
   void SetEvictedLabel(int gid, CandidateLabel label);
   size_t num_evicted() const;
+
+  // --- Incremental classification (single-writer) ------------------------
+  //
+  // A verdict is a pure function of a candidate's pooled inputs, so only
+  // *dirty* gids — created, or pooled into, since their last verdict — need
+  // re-scoring. Every gid also owns one byte of a dense label column: the
+  // live verdict, frozen at eviction, which is all the output rule reads.
+
+  /// Marks `gid` for re-scoring (deduplicated). Record creation marks
+  /// implicitly; the Globalizer marks each pooled mention in the serial
+  /// phase of its merge barrier.
+  void MarkDirty(int gid);
+  /// The dirty live gids in ascending order, after dropping the entries that
+  /// SetLabel / Evict cleared since the last call.
+  const std::vector<int>& DirtyGids();
+  /// Records a fresh verdict for live `gid`: writes the record's label and
+  /// the column, moves it between the per-label tallies and clears its dirty
+  /// mark.
+  void SetLabel(int gid, CandidateLabel label);
+  /// The label the output rule reads: the live verdict, or the label frozen
+  /// at eviction; kUnlabeled for tombstones and unassigned ids.
+  CandidateLabel Label(int gid) const {
+    return static_cast<size_t>(gid) < labels_.size()
+               ? static_cast<CandidateLabel>(labels_[gid])
+               : CandidateLabel::kUnlabeled;
+  }
+  /// Live records whose column holds `label` (kUnlabeled: created, never
+  /// labelled). The four tallies sum to the live record count.
+  int NumLive(CandidateLabel label) const {
+    return live_by_label_[static_cast<size_t>(label)];
+  }
+  /// Restore path: rebuilds the column and tallies from the live records and
+  /// the evicted-label table, and marks every live gid dirty.
+  void RebuildLabelColumn();
 
   // --- Configuration fan-out ---------------------------------------------
 
@@ -194,6 +232,12 @@ class ShardedGlobalState {
     int32_t node;
   };
 
+  /// Assigns the next gid to `ref`, growing the per-gid columns with it.
+  int AppendGid(GidRef ref);
+
+  /// Tallies and marks a freshly created record (kUnlabeled).
+  void OnRecordCreated(int gid);
+
   /// Registers folded `words` (joined key precomputed) in their shard.
   int InsertFolded(const std::vector<std::string>& folded, std::string key);
 
@@ -208,6 +252,13 @@ class ShardedGlobalState {
   std::unique_ptr<SymbolTable> symbols_;
   std::vector<Shard> shards_;
   std::vector<GidRef> gids_;
+  // Per-gid label column (a CandidateLabel per byte) and dirty flags, plus
+  // the dirty list (may hold cleared or repeated entries until DirtyGids
+  // compacts it) and live-record tallies indexed by CandidateLabel.
+  std::vector<uint8_t> labels_;
+  std::vector<uint8_t> dirty_flags_;
+  std::vector<int> dirty_;
+  std::array<int, 4> live_by_label_{};
   // Service-wide first-token dispatch: symbol id -> continuations, sorted by
   // shard. Invariant: an entry (shard, node) exists iff that shard's root
   // has an edge for the symbol — maintained by Insert (register) and Prune

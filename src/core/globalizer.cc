@@ -44,6 +44,10 @@ struct PipelineCounters {
   obs::Gauge* candidates = obs::Metrics().GetGauge(
       "emd_candidate_base_size",
       "Candidates registered in the CTrie/CandidateBase so far");
+  obs::Counter* classifier_rows = obs::Metrics().GetCounter(
+      "emd_classifier_rows_total",
+      "Candidate rows scored by the Entity Classifier (Finalize and the "
+      "gamma-band sweep; only candidates whose evidence changed)");
 };
 
 const PipelineCounters& Counters() {
@@ -51,19 +55,13 @@ const PipelineCounters& Counters() {
   return counters;
 }
 
-/// Tallies one classified candidate into the output's label counts.
-void CountLabel(CandidateLabel label, GlobalizerOutput* out) {
-  switch (label) {
-    case CandidateLabel::kEntity:
-      ++out->num_entity;
-      break;
-    case CandidateLabel::kNonEntity:
-      ++out->num_non_entity;
-      break;
-    default:
-      ++out->num_ambiguous;
-      break;
-  }
+/// The output rule (§V-C): entity mentions are emitted, and so are
+/// ambiguous ones — they await more evidence, and the local system suggested
+/// them as entities in the first place. Non-entity and unlabeled mentions
+/// are dropped.
+bool Emits(CandidateLabel label) {
+  return label == CandidateLabel::kEntity ||
+         label == CandidateLabel::kAmbiguous;
 }
 
 }  // namespace
@@ -300,11 +298,18 @@ void Globalizer::FillLocalStage(const AnnotatedTweet& tweet,
   }
 }
 
-CandidateLabel Globalizer::ApplyLowEvidence(CandidateLabel label,
-                                            const CandidateRecord& rec) const {
+CandidateLabel Globalizer::LabelFor(float probability,
+                                    const CandidateRecord& rec) const {
+  const EntityClassifierOptions& clf = classifier_->options();
+  CandidateLabel label = CandidateLabel::kAmbiguous;
+  if (probability >= clf.alpha) {
+    label = CandidateLabel::kEntity;
+  } else if (probability <= clf.beta) {
+    label = CandidateLabel::kNonEntity;
+  }
   if (label == CandidateLabel::kNonEntity &&
       rec.embedding_count < options_.min_evidence_mentions &&
-      rec.entity_probability > options_.low_evidence_beta) {
+      probability > options_.low_evidence_beta) {
     return CandidateLabel::kAmbiguous;
   }
   return label;
@@ -595,6 +600,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
       ref.span = em.span;
       ref.locally_detected = m.locally_detected;
       state_.GetOrCreate(em.candidate_id);
+      state_.MarkDirty(em.candidate_id);
       if (sharded_merge) {
         pool_ops[state_.ShardOf(em.candidate_id)].push_back(
             {em.candidate_id, ref, &stage.embeddings[e]});
@@ -630,35 +636,95 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   return Status::OK();
 }
 
+Status Globalizer::ClassifyDirty(bool gamma_band_only,
+                                 const RetryPolicy& retry, size_t* flipped) {
+  // Rows in ascending gid order. A dirty candidate with no pooled embedding
+  // has nothing to score: Finalize files it ambiguous (it awaits evidence),
+  // the sweep leaves it for later.
+  std::vector<int> rows;
+  for (int gid : state_.DirtyGids()) {
+    if (gamma_band_only && state_.Label(gid) != CandidateLabel::kAmbiguous &&
+        state_.Label(gid) != CandidateLabel::kUnlabeled) {
+      continue;
+    }
+    if (state_.at(gid).embedding_count == 0) {
+      if (!gamma_band_only) state_.SetLabel(gid, CandidateLabel::kAmbiguous);
+      continue;
+    }
+    rows.push_back(gid);
+  }
+  if (rows.empty()) return Status::OK();
+
+  // Planner path: one fused forward over every row, each row's probability
+  // bit-identical to TryEvaluate on that row alone. An armed failpoint
+  // routes to the per-row resilient loop instead.
+  const bool batched = !failpoint::AnyArmed();
+  std::vector<float> probs;
+  if (batched) {
+    if (lane_arenas_.empty()) lane_arenas_.resize(1);
+    ForwardArena* arena = &lane_arenas_[0];
+    Mat* feats = arena->mat(EntityClassifier::kArenaSlot + 2);
+    const int fdim = classifier_->input_dim();
+    feats->Resize(static_cast<int>(rows.size()), fdim);
+    for (size_t k = 0; k < rows.size(); ++k) {
+      const CandidateRecord& rec = state_.at(rows[k]);
+      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
+                                         &classifier_features_);
+      std::memcpy(feats->row(static_cast<int>(k)), classifier_features_.row(0),
+                  sizeof(float) * fdim);
+    }
+    classifier_->ProbabilitiesBatched(*feats, arena, &probs);
+  }
+
+  for (size_t k = 0; k < rows.size(); ++k) {
+    CandidateRecord& rec = state_.at(rows[k]);
+    float probability = 0.f;
+    if (batched) {
+      probability = probs[k];
+    } else {
+      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
+                                         &classifier_features_);
+      RetryStats retry_stats;
+      Result<EntityClassifier::Verdict> verdict = RunWithRetry(
+          retry, clock_, &retry_rng_,
+          [&] {
+            return classifier_->TryEvaluate(classifier_features_,
+                                            &classifier_scratch_);
+          },
+          &retry_stats);
+      num_retries_ += retry_stats.retries;
+      if (retry_stats.retries > 0) {
+        Counters().retries->Increment(retry_stats.retries);
+      }
+      if (!verdict.ok()) {
+        // Rows from this one on keep their dirty mark for the next pass.
+        Counters().classifier_rows->Increment(k);
+        return verdict.status();
+      }
+      probability = verdict->probability;
+    }
+    rec.entity_probability = probability;
+    const CandidateLabel label = LabelFor(probability, rec);
+    if (label != state_.Label(rows[k])) ++*flipped;
+    state_.SetLabel(rows[k], label);
+  }
+  Counters().classifier_rows->Increment(rows.size());
+  return Status::OK();
+}
+
 size_t Globalizer::ReclassifyAmbiguous() {
   if (options_.mode != GlobalizerOptions::Mode::kFull || classifier_ == nullptr) {
     return 0;
   }
   EMD_TRACE_SPAN("reclassify");
+  // A clean candidate's label already reflects its current pooled evidence,
+  // so only dirty γ-band candidates can flip.
   size_t flipped = 0;
-  for (int id = 0; id < state_.num_candidates(); ++id) {
-    if (!state_.Contains(id)) continue;
-    CandidateRecord& rec = state_.at(id);
-    if (rec.label != CandidateLabel::kAmbiguous &&
-        rec.label != CandidateLabel::kUnlabeled) {
-      continue;
-    }
-    if (rec.embedding_count == 0) continue;
-    EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                       &classifier_features_);
-    Result<EntityClassifier::Verdict> verdict =
-        classifier_->TryEvaluate(classifier_features_, &classifier_scratch_);
-    if (!verdict.ok()) {
-      EMD_LOG(Warn) << "periodic re-classification stopped ("
-                    << verdict.status() << "); will retry next interval";
-      break;
-    }
-    rec.entity_probability = verdict->probability;
-    const CandidateLabel label = ApplyLowEvidence(verdict->label, rec);
-    if (label != rec.label) {
-      rec.label = label;
-      ++flipped;
-    }
+  const Status status =
+      ClassifyDirty(/*gamma_band_only=*/true, RetryPolicy{}, &flipped);
+  if (!status.ok()) {
+    EMD_LOG(Warn) << "periodic re-classification stopped (" << status
+                  << "); will retry next interval";
   }
   return flipped;
 }
@@ -699,9 +765,9 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
 
   if (options_.mode == GlobalizerOptions::Mode::kLocalOnly) {
     for (size_t i = 0; i < tweets_.size(); ++i) {
-      for (const RecordedMention& m : tweets_.at(i).mentions) {
-        out.mentions[i].push_back(m.span);
-      }
+      const std::vector<RecordedMention>& mentions = tweets_.at(i).mentions;
+      out.mentions[i].reserve(mentions.size());
+      for (const RecordedMention& m : mentions) out.mentions[i].push_back(m.span);
     }
     out.local_seconds = timers_.Total("local");
     fill_resilience(&out);
@@ -711,133 +777,52 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
   {
     ScopedPhase phase(&timers_, "global");
 
-  if (options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_ &&
-      options_.token_batching && !failpoint::AnyArmed()) {
-    // ---- Step 4, planner path: one fused classifier forward over every
-    // candidate's feature row. Probabilities are bit-identical to the
-    // per-candidate path (each layer computes a row from that row alone);
-    // the threshold/low-evidence rules below are the same code in the same
-    // ascending-id order. An armed failpoint routes to the resilient
-    // per-candidate loop instead.
-    EMD_TRACE_SPAN("classifier");
-    if (lane_arenas_.empty()) lane_arenas_.resize(1);
-    ForwardArena* arena = &lane_arenas_[0];
-    std::vector<int> ids;
-    Mat* feats = arena->mat(EntityClassifier::kArenaSlot + 2);
-    const int fdim = classifier_->input_dim();
-    for (int c = 0; c < state_.num_candidates(); ++c) {
-      if (!state_.Contains(c)) continue;
-      CandidateRecord& rec = state_.at(c);
-      ++out.num_candidates;
-      if (rec.embedding_count == 0) {
-        rec.label = CandidateLabel::kAmbiguous;
-        ++out.num_ambiguous;
-        continue;
-      }
-      ids.push_back(c);
-    }
-    feats->Resize(static_cast<int>(ids.size()), fdim);
-    for (size_t k = 0; k < ids.size(); ++k) {
-      const CandidateRecord& rec = state_.at(ids[k]);
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      std::memcpy(feats->row(static_cast<int>(k)), classifier_features_.row(0),
-                  sizeof(float) * fdim);
-    }
-    std::vector<float> probs;
-    if (!ids.empty()) {
-      classifier_->ProbabilitiesBatched(*feats, arena, &probs);
-    }
-    for (size_t k = 0; k < ids.size(); ++k) {
-      CandidateRecord& rec = state_.at(ids[k]);
-      rec.entity_probability = probs[k];
-      CandidateLabel label;
-      if (probs[k] >= classifier_->options().alpha) {
-        label = CandidateLabel::kEntity;
-      } else if (probs[k] <= classifier_->options().beta) {
-        label = CandidateLabel::kNonEntity;
-      } else {
-        label = CandidateLabel::kAmbiguous;
-      }
-      rec.label = ApplyLowEvidence(label, rec);
-      CountLabel(rec.label, &out);
-    }
-  } else if (options_.mode == GlobalizerOptions::Mode::kFull &&
-             !classifier_degraded_) {
-    // ---- Step 4: Entity Classifier over global candidate embeddings. ----
-    EMD_TRACE_SPAN("classifier");
-    for (int c = 0; c < state_.num_candidates(); ++c) {
-      if (!state_.Contains(c)) continue;
-      CandidateRecord& rec = state_.at(c);
-      ++out.num_candidates;
-      if (rec.embedding_count == 0) {
-        rec.label = CandidateLabel::kAmbiguous;
-        ++out.num_ambiguous;
-        continue;
-      }
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      const Mat& features = classifier_features_;
-      RetryStats retry_stats;
-      Result<EntityClassifier::Verdict> verdict = RunWithRetry(
-          options_.resilience.classifier, clock_, &retry_rng_,
-          [&] {
-            return classifier_->TryEvaluate(features, &classifier_scratch_);
-          },
-          &retry_stats);
-      num_retries_ += retry_stats.retries;
-      if (retry_stats.retries > 0) {
-        Counters().retries->Increment(retry_stats.retries);
-      }
-      if (!verdict.ok()) {
+    // ---- Step 4: Entity Classifier over the candidates whose global
+    // embedding changed since their last verdict. ----
+    if (options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_) {
+      EMD_TRACE_SPAN("classifier");
+      size_t flipped = 0;
+      const Status status = ClassifyDirty(
+          /*gamma_band_only=*/false, options_.resilience.classifier, &flipped);
+      if (!status.ok()) {
         // Degradation ladder, rung 2: without verdicts, fall back to the
         // mention-extraction output (Fig. 6 middle curve) for this cycle.
         classifier_degraded_ = true;
-        EMD_LOG(Warn) << "entity classifier failed (" << verdict.status()
+        EMD_LOG(Warn) << "entity classifier failed (" << status
                       << "); degrading to mention-extraction output for the "
                          "remaining cycle";
-        break;
       }
-      rec.entity_probability = verdict->probability;
-      rec.label = ApplyLowEvidence(verdict->label, rec);
-      CountLabel(rec.label, &out);
     }
-  }
-  const bool classify =
-      options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_;
-  if (!classify) {
-    out.num_candidates = state_.num_live_candidates();
-    out.num_entity = out.num_non_entity = out.num_ambiguous = 0;
-  }
-  out.classifier_degraded = classifier_degraded_;
+    const bool classify =
+        options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_;
+    out.classifier_degraded = classifier_degraded_;
+    if (classify) {
+      out.num_entity = state_.NumLive(CandidateLabel::kEntity);
+      out.num_non_entity = state_.NumLive(CandidateLabel::kNonEntity);
+      out.num_ambiguous = state_.NumLive(CandidateLabel::kAmbiguous) +
+                          state_.NumLive(CandidateLabel::kUnlabeled);
+      out.num_candidates =
+          out.num_entity + out.num_non_entity + out.num_ambiguous;
+    } else {
+      out.num_candidates = state_.num_live_candidates();
+    }
 
-  // ---- Outputs: mentions of entity candidates (§V-C). ----
-  for (size_t i = 0; i < tweets_.size(); ++i) {
-    for (const RecordedMention& m : tweets_.at(i).mentions) {
-      if (!classify) {
-        // No classifier (by mode, or degraded): every candidate counts as a
-        // likely entity, so all recovered mentions are produced (Fig. 6
-        // middle curve).
-        out.mentions[i].push_back(m.span);
-        continue;
-      }
-      // An evicted candidate keeps its eviction-time label in a compact side
-      // table, so mentions already recorded for it stay stable after the
-      // record itself is freed (same emit rule as live candidates).
-      const CandidateLabel label =
-          state_.Contains(m.candidate_id)
-              ? state_.at(m.candidate_id).label
-              : state_.EvictedLabel(m.candidate_id);
-      if (label == CandidateLabel::kEntity) {
-        out.mentions[i].push_back(m.span);
-      } else if (label == CandidateLabel::kAmbiguous) {
-        // Ambiguous candidates await more evidence downstream (§V-C); until
-        // the verdict flips to beta their mentions stay in the output — the
-        // local system suggested them as entities in the first place.
-        out.mentions[i].push_back(m.span);
+    // ---- Outputs (§V-C): one sequential walk of the TweetBase reading each
+    // mention's label from the dense column — live verdicts and the labels
+    // frozen at eviction alike. Without a classifier (by mode, or degraded)
+    // every candidate counts as a likely entity, so all recovered mentions
+    // are produced (Fig. 6 middle curve).
+    EMD_TRACE_SPAN("emit");
+    for (size_t i = 0; i < tweets_.size(); ++i) {
+      const std::vector<RecordedMention>& mentions = tweets_.at(i).mentions;
+      std::vector<TokenSpan>& spans = out.mentions[i];
+      spans.reserve(mentions.size());
+      for (const RecordedMention& m : mentions) {
+        if (!classify || Emits(state_.Label(m.candidate_id))) {
+          spans.push_back(m.span);
+        }
       }
     }
-  }
   }  // ScopedPhase "global"
 
   out.local_seconds = timers_.Total("local");

@@ -180,7 +180,9 @@ struct GlobalizerOutput {
   /// the Entity Phrase Embedder failed.
   int num_degraded = 0;
   /// True when a failing Entity Classifier degraded kFull output to
-  /// mention-extraction for this cycle.
+  /// mention-extraction for this cycle. Only a Finalize that has candidates
+  /// to score calls the classifier: with no new evidence since the last
+  /// verdicts it stays false even while the classifier is failing.
   bool classifier_degraded = false;
 
   /// Transient-failure retries across all stages (local EMD, phrase
@@ -245,6 +247,17 @@ class Globalizer {
   /// Classifies candidates with the global embeddings accumulated so far and
   /// produces the framework's outputs for everything processed. Re-runnable;
   /// a failing classifier degrades the output rather than erroring.
+  ///
+  /// Incremental: only candidates created or pooled into since their last
+  /// verdict are re-scored (a verdict is a pure function of the pooled
+  /// embedding, count and length, and decay is applied at pooling time), and
+  /// the output is one walk of the TweetBase over a dense per-candidate
+  /// label column. Cost is O(changed candidates + stored mentions), and the
+  /// output is identical to re-scoring everything — at any Finalize cadence.
+  /// Edge contract: with no changed candidates the classifier is not called
+  /// at all, so a failing classifier cannot degrade that call — it returns
+  /// the previous labels with classifier_degraded == false. The classifier
+  /// must not be retrained while the Globalizer holds verdicts from it.
   Result<GlobalizerOutput> Finalize();
 
   /// Convenience: batches the dataset, processes every batch, finalizes.
@@ -366,11 +379,22 @@ class Globalizer {
   static void FillLocalStage(const AnnotatedTweet& tweet,
                              Result<LocalEmdResult> local, LocalStage* stage);
 
-  /// The low-evidence rule of every classify loop: a kNonEntity verdict on
-  /// a candidate pooled from fewer than min_evidence_mentions mentions whose
-  /// entity_probability exceeds low_evidence_beta is kept kAmbiguous.
-  CandidateLabel ApplyLowEvidence(CandidateLabel label,
-                                  const CandidateRecord& rec) const;
+  /// The verdict rule of every classify pass: α/β thresholds on
+  /// `probability`, then the low-evidence rule — a kNonEntity verdict on a
+  /// candidate pooled from fewer than min_evidence_mentions mentions whose
+  /// probability exceeds low_evidence_beta is kept kAmbiguous.
+  CandidateLabel LabelFor(float probability, const CandidateRecord& rec) const;
+
+  /// The one classify pass, shared by Finalize and the γ-band sweep. Scores
+  /// the dirty candidates (only the ambiguous/unlabeled ones when
+  /// `gamma_band_only`) in ascending gid order: one batched forward, or
+  /// per-row TryEvaluate under `retry` while a failpoint is armed. Labels go
+  /// through LabelFor and ShardedGlobalState::SetLabel; `*flipped` counts
+  /// labels that changed. A row leaves the dirty set only once scored, so a
+  /// classifier failure (returned) leaves the rest dirty for the next pass.
+  /// With no dirty rows the classifier is never called.
+  Status ClassifyDirty(bool gamma_band_only, const RetryPolicy& retry,
+                       size_t* flipped);
 
   /// Computes one tweet's local stage into `out` (no shared mutation except
   /// the guarded breaker).
@@ -409,7 +433,9 @@ class Globalizer {
   /// Re-scores γ-band (ambiguous/unlabeled) candidates with their current
   /// decayed global embeddings; returns how many labels flipped. Invoked by
   /// the memory governor on its reclassification interval, at the batch
-  /// barrier. A classifier failure logs and stops the sweep (never fatal).
+  /// barrier. Only dirty candidates are scored — a clean label already
+  /// reflects its evidence, so it cannot flip. A classifier failure logs and
+  /// stops the sweep (never fatal).
   size_t ReclassifyAmbiguous();
 
   LocalEmdSystem* system_;

@@ -667,6 +667,10 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   // not checkpointed state.
   state.set_retain_mention_embeddings(state_.retain_mention_embeddings());
   state.set_decay_half_life(options_.memory.decay_half_life_tweets);
+  // The label column and dirty set are derived state, not checkpointed:
+  // the column is rebuilt and every live candidate re-scored by the next
+  // classify pass, which reproduces its saved verdict exactly.
+  state.RebuildLabelColumn();
   state_ = std::move(state);
   tweets_ = std::move(tweets);
   num_quarantined_ = static_cast<int>(num_quarantined);

@@ -353,6 +353,33 @@ TEST(FailureInjectionTest, ClassifierRecoversNextCycle) {
   EXPECT_FALSE(g.Finalize().value().classifier_degraded);
 }
 
+TEST(FailureInjectionTest, FinalizeWithoutNewEvidenceNeverCallsClassifier) {
+  // Finalize scores only candidates whose evidence changed since their last
+  // verdict. With none, a failing classifier is never reached: the previous
+  // labels stand and the output is not degraded.
+  FailpointGuard guard;
+  Dataset d = FiStream();
+  MockLocalSystem mock({{.phrase = {"coronavirus"}, .require_capitalized = true}});
+  EntityClassifier clf({.input_dim = 7});
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  Globalizer g(&mock, nullptr, &clf, opt);
+  ASSERT_TRUE(g.ProcessBatch(d.tweets).ok());
+  const GlobalizerOutput first = g.Finalize().value();
+  ASSERT_FALSE(first.classifier_degraded);
+  ASSERT_GT(first.num_candidates, 0);
+
+  failpoint::EnableAfter("core.entity_classifier.classify",
+                         Status::Internal("down"), /*skip=*/0, /*max_fires=*/-1);
+  const GlobalizerOutput again = g.Finalize().value();
+  EXPECT_FALSE(again.classifier_degraded);
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 0);
+  EXPECT_EQ(again.mentions, first.mentions);
+  EXPECT_EQ(again.num_entity, first.num_entity);
+  EXPECT_EQ(again.num_non_entity, first.num_non_entity);
+  EXPECT_EQ(again.num_ambiguous, first.num_ambiguous);
+}
+
 TEST(FailureInjectionTest, BatchLevelFaultFailsRunWithoutAborting) {
   FailpointGuard guard;
   failpoint::EnableAfter("core.globalizer.process_batch",

@@ -4,6 +4,11 @@
 // divergence — the contract DESIGN.md §"Kernel dispatch" documents. When the
 // binary lacks an AVX2 build or the CPU lacks AVX2+FMA the parity half is
 // skipped and only the scalar invariants run.
+//
+// Also pins the row independence of the Entity Classifier's batched forward,
+// which incremental Finalize relies on: a row's probability has the same
+// bits in any batch, in any order, and through per-row TryEvaluate — under
+// whichever fp32 backend EMD_BACKEND selects and with int8 packing.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +19,11 @@
 #include <iterator>
 #include <vector>
 
+#include "core/entity_classifier.h"
 #include "nn/activations.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
+#include "nn/planner.h"
 #include "util/cpuid.h"
 #include "util/rng.h"
 
@@ -336,6 +343,55 @@ TEST(KernelWiringTest, MatMulIntoUsesDispatchedBackend) {
     d = std::max(d, std::fabs(ref[i] - c.data()[i]));
   }
   EXPECT_LE(d, kTol);
+}
+
+// Incremental Finalize scores only the candidates whose evidence changed, in
+// batches whose size and membership vary from call to call. That is exact
+// only if each row's probability is a function of that row alone.
+TEST(ClassifierRowIndependenceTest, SubsetsAndPermutationsKeepEveryRowsBits) {
+  EntityClassifier clf({.input_dim = 7, .hidden_dim = 24});
+  constexpr int kRows = 37;
+  Rng rng(83);
+  Mat all(kRows, 7);
+  all.InitGaussian(&rng, 1.f);
+
+  for (const bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8 packed" : kernels::BackendName());
+    if (int8) clf.PrepareQuantizedInference();
+    ForwardArena arena;
+    std::vector<float> full;
+    clf.ProbabilitiesBatched(all, &arena, &full);
+    ASSERT_EQ(full.size(), static_cast<size_t>(kRows));
+
+    EntityClassifier::InferScratch scratch;
+    Mat row(1, 7);
+    for (int i = 0; i < kRows; ++i) {
+      std::memcpy(row.row(0), all.row(i), sizeof(float) * 7);
+      Result<EntityClassifier::Verdict> v = clf.TryEvaluate(row, &scratch);
+      ASSERT_TRUE(v.ok());
+      EXPECT_EQ(0, std::memcmp(&v->probability, &full[i], sizeof(float)))
+          << "row " << i << ": per-row " << v->probability << " vs batched "
+          << full[i];
+    }
+
+    // Random subsets of every size class (single rows, SIMD-tail sizes,
+    // the whole set) in shuffled order.
+    std::vector<int> order(kRows);
+    for (int i = 0; i < kRows; ++i) order[i] = i;
+    for (const int size : {1, 2, 3, 5, 8, 13, 21, kRows}) {
+      rng.Shuffle(&order);
+      Mat sub(size, 7);
+      for (int k = 0; k < size; ++k) {
+        std::memcpy(sub.row(k), all.row(order[k]), sizeof(float) * 7);
+      }
+      std::vector<float> probs;
+      clf.ProbabilitiesBatched(sub, &arena, &probs);
+      for (int k = 0; k < size; ++k) {
+        EXPECT_EQ(0, std::memcmp(&probs[k], &full[order[k]], sizeof(float)))
+            << "row " << order[k] << " at position " << k << " of " << size;
+      }
+    }
+  }
 }
 
 }  // namespace
