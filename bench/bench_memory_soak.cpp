@@ -15,7 +15,9 @@
 //     from a short unbounded probe, extrapolated linearly;
 //   * reclamation actually ran — eviction and token-trim counters nonzero;
 //   * degradation is graceful — governed F1 no more than 1.0 point below
-//     unbounded.
+//     unbounded;
+//   * the accounting is exact — at every sample the O(1) running byte
+//     totals equal a full RecountBytes() walk of the same stores.
 //
 // Emits machine-readable JSON (emd-bench-v1, bench_common.h) to
 // BENCH_memory.json; scripts/check.sh --memory runs the --smoke variant.
@@ -32,6 +34,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <vector>
@@ -164,6 +167,7 @@ struct SoakRun {
   std::vector<size_t> epoch_rss_bytes;    // resident set after each epoch
   double state_bytes_per_candidate = 0;   // global state / live candidates
   MemoryGovernorStats stats;
+  size_t accounting_mismatches = 0;       // samples where totals != recount
 };
 
 SoakRun RunSoak(const Dataset& d, int replays, size_t batch_size,
@@ -200,6 +204,17 @@ SoakRun RunSoak(const Dataset& d, int replays, size_t batch_size,
       // comparable. The per-epoch minimum is the reclaim floor: the level
       // eviction sweeps return to.
       bytes = g.global_state().ApproxBytes() + g.tweet_base().ApproxBytes();
+      const size_t recounted =
+          g.global_state().RecountBytes() + g.tweet_base().RecountBytes();
+      if (bytes != recounted) {
+        if (run.accounting_mismatches == 0) {
+          std::fprintf(stderr,
+                       "accounting drift at tweet %zu: running totals %zu, "
+                       "recount %zu\n",
+                       i + n, bytes, recounted);
+        }
+        ++run.accounting_mismatches;
+      }
       epoch_min = std::min(epoch_min, bytes);
     }
     run.epoch_bytes.push_back(bytes);
@@ -393,6 +408,16 @@ int main(int argc, char** argv) {
                  (plateau_spread - 1.0) * 100.0,
                  governed.epoch_rss_bytes.size() - warmup);
     ok = false;
+  }
+  for (const emd::SoakRun* run : {&governed, &unbounded}) {
+    if (run->accounting_mismatches > 0) {
+      std::fprintf(stderr,
+                   "FAIL: running byte totals differed from RecountBytes() at "
+                   "%zu %s samples\n",
+                   run->accounting_mismatches,
+                   run == &governed ? "governed" : "unbounded");
+      ok = false;
+    }
   }
   if (f1_delta_points < -1.0) {
     std::fprintf(stderr, "FAIL: governed F1 degraded %.2f points below "

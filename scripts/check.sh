@@ -21,9 +21,11 @@
 #                                  # short bench_serving_load spike run with
 #                                  # SLO + zero-loss assertions
 #   scripts/check.sh --memory      # additionally the memory label (governor,
-#                                  # decay, eviction, checkpoint v4 tests) and
-#                                  # a bench_memory_soak smoke run asserting
-#                                  # budget, RSS plateau, and F1 bounds
+#                                  # decay, eviction, checkpoint v4 tests,
+#                                  # byte-accounting churn) and a
+#                                  # bench_memory_soak smoke run asserting
+#                                  # budget, RSS plateau, F1 bounds and
+#                                  # running byte totals == recount
 #   scripts/check.sh --shard       # additionally the shard label (router,
 #                                  # cross-shard determinism, checkpoint v5,
 #                                  # multi-stream isolation) and a short

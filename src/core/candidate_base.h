@@ -8,6 +8,14 @@
 // be evicted, freeing their record while a compact side table preserves the
 // final label so already-emitted output stays stable. With decay off the
 // pooling path is byte-for-byte the original mean — bit-exact.
+//
+// Byte accounting: the live records' payload bytes (CandidateRecord::
+// ApproxBytes) are a running sum adjusted by GetOrCreate, AddMention and
+// Evict, so ApproxBytes() is O(1). Those are the only mutations of a
+// record's footprint fields (key, mentions, embedding_sum,
+// mention_embeddings); callers of the mutable at() write labels, scores
+// and positions only. The checkpoint restore, which fills records field by
+// field, calls RebuildByteTotals() once afterwards.
 
 #ifndef EMD_CORE_CANDIDATE_BASE_H_
 #define EMD_CORE_CANDIDATE_BASE_H_
@@ -15,6 +23,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -87,6 +96,10 @@ struct CandidateRecord {
   }
 };
 
+// Vector growth must move records: a copy would shrink their capacities
+// behind CandidateBase's running byte sum.
+static_assert(std::is_nothrow_move_constructible_v<CandidateRecord>);
+
 /// Dense store indexed by CTrie candidate id.
 class CandidateBase {
  public:
@@ -101,6 +114,7 @@ class CandidateBase {
       rec.candidate_id = candidate_id;
       rec.key = key;
       rec.num_tokens = num_tokens;
+      record_bytes_ += rec.key.capacity();
     }
     return rec;
   }
@@ -132,10 +146,15 @@ class CandidateBase {
   /// last pooled mention.
   void AddMention(int candidate_id, const MentionRef& mention, const Mat& local_emb) {
     CandidateRecord& rec = at(candidate_id);
+    record_bytes_ -= rec.mentions.capacity() * sizeof(MentionRef);
     rec.mentions.push_back(mention);
+    record_bytes_ += rec.mentions.capacity() * sizeof(MentionRef);
     const uint64_t pos = static_cast<uint64_t>(mention.tweet_index);
     if (pos > rec.last_mention_pos) rec.last_mention_pos = pos;
     if (local_emb.empty()) return;
+    if (rec.embedding_sum.empty()) {
+      record_bytes_ += local_emb.size() * sizeof(float);
+    }
     if (decay_lambda_ == 1.0) {
       // Legacy path, byte-for-byte the pre-decay pooling.
       if (rec.embedding_sum.empty()) {
@@ -165,7 +184,12 @@ class CandidateBase {
       ++rec.embedding_count;
     }
     rec.last_update_pos = pos;
-    if (retain_mention_embeddings_) rec.mention_embeddings.push_back(local_emb);
+    if (retain_mention_embeddings_) {
+      record_bytes_ -= rec.mention_embeddings.capacity() * sizeof(Mat);
+      rec.mention_embeddings.push_back(local_emb);
+      record_bytes_ += rec.mention_embeddings.capacity() * sizeof(Mat) +
+                       local_emb.size() * sizeof(float);
+    }
   }
 
   /// Frees the record for `candidate_id`, preserving only its final label in
@@ -175,6 +199,7 @@ class CandidateBase {
   void Evict(int candidate_id) {
     CandidateRecord& rec = at(candidate_id);
     SetEvictedLabel(candidate_id, rec.label);
+    record_bytes_ -= rec.ApproxBytes();
     rec = CandidateRecord();
   }
 
@@ -210,15 +235,16 @@ class CandidateBase {
     return n;
   }
 
-  /// Approximate heap bytes across all live records. O(records).
-  size_t ApproxBytes() const {
-    size_t bytes = records_.capacity() * sizeof(CandidateRecord) +
-                   evicted_labels_.capacity();
-    for (const CandidateRecord& rec : records_) {
-      if (rec.candidate_id >= 0) bytes += rec.ApproxBytes();
-    }
-    return bytes;
-  }
+  /// Approximate heap bytes across all live records. O(1).
+  size_t ApproxBytes() const { return ContainerBytes() + record_bytes_; }
+
+  /// The same figure by walking every live record: the oracle ApproxBytes()
+  /// must equal. O(records).
+  size_t RecountBytes() const { return ContainerBytes() + WalkRecordBytes(); }
+
+  /// Resets the running payload sum from a walk. For code that filled
+  /// records field by field through at() (checkpoint restore).
+  void RebuildByteTotals() { record_bytes_ = WalkRecordBytes(); }
 
   /// Exponential decay half-life in stream positions (tweets). 0 disables
   /// decay (the default): pooling is then bit-exact with the original mean.
@@ -239,8 +265,21 @@ class CandidateBase {
   bool retain_mention_embeddings() const { return retain_mention_embeddings_; }
 
  private:
+  size_t ContainerBytes() const {
+    return records_.capacity() * sizeof(CandidateRecord) +
+           evicted_labels_.capacity();
+  }
+  size_t WalkRecordBytes() const {
+    size_t bytes = 0;
+    for (const CandidateRecord& rec : records_) {
+      if (rec.candidate_id >= 0) bytes += rec.ApproxBytes();
+    }
+    return bytes;
+  }
+
   std::vector<CandidateRecord> records_;
   std::vector<uint8_t> evicted_labels_;  // 0 = not evicted, else label + 1
+  size_t record_bytes_ = 0;  // sum of live records' ApproxBytes()
   uint64_t decay_half_life_ = 0;
   double decay_lambda_ = 1.0;
   bool retain_mention_embeddings_ = false;

@@ -14,8 +14,10 @@ CTrie::CTrie(SymbolTable* symbols) : symbols_(symbols) {
 void CTrie::AddSymEdge(int node, std::string_view folded, int child) {
   const int32_t sym = symbols_->Acquire(folded);
   auto& edges = nodes_[node].sym_edges;
+  element_bytes_ -= edges.capacity() * sizeof(Edge);
   edges.insert(std::lower_bound(edges.begin(), edges.end(), sym, EdgeLess),
                {sym, child});
+  element_bytes_ += edges.capacity() * sizeof(Edge);
 }
 
 void CTrie::RemoveSymEdge(int node, int32_t sym) {
@@ -27,11 +29,16 @@ void CTrie::RemoveSymEdge(int node, int32_t sym) {
   symbols_->Release(sym);
 }
 
+void CTrie::ClearNode(int node) {
+  element_bytes_ -= nodes_[node].sym_edges.capacity() * sizeof(Edge);
+  nodes_[node] = Node();
+}
+
 int CTrie::AllocNode() {
   if (!free_nodes_.empty()) {
     const int slot = free_nodes_.back();
     free_nodes_.pop_back();
-    nodes_[slot] = Node();
+    ClearNode(slot);
     return slot;
   }
   const int slot = static_cast<int>(nodes_.size());
@@ -60,6 +67,7 @@ int CTrie::Insert(const std::vector<std::string>& tokens) {
   const int id = static_cast<int>(candidate_keys_.size());
   nodes_[node].candidate_id = id;
   candidate_keys_.push_back(std::move(key));
+  element_bytes_ += candidate_keys_.back().capacity();
   candidate_lengths_.push_back(static_cast<int>(tokens.size()));
   tombstoned_.push_back(0);
   max_len_ = std::max(max_len_, static_cast<int>(tokens.size()));
@@ -142,8 +150,11 @@ int CTrie::Prune(int candidate_id) {
   EMD_CHECK_EQ(nodes_[node].candidate_id, candidate_id);
   nodes_[node].candidate_id = kNoCandidate;
   tombstoned_[candidate_id] = 1;
-  candidate_keys_[candidate_id].clear();
-  candidate_keys_[candidate_id].shrink_to_fit();
+  std::string& dead_key = candidate_keys_[candidate_id];
+  element_bytes_ -= dead_key.capacity();
+  dead_key.clear();
+  dead_key.shrink_to_fit();
+  element_bytes_ += dead_key.capacity();
   candidate_lengths_[candidate_id] = 0;
   ++num_tombstones_;
 
@@ -156,7 +167,7 @@ int CTrie::Prune(int candidate_id) {
       break;
     }
     RemoveSymEdge(path[i].parent, path[i].sym);
-    nodes_[node] = Node();
+    ClearNode(node);
     free_nodes_.push_back(node);
     ++pruned;
     node = path[i].parent;
@@ -166,21 +177,25 @@ int CTrie::Prune(int candidate_id) {
 
 int CTrie::AppendTombstone() {
   const int id = static_cast<int>(candidate_keys_.size());
-  candidate_keys_.emplace_back();
+  element_bytes_ += candidate_keys_.emplace_back().capacity();
   candidate_lengths_.push_back(0);
   tombstoned_.push_back(1);
   ++num_tombstones_;
   return id;
 }
 
-size_t CTrie::ApproxBytes() const {
-  // Flat vectors plus each node's (symbol, child) edge array. Edge token
-  // text lives once in the shared SymbolTable, which its owner counts.
-  size_t bytes = nodes_.capacity() * sizeof(Node) +
-                 free_nodes_.capacity() * sizeof(int) +
-                 candidate_keys_.capacity() * sizeof(std::string) +
-                 candidate_lengths_.capacity() * sizeof(int) +
-                 tombstoned_.capacity() * sizeof(uint8_t);
+size_t CTrie::ContainerBytes() const {
+  // Edge token text lives once in the shared SymbolTable, which its owner
+  // counts.
+  return nodes_.capacity() * sizeof(Node) +
+         free_nodes_.capacity() * sizeof(int) +
+         candidate_keys_.capacity() * sizeof(std::string) +
+         candidate_lengths_.capacity() * sizeof(int) +
+         tombstoned_.capacity() * sizeof(uint8_t);
+}
+
+size_t CTrie::RecountBytes() const {
+  size_t bytes = ContainerBytes();
   for (const auto& key : candidate_keys_) bytes += key.capacity();
   for (const auto& node : nodes_) {
     bytes += node.sym_edges.capacity() * sizeof(Edge);

@@ -116,9 +116,14 @@ class CTrie {
   }
 
   /// Approximate heap bytes held by the trie: node slots, edge arrays, and
-  /// candidate key strings. O(nodes); an estimate for the memory
-  /// governor's budget accounting, not an allocator-exact figure.
-  size_t ApproxBytes() const;
+  /// candidate key strings. An estimate for the memory governor's budget
+  /// accounting, not an allocator-exact figure. O(1): edge arrays and key
+  /// strings are running sums kept by Insert / Prune / AppendTombstone.
+  size_t ApproxBytes() const { return ContainerBytes() + element_bytes_; }
+
+  /// The same figure by walking every node and key: the oracle ApproxBytes()
+  /// must equal. O(nodes).
+  size_t RecountBytes() const;
 
   /// Longest depth of any registered candidate (scan window bound k of
   /// §V-A). Monotonic: pruning does not shrink it — a stale upper bound only
@@ -137,8 +142,12 @@ class CTrie {
   static bool EdgeLess(const Edge& e, int32_t sym) { return e.first < sym; }
 
   int AllocNode();
+  /// Resets a slot to an empty node, releasing its edge array.
+  void ClearNode(int node);
   void AddSymEdge(int node, std::string_view folded, int child);
   void RemoveSymEdge(int node, int32_t sym);
+  /// Terms read from container capacities at query time.
+  size_t ContainerBytes() const;
 
   std::vector<Node> nodes_;
   std::vector<int> free_nodes_;  // recycled slots from Prune
@@ -147,6 +156,8 @@ class CTrie {
   std::vector<uint8_t> tombstoned_;
   int num_tombstones_ = 0;
   int max_len_ = 0;
+  // Edge-array bytes of every node plus the capacity of every key string.
+  size_t element_bytes_ = 0;
   SymbolTable* symbols_;  // not owned
 };
 

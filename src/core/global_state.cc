@@ -78,7 +78,9 @@ void ShardedGlobalState::RegisterFirstToken(int shard,
     EMD_CHECK_EQ(it->node, node);  // root edges are stable until pruned
     return;
   }
+  dispatch_bytes_ -= list.capacity() * sizeof(DispatchEntry);
   list.insert(it, {shard, node});
+  dispatch_bytes_ += list.capacity() * sizeof(DispatchEntry);
 }
 
 int ShardedGlobalState::DispatchFanout(int32_t sym) const {
@@ -404,17 +406,18 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
   for (Shard& sh : shards_) sh.candidates.set_retain_mention_embeddings(retain);
 }
 
-size_t ShardedGlobalState::ApproxBytes() const {
-  // Per-shard structures plus the service-wide scan state (symbol table and
-  // first-token dispatch), so the memory governor's budget sees them too.
+size_t ShardedGlobalState::SharedContainerBytes() const {
   // The per-gid label / dirty columns (2 B per gid plus the dirty list) are
   // not counted: the budget governs candidate payload, and counting them
   // would move every budgeted eviction point.
-  size_t bytes = symbols_->ApproxBytes() +
-                 first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
-  for (const auto& list : first_token_) {
-    bytes += list.capacity() * sizeof(DispatchEntry);
-  }
+  return first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
+}
+
+size_t ShardedGlobalState::ApproxBytes() const {
+  // Per-shard structures plus the service-wide scan state (symbol table and
+  // first-token dispatch), so the memory governor's budget sees them too.
+  size_t bytes =
+      symbols_->ApproxBytes() + SharedContainerBytes() + dispatch_bytes_;
   for (int s = 0; s < shard_count(); ++s) bytes += ShardApproxBytes(s);
   return bytes;
 }
@@ -425,6 +428,27 @@ size_t ShardedGlobalState::ShardApproxBytes(int shard) const {
   const Shard& sh = shards_[shard];
   return sh.trie.ApproxBytes() + sh.candidates.ApproxBytes() +
          sh.local_to_gid.capacity() * sizeof(int);
+}
+
+size_t ShardedGlobalState::RecountBytes() const {
+  size_t bytes = symbols_->RecountBytes() + SharedContainerBytes();
+  for (const auto& list : first_token_) {
+    bytes += list.capacity() * sizeof(DispatchEntry);
+  }
+  for (int s = 0; s < shard_count(); ++s) bytes += ShardRecountBytes(s);
+  return bytes;
+}
+
+size_t ShardedGlobalState::ShardRecountBytes(int shard) const {
+  EMD_CHECK_GE(shard, 0);
+  EMD_CHECK_LT(shard, shard_count());
+  const Shard& sh = shards_[shard];
+  return sh.trie.RecountBytes() + sh.candidates.RecountBytes() +
+         sh.local_to_gid.capacity() * sizeof(int);
+}
+
+void ShardedGlobalState::RebuildByteTotals() {
+  for (Shard& sh : shards_) sh.candidates.RebuildByteTotals();
 }
 
 int ShardedGlobalState::ShardLiveCandidates(int shard) const {

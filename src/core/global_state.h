@@ -191,10 +191,19 @@ class ShardedGlobalState {
 
   // --- Accounting & views -------------------------------------------------
 
-  /// Approximate heap bytes across all shards (tries + candidate records).
+  /// Approximate heap bytes across all shards (tries + candidate records)
+  /// plus the shared symbol table and first-token dispatch. O(shards): every
+  /// store keeps its per-element bytes as running sums (docs/MEMORY.md).
   size_t ApproxBytes() const;
-  /// Approximate heap bytes held by one shard.
+  /// Approximate heap bytes held by one shard. O(1).
   size_t ShardApproxBytes(int shard) const;
+  /// The same two figures by walking every node, record and symbol: the
+  /// oracle the running sums must equal. O(state).
+  size_t RecountBytes() const;
+  size_t ShardRecountBytes(int shard) const;
+  /// Resets the candidate records' running byte sums from a walk. Called
+  /// once by checkpoint restore, which fills records field by field.
+  void RebuildByteTotals();
   /// Live candidates homed in one shard.
   int ShardLiveCandidates(int shard) const;
 
@@ -245,6 +254,10 @@ class ShardedGlobalState {
   /// continuation. Idempotent; called after every trie insert.
   void RegisterFirstToken(int shard, std::string_view first_folded);
 
+  /// Byte terms of the service-wide structures read from container
+  /// capacities at query time (the dispatch lists' bytes are a running sum).
+  size_t SharedContainerBytes() const;
+
   ShardRouter router_;
   // Heap-owned so CTrie's raw SymbolTable* (and the dispatch table's node
   // ids) survive move-assignment of the whole state — checkpoint restore
@@ -265,6 +278,8 @@ class ShardedGlobalState {
   // (unregister when the root edge disappears), so a recycled symbol id
   // always starts with an empty slot.
   std::vector<std::vector<DispatchEntry>> first_token_;
+  // Capacity bytes of every first_token_ list, kept by RegisterFirstToken.
+  size_t dispatch_bytes_ = 0;
   // Lazily resolved per-shard gauges (registry owns the objects).
   std::vector<obs::Gauge*> shard_candidate_gauges_;
   std::vector<obs::Gauge*> shard_byte_gauges_;

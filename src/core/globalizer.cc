@@ -465,15 +465,36 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
 
   // ---- Step 2+3: Global EMD over this batch. ----
   ScopedPhase phase(&timers_, "global");
+  ExtractAndPool(first_index);
+
+  if (options_.release_embeddings) {
+    tweets_.ReleaseEmbeddings(first_index, tweets_.size());
+  }
+  Counters().batches->Increment();
+
+  // Memory governance runs at this same single-writer barrier: the trie and
+  // CandidateBase are quiescent between batches, so eviction/pruning can
+  // never race Step() on a worker thread.
+  governor_.Run([this] { return ReclassifyAmbiguous(); });
+
+  Counters().candidates->Set(state_.num_live_candidates());
+  if (options_.publish_shard_gauges) {
+    EMD_TRACE_SPAN("shard_gauges");
+    state_.UpdateShardGauges();
+  }
+  return Status::OK();
+}
+
+void Globalizer::ExtractAndPool(size_t first_index) {
   EMD_TRACE_SPAN("ctrie_extract");
 
   // Register this batch's seed candidates in the sharded global state
   // (single writer: the tries and CandidateBases only ever grow on this
   // thread). Gids come out in discovery order, identical at any shard count.
   for (size_t i = first_index; i < tweets_.size(); ++i) {
-    TweetRecord& record = tweets_.at(i);
+    const TweetRecord& record = tweets_.at(i);
     if (record.quarantined) continue;
-    for (RecordedMention& m : record.mentions) {
+    for (RecordedMention& m : tweets_.mutable_mentions(i)) {
       m.candidate_id = state_.Insert(record.tokens, m.span);
       state_.GetOrCreate(m.candidate_id);
     }
@@ -572,7 +593,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
 
   for (size_t idx = 0; idx < count; ++idx) {
     const size_t i = first_index + idx;
-    TweetRecord& record = tweets_.at(i);
+    const TweetRecord& record = tweets_.at(i);
     if (record.quarantined) continue;
     ExtractStage& stage = staged[idx];
     num_retries_ += stage.retries;
@@ -608,7 +629,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
         state_.AddMention(em.candidate_id, ref, stage.embeddings[e]);
       }
     }
-    record.mentions = std::move(merged);
+    tweets_.SetMentions(i, std::move(merged));
   }
 
   if (sharded_merge) {
@@ -620,20 +641,6 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
       }
     });
   }
-
-  if (options_.release_embeddings) {
-    tweets_.ReleaseEmbeddings(first_index, tweets_.size());
-  }
-  Counters().batches->Increment();
-
-  // Memory governance runs at this same single-writer barrier: the trie and
-  // CandidateBase are quiescent between batches, so eviction/pruning can
-  // never race Step() on a worker thread.
-  governor_.Run([this] { return ReclassifyAmbiguous(); });
-
-  Counters().candidates->Set(state_.num_live_candidates());
-  if (options_.publish_shard_gauges) state_.UpdateShardGauges();
-  return Status::OK();
 }
 
 Status Globalizer::ClassifyDirty(bool gamma_band_only,

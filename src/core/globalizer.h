@@ -416,6 +416,12 @@ class Globalizer {
   /// Folds a computed local stage into TweetBase + counters, in tweet order.
   void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage);
 
+  /// Steps 2+3 over the records from `first_index` on: registers their seed
+  /// candidates, re-scans them against every known candidate, embeds the
+  /// matches and pools them at the shard-aware merge barrier. Timed as the
+  /// `ctrie_extract` span.
+  void ExtractAndPool(size_t first_index);
+
   /// Deterministic per-tweet RNG for retry jitter on worker threads.
   Rng TaskRng(size_t tweet_index) const;
 

@@ -671,6 +671,9 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   // the column is rebuilt and every live candidate re-scored by the next
   // classify pass, which reproduces its saved verdict exactly.
   state.RebuildLabelColumn();
+  // Records were filled field by field above; their byte sums are rebuilt
+  // once here (trie, symbol and dispatch sums were kept by Insert).
+  state.RebuildByteTotals();
   state_ = std::move(state);
   tweets_ = std::move(tweets);
   num_quarantined_ = static_cast<int>(num_quarantined);

@@ -7,8 +7,10 @@
 // an operator-set byte budget with graceful, observable degradation instead
 // of an OOM kill:
 //
-//   * byte accounting — ApproxBytes() over the three stores, recomputed at
-//     every batch barrier and exported as gauges;
+//   * byte accounting — ApproxBytes() over the three stores, read at every
+//     batch barrier and exported as gauges. Each store keeps its
+//     per-element bytes as running sums, so a read is O(shards), not a walk
+//     of the state (RecountBytes() is the walk, kept as the test oracle);
 //   * soft watermark — reclaim in escalating rungs: trim token text of
 //     tweets that finished Global EMD, then evict cold candidates (coldest
 //     first by last-mention recency; confirmed non-entities before

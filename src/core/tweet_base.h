@@ -6,11 +6,19 @@
 // Memory governance: old records can have their token text trimmed once no
 // future stage needs it (tokens serve the current batch's candidate re-scan
 // and checkpointing; mention spans and ids — the output — are retained).
+//
+// Byte accounting: each record's payload (cached token bytes, mention list,
+// in-flight embeddings) is a running sum adjusted by Add, SetMentions,
+// ReleaseEmbeddings and TrimTokens — the only ways to change a record's
+// footprint, since at() is read-only — so ApproxBytes() is O(1).
 
 #ifndef EMD_CORE_TWEET_BASE_H_
 #define EMD_CORE_TWEET_BASE_H_
 
 #include <cstddef>
+#include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -44,9 +52,21 @@ struct TweetRecord {
   /// survive; the surface strings do not).
   bool trimmed = false;
   /// Token heap bytes cached at Add time so budget accounting never re-walks
-  /// token strings. Not serialized; recomputed on checkpoint restore.
+  /// token strings. Not serialized; recomputed when a restored record is
+  /// re-added.
   size_t approx_token_bytes = 0;
+
+  /// Heap bytes this record contributes to TweetBase::ApproxBytes.
+  size_t PayloadBytes() const {
+    return approx_token_bytes +
+           mentions.capacity() * sizeof(RecordedMention) +
+           token_embeddings.size() * sizeof(float);
+  }
 };
+
+// Vector growth must move records: a copy would shrink their capacities
+// behind TweetBase's running byte sum.
+static_assert(std::is_nothrow_move_constructible_v<TweetRecord>);
 
 /// Append-only store, indexed densely by insertion order.
 class TweetBase {
@@ -54,17 +74,30 @@ class TweetBase {
   /// Adds a record; returns its dense index.
   size_t Add(TweetRecord record) {
     record.approx_token_bytes = TokenBytes(record.tokens);
+    record_bytes_ += record.PayloadBytes();
     records_.push_back(std::move(record));
     return records_.size() - 1;
   }
 
-  TweetRecord& at(size_t index) {
-    EMD_CHECK_LT(index, records_.size());
-    return records_[index];
-  }
   const TweetRecord& at(size_t index) const {
     EMD_CHECK_LT(index, records_.size());
     return records_[index];
+  }
+
+  /// The mentions of record `index`, writable in place (candidate ids) but
+  /// not resizable, so the record's footprint cannot change through it.
+  std::span<RecordedMention> mutable_mentions(size_t index) {
+    EMD_CHECK_LT(index, records_.size());
+    return records_[index].mentions;
+  }
+
+  /// Replaces the mention list of record `index`.
+  void SetMentions(size_t index, std::vector<RecordedMention> mentions) {
+    EMD_CHECK_LT(index, records_.size());
+    TweetRecord& rec = records_[index];
+    record_bytes_ -= rec.PayloadBytes();
+    rec.mentions = std::move(mentions);
+    record_bytes_ += rec.PayloadBytes();
   }
 
   size_t size() const { return records_.size(); }
@@ -74,7 +107,11 @@ class TweetBase {
   void ReleaseEmbeddings(size_t begin, size_t end) {
     EMD_CHECK_LE(begin, end);
     EMD_CHECK_LE(end, records_.size());
-    for (size_t i = begin; i < end; ++i) records_[i].token_embeddings = Mat();
+    for (size_t i = begin; i < end; ++i) {
+      Mat& emb = records_[i].token_embeddings;
+      record_bytes_ -= emb.size() * sizeof(float);
+      emb = Mat();
+    }
   }
 
   /// Drops the token text of records [begin, end) (mentions and spans are
@@ -89,6 +126,7 @@ class TweetBase {
       if (rec.trimmed) continue;
       rec.tokens.clear();
       rec.tokens.shrink_to_fit();
+      record_bytes_ -= rec.approx_token_bytes;
       rec.approx_token_bytes = 0;
       rec.trimmed = true;
       ++trimmed;
@@ -96,22 +134,15 @@ class TweetBase {
     return trimmed;
   }
 
-  /// Recomputes the cached token-byte figure for record `index` (restore
-  /// path, where records are reconstructed field by field).
-  void RefreshApproxTokenBytes(size_t index) {
-    TweetRecord& rec = at(index);
-    rec.approx_token_bytes = TokenBytes(rec.tokens);
-  }
-
   /// Approximate heap bytes across all records: cached token text, mention
-  /// lists, and any in-flight embedding matrices. O(records), cheap constants.
-  size_t ApproxBytes() const {
-    size_t bytes = records_.capacity() * sizeof(TweetRecord);
-    for (const TweetRecord& rec : records_) {
-      bytes += rec.approx_token_bytes +
-               rec.mentions.capacity() * sizeof(RecordedMention) +
-               rec.token_embeddings.size() * sizeof(float);
-    }
+  /// lists, and any in-flight embedding matrices. O(1).
+  size_t ApproxBytes() const { return ContainerBytes() + record_bytes_; }
+
+  /// The same figure by walking every record: the oracle ApproxBytes() must
+  /// equal. O(records).
+  size_t RecountBytes() const {
+    size_t bytes = ContainerBytes();
+    for (const TweetRecord& rec : records_) bytes += rec.PayloadBytes();
     return bytes;
   }
 
@@ -122,7 +153,12 @@ class TweetBase {
     return bytes;
   }
 
+  size_t ContainerBytes() const {
+    return records_.capacity() * sizeof(TweetRecord);
+  }
+
   std::vector<TweetRecord> records_;
+  size_t record_bytes_ = 0;  // sum of every record's PayloadBytes()
 };
 
 }  // namespace emd

@@ -14,6 +14,7 @@ int32_t SymbolTable::Acquire(std::string_view folded) {
   if (!free_ids_.empty()) {
     sym = free_ids_.back();
     free_ids_.pop_back();
+    string_bytes_ -= texts_[sym].capacity();
     texts_[sym].assign(folded);
     refs_[sym] = 1;
   } else {
@@ -21,7 +22,8 @@ int32_t SymbolTable::Acquire(std::string_view folded) {
     texts_.emplace_back(folded);
     refs_.push_back(1);
   }
-  ids_.emplace(texts_[sym], sym);
+  string_bytes_ += texts_[sym].capacity();
+  string_bytes_ += ids_.emplace(texts_[sym], sym).first->first.capacity();
   return sym;
 }
 
@@ -30,19 +32,26 @@ void SymbolTable::Release(int32_t sym) {
   EMD_CHECK_LT(sym, capacity());
   EMD_CHECK_GT(refs_[sym], 0u) << "releasing dead symbol " << sym;
   if (--refs_[sym] > 0) return;
-  ids_.erase(texts_[sym]);
+  auto it = ids_.find(texts_[sym]);
+  string_bytes_ -= it->first.capacity() + texts_[sym].capacity();
+  ids_.erase(it);
   texts_[sym].clear();
   texts_[sym].shrink_to_fit();
+  string_bytes_ += texts_[sym].capacity();
   free_ids_.push_back(sym);
 }
 
-size_t SymbolTable::ApproxBytes() const {
+size_t SymbolTable::ContainerBytes() const {
   constexpr size_t kEntryOverhead = 2 * sizeof(void*) + sizeof(int32_t);
-  size_t bytes = ids_.bucket_count() * sizeof(void*) +
-                 ids_.size() * (kEntryOverhead + sizeof(std::string)) +
-                 texts_.capacity() * sizeof(std::string) +
-                 refs_.capacity() * sizeof(uint32_t) +
-                 free_ids_.capacity() * sizeof(int32_t);
+  return ids_.bucket_count() * sizeof(void*) +
+         ids_.size() * (kEntryOverhead + sizeof(std::string)) +
+         texts_.capacity() * sizeof(std::string) +
+         refs_.capacity() * sizeof(uint32_t) +
+         free_ids_.capacity() * sizeof(int32_t);
+}
+
+size_t SymbolTable::RecountBytes() const {
+  size_t bytes = ContainerBytes();
   for (const auto& t : texts_) bytes += t.capacity();
   for (const auto& [key, id] : ids_) {
     (void)id;

@@ -14,6 +14,10 @@
 // probe: allocation-free, returns kNoSymbol for tokens that begin no
 // registered edge anywhere.
 //
+// Byte accounting: the string capacities (texts plus map keys) are kept as
+// a running sum adjusted by Acquire/Release, so ApproxBytes() is O(1);
+// RecountBytes() is the full walk it must always equal.
+//
 // Concurrency contract: Acquire/Release mutate and follow the same
 // single-writer batch barrier as CTrie::Insert/Prune. Lookup/text are
 // read-only and safe from worker threads while no writer runs.
@@ -67,16 +71,25 @@ class SymbolTable {
   int capacity() const { return static_cast<int>(texts_.size()); }
 
   /// Approximate heap bytes (map buckets + entries + text storage). An
-  /// estimate for the memory governor, not allocator-exact.
-  size_t ApproxBytes() const;
+  /// estimate for the memory governor, not allocator-exact. O(1): the text
+  /// storage is a running sum.
+  size_t ApproxBytes() const { return ContainerBytes() + string_bytes_; }
+
+  /// The same figure by walking every string: the oracle ApproxBytes()
+  /// must equal. O(symbols).
+  size_t RecountBytes() const;
 
  private:
+  /// Terms read from container sizes and capacities at query time.
+  size_t ContainerBytes() const;
+
   std::unordered_map<std::string, int32_t, TransparentStringHash,
                      TransparentStringEq>
       ids_;
   std::vector<std::string> texts_;   // id -> folded text ("" when dead)
   std::vector<uint32_t> refs_;       // id -> live references
   std::vector<int32_t> free_ids_;    // dead ids awaiting reuse
+  size_t string_bytes_ = 0;          // capacity of every text and map key
 };
 
 }  // namespace emd

@@ -1,0 +1,399 @@
+// Byte-accounting tests (label: memory). Every store keeps its per-element
+// heap bytes as running sums so ApproxBytes() is O(1); RecountBytes() is the
+// full walk those sums must always equal. Randomized churn drives each store
+// — and then the whole governed pipeline — through every footprint-changing
+// mutation, asserting running total == recount after every operation:
+//   * SymbolTable intern / release with id recycling;
+//   * CTrie insert / prune / tombstone with node-slot recycling;
+//   * CandidateBase creation, decayed pooling with retained mention
+//     embeddings, and eviction;
+//   * TweetBase append, mention rewrite, embedding release and token trim;
+//   * ShardedGlobalState at shards {1, 4, 13} with per-shard pooling from
+//     {1, 4} threads, evict + prune recycling symbol ids;
+//   * the Globalizer under a byte budget at shards {1, 4, 13} x threads
+//     {1, 4}, and checkpoint restore into a different shard count.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "byte_accounting.h"
+#include "core/candidate_base.h"
+#include "core/ctrie.h"
+#include "core/global_state.h"
+#include "core/globalizer.h"
+#include "core/phrase_embedder.h"
+#include "core/tweet_base.h"
+#include "mock_local_system.h"
+#include "stream/datasets.h"
+#include "text/symbol_table.h"
+#include "text/tweet_tokenizer.h"
+#include "util/rng.h"
+
+namespace emd {
+namespace {
+
+// ------------------------------------------------------------ Fixtures --
+
+/// A word from a small syllable alphabet. Lengths span the short-string
+/// buffer boundary (15 chars), so both inline and heap strings churn.
+std::string Word(Rng* rng) {
+  const char* syllables[] = {"ka", "lo", "mi", "ra", "zu", "te", "vo", "ni"};
+  std::string w;
+  const int n = rng->NextBernoulli(0.2) ? rng->NextInt(8, 12) : rng->NextInt(1, 3);
+  for (int i = 0; i < n; ++i) w += syllables[rng->NextU64(8)];
+  return w;
+}
+
+std::vector<std::string> Phrase(Rng* rng) {
+  std::vector<std::string> words(static_cast<size_t>(rng->NextInt(1, 3)));
+  for (std::string& w : words) w = Word(rng);
+  return words;
+}
+
+Mat RandomEmbedding(Rng* rng, int dim) {
+  Mat m(1, dim);
+  for (int j = 0; j < dim; ++j) m(0, j) = rng->NextFloat(-1.f, 1.f);
+  return m;
+}
+
+// -------------------------------------------------------- Single stores --
+
+TEST(AccountingTest, SymbolTableInternAndReleaseWithIdRecycling) {
+  Rng rng(3);
+  SymbolTable symbols;
+  std::vector<int32_t> held;  // one entry per reference taken
+  for (int step = 0; step < 4000; ++step) {
+    if (held.empty() || rng.NextBernoulli(0.55)) {
+      held.push_back(symbols.Acquire(Word(&rng)));
+    } else {
+      const size_t k = rng.NextU64(held.size());
+      symbols.Release(held[k]);
+      held[k] = held.back();
+      held.pop_back();
+    }
+    ASSERT_EQ(symbols.ApproxBytes(), symbols.RecountBytes()) << "step " << step;
+  }
+  for (int32_t sym : held) symbols.Release(sym);
+  EXPECT_EQ(symbols.num_live(), 0);
+  EXPECT_EQ(symbols.ApproxBytes(), symbols.RecountBytes());
+}
+
+TEST(AccountingTest, CTrieInsertPruneAndTombstones) {
+  Rng rng(5);
+  SymbolTable symbols;
+  CTrie trie(&symbols);
+  std::vector<int> live;
+  for (int step = 0; step < 3000; ++step) {
+    const double r = rng.NextDouble();
+    if (live.empty() || r < 0.5) {
+      const int id = trie.Insert(Phrase(&rng));
+      if (id == trie.num_candidates() - 1) live.push_back(id);
+    } else if (r < 0.97) {
+      const size_t k = rng.NextU64(live.size());
+      trie.Prune(live[k]);
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      trie.AppendTombstone();
+    }
+    ASSERT_EQ(trie.ApproxBytes(), trie.RecountBytes()) << "step " << step;
+    ASSERT_EQ(symbols.ApproxBytes(), symbols.RecountBytes()) << "step " << step;
+  }
+}
+
+TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
+  for (const bool retain : {false, true}) {
+    SCOPED_TRACE(retain ? "retained embeddings" : "pooled only");
+    Rng rng(7);
+    CandidateBase base;
+    base.set_decay_half_life(16);
+    base.set_retain_mention_embeddings(retain);
+    int next_id = 0;
+    std::vector<int> live;
+    for (int step = 0; step < 3000; ++step) {
+      const double r = rng.NextDouble();
+      if (live.empty() || r < 0.2) {
+        std::string key;
+        for (const std::string& w : Phrase(&rng)) key += (key.empty() ? "" : " ") + w;
+        base.GetOrCreate(next_id, key, 1);
+        live.push_back(next_id++);
+      } else if (r < 0.9) {
+        MentionRef ref;
+        ref.tweet_index = static_cast<size_t>(step);
+        ref.span = {0, 1};
+        // An empty embedding records the mention without pooling it.
+        const Mat emb = rng.NextBernoulli(0.1) ? Mat() : RandomEmbedding(&rng, 6);
+        base.AddMention(live[rng.NextU64(live.size())], ref, emb);
+      } else {
+        const size_t k = rng.NextU64(live.size());
+        base.Evict(live[k]);
+        live[k] = live.back();
+        live.pop_back();
+      }
+      ASSERT_EQ(base.ApproxBytes(), base.RecountBytes()) << "step " << step;
+    }
+  }
+}
+
+TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
+  Rng rng(11);
+  TweetBase tweets;
+  size_t released = 0, trimmed = 0;
+  for (int step = 0; step < 2000; ++step) {
+    const double r = rng.NextDouble();
+    if (tweets.size() == 0 || r < 0.4) {
+      TweetRecord rec;
+      std::string text;
+      for (int w = rng.NextInt(2, 12); w > 0; --w) text += Word(&rng) + " ";
+      rec.tokens = TweetTokenizer().Tokenize(text);
+      rec.mentions.resize(rng.NextU64(3));
+      rec.token_embeddings = Mat(static_cast<int>(rec.tokens.size()), 4);
+      tweets.Add(std::move(rec));
+    } else if (r < 0.7) {
+      const size_t i = rng.NextU64(tweets.size());
+      std::vector<RecordedMention> mentions(rng.NextU64(6));
+      mentions.reserve(mentions.size() + rng.NextU64(4));
+      tweets.SetMentions(i, std::move(mentions));
+    } else if (r < 0.8) {
+      for (RecordedMention& m : tweets.mutable_mentions(rng.NextU64(tweets.size()))) {
+        m.candidate_id = step;
+      }
+    } else if (r < 0.9) {
+      const size_t end = released + rng.NextU64(tweets.size() - released + 1);
+      tweets.ReleaseEmbeddings(released, end);
+      released = end;
+    } else {
+      const size_t end = trimmed + rng.NextU64(tweets.size() - trimmed + 1);
+      tweets.TrimTokens(trimmed, end);
+      trimmed = end;
+    }
+    ASSERT_EQ(tweets.ApproxBytes(), tweets.RecountBytes()) << "step " << step;
+  }
+}
+
+// ---------------------------------------------------- Sharded state churn --
+
+/// Churns one sharded state: registration, pooling (serially, or one worker
+/// per shard group as in the Globalizer's phase-B merge), labels and the
+/// dirty set, evict + prune, and restore-path tombstones.
+void ChurnShardedState(int shards, int threads, uint64_t seed) {
+  SCOPED_TRACE("S=" + std::to_string(shards) + " T=" + std::to_string(threads));
+  Rng rng(seed);
+  ShardedGlobalState state(shards);
+  state.set_decay_half_life(12);
+  state.set_retain_mention_embeddings(true);
+  std::vector<int> live;
+  size_t pos = 0;
+  int symbol_deaths = 0;
+  for (int round = 0; round < 150; ++round) {
+    // Registration.
+    for (int k = rng.NextInt(2, 10); k > 0; --k) {
+      const int gid = state.Insert(Phrase(&rng));
+      if (!state.Contains(gid)) {
+        state.GetOrCreate(gid);
+        live.push_back(gid);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(state));
+    }
+
+    // Pooling: ops bucketed by shard and drained by `threads` workers, no
+    // two of which ever touch the same shard.
+    struct Op {
+      int gid;
+      MentionRef ref;
+      Mat emb;
+    };
+    std::vector<std::vector<Op>> ops(static_cast<size_t>(shards));
+    for (int k = rng.NextInt(5, 40); k > 0 && !live.empty(); --k) {
+      const int gid = live[rng.NextU64(live.size())];
+      MentionRef ref;
+      ref.tweet_index = pos;
+      pos += rng.NextU64(3);
+      ref.span = {0, 1};
+      state.MarkDirty(gid);
+      ops[state.ShardOf(gid)].push_back({gid, ref, RandomEmbedding(&rng, 5)});
+    }
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        for (size_t s = static_cast<size_t>(t); s < ops.size();
+             s += static_cast<size_t>(threads)) {
+          for (const Op& op : ops[s]) state.AddMention(op.gid, op.ref, op.emb);
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(state));
+
+    // Verdicts (no footprint change, but the dirty list churns).
+    for (int gid : state.DirtyGids()) {
+      if (rng.NextBernoulli(0.5)) {
+        state.SetLabel(gid, static_cast<CandidateLabel>(rng.NextInt(0, 3)));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(state));
+
+    // Evict + prune: edges drop their symbol references, dead symbol ids
+    // are recycled by the next round's registrations.
+    const int symbols_before = state.num_live_symbols();
+    for (int k = rng.NextInt(0, 8); k > 0 && !live.empty(); --k) {
+      const size_t v = rng.NextU64(live.size());
+      state.Evict(live[v]);
+      state.Prune(live[v]);
+      live[v] = live.back();
+      live.pop_back();
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(state));
+    }
+    symbol_deaths += std::max(0, symbols_before - state.num_live_symbols());
+    if (rng.NextBernoulli(0.05)) {
+      state.AppendTombstone();
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(state));
+    }
+  }
+  EXPECT_GT(symbol_deaths, 0)
+      << "no symbol died; the churn no longer exercises id recycling";
+}
+
+TEST(AccountingTest, ShardedStateChurnAtEveryShardAndThreadCount) {
+  for (const int shards : {1, 4, 13}) {
+    for (const int threads : {1, 4}) {
+      ASSERT_NO_FATAL_FAILURE(
+          ChurnShardedState(shards, threads, 100 + shards * 10 + threads));
+    }
+  }
+}
+
+// ------------------------------------------------- Governed pipeline --
+
+/// Coined entities (some past the short-string boundary, some two-word)
+/// drawn Zipf-style, so most candidates are cold and get evicted while a
+/// few keep recurring and pooling.
+std::vector<std::vector<std::string>> Entities() {
+  Rng rng(29);
+  std::vector<std::vector<std::string>> entities;
+  for (int i = 0; i < 120; ++i) entities.push_back(Phrase(&rng));
+  return entities;
+}
+
+Dataset ChurnStream(int num_tweets, uint64_t seed) {
+  const auto entities = Entities();
+  const std::vector<std::string> fillers = {"the", "cases", "rising", "today",
+                                            "spoke", "about", "new", "again"};
+  Rng rng(seed);
+  Dataset d;
+  d.name = "accounting";
+  d.streaming = true;
+  TweetTokenizer tokenizer;
+  for (int i = 0; i < num_tweets; ++i) {
+    std::string text;
+    for (int w = rng.NextInt(3, 7); w > 0; --w) {
+      text += fillers[rng.NextU64(fillers.size())] + " ";
+    }
+    for (int m = rng.NextInt(1, 3); m > 0; --m) {
+      const auto& phrase = entities[rng.NextZipf(entities.size(), 0.8)];
+      for (std::string w : phrase) {
+        if (rng.NextBernoulli(0.7)) w[0] = static_cast<char>(w[0] - 'a' + 'A');
+        text += w + " ";
+      }
+    }
+    AnnotatedTweet t;
+    t.tweet_id = i + 1;
+    t.text = text;
+    t.tokens = tokenizer.Tokenize(text);
+    d.tweets.push_back(std::move(t));
+  }
+  return d;
+}
+
+std::vector<MockLocalSystem::Rule> ChurnRules() {
+  std::vector<MockLocalSystem::Rule> rules;
+  bool partial = false;
+  for (const auto& phrase : Entities()) {
+    rules.push_back({.phrase = phrase,
+                     .require_capitalized = true,
+                     .partial = partial && phrase.size() > 1});
+    partial = !partial;
+  }
+  return rules;
+}
+
+constexpr size_t kBatch = 8;
+
+GlobalizerOptions GovernedOptions(int shards, int threads) {
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  opt.batch_size = kBatch;
+  opt.shard_count = shards;
+  opt.num_threads = threads;
+  opt.memory.budget_bytes = 48 * 1024;
+  opt.memory.min_retain_tweets = 8;
+  opt.memory.decay_half_life_tweets = 24;
+  return opt;
+}
+
+std::span<const AnnotatedTweet> BatchAt(const Dataset& d, size_t b) {
+  const size_t begin = b * kBatch;
+  const size_t end = std::min(d.tweets.size(), begin + kBatch);
+  return {d.tweets.data() + begin, end - begin};
+}
+
+TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
+  const Dataset d = ChurnStream(480, 41);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  for (const int shards : {1, 4, 13}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("S=" + std::to_string(shards) +
+                   " T=" + std::to_string(threads));
+      MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+      PhraseEmbedder pe(6, 4);
+      Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, threads));
+      g.mutable_candidate_base().set_retain_mention_embeddings(true);
+      for (size_t b = 0; b < batches; ++b) {
+        ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+        ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g)) << "batch " << b;
+      }
+      const GlobalizerOutput out = g.Finalize().value();
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g));
+      EXPECT_GT(out.num_evicted, 0u);
+      EXPECT_GT(out.num_pruned_nodes, 0u);
+      EXPECT_GT(out.num_trimmed, 0u);
+    }
+  }
+}
+
+TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
+  const Dataset d = ChurnStream(320, 43);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  const std::string path = ::testing::TempDir() + "emd_accounting.ckpt";
+  MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+  PhraseEmbedder pe(6, 4);
+  Globalizer saved(&mock, &pe, nullptr, GovernedOptions(4, 4));
+  saved.mutable_candidate_base().set_retain_mention_embeddings(true);
+  for (size_t b = 0; b < batches / 2; ++b) {
+    ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
+  }
+  ASSERT_GT(saved.memory_governor().stats().evicted_candidates, 0u);
+  ASSERT_TRUE(saved.SaveCheckpoint(path).ok());
+
+  for (const int shards : {1, 13}) {
+    SCOPED_TRACE("restored into S=" + std::to_string(shards));
+    Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, 4));
+    g.mutable_candidate_base().set_retain_mention_embeddings(true);
+    ASSERT_TRUE(g.RestoreCheckpoint(path).ok());
+    ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g));
+    for (size_t b = batches / 2; b < batches; ++b) {
+      ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g)) << "batch " << b;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+}  // namespace
+}  // namespace emd

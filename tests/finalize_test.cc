@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "byte_accounting.h"
 #include "core/entity_classifier.h"
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
@@ -448,6 +449,7 @@ GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
       if (live_before[gid]) before[gid] = state.at(gid).label;
     }
     EXPECT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+    ExpectByteTotalsMatchRecount(g);
     if ((b + 1) % opt.memory.reclassify_interval_batches == 0) {
       ExpectGammaBandRescored(g, clf, opt);
     }

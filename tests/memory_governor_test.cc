@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "byte_accounting.h"
 #include "core/entity_classifier.h"
 #include "core/globalizer.h"
 #include "core/memory_governor.h"
@@ -738,6 +739,8 @@ TEST(MemoryChaosTest, EvictionAtBarrierNeverRacesWorkersOrPressureReaders) {
     ASSERT_TRUE(
         g.ProcessBatch(std::span<const AnnotatedTweet>(d.tweets.data() + i, 4))
             .ok());
+    // The running byte totals the governor reads equal a full recount.
+    ExpectByteTotalsMatchRecount(g);
   }
   done.store(true, std::memory_order_relaxed);
   poller.join();
