@@ -407,10 +407,9 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
 }
 
 size_t ShardedGlobalState::SharedContainerBytes() const {
-  // The per-gid label / dirty columns (2 B per gid plus the dirty list) are
-  // not counted: the budget governs candidate payload, and counting them
-  // would move every budgeted eviction point.
-  return first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
+  return first_token_.capacity() * sizeof(std::vector<DispatchEntry>) +
+         labels_.capacity() + dirty_flags_.capacity() +
+         dirty_.capacity() * sizeof(int);
 }
 
 size_t ShardedGlobalState::ApproxBytes() const {

@@ -192,7 +192,8 @@ class ShardedGlobalState {
   // --- Accounting & views -------------------------------------------------
 
   /// Approximate heap bytes across all shards (tries + candidate records)
-  /// plus the shared symbol table and first-token dispatch. O(shards): every
+  /// plus the shared symbol table, first-token dispatch, and the per-gid
+  /// label / dirty columns with the dirty list. O(shards): every
   /// store keeps its per-element bytes as running sums (docs/MEMORY.md).
   size_t ApproxBytes() const;
   /// Approximate heap bytes held by one shard. O(1).
@@ -255,7 +256,8 @@ class ShardedGlobalState {
   void RegisterFirstToken(int shard, std::string_view first_folded);
 
   /// Byte terms of the service-wide structures read from container
-  /// capacities at query time (the dispatch lists' bytes are a running sum).
+  /// capacities at query time (the dispatch lists' bytes are a running
+  /// sum): the dispatch table and the label / dirty columns.
   size_t SharedContainerBytes() const;
 
   ShardRouter router_;
