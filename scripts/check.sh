@@ -11,7 +11,8 @@
 #   scripts/check.sh --docs        # additionally the docs lint (broken
 #                                  # relative links, undocumented metrics)
 #   scripts/check.sh --kernels     # additionally the kernel parity label
-#                                  # (dispatched + EMD_BACKEND=scalar) and the
+#                                  # (dispatched), the kernels + parallel
+#                                  # labels under EMD_BACKEND=scalar, and the
 #                                  # both-backend GEMM smoke comparison
 #   scripts/check.sh --quant       # additionally the kernels + parallel
 #                                  # labels under EMD_BACKEND=int8 and the
@@ -132,11 +133,13 @@ if [[ "$SCAN" == 1 ]]; then
 fi
 
 if [[ "$KERNELS" == 1 ]]; then
-  # Kernel parity under both dispatch outcomes, then the GEMM smoke: the
-  # dispatched backend must never be slower than the scalar blocked kernel
-  # (when it is not the scalar kernel itself).
+  # Kernel parity under both dispatch outcomes — under forced scalar also
+  # the parallel label, whose Finalize oracles check the classifier's feature
+  # gather on the scalar fp32 backend — then the GEMM smoke: the dispatched
+  # backend must never be slower than the scalar blocked kernel (when it is
+  # not the scalar kernel itself).
   ctest --test-dir build --output-on-failure -L kernels
-  EMD_BACKEND=scalar ctest --test-dir build --output-on-failure -L kernels
+  EMD_BACKEND=scalar ctest --test-dir build --output-on-failure -L 'kernels|parallel'
   (cd build/bench && ./bench_micro_core --gemm-only)
   if command -v python3 >/dev/null; then
     python3 - <<'EOF'

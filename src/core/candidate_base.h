@@ -72,17 +72,16 @@ struct CandidateRecord {
   CandidateLabel label = CandidateLabel::kUnlabeled;
   float entity_probability = -1.f;
 
-  /// Pooled global candidate embedding (weighted mean of local embeddings).
+  /// Writes the pooled global candidate embedding (weighted mean of local
+  /// embeddings, embedding_sum.size() floats) to `out`. The one definition
+  /// of the mean: GlobalEmbedding() and the classifier's feature gather both
+  /// call it, so their values are bit-identical.
+  void PooledMeanInto(float* out) const;
+
+  /// PooledMeanInto as a [1, d] matrix.
   Mat GlobalEmbedding() const {
-    EMD_CHECK_GT(embedding_count, 0);
-    Mat g = embedding_sum;
-    if (embedding_weight == static_cast<double>(embedding_count)) {
-      // Decay off (or no decay has applied yet): the original integer-count
-      // mean, bit-exact with pre-governance builds.
-      g.Scale(1.f / static_cast<float>(embedding_count));
-    } else {
-      g.Scale(1.f / static_cast<float>(embedding_weight));
-    }
+    Mat g(embedding_sum.rows(), embedding_sum.cols());
+    PooledMeanInto(g.data());
     return g;
   }
 

@@ -48,7 +48,7 @@ void EntityClassifier::MakeFeaturesInto(const Mat& global_embedding,
   for (int j = 0; j < global_embedding.cols(); ++j) {
     (*out)(0, j) = global_embedding(0, j);
   }
-  (*out)(0, global_embedding.cols()) = static_cast<float>(num_tokens) / 4.f;
+  (*out)(0, global_embedding.cols()) = LengthFeature(num_tokens);
 }
 
 float EntityClassifier::Forward(const Mat& features) const {

@@ -73,6 +73,11 @@ class EntityClassifier {
   static void MakeFeaturesInto(const Mat& global_embedding, int num_tokens,
                                Mat* out);
 
+  /// The last feature column: the candidate's length in tokens, scaled.
+  static float LengthFeature(int num_tokens) {
+    return static_cast<float>(num_tokens) / 4.f;
+  }
+
   /// Reusable per-worker inference scratch: the two ping-pong activation
   /// buffers of the maskless forward pass.
   struct InferScratch {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 #include <sstream>
 
 #include "core/syntactic_embedder.h"
@@ -294,7 +293,7 @@ void Globalizer::FillLocalStage(const AnnotatedTweet& tweet,
     RecordedMention m;
     m.span = span;
     m.locally_detected = true;
-    stage->record.mentions.push_back(m);
+    stage->mentions.push_back(m);
   }
 }
 
@@ -405,14 +404,14 @@ void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage) 
     EMD_LOG(Warn) << "quarantined tweet " << tweet.tweet_id << ": "
                   << stage.status;
     DeadLetter(tweet, stage.status);
-    tweets_.Add(std::move(stage.record));
+    tweets_.Add(std::move(stage.record), stage.mentions);
     return;
   }
   if (stage.via_fallback) {
     ++num_fallback_;
     Counters().fallback->Increment();
   }
-  tweets_.Add(std::move(stage.record));
+  tweets_.Add(std::move(stage.record), stage.mentions);
 }
 
 Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
@@ -591,10 +590,15 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   std::vector<std::vector<PoolOp>> pool_ops;
   if (sharded_merge) pool_ops.resize(state_.shard_count());
 
+  // The batch's rewritten mention lists are built in reused scratch and
+  // replace the TweetBase tail (the batch) in one step.
+  merged_mentions_.clear();
+  merged_counts_.assign(count, 0);
   for (size_t idx = 0; idx < count; ++idx) {
     const size_t i = first_index + idx;
-    const TweetRecord& record = tweets_.at(i);
-    if (record.quarantined) continue;
+    // A quarantined record has no mentions: its count stays 0.
+    if (tweets_.at(i).quarantined) continue;
+    const std::span<const RecordedMention> local = tweets_.mentions(i);
     ExtractStage& stage = staged[idx];
     num_retries_ += stage.retries;
     num_degraded_ += stage.degraded;
@@ -604,17 +608,15 @@ void Globalizer::ExtractAndPool(size_t first_index) {
 
     // The extractor's longest matches replace the raw local spans: partial
     // local extractions extend to the full registered candidate (§V-A).
-    std::set<TokenSpan> local_spans;
-    for (const RecordedMention& m : record.mentions) local_spans.insert(m.span);
-
-    std::vector<RecordedMention> merged;
     for (size_t e = 0; e < stage.extracted.size(); ++e) {
       const ExtractedMention& em = stage.extracted[e];
       RecordedMention m;
       m.span = em.span;
       m.candidate_id = em.candidate_id;
-      m.locally_detected = local_spans.count(em.span) > 0;
-      merged.push_back(m);
+      m.locally_detected =
+          std::any_of(local.begin(), local.end(),
+                      [&](const RecordedMention& l) { return l.span == em.span; });
+      merged_mentions_.push_back(m);
 
       MentionRef ref;
       ref.tweet_index = i;
@@ -629,8 +631,11 @@ void Globalizer::ExtractAndPool(size_t first_index) {
         state_.AddMention(em.candidate_id, ref, stage.embeddings[e]);
       }
     }
-    tweets_.SetMentions(i, std::move(merged));
+    merged_counts_[idx] = stage.extracted.size();
   }
+  const Status rewritten = tweets_.ReplaceMentionTail(
+      first_index, merged_mentions_, merged_counts_);
+  EMD_CHECK(rewritten.ok()) << rewritten;
 
   if (sharded_merge) {
     // Phase B: one task per shard, so no two workers ever touch the same
@@ -673,12 +678,14 @@ Status Globalizer::ClassifyDirty(bool gamma_band_only,
     Mat* feats = arena->mat(EntityClassifier::kArenaSlot + 2);
     const int fdim = classifier_->input_dim();
     feats->Resize(static_cast<int>(rows.size()), fdim);
+    // Each row is written straight from the pooled sum: the same values as
+    // MakeFeatures(GlobalEmbedding(), num_tokens), with no per-row Mat.
     for (size_t k = 0; k < rows.size(); ++k) {
       const CandidateRecord& rec = state_.at(rows[k]);
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      std::memcpy(feats->row(static_cast<int>(k)), classifier_features_.row(0),
-                  sizeof(float) * fdim);
+      EMD_CHECK_EQ(rec.embedding_sum.size() + 1, static_cast<size_t>(fdim));
+      float* row = feats->row(static_cast<int>(k));
+      rec.PooledMeanInto(row);
+      row[fdim - 1] = EntityClassifier::LengthFeature(rec.num_tokens);
     }
     classifier_->ProbabilitiesBatched(*feats, arena, &probs);
   }
@@ -772,7 +779,8 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
 
   if (options_.mode == GlobalizerOptions::Mode::kLocalOnly) {
     for (size_t i = 0; i < tweets_.size(); ++i) {
-      const std::vector<RecordedMention>& mentions = tweets_.at(i).mentions;
+      const std::span<const RecordedMention> mentions = tweets_.mentions(i);
+      if (mentions.empty()) continue;
       out.mentions[i].reserve(mentions.size());
       for (const RecordedMention& m : mentions) out.mentions[i].push_back(m.span);
     }
@@ -814,20 +822,25 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
       out.num_candidates = state_.num_live_candidates();
     }
 
-    // ---- Outputs (§V-C): one sequential walk of the TweetBase reading each
-    // mention's label from the dense column — live verdicts and the labels
-    // frozen at eviction alike. Without a classifier (by mode, or degraded)
-    // every candidate counts as a likely entity, so all recovered mentions
-    // are produced (Fig. 6 middle curve).
+    // ---- Outputs (§V-C): one sequential walk of the TweetBase's flat
+    // mention array reading each mention's label from the dense column —
+    // live verdicts and the labels frozen at eviction alike. Without a
+    // classifier (by mode, or degraded) every candidate counts as a likely
+    // entity, so all recovered mentions are produced (Fig. 6 middle curve).
+    // Each tweet counts its emitted mentions first, so a tweet that emits
+    // nothing allocates nothing.
     EMD_TRACE_SPAN("emit");
+    auto emits = [&](const RecordedMention& m) {
+      return !classify || Emits(state_.Label(m.candidate_id));
+    };
     for (size_t i = 0; i < tweets_.size(); ++i) {
-      const std::vector<RecordedMention>& mentions = tweets_.at(i).mentions;
+      const std::span<const RecordedMention> mentions = tweets_.mentions(i);
+      const size_t n = std::count_if(mentions.begin(), mentions.end(), emits);
+      if (n == 0) continue;
       std::vector<TokenSpan>& spans = out.mentions[i];
-      spans.reserve(mentions.size());
+      spans.reserve(n);
       for (const RecordedMention& m : mentions) {
-        if (!classify || Emits(state_.Label(m.candidate_id))) {
-          spans.push_back(m.span);
-        }
+        if (emits(m)) spans.push_back(m.span);
       }
     }
   }  // ScopedPhase "global"

@@ -334,6 +334,7 @@ class Globalizer {
   /// append plus the resilience outcome, merged serially in tweet order.
   struct LocalStage {
     TweetRecord record;
+    std::vector<RecordedMention> mentions;
     Status status = Status::OK();
     bool via_fallback = false;
     int retries = 0;
@@ -480,6 +481,11 @@ class Globalizer {
   // tweets and batches so the extraction stage allocates nothing in steady
   // state.
   std::vector<ShardedGlobalState::ScanScratch> scan_scratch_;
+
+  // Merge-barrier scratch: the batch's rewritten mention lists, concatenated
+  // in tweet order, and each tweet's count; copied in as the TweetBase tail.
+  std::vector<RecordedMention> merged_mentions_;
+  std::vector<size_t> merged_counts_;
 
   // Allocation-recycling scratch for the serial hot paths: the serial-wrapper
   // phrase-embedder pool buffer and the classifier's feature row + ping-pong

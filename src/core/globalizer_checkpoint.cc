@@ -63,6 +63,7 @@
 // mention list, which is exactly the ungoverned state they were saved in.
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -90,6 +91,34 @@ void AppendMat(std::string* out, const Mat& m) {
   binio::AppendI32(out, m.rows());
   binio::AppendI32(out, m.cols());
   binio::AppendFloats(out, m.data(), m.size());
+}
+
+// Smallest encoded size of one element of each counted checkpoint list. A
+// count read from the file is bounded by the bytes left before any
+// allocation, so a corrupt count is rejected rather than reserved.
+// token: string text, u64 begin, u64 end, u8 kind
+constexpr uint64_t kMinTokenBytes = 4 + 8 + 8 + 1;
+// tweet mention: u64 begin, u64 end, i32 candidate_id, u8 locally_detected
+constexpr uint64_t kMinTweetMentionBytes = 8 + 8 + 4 + 1;
+// candidate mention: u64 tweet_index, u64 begin, u64 end, u8 locally_detected
+constexpr uint64_t kMinCandidateMentionBytes = 8 + 8 + 8 + 1;
+// matrix: i32 rows, i32 cols
+constexpr uint64_t kMinMatBytes = 4 + 4;
+// counter: four strings, u64 value
+constexpr uint64_t kMinCounterBytes = 4 * 4 + 8;
+// histogram: four strings, u32 bound count, one u64 bucket, f64 sum, u64 count
+constexpr uint64_t kMinHistogramBytes = 4 * 4 + 4 + 8 + 8 + 8;
+
+/// Reads a u32 element count and checks that `count` elements of at least
+/// `min_bytes` each fit in what is left of the reader.
+Status ReadCount(binio::Reader* reader, uint64_t min_bytes, const char* what,
+                 uint32_t* count) {
+  EMD_RETURN_IF_ERROR(reader->ReadU32(count));
+  if (uint64_t(*count) * min_bytes > reader->remaining()) {
+    return Status::Corruption("checkpoint ", what, " count ", *count,
+                              " exceeds remaining bytes");
+  }
+  return Status::OK();
 }
 
 Status ReadMat(binio::Reader* reader, Mat* m) {
@@ -130,7 +159,8 @@ void AppendMetricsBlock(std::string* buf, const obs::MetricsSnapshot& snap) {
 
 Status ReadMetricsBlock(binio::Reader* reader, obs::MetricsSnapshot* snap) {
   uint32_t num_counters = 0;
-  EMD_RETURN_IF_ERROR(reader->ReadU32(&num_counters));
+  EMD_RETURN_IF_ERROR(
+      ReadCount(reader, kMinCounterBytes, "metrics counter", &num_counters));
   snap->counters.reserve(num_counters);
   for (uint32_t i = 0; i < num_counters; ++i) {
     obs::MetricsSnapshot::CounterSample c;
@@ -142,7 +172,8 @@ Status ReadMetricsBlock(binio::Reader* reader, obs::MetricsSnapshot* snap) {
     snap->counters.push_back(std::move(c));
   }
   uint32_t num_histograms = 0;
-  EMD_RETURN_IF_ERROR(reader->ReadU32(&num_histograms));
+  EMD_RETURN_IF_ERROR(ReadCount(reader, kMinHistogramBytes, "metrics histogram",
+                                &num_histograms));
   snap->histograms.reserve(num_histograms);
   for (uint32_t i = 0; i < num_histograms; ++i) {
     obs::MetricsSnapshot::HistogramSample h;
@@ -252,8 +283,9 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
       binio::AppendU64(&buf, tok.end);
       binio::AppendU8(&buf, static_cast<uint8_t>(tok.kind));
     }
-    binio::AppendU32(&buf, static_cast<uint32_t>(rec.mentions.size()));
-    for (const RecordedMention& m : rec.mentions) {
+    const std::span<const RecordedMention> mentions = tweets_.mentions(i);
+    binio::AppendU32(&buf, static_cast<uint32_t>(mentions.size()));
+    for (const RecordedMention& m : mentions) {
       binio::AppendU64(&buf, m.span.begin);
       binio::AppendU64(&buf, m.span.end);
       binio::AppendI32(&buf, m.candidate_id);
@@ -504,6 +536,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     return Status::Corruption("checkpoint ", path, " cursor ", cursor,
                               " does not match ", num_tweets, " tweet records");
   }
+  std::vector<RecordedMention> mentions;
   for (uint64_t i = 0; i < num_tweets; ++i) {
     TweetRecord rec;
     int64_t tweet_id = 0;
@@ -518,7 +551,8 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     rec.quarantined = quarantined != 0;
     rec.trimmed = trimmed != 0;
     uint32_t num_tokens = 0;
-    EMD_RETURN_IF_ERROR(reader.ReadU32(&num_tokens));
+    EMD_RETURN_IF_ERROR(
+        ReadCount(&reader, kMinTokenBytes, "token", &num_tokens));
     rec.tokens.reserve(num_tokens);
     for (uint32_t t = 0; t < num_tokens; ++t) {
       Token tok;
@@ -538,8 +572,10 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       rec.tokens.push_back(std::move(tok));
     }
     uint32_t num_mentions = 0;
-    EMD_RETURN_IF_ERROR(reader.ReadU32(&num_mentions));
-    rec.mentions.reserve(num_mentions);
+    EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinTweetMentionBytes,
+                                  "tweet mention", &num_mentions));
+    mentions.clear();
+    mentions.reserve(num_mentions);
     for (uint32_t m = 0; m < num_mentions; ++m) {
       RecordedMention mention;
       uint64_t begin = 0, end = 0;
@@ -555,9 +591,9 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
         return Status::Corruption("checkpoint ", path, " mention candidate id ",
                                   mention.candidate_id, " out of range");
       }
-      rec.mentions.push_back(mention);
+      mentions.push_back(mention);
     }
-    tweets.Add(std::move(rec));
+    tweets.Add(std::move(rec), mentions);
   }
 
   // CandidateBase. Slots are gid-ordered; v5 always writes one per gid,
@@ -597,7 +633,8 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     CandidateRecord& rec =
         state.GetOrCreate(static_cast<int>(c), key, num_tokens);
     uint32_t num_mentions = 0;
-    EMD_RETURN_IF_ERROR(reader.ReadU32(&num_mentions));
+    EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinCandidateMentionBytes,
+                                  "candidate mention", &num_mentions));
     rec.mentions.reserve(num_mentions);
     for (uint32_t m = 0; m < num_mentions; ++m) {
       MentionRef ref;
@@ -641,7 +678,8 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     rec.label = static_cast<CandidateLabel>(label);
     EMD_RETURN_IF_ERROR(reader.ReadF32(&rec.entity_probability));
     uint32_t num_embeddings = 0;
-    EMD_RETURN_IF_ERROR(reader.ReadU32(&num_embeddings));
+    EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinMatBytes, "mention embedding",
+                                  &num_embeddings));
     rec.mention_embeddings.reserve(num_embeddings);
     for (uint32_t m = 0; m < num_embeddings; ++m) {
       Mat emb;

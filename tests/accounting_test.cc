@@ -7,11 +7,15 @@
 //   * CTrie insert / prune / tombstone with node-slot recycling;
 //   * CandidateBase creation, decayed pooling with retained mention
 //     embeddings, and eviction;
-//   * TweetBase append, mention rewrite, embedding release and token trim;
+//   * TweetBase append, in-place id writes, suffix mention rewrites,
+//     embedding release and token trim, against a naive per-record model of
+//     the flat mention array; a rewrite that is not a suffix is refused;
 //   * ShardedGlobalState at shards {1, 4, 13} with per-shard pooling from
 //     {1, 4} threads, evict + prune recycling symbol ids;
 //   * the Globalizer under a byte budget at shards {1, 4, 13} x threads
-//     {1, 4}, and checkpoint restore into a different shard count.
+//     {1, 4}, and checkpoint restore into a different shard count;
+//   * kLocalOnly Finalize output against the local system's own spans, and
+//     the merge's locally_detected flags against them.
 
 #include <gtest/gtest.h>
 
@@ -141,30 +145,63 @@ TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
   }
 }
 
+std::vector<RecordedMention> RandomMentions(Rng* rng, uint64_t max_count) {
+  std::vector<RecordedMention> mentions(rng->NextU64(max_count + 1));
+  for (RecordedMention& m : mentions) {
+    const size_t begin = rng->NextU64(20);
+    m.span = {begin, begin + 1 + rng->NextU64(3)};
+    m.candidate_id = rng->NextInt(-1, 500);
+    m.locally_detected = rng->NextBernoulli(0.5);
+  }
+  return mentions;
+}
+
+void ExpectSameMentions(std::span<const RecordedMention> got,
+                        const std::vector<RecordedMention>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].span, want[k].span) << "mention " << k;
+    EXPECT_EQ(got[k].candidate_id, want[k].candidate_id) << "mention " << k;
+    EXPECT_EQ(got[k].locally_detected, want[k].locally_detected)
+        << "mention " << k;
+  }
+}
+
+// The flat mention array against a naive one-vector-per-record model, under
+// every operation that touches a TweetBase: append, in-place id writes,
+// suffix rewrites, embedding release and token trim.
 TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
   Rng rng(11);
   TweetBase tweets;
+  std::vector<std::vector<RecordedMention>> model;
   size_t released = 0, trimmed = 0;
   for (int step = 0; step < 2000; ++step) {
     const double r = rng.NextDouble();
-    if (tweets.size() == 0 || r < 0.4) {
+    if (tweets.size() == 0 || r < 0.35) {
       TweetRecord rec;
       std::string text;
       for (int w = rng.NextInt(2, 12); w > 0; --w) text += Word(&rng) + " ";
       rec.tokens = TweetTokenizer().Tokenize(text);
-      rec.mentions.resize(rng.NextU64(3));
       rec.token_embeddings = Mat(static_cast<int>(rec.tokens.size()), 4);
-      tweets.Add(std::move(rec));
-    } else if (r < 0.7) {
-      const size_t i = rng.NextU64(tweets.size());
-      std::vector<RecordedMention> mentions(rng.NextU64(6));
-      mentions.reserve(mentions.size() + rng.NextU64(4));
-      tweets.SetMentions(i, std::move(mentions));
-    } else if (r < 0.8) {
-      for (RecordedMention& m : tweets.mutable_mentions(rng.NextU64(tweets.size()))) {
-        m.candidate_id = step;
+      model.push_back(RandomMentions(&rng, 3));
+      ASSERT_EQ(tweets.Add(std::move(rec), model.back()), model.size() - 1);
+    } else if (r < 0.6) {
+      // Rewrite the last 0..8 records, as the merge barrier rewrites a batch.
+      const size_t len = rng.NextU64(std::min<size_t>(tweets.size(), 8) + 1);
+      const size_t first = tweets.size() - len;
+      std::vector<RecordedMention> tail;
+      std::vector<size_t> counts;
+      for (size_t i = first; i < tweets.size(); ++i) {
+        model[i] = RandomMentions(&rng, 5);
+        tail.insert(tail.end(), model[i].begin(), model[i].end());
+        counts.push_back(model[i].size());
       }
-    } else if (r < 0.9) {
+      ASSERT_TRUE(tweets.ReplaceMentionTail(first, tail, counts).ok());
+    } else if (r < 0.75) {
+      const size_t i = rng.NextU64(tweets.size());
+      for (RecordedMention& m : tweets.mutable_mentions(i)) m.candidate_id = step;
+      for (RecordedMention& m : model[i]) m.candidate_id = step;
+    } else if (r < 0.87) {
       const size_t end = released + rng.NextU64(tweets.size() - released + 1);
       tweets.ReleaseEmbeddings(released, end);
       released = end;
@@ -174,7 +211,54 @@ TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
       trimmed = end;
     }
     ASSERT_EQ(tweets.ApproxBytes(), tweets.RecountBytes()) << "step " << step;
+    ASSERT_EQ(tweets.size(), model.size());
+    for (size_t i = 0; i < model.size(); ++i) {
+      ASSERT_NO_FATAL_FAILURE(ExpectSameMentions(tweets.mentions(i), model[i]))
+          << "step " << step << " record " << i;
+    }
   }
+}
+
+TEST(AccountingTest, TweetBaseRefusesARewriteThatIsNotASuffix) {
+  Rng rng(13);
+  TweetBase tweets;
+  std::vector<std::vector<RecordedMention>> model;
+  for (int i = 0; i < 4; ++i) {
+    model.push_back(RandomMentions(&rng, 3));
+    tweets.Add(TweetRecord{}, model.back());
+  }
+  const size_t bytes = tweets.ApproxBytes();
+  const std::vector<RecordedMention> none;
+  const RecordedMention one[1] = {};
+  const size_t count_one[1] = {1};
+  const size_t count_two[2] = {1, 0};
+
+  // Record 1 of 4 alone, and records [0, 2), are not the tail.
+  EXPECT_EQ(tweets.ReplaceMentionTail(1, one, count_one).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tweets.ReplaceMentionTail(0, one, count_two).code(),
+            StatusCode::kInvalidArgument);
+  // A range starting past the end.
+  EXPECT_EQ(tweets.ReplaceMentionTail(5, none, {}).code(),
+            StatusCode::kInvalidArgument);
+  // The tail, but with counts that do not cover the mentions given.
+  EXPECT_EQ(tweets.ReplaceMentionTail(2, none, count_two).code(),
+            StatusCode::kInvalidArgument);
+
+  // Every refusal left the store as it was.
+  EXPECT_EQ(tweets.ApproxBytes(), bytes);
+  for (size_t i = 0; i < model.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameMentions(tweets.mentions(i), model[i]));
+  }
+
+  // The true tail is accepted; an empty rewrite at the end is a no-op.
+  EXPECT_TRUE(tweets.ReplaceMentionTail(3, one, count_one).ok());
+  EXPECT_TRUE(tweets.ReplaceMentionTail(4, none, {}).ok());
+  model[3].assign(one, one + 1);
+  for (size_t i = 0; i < model.size(); ++i) {
+    ASSERT_NO_FATAL_FAILURE(ExpectSameMentions(tweets.mentions(i), model[i]));
+  }
+  EXPECT_EQ(tweets.ApproxBytes(), tweets.RecountBytes());
 }
 
 // ---------------------------------------------------- Sharded state churn --
@@ -393,6 +477,94 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
     }
   }
   std::remove(path.c_str());
+}
+
+// kLocalOnly emits exactly each tweet's in-range Local EMD spans, read back
+// from the flat mention array: checked against the local system itself.
+TEST(AccountingTest, LocalOnlyFinalizeEmitsTheLocalSpans) {
+  const Dataset d = ChurnStream(200, 47);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    MockLocalSystem mock(ChurnRules());
+    GlobalizerOptions opt;
+    opt.mode = GlobalizerOptions::Mode::kLocalOnly;
+    opt.batch_size = kBatch;
+    opt.num_threads = threads;
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    for (size_t b = 0; b < batches; ++b) {
+      ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+    }
+    const GlobalizerOutput out = g.Finalize().value();
+    ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g.tweet_base()));
+    ASSERT_EQ(out.mentions.size(), d.tweets.size());
+    size_t emitted = 0;
+    for (size_t i = 0; i < d.tweets.size(); ++i) {
+      const std::vector<Token>& tokens = d.tweets[i].tokens;
+      std::vector<TokenSpan> want;
+      for (const TokenSpan& span : mock.Process(tokens).mentions) {
+        if (span.begin < span.end && span.end <= tokens.size()) {
+          want.push_back(span);
+        }
+      }
+      EXPECT_EQ(out.mentions[i], want) << "tweet " << i;
+      emitted += want.size();
+    }
+    EXPECT_GT(emitted, d.tweets.size());
+  }
+}
+
+// The merge barrier's rewrite of each batch (the TweetBase tail): every
+// stored mention is a re-scan match, and it is locally_detected exactly when
+// Local EMD produced that span. A multi-word entity is detected in full only
+// when capitalized but by its first word always, so a lowercase mention's
+// partial local span is extended to the registered phrase (§V-A) and is not
+// local; recovered mentions with no local span at all occur too.
+TEST(AccountingTest, MergeMarksExactlyTheLocalSpansLocallyDetected) {
+  std::vector<MockLocalSystem::Rule> rules;
+  for (const auto& phrase : Entities()) {
+    rules.push_back({.phrase = phrase, .require_capitalized = true});
+    if (phrase.size() > 1) rules.push_back({.phrase = phrase, .partial = true});
+  }
+  const Dataset d = ChurnStream(200, 53);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  for (const int shards : {1, 4}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("S=" + std::to_string(shards) +
+                   " T=" + std::to_string(threads));
+      MockLocalSystem mock(rules, /*dim=*/6);
+      PhraseEmbedder pe(6, 4);
+      GlobalizerOptions opt;
+      opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+      opt.batch_size = kBatch;
+      opt.shard_count = shards;
+      opt.num_threads = threads;
+      Globalizer g(&mock, &pe, nullptr, opt);
+      for (size_t b = 0; b < batches; ++b) {
+        ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+      }
+      const TweetBase& tweets = g.tweet_base();
+      size_t local = 0, extended = 0, recovered = 0;
+      for (size_t i = 0; i < tweets.size(); ++i) {
+        const std::vector<TokenSpan> spans =
+            mock.Process(d.tweets[i].tokens).mentions;
+        for (const RecordedMention& m : tweets.mentions(i)) {
+          ASSERT_GE(m.candidate_id, 0) << "tweet " << i;
+          const bool was_local =
+              std::find(spans.begin(), spans.end(), m.span) != spans.end();
+          EXPECT_EQ(m.locally_detected, was_local) << "tweet " << i;
+          const bool same_start =
+              std::any_of(spans.begin(), spans.end(), [&](const TokenSpan& s) {
+                return s.begin == m.span.begin;
+              });
+          ++(was_local ? local : same_start ? extended : recovered);
+        }
+      }
+      EXPECT_GT(local, 0u);
+      EXPECT_GT(extended, 0u);
+      EXPECT_GT(recovered, 0u);
+    }
+  }
 }
 
 }  // namespace

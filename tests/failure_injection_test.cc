@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -14,10 +15,13 @@
 #include "eval/metrics.h"
 #include "mock_local_system.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "stream/batching.h"
 #include "stream/conll_io.h"
 #include "text/tweet_tokenizer.h"
 #include "text/vocabulary.h"
+#include "util/binary_io.h"
+#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
 
@@ -533,6 +537,188 @@ TEST(FailureInjectionTest, BitFlippedCheckpointIsCorruption) {
     EXPECT_TRUE(st.IsCorruption()) << "pos=" << pos << ": " << st;
   }
   std::filesystem::remove(path);
+}
+
+/// A minimal valid v5 checkpoint (mode kMentionExtraction, one shard): one
+/// tweet with one token and one mention, one candidate with one mention and
+/// one retained mention embedding, and a metrics block with one counter and
+/// one histogram. Records the byte offset of every u32 element count restore
+/// sizes a container from.
+struct CountedCheckpoint {
+  std::string bytes;
+  size_t tokens = 0;
+  size_t tweet_mentions = 0;
+  size_t candidate_mentions = 0;
+  size_t mention_embeddings = 0;
+  size_t counters = 0;
+  size_t histograms = 0;
+};
+
+CountedCheckpoint BuildCountedCheckpoint() {
+  CountedCheckpoint c;
+  std::string& buf = c.bytes;
+  binio::AppendU32(&buf, 0x454D4447);  // 'EMDG'
+  binio::AppendU32(&buf, 5);           // version
+  binio::AppendU8(&buf, 1);            // mode = kMentionExtraction
+  binio::AppendU64(&buf, 1);           // processed_tweets
+  binio::AppendU32(&buf, 0);           // num_quarantined
+  binio::AppendU32(&buf, 0);           // num_degraded
+  binio::AppendU8(&buf, 0);            // classifier_degraded
+  for (int i = 0; i < 5; ++i) binio::AppendU32(&buf, 0);  // resilience
+  for (int i = 0; i < 4; ++i) binio::AppendU64(&buf, 0);  // governor
+
+  // Candidate keys: one shard holding gid 0.
+  binio::AppendU32(&buf, 1);  // shard_count
+  binio::AppendU32(&buf, 1);  // num_gids
+  binio::AppendU8(&buf, 1);   // gid 0 live
+  binio::AppendU32(&buf, 1);  // shard 0 count
+  binio::AppendU32(&buf, 0);  // gid
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendU32(&buf, 1);  // token length
+
+  // TweetBase.
+  binio::AppendU64(&buf, 1);
+  binio::AppendI64(&buf, 42);  // tweet_id
+  binio::AppendI32(&buf, 0);   // sentence_id
+  binio::AppendU8(&buf, 0);    // quarantined
+  binio::AppendU8(&buf, 0);    // trimmed
+  c.tokens = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendU64(&buf, 0);
+  binio::AppendU64(&buf, 11);
+  binio::AppendU8(&buf, 0);  // kWord
+  c.tweet_mentions = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendU64(&buf, 0);  // span.begin
+  binio::AppendU64(&buf, 1);  // span.end
+  binio::AppendI32(&buf, 0);  // candidate_id
+  binio::AppendU8(&buf, 1);   // locally_detected
+
+  // CandidateBase.
+  binio::AppendU64(&buf, 1);
+  binio::AppendU8(&buf, 1);  // present
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendI32(&buf, 1);  // num_tokens
+  c.candidate_mentions = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendU64(&buf, 0);  // tweet_index
+  binio::AppendU64(&buf, 0);
+  binio::AppendU64(&buf, 1);
+  binio::AppendU8(&buf, 1);
+  binio::AppendI32(&buf, 1);  // embedding_sum [1, 2]
+  binio::AppendI32(&buf, 2);
+  binio::AppendF32(&buf, 1.f);
+  binio::AppendF32(&buf, 2.f);
+  binio::AppendI32(&buf, 1);     // embedding_count
+  binio::AppendF64(&buf, 1.0);   // embedding_weight
+  binio::AppendU64(&buf, 0);     // last_update_pos
+  binio::AppendU64(&buf, 0);     // last_mention_pos
+  binio::AppendU8(&buf, 0);      // label = kUnlabeled
+  binio::AppendF32(&buf, -1.f);  // entity_probability
+  c.mention_embeddings = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendI32(&buf, 1);
+  binio::AppendI32(&buf, 2);
+  binio::AppendF32(&buf, 1.f);
+  binio::AppendF32(&buf, 2.f);
+
+  // Metrics block.
+  c.counters = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendString(&buf, "emd_test_checkpoint_count_total");
+  binio::AppendString(&buf, "test counter");
+  binio::AppendString(&buf, "");
+  binio::AppendString(&buf, "");
+  binio::AppendU64(&buf, 7);
+  c.histograms = buf.size();
+  binio::AppendU32(&buf, 1);
+  binio::AppendString(&buf, "emd_test_checkpoint_count_seconds");
+  binio::AppendString(&buf, "test histogram");
+  binio::AppendString(&buf, "");
+  binio::AppendString(&buf, "");
+  binio::AppendU32(&buf, 1);  // bounds
+  binio::AppendF64(&buf, 0.5);
+  binio::AppendU64(&buf, 1);  // buckets
+  binio::AppendU64(&buf, 0);
+  binio::AppendF64(&buf, 0.25);  // sum
+  binio::AppendU64(&buf, 1);     // count
+
+  binio::AppendU32(&buf, Crc32(buf.data(), buf.size()));
+  return c;
+}
+
+uint64_t CheckpointRestores() {
+  return obs::Metrics()
+      .GetCounter("checkpoint_restores_total", "Checkpoints restored successfully")
+      ->value();
+}
+
+/// Patches the count at `field` to 0xFFFFFFFF under a recomputed CRC: restore
+/// must return Corruption before reserving anything, and leave the Globalizer
+/// freshly constructed (it then restores the valid file).
+void ExpectHugeCountIsCorruption(size_t CountedCheckpoint::*field) {
+  // ctest runs each test in its own process, concurrently: one file each.
+  const std::string path = TempPath(
+      std::string("emd_ckpt_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin");
+  const CountedCheckpoint valid = BuildCountedCheckpoint();
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  {
+    ASSERT_TRUE(WriteStringToFile(path, valid.bytes).ok());
+    MockLocalSystem mock({{.phrase = {"coronavirus"}}});
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    ASSERT_TRUE(g.RestoreCheckpoint(path).ok()) << "fixture must be valid";
+  }
+
+  std::string bad = valid.bytes;
+  const size_t body = bad.size() - sizeof(uint32_t);
+  const uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(bad.data() + valid.*field, &huge, sizeof(huge));
+  const uint32_t crc = Crc32(bad.data(), body);
+  std::memcpy(bad.data() + body, &crc, sizeof(crc));
+  ASSERT_TRUE(WriteStringToFile(path, bad).ok());
+
+  const uint64_t restores = CheckpointRestores();
+  MockLocalSystem mock({{.phrase = {"coronavirus"}}});
+  Globalizer fresh(&mock, nullptr, nullptr, opt);
+  const Status st = fresh.RestoreCheckpoint(path);
+  EXPECT_TRUE(st.IsCorruption()) << st;
+  EXPECT_NE(st.message().find("exceeds remaining bytes"), std::string::npos)
+      << st;
+  EXPECT_EQ(fresh.processed_tweets(), 0u);
+  EXPECT_EQ(fresh.global_state().num_candidates(), 0);
+  EXPECT_EQ(CheckpointRestores(), restores);
+
+  ASSERT_TRUE(WriteStringToFile(path, valid.bytes).ok());
+  EXPECT_TRUE(fresh.RestoreCheckpoint(path).ok());
+  EXPECT_EQ(fresh.processed_tweets(), 1u);
+  std::filesystem::remove(path);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeTokenCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::tokens);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeTweetMentionCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::tweet_mentions);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeCandidateMentionCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::candidate_mentions);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeMentionEmbeddingCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::mention_embeddings);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeMetricsCounterCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::counters);
+}
+
+TEST(FailureInjectionTest, CheckpointHugeMetricsHistogramCountIsCorruption) {
+  ExpectHugeCountIsCorruption(&CountedCheckpoint::histograms);
 }
 
 TEST(FailureInjectionTest, CheckpointModeMismatchRejected) {

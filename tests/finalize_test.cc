@@ -240,7 +240,7 @@ void ExpectMatchesFullRescore(const Globalizer& g, const GlobalizerOutput& out,
   ASSERT_EQ(out.mentions.size(), tweets.size());
   for (size_t i = 0; i < tweets.size(); ++i) {
     std::vector<TokenSpan> want;
-    for (const RecordedMention& m : tweets.at(i).mentions) {
+    for (const RecordedMention& m : tweets.mentions(i)) {
       const CandidateLabel label = state.Contains(m.candidate_id)
                                        ? state.at(m.candidate_id).label
                                        : state.EvictedLabel(m.candidate_id);
