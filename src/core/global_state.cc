@@ -407,7 +407,8 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
 }
 
 size_t ShardedGlobalState::SharedContainerBytes() const {
-  return first_token_.capacity() * sizeof(std::vector<DispatchEntry>) +
+  return gids_.capacity() * sizeof(GidRef) +
+         first_token_.capacity() * sizeof(std::vector<DispatchEntry>) +
          labels_.capacity() + dirty_flags_.capacity() +
          dirty_.capacity() * sizeof(int);
 }

@@ -192,8 +192,8 @@ class ShardedGlobalState {
   // --- Accounting & views -------------------------------------------------
 
   /// Approximate heap bytes across all shards (tries + candidate records)
-  /// plus the shared symbol table, first-token dispatch, and the per-gid
-  /// label / dirty columns with the dirty list. O(shards): every
+  /// plus the shared symbol table, first-token dispatch, the gid map, and
+  /// the per-gid label / dirty columns with the dirty list. O(shards): every
   /// store keeps its per-element bytes as running sums (docs/MEMORY.md).
   size_t ApproxBytes() const;
   /// Approximate heap bytes held by one shard. O(1).
@@ -257,7 +257,8 @@ class ShardedGlobalState {
 
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running
-  /// sum): the dispatch table and the label / dirty columns.
+  /// sum): the gid -> (shard, local) map, the dispatch table and the
+  /// label / dirty columns.
   size_t SharedContainerBytes() const;
 
   ShardRouter router_;
