@@ -114,17 +114,6 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
   }
 }
 
-Mat Globalizer::LocalEmbedding(const TweetRecord& record, const TokenSpan& span) {
-  int retries = 0, degraded = 0;
-  Mat emb = LocalEmbeddingWith(record, span, &retry_rng_, &serial_embed_scratch_,
-                               &retries, &degraded);
-  num_retries_ += retries;
-  num_degraded_ += degraded;
-  if (retries > 0) Counters().retries->Increment(retries);
-  if (degraded > 0) Counters().degraded->Increment(degraded);
-  return emb;
-}
-
 Mat Globalizer::LocalEmbeddingWith(const TweetRecord& record,
                                    const TokenSpan& span, Rng* rng,
                                    PhraseEmbedder::Scratch* scratch,
@@ -168,16 +157,6 @@ Mat Globalizer::LocalEmbeddingWith(const TweetRecord& record,
   }
   pooled.Scale(1.f / static_cast<float>(span.length()));
   return pooled;
-}
-
-Result<LocalEmdResult> Globalizer::LocalEmdWithResilience(
-    const AnnotatedTweet& tweet, bool* via_fallback) {
-  int retries = 0;
-  Result<LocalEmdResult> result =
-      LocalEmdResilient(tweet, system_, &retry_rng_, &retries, via_fallback);
-  num_retries_ += retries;
-  if (retries > 0) Counters().retries->Increment(retries);
-  return result;
 }
 
 Result<LocalEmdResult> Globalizer::LocalEmdResilient(const AnnotatedTweet& tweet,
@@ -314,80 +293,69 @@ CandidateLabel Globalizer::LabelFor(float probability,
   return label;
 }
 
-void Globalizer::RunLocalStage(const AnnotatedTweet& tweet,
-                               LocalEmdSystem* primary, size_t tweet_index,
-                               LocalStage* out) {
-  Rng rng = TaskRng(tweet_index);
-  FillLocalStage(tweet,
-                 LocalEmdResilient(tweet, primary, &rng, &out->retries,
-                                   &out->via_fallback),
-                 out);
-}
-
-bool Globalizer::BatchedLocalEligible(int lanes, size_t batch_size) {
-  if (!options_.token_batching) return false;
-  if (options_.resilience.local_deadline_nanos != 0) return false;
-  if (failpoint::AnyArmed()) return false;
-  const int chunks =
-      (lanes > 1 && batch_size > 1) ? std::min<int>(lanes, batch_size) : 1;
-  if (chunks == 1) {
-    if (!system_->batch_capable()) return false;
-  } else {
-    for (int c = 0; c < chunks; ++c) {
-      if (!LaneSystem(c)->batch_capable()) return false;
-    }
-  }
-  std::lock_guard<std::mutex> lock(breaker_mu_);
-  return breaker_.state() == CircuitBreaker::State::kClosed;
-}
-
-void Globalizer::RunLocalStageBatched(std::span<const AnnotatedTweet> batch,
-                                      int lanes) {
+void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
+                               size_t first_index, int lanes) {
   const size_t n = batch.size();
-  const int chunks = (lanes > 1 && n > 1)
-                         ? std::min<int>(lanes, static_cast<int>(n))
-                         : 1;
+  const int chunks =
+      static_cast<int>(std::max<size_t>(1, std::min<size_t>(lanes, n)));
   if (static_cast<int>(lane_arenas_.size()) < chunks) {
     lane_arenas_.resize(chunks);
   }
-  const size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::vector<const std::vector<Token>*>> views(chunks);
-  std::vector<std::vector<LocalEmdResult>> results(chunks);
+  // Decided once per batch: with no deadline, no armed failpoint and a
+  // closed breaker, no tweet can fail, retry or be routed to the fallback.
+  bool happy = options_.resilience.local_deadline_nanos == 0 &&
+               !failpoint::AnyArmed();
+  if (happy) {
+    std::lock_guard<std::mutex> lock(breaker_mu_);
+    happy = breaker_.state() == CircuitBreaker::State::kClosed;
+  }
+
   // Chunk c is driven exclusively by lane system c (one task per chunk), so
   // non-concurrent-safe replicas stay single-threaded.
-  auto run_chunk = [&](size_t c) {
+  const size_t per = (n + chunks - 1) / chunks;
+  std::vector<LocalStage> staged(n);
+  auto run_chunk = [&](int /*slot*/, size_t c) {
     // ceil-divide can leave the last chunk empty (e.g. n=5, chunks=4).
     const size_t lo = std::min(n, c * per);
     const size_t hi = std::min(n, lo + per);
-    std::vector<const std::vector<Token>*>& view = views[c];
-    view.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) view.push_back(&batch[i].tokens);
-    LocalEmdSystem* sys = chunks > 1 ? LaneSystem(static_cast<int>(c)) : system_;
-    sys->ProcessBatched(view, &lane_arenas_[c], &results[c]);
-  };
-  if (chunks > 1) {
-    pool_->ParallelFor(static_cast<size_t>(chunks),
-                       [&](int, size_t c) { run_chunk(c); });
-  } else {
-    run_chunk(0);
-  }
-
-  // Merge in tweet order, replaying the breaker bookkeeping the per-tweet
-  // path would have done (AllowRequest + RecordSuccess on a closed breaker)
-  // so the resilience state machine is identical either way.
-  for (int c = 0; c < chunks; ++c) {
-    const size_t lo = std::min(n, static_cast<size_t>(c) * per);
-    for (size_t r = 0; r < results[c].size(); ++r) {
-      const AnnotatedTweet& tweet = batch[lo + r];
-      LocalStage stage;
-      FillLocalStage(tweet, std::move(results[c][r]), &stage);
-      {
-        std::lock_guard<std::mutex> lock(breaker_mu_);
-        breaker_.AllowRequest();
-        breaker_.RecordSuccess();
+    LocalEmdSystem* sys =
+        chunks > 1 ? LaneSystem(static_cast<int>(c)) : system_;
+    if (happy) {
+      std::vector<const std::vector<Token>*> view;
+      view.reserve(hi - lo);
+      for (size_t i = lo; i < hi; ++i) view.push_back(&batch[i].tokens);
+      std::vector<LocalEmdResult> results;
+      sys->ProcessBatched(view, &lane_arenas_[c], &results);
+      EMD_CHECK_EQ(results.size(), hi - lo);
+      for (size_t i = lo; i < hi; ++i) {
+        FillLocalStage(batch[i], std::move(results[i - lo]), &staged[i]);
       }
-      MergeLocalStage(tweet, std::move(stage));
+      return;
     }
+    // Resilient fallback: the full escalation ladder per tweet, with jitter
+    // from the tweet's own RNG stream so schedules ignore chunking.
+    for (size_t i = lo; i < hi; ++i) {
+      Rng rng = TaskRng(first_index + i);
+      LocalStage& stage = staged[i];
+      FillLocalStage(batch[i],
+                     LocalEmdResilient(batch[i], sys, &rng, &stage.retries,
+                                       &stage.via_fallback),
+                     &stage);
+    }
+  };
+  ParallelForOrSerial(chunks > 1 ? pool_.get() : nullptr,
+                      static_cast<size_t>(chunks), run_chunk);
+
+  // Merge in tweet order. The happy path replays the breaker bookkeeping
+  // the resilient path does inline (AllowRequest + RecordSuccess on a closed
+  // breaker), so the resilience state machine is identical either way.
+  for (size_t i = 0; i < n; ++i) {
+    if (happy) {
+      std::lock_guard<std::mutex> lock(breaker_mu_);
+      breaker_.AllowRequest();
+      breaker_.RecordSuccess();
+    }
+    MergeLocalStage(batch[i], std::move(staged[i]));
   }
 }
 
@@ -424,36 +392,17 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
 
   // ---- Step 1: Local EMD. ----
   //
-  // Serial path: one sentence at a time, exactly the pre-parallel pipeline
-  // (shared retry RNG, breaker escalation between consecutive tweets).
-  // Parallel path: tweets are staged across worker lanes with no shared
-  // mutation (the breaker is mutex-guarded), then folded into the TweetBase
-  // by a single-threaded merge in tweet order — the merge is the
-  // determinism barrier that keeps parallel output identical to serial.
+  // The batch is split into contiguous chunks, one per worker lane, staged
+  // with no shared mutation (the breaker is mutex-guarded), then folded into
+  // the TweetBase by a single-threaded merge in tweet order — the merge is
+  // the determinism barrier that keeps parallel output identical to serial.
   const int lanes = LocalLanes();
   last_local_lanes_ = (batch.size() > 1) ? lanes : 1;
   {
-    ScopedPhase phase(&timers_, "local");
+    const Timer local_timer;
     EMD_TRACE_SPAN("local_emd");
-    if (BatchedLocalEligible(lanes, batch.size())) {
-      RunLocalStageBatched(batch, lanes);
-    } else if (lanes > 1 && batch.size() > 1) {
-      std::vector<LocalStage> staged(batch.size());
-      pool_->ParallelFor(batch.size(), [&](int slot, size_t i) {
-        RunLocalStage(batch[i], LaneSystem(slot), first_index + i, &staged[i]);
-      });
-      for (size_t i = 0; i < batch.size(); ++i) {
-        MergeLocalStage(batch[i], std::move(staged[i]));
-      }
-    } else {
-      for (const AnnotatedTweet& tweet : batch) {
-        LocalStage stage;
-        FillLocalStage(tweet,
-                       LocalEmdWithResilience(tweet, &stage.via_fallback),
-                       &stage);
-        MergeLocalStage(tweet, std::move(stage));
-      }
-    }
+    RunLocalStage(batch, first_index, lanes);
+    local_seconds_ += local_timer.ElapsedSeconds();
   }
 
   if (options_.mode == GlobalizerOptions::Mode::kLocalOnly) {
@@ -463,7 +412,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   }
 
   // ---- Step 2+3: Global EMD over this batch. ----
-  ScopedPhase phase(&timers_, "global");
+  const Timer global_timer;
   ExtractAndPool(first_index);
 
   if (options_.release_embeddings) {
@@ -481,6 +430,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
     EMD_TRACE_SPAN("shard_gauges");
     state_.UpdateShardGauges();
   }
+  global_seconds_ += global_timer.ElapsedSeconds();
   return Status::OK();
 }
 
@@ -513,8 +463,8 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   // into one fused phrase-embedder GEMM (row i bit-identical to the
   // per-mention path). Falls back per tweet when its embeddings/spans fail
   // validation, and entirely when a failpoint is armed.
-  const bool batch_embed = options_.token_batching && system_->is_deep() &&
-                           phrase_embedder_ != nullptr && !failpoint::AnyArmed();
+  const bool batch_embed = system_->is_deep() && phrase_embedder_ != nullptr &&
+                           !failpoint::AnyArmed();
   if (static_cast<size_t>(std::max(1, options_.num_threads)) >
       lane_arenas_.size()) {
     lane_arenas_.resize(std::max(1, options_.num_threads));
@@ -784,13 +734,13 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
       out.mentions[i].reserve(mentions.size());
       for (const RecordedMention& m : mentions) out.mentions[i].push_back(m.span);
     }
-    out.local_seconds = timers_.Total("local");
+    out.local_seconds = local_seconds_;
     fill_resilience(&out);
     return out;
   }
 
   {
-    ScopedPhase phase(&timers_, "global");
+    const Timer global_timer;
 
     // ---- Step 4: Entity Classifier over the candidates whose global
     // embedding changed since their last verdict. ----
@@ -843,10 +793,11 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
         if (emits(m)) spans.push_back(m.span);
       }
     }
-  }  // ScopedPhase "global"
+    global_seconds_ += global_timer.ElapsedSeconds();
+  }
 
-  out.local_seconds = timers_.Total("local");
-  out.global_seconds = timers_.Total("global");
+  out.local_seconds = local_seconds_;
+  out.global_seconds = global_seconds_;
   fill_resilience(&out);
   return out;
 }

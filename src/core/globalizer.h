@@ -116,26 +116,15 @@ struct GlobalizerOptions {
 
   /// Worker threads of the parallel batch execution engine. 1 (the default)
   /// keeps ProcessBatch fully serial. With N > 1 a fixed pool of N workers
-  /// fans the per-tweet stages (Local EMD, candidate mention extraction,
-  /// local embedding) across threads; all shared-state updates (CTrie
-  /// growth, CandidateBase pooling, TweetBase append) happen in a
-  /// single-threaded merge in tweet order, so parallel output is
-  /// bit-identical to serial. Local EMD only parallelizes when the system is
-  /// concurrent_safe() or per-worker replicas were provided via
-  /// set_worker_systems; the extraction/embedding stage parallelizes always.
+  /// fans the Local EMD stage (one contiguous chunk of the batch per lane)
+  /// and the per-tweet candidate mention extraction and local embedding
+  /// across threads; all shared-state updates (CTrie growth, CandidateBase
+  /// pooling, TweetBase append) happen in a single-threaded merge in tweet
+  /// order, so parallel output is bit-identical to serial. Local EMD only
+  /// parallelizes when the system is concurrent_safe() or per-worker
+  /// replicas were provided via set_worker_systems; the extraction/embedding
+  /// stage parallelizes always.
   int num_threads = 1;
-
-  /// Token-batched local inference (forward-pass planner). When the local
-  /// system is batch_capable(), the tweets of each lane's chunk run through
-  /// LocalEmdSystem::ProcessBatched — subword rows of many tweets packed
-  /// into single fused GEMMs — instead of one Process call per tweet. fp32
-  /// results are bit-identical to the per-tweet path (batching reorders
-  /// scheduling, not arithmetic), so this defaults on. Only the resilient
-  /// happy path batches: an armed failpoint, a non-closed breaker, or a
-  /// local deadline routes the whole batch through the per-tweet resilient
-  /// path, and breaker bookkeeping is replayed per tweet in merge order so
-  /// the state machine stays identical either way.
-  bool token_batching = true;
 
   /// Deadline / retry / circuit-breaker configuration (see ResilienceOptions).
   ResilienceOptions resilience;
@@ -357,10 +346,6 @@ class Globalizer {
                          Rng* rng, PhraseEmbedder::Scratch* scratch,
                          int* retries, int* degraded) const;
 
-  /// Serial-path wrapper: draws jitter from retry_rng_ and accumulates the
-  /// member counters.
-  Mat LocalEmbedding(const TweetRecord& record, const TokenSpan& span);
-
   /// Local EMD under the full escalation ladder: deadline + retry on
   /// `primary` while the (mutex-guarded) breaker admits, fallback routing
   /// while it is open. Thread-safe given a caller-owned rng; `via_fallback`
@@ -369,12 +354,8 @@ class Globalizer {
                                            LocalEmdSystem* primary, Rng* rng,
                                            int* retries, bool* via_fallback);
 
-  /// Serial-path wrapper around LocalEmdResilient (shared rng + counters).
-  Result<LocalEmdResult> LocalEmdWithResilience(const AnnotatedTweet& tweet,
-                                                bool* via_fallback);
-
-  /// The one LocalEmdResult -> TweetRecord conversion, shared by the
-  /// per-tweet, batched and serial local paths: identity and tokens come
+  /// The one LocalEmdResult -> TweetRecord conversion, shared by the happy
+  /// and resilient halves of the local stage: identity and tokens come
   /// from the tweet; a failed `local` quarantines the record, a successful
   /// one contributes its token embeddings and every in-range mention span.
   static void FillLocalStage(const AnnotatedTweet& tweet,
@@ -397,22 +378,16 @@ class Globalizer {
   Status ClassifyDirty(bool gamma_band_only, const RetryPolicy& retry,
                        size_t* flipped);
 
-  /// Computes one tweet's local stage into `out` (no shared mutation except
-  /// the guarded breaker).
-  void RunLocalStage(const AnnotatedTweet& tweet, LocalEmdSystem* primary,
-                     size_t tweet_index, LocalStage* out);
-
-  /// True when this batch may take the token-batched local path: batching
-  /// enabled, every lane's system batch-capable, no deadline, no armed
-  /// failpoint, breaker closed. Cheap (one relaxed atomic load beyond the
-  /// guarded breaker peek).
-  bool BatchedLocalEligible(int lanes, size_t batch_size);
-
-  /// Planner local stage: splits the batch into `lanes` contiguous chunks,
-  /// runs ProcessBatched per chunk (parallel when lanes > 1) against the
-  /// lane's arena, then merges records and replays breaker bookkeeping in
-  /// tweet order. Pre-condition: BatchedLocalEligible() held.
-  void RunLocalStageBatched(std::span<const AnnotatedTweet> batch, int lanes);
+  /// Step 1, the one local stage: splits the batch into min(lanes, n)
+  /// contiguous chunks, chunk c driven by LaneSystem(c) with
+  /// lane_arenas_[c] (in parallel when there is more than one). On the happy
+  /// path — decided once per batch: no local deadline, no armed failpoint,
+  /// breaker closed — each chunk is one ProcessBatched call, whatever the
+  /// system. Otherwise each tweet of the chunk runs LocalEmdResilient with
+  /// TaskRng(index). A single-threaded loop then merges in tweet order,
+  /// replaying the breaker bookkeeping on the happy path.
+  void RunLocalStage(std::span<const AnnotatedTweet> batch, size_t first_index,
+                     int lanes);
 
   /// Folds a computed local stage into TweetBase + counters, in tweet order.
   void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage);
@@ -423,7 +398,8 @@ class Globalizer {
   /// `ctrie_extract` span.
   void ExtractAndPool(size_t first_index);
 
-  /// Deterministic per-tweet RNG for retry jitter on worker threads.
+  /// Deterministic per-tweet RNG for retry jitter: the draws depend on the
+  /// tweet's stream index only, not on the lane or chunk that runs it.
   Rng TaskRng(size_t tweet_index) const;
 
   /// Worker lanes usable for the Local EMD stage (replicas / concurrent-safe
@@ -453,7 +429,10 @@ class Globalizer {
   ShardedGlobalState state_;
   TweetBase tweets_;
   MemoryGovernor governor_;  // must follow the stores it governs (init order)
-  PhaseTimer timers_;
+  // Wall time of the local stage and of the global steps (ProcessBatch's
+  // steps 2+3 and Finalize's classify + emit), summed over the stream.
+  double local_seconds_ = 0;
+  double global_seconds_ = 0;
 
   // Resilience runtime. clock_ must precede breaker_ (init order).
   Clock* clock_;
@@ -487,10 +466,9 @@ class Globalizer {
   std::vector<RecordedMention> merged_mentions_;
   std::vector<size_t> merged_counts_;
 
-  // Allocation-recycling scratch for the serial hot paths: the serial-wrapper
-  // phrase-embedder pool buffer and the classifier's feature row + ping-pong
-  // activations, reused across candidates within and across cycles.
-  PhraseEmbedder::Scratch serial_embed_scratch_;
+  // Allocation-recycling scratch for the per-row classify path: the
+  // classifier's feature row + ping-pong activations, reused across
+  // candidates within and across cycles.
   Mat classifier_features_;
   EntityClassifier::InferScratch classifier_scratch_;
 

@@ -43,9 +43,9 @@ class LocalEmdSystem {
 
   /// True when Process may run concurrently from multiple threads on this
   /// one instance — i.e. Process keeps no mutable per-call state. The
-  /// parallel batch engine fans tweets across worker threads only for
-  /// concurrent-safe systems; others either run serially or get per-worker
-  /// replicas (Globalizer::set_worker_systems). The deep systems cache
+  /// parallel batch engine fans the local stage's chunks across worker
+  /// threads only for concurrent-safe systems; others either run serially or
+  /// get per-worker replicas (Globalizer::set_worker_systems). The deep systems cache
   /// forward activations for backprop and therefore stay false.
   virtual bool concurrent_safe() const { return false; }
 
@@ -56,18 +56,20 @@ class LocalEmdSystem {
   virtual LocalEmdResult Process(const std::vector<Token>& tokens) = 0;
 
   /// True when ProcessBatched fuses work across tweets (forward-pass
-  /// planner). Systems that return false still accept ProcessBatched via the
-  /// per-tweet fallback below, but callers gain nothing from it.
+  /// planner). Descriptive only: the Globalizer calls ProcessBatched on every
+  /// system, and one that returns false runs the per-tweet loop below.
   virtual bool batch_capable() const { return false; }
 
-  /// Token-batched inference over the tweets of one batch slot: results is
-  /// resized to tweets.size(), entry i corresponding to tweets[i] and equal
-  /// to what Process(*tweets[i]) returns (bit-identical in fp32 — batching
-  /// is a scheduling change, not a numeric one). `arena` owns all scratch;
-  /// reusing one arena per worker lane makes the steady state
-  /// allocation-free inside the planner. The caller handles resilience
-  /// (failpoints, deadlines, breaker) — this entry point assumes the happy
-  /// path was pre-screened and performs no fault injection of its own.
+  /// Token-batched inference over one contiguous chunk of a batch: results
+  /// is resized to tweets.size(), entry i corresponding to tweets[i] and
+  /// equal to what Process(*tweets[i]) returns (bit-identical in fp32 —
+  /// batching is a scheduling change, not a numeric one). `arena` owns all
+  /// scratch; reusing one arena per worker lane makes the steady state
+  /// allocation-free inside the planner. The Globalizer's local stage calls
+  /// this, one call per lane chunk, whenever a batch is on the happy path (no
+  /// local deadline, no armed failpoint, breaker closed); otherwise it runs
+  /// TryProcess per tweet under the resilience ladder. So this entry point
+  /// performs no fault injection of its own.
   virtual void ProcessBatched(
       const std::vector<const std::vector<Token>*>& tweets,
       ForwardArena* arena, std::vector<LocalEmdResult>* results) {

@@ -5,8 +5,6 @@
 #define EMD_UTIL_TIMER_H_
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace emd {
 
@@ -27,42 +25,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named phase durations ("local_emd", "global_emd", ...).
-class PhaseTimer {
- public:
-  /// Adds `seconds` to the named phase.
-  void Add(const std::string& phase, double seconds) { totals_[phase] += seconds; }
-
-  /// Total for a phase; 0 when the phase never ran.
-  double Total(const std::string& phase) const {
-    auto it = totals_.find(phase);
-    return it == totals_.end() ? 0.0 : it->second;
-  }
-
-  const std::map<std::string, double>& totals() const { return totals_; }
-
-  void Clear() { totals_.clear(); }
-
- private:
-  std::map<std::string, double> totals_;
-};
-
-/// RAII helper: times a scope into a PhaseTimer.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimer* timer, std::string phase)
-      : timer_(timer), phase_(std::move(phase)) {}
-  ~ScopedPhase() { timer_->Add(phase_, stopwatch_.ElapsedSeconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimer* timer_;
-  std::string phase_;
-  Timer stopwatch_;
 };
 
 }  // namespace emd

@@ -6,8 +6,8 @@
 //   * cadence invariance — the final mentions, every live label and
 //     entity_probability (bit for bit), and the num_* tallies are the same
 //     whether Finalize runs after every batch, every third batch, or only at
-//     the end, across shard counts, thread counts, token batching, and a
-//     checkpoint round trip mid-stream;
+//     the end, across shard counts, thread counts, the batched happy path vs
+//     the resilient per-tweet path, and a checkpoint round trip mid-stream;
 //   * full re-score equivalence — under a memory budget (where eviction
 //     reads labels, so the Finalize cadence legitimately changes what gets
 //     evicted) every verdict Finalize or the γ-band sweep leaves behind equals
@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,6 +124,7 @@ EntityClassifier CadenceClassifier() {
 struct Config {
   int shards = 1;
   int threads = 1;
+  /// false forces the resilient reference paths (ForceResilientPath).
   bool batching = true;
   bool deep = false;
   /// Ungoverned decay + γ-band sweep (labels flip between Finalizes but
@@ -276,10 +278,12 @@ void ExpectGammaBandRescored(const Globalizer& g, const EntityClassifier& clf,
 struct Pipeline {
   explicit Pipeline(const Config& c)
       : mock(CadenceRules(), c.deep ? kDim : 0), pe(kDim, 6) {
-    mock.set_batch_capable(c.batching);
+    if (!c.batching) force.emplace();
   }
   MockLocalSystem mock;
   PhraseEmbedder pe;
+  /// Engaged for batching=false: the run takes the resilient paths.
+  std::optional<ForceResilientPath> force;
 };
 
 GlobalizerOptions OptionsFor(const Config& c) {
@@ -288,7 +292,6 @@ GlobalizerOptions OptionsFor(const Config& c) {
   opt.batch_size = kBatch;
   opt.shard_count = c.shards;
   opt.num_threads = c.threads;
-  opt.token_batching = c.batching;
   if (c.sweep) {
     opt.memory.decay_half_life_tweets = 40;
     opt.memory.reclassify_interval_batches = 2;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "emd/local_emd_system.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -49,18 +50,12 @@ class MockLocalSystem : public LocalEmdSystem {
   /// can be shared across worker lanes in parallel-pipeline tests.
   bool concurrent_safe() const override { return true; }
 
-  /// Opts the mock into the token-batched local stage: the Globalizer routes
-  /// whole batch-slot chunks through ProcessBatched instead of per-tweet
-  /// Process calls.
-  void set_batch_capable(bool on) { batch_capable_ = on; }
-  bool batch_capable() const override { return batch_capable_; }
-
+  /// Counts ProcessBatched calls (the happy-path local stage), then defers
+  /// to the base class's per-tweet loop, which is bit-identical to Process.
   void ProcessBatched(const std::vector<const std::vector<Token>*>& tweets,
                       ForwardArena* arena,
                       std::vector<LocalEmdResult>* results) override {
     ++batched_calls_;
-    // The per-tweet fallback already produces bit-identical results; the
-    // override only exists to count batched entry-point invocations.
     LocalEmdSystem::ProcessBatched(tweets, arena, results);
   }
 
@@ -111,10 +106,27 @@ class MockLocalSystem : public LocalEmdSystem {
  private:
   std::vector<Rule> rules_;
   int dim_;
-  bool batch_capable_ = false;
   std::atomic<int> calls_{0};
   std::atomic<int> batched_calls_{0};
   std::string failpoint_name_ = "emd.mock.process";
+};
+
+/// While alive, forces the Globalizer onto its resilient paths — per-tweet
+/// LocalEmdResilient, per-mention phrase embedding, per-row classification —
+/// by arming a failpoint that no code evaluates: AnyArmed() is true, yet
+/// nothing ever fires. The reference those paths give must match the
+/// batched happy path bit for bit.
+class ForceResilientPath {
+ public:
+  ForceResilientPath() {
+    failpoint::EnableAfter(kName, Status::Internal("never evaluated"));
+  }
+  ~ForceResilientPath() { failpoint::Disable(kName); }
+  ForceResilientPath(const ForceResilientPath&) = delete;
+  ForceResilientPath& operator=(const ForceResilientPath&) = delete;
+
+ private:
+  static constexpr const char* kName = "test.resilient_path.unreached";
 };
 
 }  // namespace emd

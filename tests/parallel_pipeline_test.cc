@@ -15,6 +15,9 @@
 #include "core/phrase_embedder.h"
 #include "mock_local_system.h"
 #include "text/tweet_tokenizer.h"
+#include "util/circuit_breaker.h"
+#include "util/deadline.h"
+#include "util/failpoint.h"
 #include "util/thread_pool.h"
 
 namespace emd {
@@ -209,7 +212,9 @@ void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
     const auto& b = parallel.embedding_sums[i];
     ASSERT_EQ(a.size(), b.size()) << "candidate " << i;
     // Bit-for-bit, not approximate: the parallel merge must replicate the
-    // serial pooling order exactly.
+    // serial pooling order exactly. An empty sum has no data to compare (and
+    // a null data(), which memcmp must not see).
+    if (a.empty()) continue;
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
         << "candidate " << i << " (" << serial.keys[i] << ")";
   }
@@ -317,6 +322,11 @@ TEST(ParallelPipelineTest, UnsafeSystemWithWorkerReplicasFansOutAndMatches) {
 // ---------------------------------------------------------------------------
 // Token-batched local stage (forward-pass planner) determinism
 // ---------------------------------------------------------------------------
+//
+// The reference is the resilient path, forced by ForceResilientPath: local
+// EMD one TryProcess per tweet, per-mention phrase embedding and per-row
+// classification. The happy path — ProcessBatched chunks, fused span
+// embedding, batched classification — must match it bit for bit.
 
 // Like ParallelStream but with an empty tweet and a one-token tweet mixed in,
 // so the ragged batch packer sees zero-length and minimal sequences.
@@ -334,28 +344,28 @@ TEST(ParallelPipelineTest, TokenBatchedSerialMatchesPerTweetBitForBit) {
   constexpr int kDim = 16;
   PhraseEmbedder pe(kDim, 8);
 
-  // Baseline: token batching disabled — the legacy per-tweet local stage and
-  // per-mention phrase embedding.
-  MockLocalSystem legacy_mock(StreamRules(), kDim);
-  GlobalizerOptions legacy_opt;
-  legacy_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  legacy_opt.token_batching = false;
-  Globalizer legacy(&legacy_mock, &pe, nullptr, legacy_opt);
-  RunResult lr = RunStream(&legacy, d, /*batch_size=*/5);
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  MockLocalSystem resilient_mock(StreamRules(), kDim);
+  RunResult rr;
+  {
+    ForceResilientPath force;
+    Globalizer resilient(&resilient_mock, &pe, nullptr, opt);
+    rr = RunStream(&resilient, d, /*batch_size=*/5);
+  }
 
-  // Token-batched: whole batch slots go through ProcessBatched and the fused
+  // Happy path: whole batch slots go through ProcessBatched and the fused
   // span-embedding GEMM. Output must be bit-identical.
   MockLocalSystem batched_mock(StreamRules(), kDim);
-  batched_mock.set_batch_capable(true);
-  GlobalizerOptions batched_opt = legacy_opt;
-  batched_opt.token_batching = true;
-  Globalizer batched(&batched_mock, &pe, nullptr, batched_opt);
+  Globalizer batched(&batched_mock, &pe, nullptr, opt);
   RunResult br = RunStream(&batched, d, /*batch_size=*/5);
 
+  EXPECT_EQ(resilient_mock.batched_calls(), 0)
+      << "the reference must take the per-tweet resilient path";
   EXPECT_GT(batched_mock.batched_calls(), 0)
-      << "batch-capable system should have taken the planner path";
-  ExpectIdentical(lr, br);
-  EXPECT_EQ(legacy_mock.calls(), batched_mock.calls());
+      << "the happy path should have called ProcessBatched";
+  ExpectIdentical(rr, br);
+  EXPECT_EQ(resilient_mock.calls(), batched_mock.calls());
 }
 
 TEST(ParallelPipelineTest, TokenBatchedParallelMatchesSerialBitForBit) {
@@ -363,21 +373,23 @@ TEST(ParallelPipelineTest, TokenBatchedParallelMatchesSerialBitForBit) {
   constexpr int kDim = 16;
   PhraseEmbedder pe(kDim, 8);
 
-  MockLocalSystem serial_mock(StreamRules(), kDim);
   GlobalizerOptions serial_opt;
   serial_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  serial_opt.token_batching = false;
-  Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
-  RunResult sr = RunStream(&serial, d, /*batch_size=*/5);
+  MockLocalSystem serial_mock(StreamRules(), kDim);
+  RunResult sr;
+  {
+    ForceResilientPath force;
+    Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
+    sr = RunStream(&serial, d, /*batch_size=*/5);
+  }
 
   MockLocalSystem parallel_mock(StreamRules(), kDim);
-  parallel_mock.set_batch_capable(true);
   GlobalizerOptions parallel_opt = serial_opt;
-  parallel_opt.token_batching = true;
   parallel_opt.num_threads = 4;
   Globalizer parallel(&parallel_mock, &pe, nullptr, parallel_opt);
   RunResult pr = RunStream(&parallel, d, /*batch_size=*/5);
 
+  EXPECT_EQ(serial_mock.batched_calls(), 0);
   EXPECT_GT(pr.local_lanes, 1) << "parallel run should have fanned out";
   EXPECT_GT(parallel_mock.batched_calls(), 0);
   ExpectIdentical(sr, pr);
@@ -388,32 +400,143 @@ TEST(ParallelPipelineTest, TokenBatchedWorkerReplicasFanOutAndMatch) {
   constexpr int kDim = 12;
   PhraseEmbedder pe(kDim, 6);
 
-  UnsafeMock serial_mock(StreamRules(), kDim);
   GlobalizerOptions serial_opt;
   serial_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  serial_opt.token_batching = false;
-  Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
-  RunResult sr = RunStream(&serial, d, /*batch_size=*/6);
+  UnsafeMock serial_mock(StreamRules(), kDim);
+  RunResult sr;
+  {
+    ForceResilientPath force;
+    Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
+    sr = RunStream(&serial, d, /*batch_size=*/6);
+  }
 
-  // Batch-capable replicas: each worker lane drives one contiguous chunk of
-  // the batch slot through its own replica's ProcessBatched.
+  // Each worker lane drives one contiguous chunk of the batch slot through
+  // its own replica's ProcessBatched.
   UnsafeMock primary(StreamRules(), kDim);
   UnsafeMock r0(StreamRules(), kDim), r1(StreamRules(), kDim),
       r2(StreamRules(), kDim);
-  for (UnsafeMock* m : {&primary, &r0, &r1, &r2}) m->set_batch_capable(true);
   GlobalizerOptions parallel_opt = serial_opt;
-  parallel_opt.token_batching = true;
   parallel_opt.num_threads = 3;
   Globalizer parallel(&primary, &pe, nullptr, parallel_opt);
   parallel.set_worker_systems({&r0, &r1, &r2});
   RunResult pr = RunStream(&parallel, d, /*batch_size=*/6);
 
+  EXPECT_EQ(serial_mock.batched_calls(), 0);
   EXPECT_EQ(pr.local_lanes, 3);
   ExpectIdentical(sr, pr);
   EXPECT_GT(r0.batched_calls() + r1.batched_calls() + r2.batched_calls(), 0);
   EXPECT_EQ(r0.calls() + r1.calls() + r2.calls(),
             static_cast<int>(d.tweets.size()));
   EXPECT_EQ(primary.calls(), 0);
+}
+
+TEST(ParallelPipelineTest, LocalStageRoutesByResilienceStateNotBatchCapability) {
+  const Dataset d = RaggedStream();
+  constexpr size_t kBatch = 5;
+  const int batches = static_cast<int>((d.tweets.size() + kBatch - 1) / kBatch);
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+
+  // Happy path: a system that does not fuse anything still gets one
+  // ProcessBatched call per batch (one chunk, serial).
+  {
+    MockLocalSystem mock(StreamRules());
+    ASSERT_FALSE(mock.batch_capable());
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    RunStream(&g, d, kBatch);
+    EXPECT_EQ(mock.batched_calls(), batches);
+    EXPECT_EQ(mock.calls(), static_cast<int>(d.tweets.size()));
+  }
+
+  // An armed failpoint sends every tweet down the resilient path.
+  {
+    ForceResilientPath force;
+    MockLocalSystem mock(StreamRules());
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    RunStream(&g, d, kBatch);
+    EXPECT_EQ(mock.batched_calls(), 0);
+    EXPECT_EQ(mock.calls(), static_cast<int>(d.tweets.size()));
+  }
+
+  // So does a local deadline (on a clock that never moves, none expires).
+  {
+    FakeClock clock;
+    GlobalizerOptions deadline_opt = opt;
+    deadline_opt.resilience.local_deadline_nanos = kSecond;
+    deadline_opt.resilience.clock = &clock;
+    MockLocalSystem mock(StreamRules());
+    Globalizer g(&mock, nullptr, nullptr, deadline_opt);
+    RunStream(&g, d, kBatch);
+    EXPECT_EQ(mock.batched_calls(), 0);
+    EXPECT_EQ(mock.calls(), static_cast<int>(d.tweets.size()));
+  }
+
+  // So does an open breaker, after the failpoint that tripped it is gone:
+  // the primary is never called and the fallback runs per tweet.
+  {
+    FakeClock clock;
+    GlobalizerOptions breaker_opt = opt;
+    breaker_opt.resilience.breaker.failure_threshold = 1;
+    breaker_opt.resilience.clock = &clock;  // the cooldown never elapses
+    MockLocalSystem primary(StreamRules());
+    MockLocalSystem fallback(StreamRules());
+    fallback.set_process_failpoint("emd.mock_fallback.process");
+    Globalizer g(&primary, nullptr, nullptr, breaker_opt);
+    g.set_fallback_system(&fallback);
+    failpoint::EnableAfter("emd.mock.process", Status::Unavailable("down"));
+    EXPECT_TRUE(g.ProcessBatch(std::span<const AnnotatedTweet>(
+                                   d.tweets.data(), kBatch))
+                    .ok());
+    failpoint::DisableAll();
+    ASSERT_EQ(g.breaker().state(), CircuitBreaker::State::kOpen);
+    ASSERT_FALSE(failpoint::AnyArmed());
+    const int primary_calls = primary.calls();
+    const int fallback_calls = fallback.calls();
+    ASSERT_TRUE(g.ProcessBatch(std::span<const AnnotatedTweet>(
+                                   d.tweets.data() + kBatch, kBatch))
+                    .ok());
+    EXPECT_EQ(primary.batched_calls(), 0);
+    EXPECT_EQ(fallback.batched_calls(), 0);
+    EXPECT_EQ(primary.calls(), primary_calls);
+    EXPECT_EQ(fallback.calls(), fallback_calls + static_cast<int>(kBatch));
+  }
+}
+
+TEST(ParallelPipelineTest, HappyPathReplaysBreakerSuccesses) {
+  // The happy path never calls the breaker from the chunks; the merge replays
+  // one success per tweet. A success resets the consecutive-failure count,
+  // so a failure at the end of one batch and another at the start of the
+  // batch after a clean one must not add up to a trip.
+  const Dataset d = ParallelStream();
+  constexpr size_t kBatch = 4;
+  FakeClock clock;
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  opt.resilience.breaker.failure_threshold = 2;
+  opt.resilience.clock = &clock;
+  MockLocalSystem mock(StreamRules());
+  Globalizer g(&mock, nullptr, nullptr, opt);
+  auto batch = [&](size_t b) {
+    return std::span<const AnnotatedTweet>(d.tweets.data() + b * kBatch, kBatch);
+  };
+
+  // The batch's last tweet fails: one consecutive failure.
+  failpoint::EnableAfter("emd.mock.process", Status::Unavailable("blip"),
+                         /*skip=*/kBatch - 1, /*max_fires=*/1);
+  EXPECT_TRUE(g.ProcessBatch(batch(0)).ok());
+  failpoint::DisableAll();
+  // A clean batch on the happy path.
+  ASSERT_TRUE(g.ProcessBatch(batch(1)).ok());
+  EXPECT_EQ(mock.batched_calls(), 1);
+  // The next batch's first tweet fails: one consecutive failure again.
+  failpoint::EnableAfter("emd.mock.process", Status::Unavailable("blip"),
+                         /*skip=*/0, /*max_fires=*/1);
+  EXPECT_TRUE(g.ProcessBatch(batch(2)).ok());
+  failpoint::DisableAll();
+
+  EXPECT_EQ(g.breaker().state(), CircuitBreaker::State::kClosed);
+  EXPECT_EQ(g.breaker().trips(), 0);
+  EXPECT_EQ(g.Finalize().value().num_quarantined, 2);
 }
 
 TEST(ParallelPipelineTest, SingleTweetBatchesStaySerial) {

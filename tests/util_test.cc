@@ -10,7 +10,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace emd {
 namespace {
@@ -282,24 +281,6 @@ TEST(FileIoTest, WriteFileAtomicPublishesAndReplaces) {
   EXPECT_EQ(ReadFileToString(path).value(), "second");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove(path);
-}
-
-TEST(TimerTest, PhaseAccumulation) {
-  PhaseTimer timer;
-  timer.Add("a", 1.5);
-  timer.Add("a", 0.5);
-  timer.Add("b", 1.0);
-  EXPECT_DOUBLE_EQ(timer.Total("a"), 2.0);
-  EXPECT_DOUBLE_EQ(timer.Total("b"), 1.0);
-  EXPECT_DOUBLE_EQ(timer.Total("missing"), 0.0);
-}
-
-TEST(TimerTest, ScopedPhaseRecords) {
-  PhaseTimer timer;
-  {
-    ScopedPhase phase(&timer, "x");
-  }
-  EXPECT_GE(timer.Total("x"), 0.0);
 }
 
 }  // namespace
