@@ -539,6 +539,193 @@ TEST(ParallelPipelineTest, HappyPathReplaysBreakerSuccesses) {
   EXPECT_EQ(g.Finalize().value().num_quarantined, 2);
 }
 
+// ---------------------------------------------------------------------------
+// Re-scan embedding edge cases
+// ---------------------------------------------------------------------------
+//
+// What each re-scanned mention of a deep primary pools, given the token
+// embeddings its tweet's local stage produced: nothing for a tweet with none
+// (a non-deep fallback served it); nothing, counted degraded, for a span out
+// of range; the projected Embed(span) when the width fits; else the raw mean
+// pool fitted to out_dim, counted degraded.
+
+// A deep mock whose token embeddings cover all but the last two tokens, so
+// mentions at the end of a tweet are out of range for the phrase embedder.
+class ShortEmbeddingMock : public MockLocalSystem {
+ public:
+  using MockLocalSystem::MockLocalSystem;
+  LocalEmdResult Process(const std::vector<Token>& tokens) override {
+    LocalEmdResult r = MockLocalSystem::Process(tokens);
+    Mat kept(std::max(0, r.token_embeddings.rows() - 2),
+             r.token_embeddings.cols());
+    for (int t = 0; t < kept.rows(); ++t) {
+      kept.SetRow(t, r.token_embeddings.row(t));
+    }
+    r.token_embeddings = std::move(kept);
+    return r;
+  }
+};
+
+struct ExpectedPool {
+  std::vector<int> counts;                // per gid
+  std::vector<std::vector<float>> sums;   // per gid, empty = nothing pooled
+  int degraded = 0;
+};
+
+// Replays the contract above over the rewritten mention lists of `g`, pooling
+// in tweet order like CandidateBase::AddMention. `token_embeddings[i]` is
+// what tweet i's local stage produced.
+ExpectedPool ExpectedEmbeddings(const Globalizer& g, const PhraseEmbedder& pe,
+                                const std::vector<Mat>& token_embeddings) {
+  ExpectedPool e;
+  const size_t n = g.candidate_base().size();
+  e.counts.assign(n, 0);
+  e.sums.assign(n, {});
+  for (size_t i = 0; i < g.tweet_base().size(); ++i) {
+    const Mat& tok = token_embeddings[i];
+    if (tok.empty()) continue;
+    for (const RecordedMention& m : g.tweet_base().mentions(i)) {
+      if (m.span.end > static_cast<size_t>(tok.rows())) {
+        ++e.degraded;
+        continue;
+      }
+      Mat emb;
+      if (tok.cols() == pe.in_dim()) {
+        emb = pe.Embed(tok, m.span);
+      } else {
+        ++e.degraded;
+        emb = Mat(1, pe.out_dim());
+        const int copy_dim = std::min(pe.out_dim(), tok.cols());
+        for (size_t t = m.span.begin; t < m.span.end; ++t) {
+          for (int j = 0; j < copy_dim; ++j) {
+            emb(0, j) += tok(static_cast<int>(t), j);
+          }
+        }
+        emb.Scale(1.f / static_cast<float>(m.span.length()));
+      }
+      std::vector<float>& sum = e.sums[m.candidate_id];
+      if (sum.empty()) {
+        sum.assign(emb.data(), emb.data() + emb.size());
+      } else {
+        for (size_t j = 0; j < sum.size(); ++j) sum[j] += emb.data()[j];
+      }
+      ++e.counts[m.candidate_id];
+    }
+  }
+  return e;
+}
+
+void ExpectPooled(const Globalizer& g, const ExpectedPool& e) {
+  const CandidateBase& cb = g.candidate_base();
+  ASSERT_EQ(cb.size(), e.sums.size());
+  for (size_t id = 0; id < cb.size(); ++id) {
+    const CandidateRecord& rec = cb.at(static_cast<int>(id));
+    EXPECT_EQ(rec.embedding_count, e.counts[id]) << rec.key;
+    const Mat& sum = rec.embedding_sum;
+    ASSERT_EQ(sum.size(), e.sums[id].size()) << rec.key;
+    if (sum.empty()) continue;
+    EXPECT_EQ(0, std::memcmp(sum.data(), e.sums[id].data(),
+                             sum.size() * sizeof(float)))
+        << rec.key;
+  }
+}
+
+TEST(ParallelPipelineTest, RescanEmbeddingEdgeCasesPoolExactly) {
+  const Dataset d = ParallelStream();
+  constexpr int kDim = 16;
+  constexpr size_t kBatch = 4;
+  PhraseEmbedder pe(kDim, 8);
+  auto batch = [&](size_t b) {
+    return std::span<const AnnotatedTweet>(d.tweets.data() + b * kBatch, kBatch);
+  };
+  // Local-stage token embeddings per tweet: the first batch from `primary`,
+  // the rest from `fallback` (nullptr = a non-deep one, no embeddings).
+  auto local_embeddings = [&](LocalEmdSystem* primary,
+                              LocalEmdSystem* fallback) {
+    std::vector<Mat> tok;
+    for (size_t i = 0; i < d.tweets.size(); ++i) {
+      LocalEmdSystem* s = i < kBatch ? primary : fallback;
+      tok.push_back(s == nullptr ? Mat()
+                                 : s->Process(d.tweets[i].tokens).token_embeddings);
+    }
+    return tok;
+  };
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("T" + std::to_string(threads));
+    GlobalizerOptions opt;
+    opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+    opt.num_threads = threads;
+
+    {
+      SCOPED_TRACE("token embeddings shorter than the tweet");
+      ShortEmbeddingMock mock(StreamRules(), kDim);
+      Globalizer g(&mock, &pe, nullptr, opt);
+      const RunResult r = RunStream(&g, d, kBatch);
+      ShortEmbeddingMock reference(StreamRules(), kDim);
+      std::vector<Mat> tok;
+      for (const AnnotatedTweet& t : d.tweets) {
+        tok.push_back(reference.Process(t.tokens).token_embeddings);
+      }
+      const ExpectedPool e = ExpectedEmbeddings(g, pe, tok);
+      EXPECT_EQ(r.output.num_degraded, 4);
+      EXPECT_EQ(r.output.num_degraded, e.degraded);
+      ExpectPooled(g, e);
+    }
+
+    // The primary serves the first batch; a fault on the second trips a
+    // threshold-1 breaker that stays open (the clock never moves), so the
+    // fallback serves the rest, with and without an armed failpoint.
+    auto run_with_fallback = [&](LocalEmdSystem* fallback, Globalizer* g) {
+      g->set_fallback_system(fallback);
+      EXPECT_TRUE(g->ProcessBatch(batch(0)).ok());
+      failpoint::EnableAfter("emd.mock.process", Status::Unavailable("down"));
+      EXPECT_TRUE(g->ProcessBatch(batch(1)).ok());
+      failpoint::DisableAll();
+      EXPECT_TRUE(g->ProcessBatch(batch(2)).ok());
+      const GlobalizerOutput out = g->Finalize().value();
+      EXPECT_EQ(out.num_fallback, static_cast<int>(2 * kBatch));
+      EXPECT_EQ(out.num_quarantined, 0);
+      return out;
+    };
+    FakeClock clock;
+    GlobalizerOptions breaker_opt = opt;
+    breaker_opt.resilience.breaker.failure_threshold = 1;
+    breaker_opt.resilience.clock = &clock;
+
+    {
+      SCOPED_TRACE("non-deep fallback");
+      MockLocalSystem primary(StreamRules(), kDim);
+      MockLocalSystem fallback(StreamRules());
+      fallback.set_process_failpoint("emd.mock_fallback.process");
+      Globalizer g(&primary, &pe, nullptr, breaker_opt);
+      const GlobalizerOutput out = run_with_fallback(&fallback, &g);
+      MockLocalSystem reference(StreamRules(), kDim);
+      const ExpectedPool e =
+          ExpectedEmbeddings(g, pe, local_embeddings(&reference, nullptr));
+      EXPECT_EQ(out.num_degraded, 0);
+      EXPECT_EQ(e.degraded, 0);
+      ExpectPooled(g, e);
+    }
+
+    {
+      SCOPED_TRACE("deep fallback of another width");
+      MockLocalSystem primary(StreamRules(), kDim);
+      MockLocalSystem fallback(StreamRules(), /*dim=*/6);
+      fallback.set_process_failpoint("emd.mock_fallback.process");
+      Globalizer g(&primary, &pe, nullptr, breaker_opt);
+      const GlobalizerOutput out = run_with_fallback(&fallback, &g);
+      MockLocalSystem reference(StreamRules(), kDim);
+      MockLocalSystem reference_fallback(StreamRules(), 6);
+      const ExpectedPool e = ExpectedEmbeddings(
+          g, pe, local_embeddings(&reference, &reference_fallback));
+      EXPECT_EQ(out.num_degraded, 10);
+      EXPECT_EQ(out.num_degraded, e.degraded);
+      ExpectPooled(g, e);
+    }
+  }
+}
+
 TEST(ParallelPipelineTest, SingleTweetBatchesStaySerial) {
   MockLocalSystem mock(StreamRules());
   GlobalizerOptions opt;
