@@ -1,7 +1,6 @@
 #include "core/globalizer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "core/syntactic_embedder.h"
@@ -114,49 +113,77 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
   }
 }
 
-Mat Globalizer::LocalEmbeddingWith(const TweetRecord& record,
-                                   const TokenSpan& span, Rng* rng,
-                                   PhraseEmbedder::Scratch* scratch,
-                                   int* retries, int* degraded) const {
+void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
+                               ForwardArena* arena, RescanScratch* scratch,
+                               ExtractStage* stage) const {
+  const std::vector<ExtractedMention>& extracted = stage->extracted;
+  if (extracted.empty()) return;
   EMD_TRACE_SPAN("phrase_embed");
+  stage->embeddings.resize(extracted.size());
   if (!system_->is_deep()) {
-    return SyntacticEmbedding(record.tokens, span);
+    for (size_t e = 0; e < extracted.size(); ++e) {
+      stage->embeddings[e] = SyntacticEmbedding(record.tokens, extracted[e].span);
+    }
+    return;
   }
   // A deep primary whose tweet was actually processed by a non-deep fallback
-  // has no token embeddings; the mention survives with no embedding
-  // contribution (same contract as the empty-pool branch below).
-  if (record.token_embeddings.empty()) return Mat();
+  // has no token embeddings; its mentions survive with no embedding
+  // contribution.
+  const Mat& tok = record.token_embeddings;
+  if (tok.empty()) return;
+  // A span the token embeddings do not cover degrades to no contribution;
+  // the mention itself survives.
+  auto in_range = [&](const TokenSpan& span) {
+    return span.begin < span.end && span.end <= static_cast<size_t>(tok.rows());
+  };
+  std::vector<TokenSpan>& spans = scratch->spans;
+  spans.clear();
+  for (const ExtractedMention& em : extracted) {
+    if (in_range(em.span)) {
+      spans.push_back(em.span);
+    } else {
+      ++stage->degraded;
+    }
+  }
+  if (spans.empty()) return;
+
+  Rng rng = TaskRng(tweet_index);
   RetryStats retry_stats;
-  Result<Mat> embedded = RunWithRetry(
-      options_.resilience.phrase_embedder, clock_, rng,
+  const Status embedded = RunWithRetry(
+      options_.resilience.phrase_embedder, clock_, &rng,
       [&] {
-        return phrase_embedder_->TryEmbed(record.token_embeddings, span,
-                                          scratch);
+        return phrase_embedder_->TryEmbedSpans(tok, spans, arena,
+                                               &scratch->fused);
       },
       &retry_stats);
-  *retries += retry_stats.retries;
-  if (embedded.ok()) return std::move(embedded).value();
-
-  // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable, so
-  // pool the raw entity-aware token embeddings directly (Eq. 1 without the
-  // dense projection of Eq. 2), fitted to the candidate embedding width.
-  ++*degraded;
-  EMD_LOG(Warn) << "phrase embedder failed (" << embedded.status()
-                << "); degrading to mean-pooled token embeddings";
-  const Mat& tok = record.token_embeddings;
-  const int out_dim = phrase_embedder_->out_dim();
-  if (tok.empty() || span.begin >= span.end ||
-      span.end > static_cast<size_t>(tok.rows())) {
-    return Mat();  // no embedding contribution; the mention itself survives
+  stage->retries += retry_stats.retries;
+  if (!embedded.ok()) {
+    stage->degraded += static_cast<int>(spans.size());
+    EMD_LOG(Warn) << "phrase embedder failed (" << embedded
+                  << "); degrading " << spans.size()
+                  << " mentions to mean-pooled token embeddings";
   }
-  Mat pooled(1, out_dim);
-  const int copy_dim = std::min(out_dim, tok.cols());
-  for (size_t t = span.begin; t < span.end; ++t) {
-    const float* row = tok.row(static_cast<int>(t));
-    for (int j = 0; j < copy_dim; ++j) pooled(0, j) += row[j];
+  int row = 0;
+  for (size_t e = 0; e < extracted.size(); ++e) {
+    const TokenSpan& span = extracted[e].span;
+    if (!in_range(span)) continue;
+    if (embedded.ok()) {
+      stage->embeddings[e] = scratch->fused.RowCopy(row++);
+      continue;
+    }
+    // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable,
+    // so pool the raw entity-aware token embeddings directly (Eq. 1 without
+    // the dense projection of Eq. 2), fitted to the candidate embedding width.
+    const int out_dim = phrase_embedder_->out_dim();
+    Mat& emb = stage->embeddings[e];
+    emb = Mat(1, out_dim);
+    const int copy_dim = std::min(out_dim, tok.cols());
+    for (size_t t = span.begin; t < span.end; ++t) {
+      const float* tok_row = tok.row(static_cast<int>(t));
+      for (int j = 0; j < copy_dim; ++j) emb(0, j) += tok_row[j];
+    }
+    emb.Scale(1.f / static_cast<float>(span.length()));
   }
-  pooled.Scale(1.f / static_cast<float>(span.length()));
-  return pooled;
 }
 
 Result<LocalEmdResult> Globalizer::LocalEmdResilient(const AnnotatedTweet& tweet,
@@ -455,69 +482,19 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   // so this stage fans out per tweet regardless of the local system.
   const size_t count = tweets_.size() - first_index;
   std::vector<ExtractStage> staged(count);
-  // Per-worker reusable phrase-embedder scratch, indexed by pool slot so no
-  // two concurrent tasks share a buffer.
-  std::vector<PhraseEmbedder::Scratch> embed_scratch(
-      std::max(1, options_.num_threads));
-  // Planner fast path for this stage: all of one tweet's mention spans pool
-  // into one fused phrase-embedder GEMM (row i bit-identical to the
-  // per-mention path). Falls back per tweet when its embeddings/spans fail
-  // validation, and entirely when a failpoint is armed.
-  const bool batch_embed = system_->is_deep() && phrase_embedder_ != nullptr &&
-                           !failpoint::AnyArmed();
-  if (static_cast<size_t>(std::max(1, options_.num_threads)) >
-      lane_arenas_.size()) {
-    lane_arenas_.resize(std::max(1, options_.num_threads));
-  }
-  if (static_cast<size_t>(std::max(1, options_.num_threads)) >
-      scan_scratch_.size()) {
-    scan_scratch_.resize(std::max(1, options_.num_threads));
-  }
+  const size_t slots = static_cast<size_t>(std::max(1, options_.num_threads));
+  if (lane_arenas_.size() < slots) lane_arenas_.resize(slots);
+  if (rescan_scratch_.size() < slots) rescan_scratch_.resize(slots);
   ParallelForOrSerial(
       options_.num_threads > 1 ? pool_.get() : nullptr, count,
       [&](int slot, size_t idx) {
         const TweetRecord& record = tweets_.at(first_index + idx);
         if (record.quarantined) return;
         ExtractStage& stage = staged[idx];
-        state_.ExtractInto(record.tokens, &scan_scratch_[slot],
+        state_.ExtractInto(record.tokens, &rescan_scratch_[slot].scan,
                            &stage.extracted);
-        stage.embeddings.reserve(stage.extracted.size());
-        if (batch_embed && !stage.extracted.empty() &&
-            record.token_embeddings.cols() == phrase_embedder_->in_dim()) {
-          const size_t rows =
-              static_cast<size_t>(record.token_embeddings.rows());
-          bool spans_ok = true;
-          for (const ExtractedMention& em : stage.extracted) {
-            if (em.span.begin >= em.span.end || em.span.end > rows) {
-              spans_ok = false;
-              break;
-            }
-          }
-          if (spans_ok) {
-            ForwardArena* arena = &lane_arenas_[slot];
-            std::vector<TokenSpan> span_list;
-            span_list.reserve(stage.extracted.size());
-            for (const ExtractedMention& em : stage.extracted) {
-              span_list.push_back(em.span);
-            }
-            Mat* fused = arena->mat(PhraseEmbedder::kArenaSlot + 1);
-            phrase_embedder_->EmbedSpansInto(record.token_embeddings, span_list,
-                                             arena, fused);
-            for (size_t e = 0; e < span_list.size(); ++e) {
-              Mat emb(1, fused->cols());
-              std::memcpy(emb.row(0), fused->row(static_cast<int>(e)),
-                          sizeof(float) * fused->cols());
-              stage.embeddings.push_back(std::move(emb));
-            }
-            return;
-          }
-        }
-        Rng rng = TaskRng(first_index + idx);
-        for (const ExtractedMention& em : stage.extracted) {
-          stage.embeddings.push_back(
-              LocalEmbeddingWith(record, em.span, &rng, &embed_scratch[slot],
-                                 &stage.retries, &stage.degraded));
-        }
+        EmbedMentions(record, first_index + idx, &lane_arenas_[slot],
+                      &rescan_scratch_[slot], &stage);
       });
 
   // Shard-aware deterministic merge barrier. Phase A walks the batch in

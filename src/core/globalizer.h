@@ -7,8 +7,9 @@
 //   (2) Candidate Mention Extraction: a re-scan of the batch against the
 //       CTrie finds all mentions of every candidate discovered so far;
 //   (3) local candidate embeddings (Entity Phrase Embedder for deep systems,
-//       6-dim syntactic embedding for non-deep) pooled incrementally into
-//       global candidate embeddings in the CandidateBase;
+//       one fused call per tweet; 6-dim syntactic embedding for non-deep)
+//       pooled incrementally into global candidate embeddings in the
+//       CandidateBase;
 //   (4) the Entity Classifier separates entities from false positives; all
 //       mentions of entity-labelled candidates form the final output.
 //
@@ -19,8 +20,9 @@
 // long-running stream survives component faults):
 //   * per-tweet isolation — a tweet whose Local EMD fails is quarantined
 //     (recorded with no mentions, counted in `num_quarantined`), not fatal;
-//   * graceful degradation — a failing Entity Phrase Embedder falls back to
-//     raw mean-pooled token embeddings (counted in `num_degraded`); a failing
+//   * graceful degradation — when a tweet's Entity Phrase Embedder call
+//     fails, each of its mentions falls back to raw mean-pooled token
+//     embeddings (each counted in `num_degraded`); a failing
 //     Entity Classifier degrades kFull to mention-extraction output for the
 //     remaining cycle (`classifier_degraded`), each with a logged warning;
 //   * crash-safe checkpoint/restore — SaveCheckpoint/RestoreCheckpoint
@@ -68,6 +70,8 @@ namespace emd {
 struct ResilienceOptions {
   /// Per-stage retry policies (max_attempts = 1 disables retrying).
   RetryPolicy local_emd;
+  /// Covers one tweet's phrase-embedder call, which embeds all of its
+  /// mentions: attempts and attempt_deadline_nanos apply per tweet.
   RetryPolicy phrase_embedder;
   RetryPolicy classifier;
   RetryPolicy checkpoint_io;
@@ -165,8 +169,9 @@ struct GlobalizerOutput {
   /// Tweets whose Local EMD failed and were isolated (no mentions emitted,
   /// no candidates registered) instead of aborting the stream.
   int num_quarantined = 0;
-  /// Mention embeddings produced by the degraded mean-pool fallback because
-  /// the Entity Phrase Embedder failed.
+  /// Mentions of a deep system whose embedding degraded: the mean-pool
+  /// fallback after their tweet's Entity Phrase Embedder call failed, or no
+  /// embedding for a span the token embeddings do not cover.
   int num_degraded = 0;
   /// True when a failing Entity Classifier degraded kFull output to
   /// mention-extraction for this cycle. Only a Finalize that has candidates
@@ -330,7 +335,9 @@ class Globalizer {
   };
 
   /// One tweet's re-scan stage: extracted mentions with their local
-  /// embeddings, pooled into the CandidateBase by the deterministic merge.
+  /// embeddings (embeddings[e] for extracted[e]; an empty Mat contributes
+  /// nothing), pooled into the CandidateBase by the deterministic merge.
+  /// `retries` and `degraded` come from the tweet's one embedding call.
   struct ExtractStage {
     std::vector<ExtractedMention> extracted;
     std::vector<Mat> embeddings;
@@ -338,13 +345,29 @@ class Globalizer {
     int degraded = 0;
   };
 
-  /// Thread-safe local embedding of one extracted mention; falls back to a
-  /// mean-pooled raw token embedding (recorded in *degraded) when the phrase
-  /// embedder fails. Reads only shared-immutable state; `scratch` is the
-  /// calling worker's reusable phrase-embedder buffer.
-  Mat LocalEmbeddingWith(const TweetRecord& record, const TokenSpan& span,
-                         Rng* rng, PhraseEmbedder::Scratch* scratch,
-                         int* retries, int* degraded) const;
+  /// Per-lane re-scan scratch, reused across tweets and batches: the
+  /// candidate scan's buffers, one tweet's in-range mention spans, and their
+  /// fused phrase embeddings.
+  struct RescanScratch {
+    ShardedGlobalState::ScanScratch scan;
+    std::vector<TokenSpan> spans;
+    Mat fused;
+  };
+
+  /// Step 3 for one tweet: one local embedding per extracted mention of
+  /// `stage`, under one `phrase_embed` span. Thread-safe (reads only
+  /// shared-immutable state; `arena` and `scratch` belong to the calling
+  /// lane). A non-deep system embeds each mention syntactically. A deep one
+  /// embeds the tweet's in-range spans in one TryEmbedSpans call under the
+  /// phrase_embedder retry policy, jittered by TaskRng(tweet_index); if that
+  /// still fails, each of those mentions degrades to its raw mean pool fitted
+  /// to out_dim (one warning per tweet). An out-of-range span degrades to no
+  /// embedding; a tweet without token embeddings (a non-deep fallback served
+  /// it) contributes none and degrades nothing. Degraded mentions are
+  /// counted in stage->degraded.
+  void EmbedMentions(const TweetRecord& record, size_t tweet_index,
+                     ForwardArena* arena, RescanScratch* scratch,
+                     ExtractStage* stage) const;
 
   /// Local EMD under the full escalation ladder: deadline + retry on
   /// `primary` while the (mutex-guarded) breaker admits, fallback routing
@@ -455,11 +478,10 @@ class Globalizer {
   // batch and are reused allocation-free afterwards.
   std::vector<ForwardArena> lane_arenas_;
 
-  // Candidate-scan scratch, one per worker lane (slot-exclusive under
-  // ParallelFor): fold / per-token symbol buffers reused across
-  // tweets and batches so the extraction stage allocates nothing in steady
-  // state.
-  std::vector<ShardedGlobalState::ScanScratch> scan_scratch_;
+  // Re-scan scratch, one per worker lane (slot-exclusive under
+  // ParallelFor), reused across tweets and batches so the extraction and
+  // embedding stage allocates no scan or span buffers in steady state.
+  std::vector<RescanScratch> rescan_scratch_;
 
   // Merge-barrier scratch: the batch's rewritten mention lists, concatenated
   // in tweet order, and each tweet's count; copied in as the TweetBase tail.

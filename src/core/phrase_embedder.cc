@@ -49,42 +49,33 @@ Mat PhraseEmbedder::EmbedAll(const Mat& token_embeddings) const {
 }
 
 Mat PhraseEmbedder::Embed(const Mat& token_embeddings, const TokenSpan& span) const {
-  Scratch scratch;
+  ForwardArena arena;
   Mat out;
-  EmbedInto(token_embeddings, span, &scratch, &out);
+  const Status status = TryEmbedSpans(token_embeddings, {&span, 1}, &arena, &out);
+  EMD_CHECK(status.ok()) << status;
   return out;
 }
 
-void PhraseEmbedder::EmbedInto(const Mat& token_embeddings, const TokenSpan& span,
-                               Scratch* scratch, Mat* out) const {
-  EMD_CHECK_LT(span.begin, span.end);
-  EMD_CHECK_LE(span.end, static_cast<size_t>(token_embeddings.rows()));
-  Mat& pooled = scratch->pooled;
-  pooled.Resize(1, token_embeddings.cols());
-  pooled.Fill(0.f);
-  for (size_t t = span.begin; t < span.end; ++t) {
-    const float* row = token_embeddings.row(static_cast<int>(t));
-    for (int j = 0; j < pooled.cols(); ++j) pooled(0, j) += row[j];
+Status PhraseEmbedder::TryEmbedSpans(const Mat& token_embeddings,
+                                     std::span<const TokenSpan> spans,
+                                     ForwardArena* arena, Mat* out) const {
+  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.phrase_embedder.embed"));
+  if (token_embeddings.cols() != in_dim()) {
+    return Status::InvalidArgument("phrase embedder dim mismatch: got ",
+                                   token_embeddings.cols(), ", want ", in_dim());
   }
-  pooled.Scale(1.f / static_cast<float>(span.length()));
-  if (q_.packed()) {
-    q_.Apply(pooled, &scratch->qs, out);
-  } else {
-    MatMulInto(pooled, w_, out);
-    AddRowBroadcastInPlace(out, b_);
+  for (const TokenSpan& span : spans) {
+    if (span.begin >= span.end ||
+        span.end > static_cast<size_t>(token_embeddings.rows())) {
+      return Status::InvalidArgument("phrase embedder span [", span.begin, ", ",
+                                     span.end, ") out of range for ",
+                                     token_embeddings.rows(), " tokens");
+    }
   }
-}
-
-void PhraseEmbedder::EmbedSpansInto(const Mat& token_embeddings,
-                                    const std::vector<TokenSpan>& spans,
-                                    ForwardArena* arena, Mat* out) const {
-  const int m = static_cast<int>(spans.size());
   Mat* pooled = arena->mat(kArenaSlot);
-  pooled->Resize(m, token_embeddings.cols());
-  for (int i = 0; i < m; ++i) {
+  pooled->Resize(static_cast<int>(spans.size()), in_dim());
+  for (int i = 0; i < pooled->rows(); ++i) {
     const TokenSpan& span = spans[i];
-    EMD_CHECK_LT(span.begin, span.end);
-    EMD_CHECK_LE(span.end, static_cast<size_t>(token_embeddings.rows()));
     float* prow = pooled->row(i);
     for (int j = 0; j < pooled->cols(); ++j) prow[j] = 0.f;
     for (size_t t = span.begin; t < span.end; ++t) {
@@ -100,34 +91,10 @@ void PhraseEmbedder::EmbedSpansInto(const Mat& token_embeddings,
     MatMulInto(*pooled, w_, out);
     AddRowBroadcastInPlace(out, b_);
   }
+  return Status::OK();
 }
 
 void PhraseEmbedder::PrepareQuantizedInference() { q_.Pack(w_, b_); }
-
-Result<Mat> PhraseEmbedder::TryEmbed(const Mat& token_embeddings,
-                                     const TokenSpan& span) const {
-  Scratch scratch;
-  return TryEmbed(token_embeddings, span, &scratch);
-}
-
-Result<Mat> PhraseEmbedder::TryEmbed(const Mat& token_embeddings,
-                                     const TokenSpan& span,
-                                     Scratch* scratch) const {
-  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.phrase_embedder.embed"));
-  if (span.begin >= span.end ||
-      span.end > static_cast<size_t>(token_embeddings.rows())) {
-    return Status::InvalidArgument("phrase embedder span [", span.begin, ", ",
-                                   span.end, ") out of range for ",
-                                   token_embeddings.rows(), " tokens");
-  }
-  if (token_embeddings.cols() != in_dim()) {
-    return Status::InvalidArgument("phrase embedder dim mismatch: got ",
-                                   token_embeddings.cols(), ", want ", in_dim());
-  }
-  Mat out;
-  EmbedInto(token_embeddings, span, scratch, &out);
-  return out;
-}
 
 double PhraseEmbedder::Evaluate(LocalEmdSystem* system,
                                 const std::vector<StsPair>& pairs) const {

@@ -14,6 +14,7 @@
 #ifndef EMD_CORE_PHRASE_EMBEDDER_H_
 #define EMD_CORE_PHRASE_EMBEDDER_H_
 
+#include <span>
 #include <string>
 
 #include "emd/local_emd_system.h"
@@ -21,7 +22,6 @@
 #include "nn/planner.h"
 #include "nn/qlinear.h"
 #include "stream/sts_generator.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace emd {
@@ -49,52 +49,28 @@ class PhraseEmbedder {
   /// candidate embedding size (100 for Aguilar, 300 for BERTweet in §VI).
   PhraseEmbedder(int in_dim, int out_dim, uint64_t seed = 43);
 
-  /// Reusable per-worker forward-pass scratch. Each pipeline worker owns one
-  /// and threads it through EmbedInto/TryEmbed, so steady-state candidate
-  /// embedding does no pooled-buffer allocation.
-  struct Scratch {
-    Mat pooled;  // [1, in_dim]
-    QuantizedLinear::Scratch qs;
-  };
-
   /// Local candidate embedding for the tokens of `span` given the sentence's
-  /// token embeddings [T, in_dim]. Returns [1, out_dim].
+  /// token embeddings [T, in_dim]. Returns [1, out_dim]. A one-span
+  /// TryEmbedSpans; fatal when that fails.
   Mat Embed(const Mat& token_embeddings, const TokenSpan& span) const;
 
-  /// Allocation-recycling Embed: pools into `scratch` and writes the
-  /// [1, out_dim] embedding into `*out` (resized; must not alias inputs).
-  void EmbedInto(const Mat& token_embeddings, const TokenSpan& span,
-                 Scratch* scratch, Mat* out) const;
-
-  /// Fault-isolating Embed: validates the span/shape (kInvalidArgument
-  /// instead of a fatal check) and honors the "core.phrase_embedder.embed"
-  /// failpoint. The Globalizer degrades to a raw mean-pool fallback when
-  /// this fails.
-  Result<Mat> TryEmbed(const Mat& token_embeddings, const TokenSpan& span) const;
-
-  /// TryEmbed with caller-owned scratch (hot path under the batch engine).
-  Result<Mat> TryEmbed(const Mat& token_embeddings, const TokenSpan& span,
-                       Scratch* scratch) const;
+  /// The inference path: embeds every span of one sentence in one call.
+  /// Evaluates the "core.phrase_embedder.embed" failpoint once, returns
+  /// kInvalidArgument on a width mismatch (token_embeddings.cols() !=
+  /// in_dim()) or on any empty or out-of-range span, else pools each span
+  /// into a row of an `arena` matrix (Eq. 1) and runs one dense-layer GEMM
+  /// (Eq. 2; fp32, or int8 once quantized) into `*out`, resized to
+  /// [spans.size(), out_dim] (must not alias the inputs). Row i is computed
+  /// from spans[i] alone, so it is bit-identical to a one-span call.
+  Status TryEmbedSpans(const Mat& token_embeddings,
+                       std::span<const TokenSpan> spans, ForwardArena* arena,
+                       Mat* out) const;
 
   /// Embeds a whole sentence (the siamese sub-network's forward pass).
   Mat EmbedAll(const Mat& token_embeddings) const;
 
-  /// Arena slot index used by EmbedSpansInto (clear of the MiniBertweet
-  /// planner range 0..20 so one lane arena serves both stages warm).
-  static constexpr int kArenaSlot = 24;
-
-  /// Planner batched embed: pools every span of one sentence into the rows
-  /// of an arena matrix and runs ONE fused dense layer over all of them.
-  /// Row i of `*out` ([spans.size(), out_dim]) is bit-identical (fp32) to
-  /// EmbedInto for spans[i] — the GEMM computes each output row from its own
-  /// input row alone. Spans must be pre-validated by the caller (in-range,
-  /// non-empty); no failpoint is evaluated here.
-  void EmbedSpansInto(const Mat& token_embeddings,
-                      const std::vector<TokenSpan>& spans, ForwardArena* arena,
-                      Mat* out) const;
-
-  /// Packs an int8 copy of W_ff/b_ff; afterwards EmbedInto/EmbedSpansInto
-  /// run the dense layer through the quantized backend. Called automatically
+  /// Packs an int8 copy of W_ff/b_ff; afterwards Embed/TryEmbedSpans run
+  /// the dense layer through the quantized backend. Called automatically
   /// by Train()/Load() when kernels::Int8Enabled().
   void PrepareQuantizedInference();
   bool quantized() const { return q_.packed(); }
@@ -114,6 +90,11 @@ class PhraseEmbedder {
   Status Load(const std::string& path);
 
  private:
+  /// Arena slot of the pooled rows and the int8 activation scratch (clear
+  /// of the MiniBertweet planner range 0..20 and the classifier's 26..28,
+  /// so one lane arena serves every stage warm).
+  static constexpr int kArenaSlot = 24;
+
   Mat w_;  // [in_dim, out_dim]
   Mat b_;  // [1, out_dim]
   QuantizedLinear q_;

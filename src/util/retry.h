@@ -14,8 +14,8 @@
 // deployment opts in).
 //
 //   RetryStats stats;
-//   Result<Mat> r = RunWithRetry(policy, clock, &rng, [&] {
-//     return embedder->TryEmbed(tokens, span);
+//   Status s = RunWithRetry(policy, clock, &rng, [&] {
+//     return embedder->TryEmbedSpans(token_embeddings, spans, &arena, &out);
 //   }, &stats);
 
 #ifndef EMD_UTIL_RETRY_H_

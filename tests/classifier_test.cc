@@ -9,6 +9,7 @@
 #include "mock_local_system.h"
 #include "stream/sts_generator.h"
 #include "text/tweet_tokenizer.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 
 namespace emd {
@@ -103,6 +104,37 @@ TEST(PhraseEmbedderTest, EmbedSpanEqualsManualPool) {
   for (int r = 0; r < 3; ++r) sliced.SetRow(r, tokens.row(r + 1));
   Mat expected = pe.EmbedAll(sliced);
   for (int j = 0; j < 3; ++j) EXPECT_NEAR(span_emb(0, j), expected(0, j), 1e-5);
+}
+
+TEST(PhraseEmbedderTest, TryEmbedSpansRejectsBadInputAndInjectedFaults) {
+  PhraseEmbedder pe(4, 3, 7);
+  Rng rng(12);
+  Mat tokens(5, 4);
+  tokens.InitGaussian(&rng, 1.f);
+  ForwardArena arena;
+  Mat out;
+  const std::vector<TokenSpan> good = {{0, 2}, {3, 5}};
+  ASSERT_TRUE(pe.TryEmbedSpans(tokens, good, &arena, &out).ok());
+  EXPECT_EQ(out.rows(), 2);
+  EXPECT_EQ(out.cols(), 3);
+
+  // One bad span fails the whole call.
+  for (const TokenSpan bad : {TokenSpan{2, 2}, TokenSpan{3, 6}}) {
+    const std::vector<TokenSpan> spans = {{0, 2}, bad};
+    EXPECT_TRUE(pe.TryEmbedSpans(tokens, spans, &arena, &out).IsInvalidArgument())
+        << bad.begin << ".." << bad.end;
+  }
+  Mat narrow(5, 3);
+  EXPECT_TRUE(pe.TryEmbedSpans(narrow, good, &arena, &out).IsInvalidArgument());
+
+  // The failpoint is evaluated once per call, however many spans it has.
+  failpoint::EnableAfter("core.phrase_embedder.embed",
+                         Status::Unavailable("wedged"), /*skip=*/0,
+                         /*max_fires=*/1);
+  EXPECT_TRUE(pe.TryEmbedSpans(tokens, good, &arena, &out).IsUnavailable());
+  EXPECT_TRUE(pe.TryEmbedSpans(tokens, good, &arena, &out).ok());
+  EXPECT_EQ(failpoint::HitCount("core.phrase_embedder.embed"), 2);
+  failpoint::DisableAll();
 }
 
 TEST(PhraseEmbedderTest, TrainingImprovesValidationLoss) {

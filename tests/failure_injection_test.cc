@@ -22,6 +22,7 @@
 #include "text/vocabulary.h"
 #include "util/binary_io.h"
 #include "util/crc32.h"
+#include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/file_io.h"
 
@@ -285,14 +286,84 @@ TEST(FailureInjectionTest, PhraseEmbedderFaultDegradesToMeanPool) {
   GlobalizerOutput clean = run(false);
   GlobalizerOutput degraded = run(true);
 
+  // Every tweet's embedding call fails, so every mention degrades.
+  size_t mentions = 0;
+  for (const auto& m : clean.mentions) mentions += m.size();
+  ASSERT_EQ(mentions, 3u);
   EXPECT_EQ(clean.num_degraded, 0);
-  EXPECT_GT(degraded.num_degraded, 0);
+  EXPECT_EQ(degraded.num_degraded, static_cast<int>(mentions));
   // The degraded cycle completes and detection effectiveness is unharmed:
   // mention output is identical (the fallback only changes embeddings).
   const double clean_f1 = EvaluateMentions(d, clean.mentions).f1;
   const double degraded_f1 = EvaluateMentions(d, degraded.mentions).f1;
   EXPECT_NEAR(degraded_f1, clean_f1, 1e-9);
   EXPECT_EQ(clean.mentions, degraded.mentions);
+}
+
+TEST(FailureInjectionTest, PhraseEmbedderRetryCoversOneTweetsCall) {
+  // One embedding call per tweet with in-range deep mentions: a single
+  // injected fault costs one retry of that call, whatever its mention count,
+  // and nothing degrades.
+  FailpointGuard guard;
+  Dataset d;
+  d.tweets = {
+      FiTweet(1, "Beshear briefing on coronavirus"),
+      FiTweet(2, "nothing to see here"),
+      FiTweet(3, "coronavirus and Beshear and coronavirus"),
+      FiTweet(4, "meeting with Beshear now"),
+  };
+  struct Run {
+    GlobalizerOutput out;
+    std::vector<std::vector<float>> sums;
+    int hits = 0;
+    int tweets_embedded = 0;
+  };
+  auto run = [&](bool inject) {
+    if (inject) {
+      failpoint::EnableAfter("core.phrase_embedder.embed",
+                             Status::Unavailable("embedder blip"), /*skip=*/0,
+                             /*max_fires=*/1);
+    }
+    MockLocalSystem deep_mock({{.phrase = {"beshear"}},
+                               {.phrase = {"coronavirus"}}},
+                              /*dim=*/8);
+    PhraseEmbedder pe(8, 4);
+    FakeClock clock;
+    GlobalizerOptions opt;
+    opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+    opt.resilience.phrase_embedder.max_attempts = 2;
+    opt.resilience.clock = &clock;
+    Globalizer g(&deep_mock, &pe, nullptr, opt);
+    Run r;
+    r.out = g.Run(d).value();
+    r.hits = failpoint::HitCount("core.phrase_embedder.embed");
+    failpoint::DisableAll();
+    for (size_t id = 0; id < g.candidate_base().size(); ++id) {
+      const Mat& sum = g.candidate_base().at(static_cast<int>(id)).embedding_sum;
+      r.sums.emplace_back(sum.data(), sum.data() + sum.size());
+    }
+    for (size_t i = 0; i < g.tweet_base().size(); ++i) {
+      if (!g.tweet_base().mentions(i).empty()) ++r.tweets_embedded;
+    }
+    return r;
+  };
+  const Run clean = run(false);
+  const Run faulty = run(true);
+
+  ASSERT_EQ(clean.tweets_embedded, 3);
+  EXPECT_EQ(clean.out.num_retries, 0);
+  EXPECT_EQ(faulty.out.num_retries, 1);
+  EXPECT_EQ(faulty.out.num_degraded, 0);
+  EXPECT_EQ(faulty.hits, faulty.tweets_embedded + 1);
+  EXPECT_EQ(clean.out.mentions, faulty.out.mentions);
+  ASSERT_EQ(clean.sums.size(), faulty.sums.size());
+  for (size_t id = 0; id < clean.sums.size(); ++id) {
+    ASSERT_EQ(clean.sums[id].size(), faulty.sums[id].size());
+    ASSERT_FALSE(clean.sums[id].empty()) << "candidate " << id;
+    EXPECT_EQ(0, std::memcmp(clean.sums[id].data(), faulty.sums[id].data(),
+                             clean.sums[id].size() * sizeof(float)))
+        << "candidate " << id;
+  }
 }
 
 TEST(FailureInjectionTest, ClassifierFaultDegradesToMentionExtraction) {

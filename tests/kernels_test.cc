@@ -8,7 +8,9 @@
 // Also pins the row independence of the Entity Classifier's batched forward,
 // which incremental Finalize relies on: a row's probability has the same
 // bits in any batch, in any order, and through per-row TryEvaluate — under
-// whichever fp32 backend EMD_BACKEND selects and with int8 packing.
+// whichever fp32 backend EMD_BACKEND selects and with int8 packing. The
+// Entity Phrase Embedder's span batches carry the same contract: a mention's
+// embedding does not depend on the other mentions of its tweet.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "core/entity_classifier.h"
+#include "core/phrase_embedder.h"
 #include "nn/activations.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
@@ -390,6 +393,60 @@ TEST(ClassifierRowIndependenceTest, SubsetsAndPermutationsKeepEveryRowsBits) {
         EXPECT_EQ(0, std::memcmp(&probs[k], &full[order[k]], sizeof(float)))
             << "row " << order[k] << " at position " << k << " of " << size;
       }
+    }
+  }
+}
+
+// The re-scan stage embeds all of a tweet's in-range mentions in one
+// TryEmbedSpans call, so which other mentions share the call must not move
+// a mention's embedding by a single bit.
+TEST(PhraseEmbedderRowIndependenceTest, SubsetsAndPermutationsKeepEveryRowsBits) {
+  constexpr int kInDim = 24, kOutDim = 10, kTokens = 19, kSpans = 37;
+  PhraseEmbedder pe(kInDim, kOutDim, /*seed=*/89);
+  Rng rng(97);
+  Mat tokens(kTokens, kInDim);
+  tokens.InitGaussian(&rng, 1.f);
+  std::vector<TokenSpan> spans(kSpans);
+  for (TokenSpan& span : spans) {
+    span.begin = static_cast<size_t>(rng.NextInt(0, kTokens - 1));
+    span.end = std::min<size_t>(
+        kTokens, span.begin + 1 + static_cast<size_t>(rng.NextInt(0, 5)));
+  }
+  auto expect_rows = [&](const Mat& got, const std::vector<int>& which,
+                         const Mat& all) {
+    ASSERT_EQ(got.rows(), static_cast<int>(which.size()));
+    ASSERT_EQ(got.cols(), kOutDim);
+    for (int k = 0; k < got.rows(); ++k) {
+      EXPECT_EQ(0, std::memcmp(got.row(k), all.row(which[k]),
+                               sizeof(float) * kOutDim))
+          << "span " << which[k] << " at position " << k << " of "
+          << which.size();
+    }
+  };
+
+  for (const bool int8 : {false, true}) {
+    SCOPED_TRACE(int8 ? "int8 packed" : kernels::BackendName());
+    if (int8) pe.PrepareQuantizedInference();
+    ForwardArena arena;
+    Mat all;
+    ASSERT_TRUE(pe.TryEmbedSpans(tokens, spans, &arena, &all).ok());
+
+    std::vector<int> order(kSpans);
+    for (int i = 0; i < kSpans; ++i) order[i] = i;
+    Mat got;
+    for (int i = 0; i < kSpans; ++i) {
+      ASSERT_TRUE(pe.TryEmbedSpans(tokens, {&spans[i], 1}, &arena, &got).ok());
+      expect_rows(got, {i}, all);
+      expect_rows(pe.Embed(tokens, spans[i]), {i}, all);
+    }
+    // Random subsets of every size class in shuffled order.
+    for (const int size : {1, 2, 3, 5, 8, 13, 21, kSpans}) {
+      rng.Shuffle(&order);
+      const std::vector<int> which(order.begin(), order.begin() + size);
+      std::vector<TokenSpan> sub;
+      for (int i : which) sub.push_back(spans[i]);
+      ASSERT_TRUE(pe.TryEmbedSpans(tokens, sub, &arena, &got).ok());
+      expect_rows(got, which, all);
     }
   }
 }

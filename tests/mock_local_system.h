@@ -112,10 +112,11 @@ class MockLocalSystem : public LocalEmdSystem {
 };
 
 /// While alive, forces the Globalizer onto its resilient paths — per-tweet
-/// LocalEmdResilient, per-mention phrase embedding, per-row classification —
-/// by arming a failpoint that no code evaluates: AnyArmed() is true, yet
-/// nothing ever fires. The reference those paths give must match the
-/// batched happy path bit for bit.
+/// LocalEmdResilient and per-row classification — by arming a failpoint
+/// that no code evaluates: AnyArmed() is true, yet nothing ever fires. The
+/// reference those paths give must match the batched happy path bit for
+/// bit. The re-scan stage has one embedding path, so it runs the same code
+/// either way.
 class ForceResilientPath {
  public:
   ForceResilientPath() {

@@ -324,9 +324,11 @@ TEST(ParallelPipelineTest, UnsafeSystemWithWorkerReplicasFansOutAndMatches) {
 // ---------------------------------------------------------------------------
 //
 // The reference is the resilient path, forced by ForceResilientPath: local
-// EMD one TryProcess per tweet, per-mention phrase embedding and per-row
-// classification. The happy path — ProcessBatched chunks, fused span
-// embedding, batched classification — must match it bit for bit.
+// EMD one TryProcess per tweet and per-row classification. The happy path —
+// ProcessBatched chunks and batched classification — must match it bit for
+// bit. Both take the one re-scan embedding path (each tweet's spans in one
+// TryEmbedSpans call); kernels_test's PhraseEmbedderRowIndependenceTest pins
+// that a row of that call does not depend on the tweet's other spans.
 
 // Like ParallelStream but with an empty tweet and a one-token tweet mixed in,
 // so the ragged batch packer sees zero-length and minimal sequences.
@@ -354,8 +356,8 @@ TEST(ParallelPipelineTest, TokenBatchedSerialMatchesPerTweetBitForBit) {
     rr = RunStream(&resilient, d, /*batch_size=*/5);
   }
 
-  // Happy path: whole batch slots go through ProcessBatched and the fused
-  // span-embedding GEMM. Output must be bit-identical.
+  // Happy path: whole batch slots go through ProcessBatched. Output must be
+  // bit-identical.
   MockLocalSystem batched_mock(StreamRules(), kDim);
   Globalizer batched(&batched_mock, &pe, nullptr, opt);
   RunResult br = RunStream(&batched, d, /*batch_size=*/5);
