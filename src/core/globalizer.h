@@ -337,7 +337,7 @@ class Globalizer {
   /// One tweet's re-scan stage: extracted mentions with their local
   /// embeddings (embeddings[e] for extracted[e]; an empty Mat contributes
   /// nothing), pooled into the CandidateBase by the deterministic merge.
-  /// `retries` and `degraded` come from the tweet's one embedding call.
+  /// `retries` and `degraded` count the tweet's embedding step.
   struct ExtractStage {
     std::vector<ExtractedMention> extracted;
     std::vector<Mat> embeddings;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/globalizer.h"
+#include "core/phrase_embedder.h"
 #include "mock_local_system.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
@@ -163,6 +164,25 @@ TEST(TraceSpanTest, SpanFeedsTheStageLatencyHistogram) {
   const uint64_t before = h->count();
   { EMD_TRACE_SPAN("obs_test_stage"); }
   EXPECT_EQ(h->count(), before + 1);
+}
+
+TEST(TraceSpanTest, PhraseEmbedSpanOncePerTweetWithMentions) {
+  // One span per re-scanned tweet that has mentions, on the happy path too:
+  // it wraps the tweet's one Entity Phrase Embedder call.
+  MockLocalSystem deep_mock({{.phrase = {"beshear"}}}, /*dim=*/8);
+  PhraseEmbedder pe(8, 4);
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  Globalizer g(&deep_mock, &pe, nullptr, opt);
+  const std::vector<AnnotatedTweet> batch = {
+      MakeTweet(1, "Beshear spoke and Beshear left"),
+      MakeTweet(2, "nothing to report"),
+      MakeTweet(3, "meeting with Beshear now"),
+  };
+  obs::Histogram* h = obs::Metrics().StageLatency("phrase_embed");
+  const uint64_t before = h->count();
+  ASSERT_TRUE(g.ProcessBatch(batch).ok());
+  EXPECT_EQ(h->count(), before + 2);
 }
 
 // ------------------------------------------------------------- Exporters --
