@@ -43,7 +43,7 @@ int main() {
       if (!cb.Contains(static_cast<int>(c))) continue;
       const CandidateRecord& rec = cb.at(static_cast<int>(c));
       if (!gold_keys.count(rec.key)) continue;  // only true entities
-      const int freq = static_cast<int>(rec.mentions.size());
+      const int freq = static_cast<int>(rec.num_mentions);
       if (freq <= 0) continue;
       const int bin = std::min(kNumBins - 1, (freq - 1) / 5);
       ++total[bin];

@@ -120,7 +120,7 @@ void BM_IncrementalPooling(benchmark::State& state) {
   for (auto _ : state) {
     CandidateBase base;
     base.GetOrCreate(0, "bench", 2);
-    for (const auto& e : embeddings) base.AddMention(0, {}, e);
+    for (const auto& e : embeddings) base.AddMention(0, 0, e);
     benchmark::DoNotOptimize(base.at(0).GlobalEmbedding());
   }
 }

@@ -1,7 +1,7 @@
 // CandidateBase — per-candidate record store of §V-C. Maintains, for every
 // entity candidate discovered during Local EMD, the incrementally pooled
-// global embedding over the local embeddings of its mentions, plus the
-// mention list and the classifier's label.
+// global embedding over the local embeddings of its mentions, a mention
+// count (the mentions live in the TweetBase) and the classifier's label.
 //
 // Memory governance: pooling can be exponentially time-decayed (configurable
 // half-life in stream positions) so stale evidence fades; cold candidates can
@@ -12,10 +12,10 @@
 // Byte accounting: the live records' payload bytes (CandidateRecord::
 // ApproxBytes) are a running sum adjusted by GetOrCreate, AddMention and
 // Evict, so ApproxBytes() is O(1). Those are the only mutations of a
-// record's footprint fields (key, mentions, embedding_sum,
-// mention_embeddings); callers of the mutable at() write labels, scores
-// and positions only. The checkpoint restore, which fills records field by
-// field, calls RebuildByteTotals() once afterwards.
+// record's footprint fields (key, embedding_sum, mention_embeddings);
+// callers of the mutable at() write labels, scores and positions only. The
+// checkpoint restore, which fills records field by field, calls
+// RebuildByteTotals() once afterwards.
 
 #ifndef EMD_CORE_CANDIDATE_BASE_H_
 #define EMD_CORE_CANDIDATE_BASE_H_
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "nn/matrix.h"
-#include "text/token.h"
 #include "util/logging.h"
 
 namespace emd {
@@ -38,19 +37,12 @@ enum class CandidateLabel { kUnlabeled, kEntity, kNonEntity, kAmbiguous };
 
 const char* CandidateLabelName(CandidateLabel label);
 
-/// Location of one mention of a candidate.
-struct MentionRef {
-  size_t tweet_index = 0;  // dense index into the TweetBase
-  TokenSpan span;
-  bool locally_detected = false;
-};
-
 /// One candidate record.
 struct CandidateRecord {
   int candidate_id = -1;
   std::string key;      // case-folded surface ("andy beshear")
   int num_tokens = 0;
-  std::vector<MentionRef> mentions;
+  uint32_t num_mentions = 0;  // the TweetBase mentions carrying this id
 
   /// Running (optionally decayed) sum of local mention embeddings; the global
   /// embedding is sum / weight. Without decay, weight == embedding_count
@@ -87,8 +79,7 @@ struct CandidateRecord {
 
   /// Heap bytes attributable to this record (estimate for budget accounting).
   size_t ApproxBytes() const {
-    size_t bytes = key.capacity() + mentions.capacity() * sizeof(MentionRef) +
-                   embedding_sum.size() * sizeof(float);
+    size_t bytes = key.capacity() + embedding_sum.size() * sizeof(float);
     for (const Mat& m : mention_embeddings) bytes += m.size() * sizeof(float);
     bytes += mention_embeddings.capacity() * sizeof(Mat);
     return bytes;
@@ -137,18 +128,15 @@ class CandidateBase {
 
   size_t size() const { return records_.size(); }
 
-  /// Adds a mention and pools its local embedding into the global embedding
-  /// (incremental update of §V: "the global embedding can be incrementally
-  /// updated ... as and when new mentions arrive"). With a decay half-life
-  /// configured, earlier evidence is scaled by lambda^(Δpos) before the new
-  /// embedding joins the pool, where Δpos is the stream distance since the
-  /// last pooled mention.
-  void AddMention(int candidate_id, const MentionRef& mention, const Mat& local_emb) {
+  /// Counts a mention at stream position `pos` (its tweet index) and pools
+  /// its local embedding into the global embedding (incremental update of
+  /// §V: "the global embedding can be incrementally updated ... as and when
+  /// new mentions arrive"). With a decay half-life configured, earlier
+  /// evidence is scaled by lambda^(Δpos) before the new embedding joins the
+  /// pool, where Δpos is the stream distance since the last pooled mention.
+  void AddMention(int candidate_id, uint64_t pos, const Mat& local_emb) {
     CandidateRecord& rec = at(candidate_id);
-    record_bytes_ -= rec.mentions.capacity() * sizeof(MentionRef);
-    rec.mentions.push_back(mention);
-    record_bytes_ += rec.mentions.capacity() * sizeof(MentionRef);
-    const uint64_t pos = static_cast<uint64_t>(mention.tweet_index);
+    ++rec.num_mentions;
     if (pos > rec.last_mention_pos) rec.last_mention_pos = pos;
     if (local_emb.empty()) return;
     if (rec.embedding_sum.empty()) {

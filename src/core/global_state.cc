@@ -291,10 +291,10 @@ bool ShardedGlobalState::Contains(int gid) const {
   return shards_[r.shard].candidates.Contains(r.local);
 }
 
-void ShardedGlobalState::AddMention(int gid, const MentionRef& mention,
+void ShardedGlobalState::AddMention(int gid, uint64_t pos,
                                     const Mat& local_emb) {
   const GidRef r = ref(gid);
-  shards_[r.shard].candidates.AddMention(r.local, mention, local_emb);
+  shards_[r.shard].candidates.AddMention(r.local, pos, local_emb);
 }
 
 void ShardedGlobalState::Evict(int gid) {

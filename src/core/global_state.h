@@ -135,8 +135,8 @@ class ShardedGlobalState {
   CandidateRecord& at(int gid);
   const CandidateRecord& at(int gid) const;
   bool Contains(int gid) const;
-  /// Adds a mention + pools its embedding. Mutates only the owning shard.
-  void AddMention(int gid, const MentionRef& mention, const Mat& local_emb);
+  /// Counts a mention at tweet `pos` + pools its embedding. Owning shard only.
+  void AddMention(int gid, uint64_t pos, const Mat& local_emb);
   /// Frees the record, preserving its final label in the shard's side table
   /// and freezing it in the label column; drops any dirty mark.
   void Evict(int gid);

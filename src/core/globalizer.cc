@@ -499,7 +499,7 @@ void Globalizer::ExtractAndPool(size_t first_index) {
 
   // Shard-aware deterministic merge barrier. Phase A walks the batch in
   // tweet order — counters, the longest-match rewrite of each record's
-  // mention list, record creation — and queues every (gid, mention,
+  // mention list, record creation — and queues every (gid, tweet index,
   // embedding) pooling op into its candidate's shard bucket, still in tweet
   // order. Phase B drains the buckets: serially when single-threaded or
   // single-sharded (byte-for-byte the historical merge loop), else one
@@ -509,7 +509,7 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   // single-shard pipeline.
   struct PoolOp {
     int gid;
-    MentionRef ref;
+    uint64_t pos;
     const Mat* embedding;
   };
   const bool sharded_merge = state_.shard_count() > 1 &&
@@ -545,17 +545,13 @@ void Globalizer::ExtractAndPool(size_t first_index) {
                       [&](const RecordedMention& l) { return l.span == em.span; });
       merged_mentions_.push_back(m);
 
-      MentionRef ref;
-      ref.tweet_index = i;
-      ref.span = em.span;
-      ref.locally_detected = m.locally_detected;
       state_.GetOrCreate(em.candidate_id);
       state_.MarkDirty(em.candidate_id);
       if (sharded_merge) {
         pool_ops[state_.ShardOf(em.candidate_id)].push_back(
-            {em.candidate_id, ref, &stage.embeddings[e]});
+            {em.candidate_id, i, &stage.embeddings[e]});
       } else {
-        state_.AddMention(em.candidate_id, ref, stage.embeddings[e]);
+        state_.AddMention(em.candidate_id, i, stage.embeddings[e]);
       }
     }
     merged_counts_[idx] = stage.extracted.size();
@@ -569,7 +565,7 @@ void Globalizer::ExtractAndPool(size_t first_index) {
     // CandidateBase. `staged` embeddings stay alive until after this barrier.
     pool_->ParallelFor(pool_ops.size(), [&](int /*slot*/, size_t s) {
       for (const PoolOp& op : pool_ops[s]) {
-        state_.AddMention(op.gid, op.ref, *op.embedding);
+        state_.AddMention(op.gid, op.pos, *op.embedding);
       }
     });
   }

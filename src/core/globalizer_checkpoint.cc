@@ -26,7 +26,8 @@
 //   CandidateBase: u64 slots (== num_gids in v5); per slot (gid order):
 //              u8 present; when present:
 //              string key, i32 num_tokens, mentions[u32: u64 tweet_index,
-//              u64 span.begin, u64 span.end, u8 locally_detected],
+//              u64 span.begin, u64 span.end, u8 locally_detected] (this
+//              gid's TweetBase mentions; restore refuses any other list),
 //              embedding_sum[i32 rows, i32 cols, f32 data...],
 //              i32 embedding_count,
 //              [v4+] f64 embedding_weight, u64 last_update_pos,
@@ -205,6 +206,21 @@ Status ReadMetricsBlock(binio::Reader* reader, obs::MetricsSnapshot* snap) {
   return Status::OK();
 }
 
+/// Each gid's TweetBase mentions as (tweet index, mention), in tweet order
+/// and then position within the tweet: the order ExtractAndPool counts them
+/// in, at any shard or thread count. Mentions with no candidate are left out.
+using TweetMention = std::pair<uint64_t, RecordedMention>;
+std::vector<std::vector<TweetMention>> MentionsByGid(const TweetBase& tweets,
+                                                     size_t num_gids) {
+  std::vector<std::vector<TweetMention>> by_gid(num_gids);
+  for (size_t i = 0; i < tweets.size(); ++i) {
+    for (const RecordedMention& m : tweets.mentions(i)) {
+      if (m.candidate_id >= 0) by_gid[m.candidate_id].emplace_back(i, m);
+    }
+  }
+  return by_gid;
+}
+
 obs::Counter* CheckpointSavesCounter() {
   static obs::Counter* const counter = obs::Metrics().GetCounter(
       "checkpoint_saves_total", "Checkpoints written successfully");
@@ -294,6 +310,7 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
   }
 
   // CandidateBase: one slot per gid, in gid order across shards.
+  const auto by_gid = MentionsByGid(tweets_, static_cast<size_t>(num_gids));
   binio::AppendU64(&buf, static_cast<uint64_t>(num_gids));
   for (int id = 0; id < num_gids; ++id) {
     const bool present = state_.Contains(id);
@@ -309,9 +326,9 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     const CandidateRecord& rec = state_.at(id);
     binio::AppendString(&buf, rec.key);
     binio::AppendI32(&buf, rec.num_tokens);
-    binio::AppendU32(&buf, static_cast<uint32_t>(rec.mentions.size()));
-    for (const MentionRef& m : rec.mentions) {
-      binio::AppendU64(&buf, m.tweet_index);
+    binio::AppendU32(&buf, static_cast<uint32_t>(by_gid[id].size()));
+    for (const auto& [tweet_index, m] : by_gid[id]) {
+      binio::AppendU64(&buf, tweet_index);
       binio::AppendU64(&buf, m.span.begin);
       binio::AppendU64(&buf, m.span.end);
       binio::AppendU8(&buf, m.locally_detected ? 1 : 0);
@@ -598,6 +615,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
 
   // CandidateBase. Slots are gid-ordered; v5 always writes one per gid,
   // earlier versions wrote only up to the highest created record.
+  const auto by_gid = MentionsByGid(tweets, num_candidates);
   uint64_t num_slots = 0;
   EMD_RETURN_IF_ERROR(reader.ReadU64(&num_slots));
   if (num_slots > num_candidates ||
@@ -635,24 +653,25 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     uint32_t num_mentions = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinCandidateMentionBytes,
                                   "candidate mention", &num_mentions));
-    rec.mentions.reserve(num_mentions);
-    for (uint32_t m = 0; m < num_mentions; ++m) {
-      MentionRef ref;
-      uint64_t tweet_index = 0, begin = 0, end = 0;
+    // The list must be this gid's TweetBase mentions (which bounds every
+    // tweet index), or a re-save would not reproduce it; its length is kept.
+    const std::vector<TweetMention>& want = by_gid[c];
+    bool same = num_mentions == want.size();
+    for (uint32_t m = 0; same && m < num_mentions; ++m) {
+      uint64_t tweet = 0, begin = 0, end = 0;
       uint8_t local = 0;
-      EMD_RETURN_IF_ERROR(reader.ReadU64(&tweet_index));
+      EMD_RETURN_IF_ERROR(reader.ReadU64(&tweet));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&begin));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&end));
       EMD_RETURN_IF_ERROR(reader.ReadU8(&local));
-      if (tweet_index >= num_tweets) {
-        return Status::Corruption("checkpoint ", path, " mention tweet index ",
-                                  tweet_index, " out of range");
-      }
-      ref.tweet_index = tweet_index;
-      ref.span = TokenSpan{begin, end};
-      ref.locally_detected = local != 0;
-      rec.mentions.push_back(ref);
+      same = want[m] == TweetMention{tweet, {{begin, end}, int(c), local != 0}};
+      rec.last_mention_pos = tweet;  // tweet order: the last is the largest
     }
+    if (!same) {
+      return Status::Corruption("checkpoint ", path, " candidate ", c,
+                                " mentions disagree with the TweetBase");
+    }
+    rec.num_mentions = num_mentions;
     EMD_RETURN_IF_ERROR(ReadMat(&reader, &rec.embedding_sum));
     EMD_RETURN_IF_ERROR(reader.ReadI32(&rec.embedding_count));
     if (version >= 4) {
@@ -661,12 +680,8 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       EMD_RETURN_IF_ERROR(reader.ReadU64(&rec.last_mention_pos));
     } else {
       // Pre-governance checkpoints: undecayed pooling (weight == count) with
-      // recency derived from the mention list.
+      // recency derived from the mention list while it was parsed.
       rec.embedding_weight = static_cast<double>(rec.embedding_count);
-      for (const MentionRef& m : rec.mentions) {
-        const uint64_t pos = static_cast<uint64_t>(m.tweet_index);
-        if (pos > rec.last_mention_pos) rec.last_mention_pos = pos;
-      }
       rec.last_update_pos = rec.last_mention_pos;
     }
     uint8_t label = 0;

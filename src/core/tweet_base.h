@@ -47,6 +47,7 @@ struct RecordedMention {
   /// True when Local EMD itself produced this mention (vs recovered by the
   /// Candidate Mention Extraction re-scan).
   bool locally_detected = false;
+  bool operator==(const RecordedMention&) const = default;
 };
 
 /// One sentence record. Its mentions are held by the TweetBase.

@@ -184,7 +184,7 @@ std::vector<MultiStreamService::CandidateHit> MultiStreamService::QueryCandidate
     hit.stream_id = static_cast<int>(sid);
     hit.candidate_id = gid;
     hit.label = rec.label;
-    hit.num_mentions = static_cast<uint32_t>(rec.mentions.size());
+    hit.num_mentions = rec.num_mentions;
     hits.push_back(hit);
   }
   return hits;

@@ -13,7 +13,10 @@
 //   * ShardedGlobalState at shards {1, 4, 13} with per-shard pooling from
 //     {1, 4} threads, evict + prune recycling symbol ids;
 //   * the Globalizer under a byte budget at shards {1, 4, 13} x threads
-//     {1, 4}, and checkpoint restore into a different shard count;
+//     {1, 4}, checkpoint restore into a different shard count, and
+//     save -> restore -> save reproducing the state bytes;
+//   * every live candidate's mention count and recency against the
+//     TweetBase, ungoverned and evicting, at shards {1, 3} x threads {1, 4};
 //   * kLocalOnly Finalize output against the local system's own spans, and
 //     the merge's locally_detected flags against them.
 
@@ -34,9 +37,11 @@
 #include "core/phrase_embedder.h"
 #include "core/tweet_base.h"
 #include "mock_local_system.h"
+#include "obs/metrics.h"
 #include "stream/datasets.h"
 #include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
+#include "util/file_io.h"
 #include "util/rng.h"
 
 namespace emd {
@@ -128,12 +133,10 @@ TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
         base.GetOrCreate(next_id, key, 1);
         live.push_back(next_id++);
       } else if (r < 0.9) {
-        MentionRef ref;
-        ref.tweet_index = static_cast<size_t>(step);
-        ref.span = {0, 1};
         // An empty embedding records the mention without pooling it.
         const Mat emb = rng.NextBernoulli(0.1) ? Mat() : RandomEmbedding(&rng, 6);
-        base.AddMention(live[rng.NextU64(live.size())], ref, emb);
+        base.AddMention(live[rng.NextU64(live.size())],
+                        static_cast<uint64_t>(step), emb);
       } else {
         const size_t k = rng.NextU64(live.size());
         base.Evict(live[k]);
@@ -290,25 +293,22 @@ void ChurnShardedState(int shards, int threads, uint64_t seed) {
     // two of which ever touch the same shard.
     struct Op {
       int gid;
-      MentionRef ref;
+      uint64_t pos;
       Mat emb;
     };
     std::vector<std::vector<Op>> ops(static_cast<size_t>(shards));
     for (int k = rng.NextInt(5, 40); k > 0 && !live.empty(); --k) {
       const int gid = live[rng.NextU64(live.size())];
-      MentionRef ref;
-      ref.tweet_index = pos;
-      pos += rng.NextU64(3);
-      ref.span = {0, 1};
       state.MarkDirty(gid);
-      ops[state.ShardOf(gid)].push_back({gid, ref, RandomEmbedding(&rng, 5)});
+      ops[state.ShardOf(gid)].push_back({gid, pos, RandomEmbedding(&rng, 5)});
+      pos += rng.NextU64(3);
     }
     std::vector<std::thread> workers;
     for (int t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         for (size_t s = static_cast<size_t>(t); s < ops.size();
              s += static_cast<size_t>(threads)) {
-          for (const Op& op : ops[s]) state.AddMention(op.gid, op.ref, op.emb);
+          for (const Op& op : ops[s]) state.AddMention(op.gid, op.pos, op.emb);
         }
       });
     }
@@ -451,6 +451,58 @@ TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
   }
 }
 
+/// A candidate keeps only a count; the TweetBase keeps its mentions. For
+/// every live gid, num_mentions is the number of TweetBase mentions carrying
+/// it and last_mention_pos the largest tweet index among them.
+void ExpectCountsMatchTheTweetBase(const Globalizer& g) {
+  const ShardedGlobalState& state = g.global_state();
+  const TweetBase& tweets = g.tweet_base();
+  std::vector<uint32_t> count(state.num_candidates(), 0);
+  std::vector<uint64_t> last(state.num_candidates(), 0);
+  for (size_t i = 0; i < tweets.size(); ++i) {
+    for (const RecordedMention& m : tweets.mentions(i)) {
+      if (m.candidate_id < 0) continue;
+      ASSERT_LT(m.candidate_id, state.num_candidates());
+      ++count[m.candidate_id];
+      last[m.candidate_id] = i;
+    }
+  }
+  int live = 0;
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    if (!state.Contains(gid)) continue;
+    ++live;
+    EXPECT_EQ(state.at(gid).num_mentions, count[gid]) << "gid " << gid;
+    EXPECT_EQ(state.at(gid).last_mention_pos, last[gid]) << "gid " << gid;
+  }
+  EXPECT_GT(live, 0);
+}
+
+TEST(AccountingTest, MentionCountsMatchTheTweetBase) {
+  const Dataset d = ChurnStream(480, 53);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  for (const bool governed : {false, true}) {
+    for (const int shards : {1, 3}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE(std::string(governed ? "governed" : "ungoverned") +
+                     " S=" + std::to_string(shards) +
+                     " T=" + std::to_string(threads));
+        GlobalizerOptions opt = GovernedOptions(shards, threads);
+        if (!governed) opt.memory = MemoryGovernorOptions();
+        MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+        PhraseEmbedder pe(6, 4);
+        Globalizer g(&mock, &pe, nullptr, opt);
+        for (size_t b = 0; b < batches; ++b) {
+          ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+          ASSERT_NO_FATAL_FAILURE(ExpectCountsMatchTheTweetBase(g))
+              << "batch " << b;
+        }
+        EXPECT_EQ(g.memory_governor().stats().evicted_candidates > 0,
+                  governed);
+      }
+    }
+  }
+}
+
 TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
   const Dataset d = ChurnStream(320, 43);
   const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
@@ -476,6 +528,62 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
       ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g)) << "batch " << b;
     }
   }
+  std::remove(path.c_str());
+}
+
+/// Byte length of the metrics block SaveCheckpoint appends for `snap` (its
+/// layout is in globalizer_checkpoint.cc). Every field but the strings has a
+/// fixed width, so the block's length depends on the registered names only.
+size_t MetricsBlockBytes(const obs::MetricsSnapshot& snap) {
+  auto strings = [](const auto& s) {
+    return 4 * 4 + s.name.size() + s.help.size() + s.label.key.size() +
+           s.label.value.size();
+  };
+  size_t bytes = 4 + 4;  // counter and histogram counts
+  for (const auto& c : snap.counters) bytes += strings(c) + 8;
+  for (const auto& h : snap.histograms) {
+    bytes += strings(h) + 4 + 8 * h.bounds.size() +
+             8 * (h.bounds.size() + 1) + 8 + 8;
+  }
+  return bytes;
+}
+
+/// Saves `g` to `path` and returns the state section: the checkpoint bytes
+/// before the metrics block, which holds process-wide counters. The first
+/// save registers every metric the save path uses, so the snapshot taken
+/// before the second has the same names as the block that save writes.
+std::string SavedStateSection(const Globalizer& g, const std::string& path) {
+  EXPECT_TRUE(g.SaveCheckpoint(path).ok());
+  const size_t metrics = MetricsBlockBytes(obs::Metrics().Snapshot());
+  EXPECT_TRUE(g.SaveCheckpoint(path).ok());
+  const std::string bytes = ReadFileToString(path).value();
+  EXPECT_GT(bytes.size(), metrics + sizeof(uint32_t));
+  return bytes.substr(0, bytes.size() - metrics - sizeof(uint32_t));
+}
+
+// Candidates store no mention list; the writer rebuilds each from the
+// TweetBase. A restored governed, sharded state with eviction holes must
+// re-save to the same state bytes.
+TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
+  const Dataset d = ChurnStream(320, 59);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  const std::string path = ::testing::TempDir() + "emd_accounting_resave.ckpt";
+  MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+  PhraseEmbedder pe(6, 4);
+  Globalizer saved(&mock, &pe, nullptr, GovernedOptions(3, 4));
+  saved.mutable_candidate_base().set_retain_mention_embeddings(true);
+  for (size_t b = 0; b < batches; ++b) {
+    ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
+  }
+  ASSERT_GT(saved.memory_governor().stats().evicted_candidates, 0u);
+  const std::string first = SavedStateSection(saved, path);
+
+  Globalizer restored(&mock, &pe, nullptr, GovernedOptions(3, 4));
+  restored.mutable_candidate_base().set_retain_mention_embeddings(true);
+  ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
+  const std::string second = SavedStateSection(restored, path);
+  ASSERT_EQ(first.size(), second.size());
+  EXPECT_TRUE(first == second) << "state sections differ";
   std::remove(path.c_str());
 }
 

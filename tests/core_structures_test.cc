@@ -283,21 +283,21 @@ TEST(CandidateBaseTest, IncrementalPoolingEqualsBatchMean) {
     Mat e(1, 4);
     e.InitGaussian(&rng, 1.f);
     sum.Add(e);
-    base.AddMention(0, {}, e);
+    base.AddMention(0, 0, e);
   }
   Mat mean = sum;
   mean.Scale(1.f / n);
   Mat global = base.at(0).GlobalEmbedding();
   for (int j = 0; j < 4; ++j) EXPECT_NEAR(global(0, j), mean(0, j), 1e-5);
-  EXPECT_EQ(base.at(0).mentions.size(), 7u);
+  EXPECT_EQ(base.at(0).num_mentions, 7u);
 }
 
 TEST(CandidateBaseTest, RetainMentionEmbeddings) {
   CandidateBase base;
   base.set_retain_mention_embeddings(true);
   base.GetOrCreate(0, "x", 1);
-  base.AddMention(0, {}, Mat(1, 2, {1, 2}));
-  base.AddMention(0, {}, Mat(1, 2, {3, 4}));
+  base.AddMention(0, 0, Mat(1, 2, {1, 2}));
+  base.AddMention(0, 0, Mat(1, 2, {3, 4}));
   ASSERT_EQ(base.at(0).mention_embeddings.size(), 2u);
   EXPECT_FLOAT_EQ(base.at(0).mention_embeddings[1](0, 1), 4.f);
 }

@@ -792,6 +792,48 @@ TEST(FailureInjectionTest, CheckpointHugeMetricsHistogramCountIsCorruption) {
   ExpectHugeCountIsCorruption(&CountedCheckpoint::histograms);
 }
 
+// A candidate's mention list is a copy of the TweetBase's mentions of its
+// gid: restore refuses a file where the two disagree (a re-save could not
+// reproduce it), including an entry whose tweet index is out of range.
+TEST(FailureInjectionTest, CheckpointCandidateMentionsDisagreeingWithTweetBase) {
+  const std::string path = TempPath("emd_ckpt_candidate_mentions.bin");
+  const CountedCheckpoint valid = BuildCountedCheckpoint();
+  // Past the candidate's u32 count: u64 tweet_index, u64 span.begin,
+  // u64 span.end, u8 locally_detected.
+  const size_t entry = valid.candidate_mentions + 4;
+  struct Patch {
+    size_t offset;
+    char byte;
+    const char* what;
+  };
+  const Patch patches[] = {{valid.candidate_mentions, 0, "count 0 of 1"},
+                           {entry, 1, "tweet index out of range"},
+                           {entry + 8, 1, "span.begin"},
+                           {entry + 16, 2, "span.end"},
+                           {entry + 24, 0, "locally_detected"}};
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  for (const Patch& p : patches) {
+    SCOPED_TRACE(p.what);
+    std::string bad = valid.bytes;
+    ASSERT_NE(bad[p.offset], p.byte);
+    bad[p.offset] = p.byte;
+    const size_t body = bad.size() - sizeof(uint32_t);
+    const uint32_t crc = Crc32(bad.data(), body);
+    std::memcpy(bad.data() + body, &crc, sizeof(crc));
+    ASSERT_TRUE(WriteStringToFile(path, bad).ok());
+
+    MockLocalSystem mock({{.phrase = {"coronavirus"}}});
+    Globalizer fresh(&mock, nullptr, nullptr, opt);
+    const Status st = fresh.RestoreCheckpoint(path);
+    EXPECT_TRUE(st.IsCorruption()) << st;
+    EXPECT_NE(st.message().find("TweetBase"), std::string::npos) << st;
+    EXPECT_EQ(fresh.processed_tweets(), 0u);
+    EXPECT_EQ(fresh.global_state().num_candidates(), 0);
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(FailureInjectionTest, CheckpointModeMismatchRejected) {
   const std::string path = TempPath("emd_ckpt_mode.bin");
   MockLocalSystem mock({{.phrase = {"coronavirus"}}});

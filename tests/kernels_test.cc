@@ -79,29 +79,49 @@ TEST(KernelDispatchTest, DispatchReturnsKnownBackend) {
   EXPECT_EQ(&Kernels(), &k);
 }
 
+// The backend is resolved once per process, by the first kernel call, so
+// each EMD_BACKEND case runs `checks` in a child that gtest's threadsafe
+// death-test style starts by re-executing this binary: the child sets the
+// variable before anything in it resolves the backend, whatever ran earlier
+// in the parent. The child exits 0 only when every expectation held.
+void ExpectUnderBackendEnv(const char* value, void (*checks)()) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("EMD_BACKEND", value, /*overwrite=*/1);
+        checks();
+        std::exit(::testing::Test::HasFailure() ? 1 : 0);
+      },
+      ::testing::ExitedWithCode(0), "")
+      << "EMD_BACKEND=" << value;
+}
+
 TEST(KernelDispatchTest, BackendEnvScalarSelectsScalar) {
-  setenv("EMD_BACKEND", "scalar", /*overwrite=*/1);
-  EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kScalar);
-  EXPECT_FALSE(kernels::Int8Enabled());
-  EXPECT_STREQ(Kernels().name, "scalar");
-  EXPECT_STREQ(kernels::BackendName(), "scalar");
+  ExpectUnderBackendEnv("scalar", [] {
+    EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kScalar);
+    EXPECT_FALSE(kernels::Int8Enabled());
+    EXPECT_STREQ(Kernels().name, "scalar");
+    EXPECT_STREQ(kernels::BackendName(), "scalar");
+  });
 }
 
 TEST(KernelDispatchTest, BackendEnvInt8EnablesQuantizedInference) {
-  setenv("EMD_BACKEND", "int8", /*overwrite=*/1);
-  EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kInt8);
-  EXPECT_TRUE(kernels::Int8Enabled());
-  // The fp32 table still resolves (int8 covers the GEMM layers only), but
-  // the reported backend is the quantized one.
-  EXPECT_TRUE(std::string(Kernels().name) == "scalar" ||
-              std::string(Kernels().name) == "avx2");
-  EXPECT_STREQ(kernels::BackendName(), "int8");
+  ExpectUnderBackendEnv("int8", [] {
+    EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kInt8);
+    EXPECT_TRUE(kernels::Int8Enabled());
+    // The fp32 table still resolves (int8 covers the GEMM layers only), but
+    // the reported backend is the quantized one.
+    EXPECT_TRUE(std::string(Kernels().name) == "scalar" ||
+                std::string(Kernels().name) == "avx2");
+    EXPECT_STREQ(kernels::BackendName(), "int8");
+  });
 }
 
 TEST(KernelDispatchTest, BackendEnvUnknownFallsBackToAuto) {
-  setenv("EMD_BACKEND", "tpu", /*overwrite=*/1);
-  EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kAuto);
-  EXPECT_FALSE(kernels::Int8Enabled());
+  ExpectUnderBackendEnv("tpu", [] {
+    EXPECT_EQ(kernels::SelectedBackend(), kernels::BackendSelect::kAuto);
+    EXPECT_FALSE(kernels::Int8Enabled());
+  });
 }
 
 TEST(KernelParityTest, MatMul) {

@@ -163,8 +163,8 @@ TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
   Mat b(1, 2);
   b(0, 0) = 1.f;
   b(0, 1) = 1.f;
-  cb.AddMention(0, {.tweet_index = 0, .span = {0, 1}}, a);
-  cb.AddMention(0, {.tweet_index = 2, .span = {0, 1}}, b);
+  cb.AddMention(0, 0, a);
+  cb.AddMention(0, 2, b);
 
   // Two positions elapsed: old evidence decays by 0.5^2 = 0.25.
   const CandidateRecord& rec = cb.at(0);
@@ -187,8 +187,8 @@ TEST(DecayedPoolingTest, DecayOffIsBitExactLegacyMean) {
     a(0, j) = 0.1f * static_cast<float>(j + 1);
     b(0, j) = 0.7f - 0.2f * static_cast<float>(j);
   }
-  cb.AddMention(0, {.tweet_index = 0, .span = {0, 1}}, a);
-  cb.AddMention(0, {.tweet_index = 5, .span = {0, 1}}, b);
+  cb.AddMention(0, 0, a);
+  cb.AddMention(0, 5, b);
 
   const CandidateRecord& rec = cb.at(0);
   EXPECT_EQ(rec.embedding_weight, 2.0);  // exactly the count
@@ -210,8 +210,8 @@ TEST(DecayedPoolingTest, SamePositionMentionsDoNotDecayEachOther) {
   cb.GetOrCreate(0, "x", 1);
   Mat a(1, 1);
   a(0, 0) = 2.f;
-  cb.AddMention(0, {.tweet_index = 3, .span = {0, 1}}, a);
-  cb.AddMention(0, {.tweet_index = 3, .span = {1, 2}}, a);
+  cb.AddMention(0, 3, a);
+  cb.AddMention(0, 3, a);
   EXPECT_DOUBLE_EQ(cb.at(0).embedding_weight, 2.0);
   EXPECT_FLOAT_EQ(cb.at(0).embedding_sum(0, 0), 4.f);
 }

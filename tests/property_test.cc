@@ -60,7 +60,7 @@ TEST_P(SeededTest, PoolingIsOrderAndBatchInvariant) {
   auto pooled = [&](const std::vector<size_t>& order) {
     CandidateBase base;
     base.GetOrCreate(0, "x", 1);
-    for (size_t i : order) base.AddMention(0, {}, embeddings[i]);
+    for (size_t i : order) base.AddMention(0, 0, embeddings[i]);
     return base.at(0).GlobalEmbedding();
   };
   std::vector<size_t> order(n);

@@ -93,7 +93,7 @@ void ExpectSameGlobalState(const ShardedGlobalState& a,
     if (!a.Contains(gid)) continue;
     const CandidateRecord& ra = a.at(gid);
     const CandidateRecord& rb = b.at(gid);
-    EXPECT_EQ(ra.mentions.size(), rb.mentions.size()) << "gid " << gid;
+    EXPECT_EQ(ra.num_mentions, rb.num_mentions) << "gid " << gid;
     EXPECT_EQ(ra.label, rb.label) << "gid " << gid;
     ASSERT_EQ(ra.embedding_count, rb.embedding_count) << "gid " << gid;
     EXPECT_EQ(ra.embedding_weight, rb.embedding_weight) << "gid " << gid;
