@@ -36,19 +36,13 @@ void EntityClassifier::BuildModel() {
 }
 
 Mat EntityClassifier::MakeFeatures(const Mat& global_embedding, int num_tokens) {
-  Mat f;
-  MakeFeaturesInto(global_embedding, num_tokens, &f);
-  return f;
-}
-
-void EntityClassifier::MakeFeaturesInto(const Mat& global_embedding,
-                                        int num_tokens, Mat* out) {
   EMD_CHECK_EQ(global_embedding.rows(), 1);
-  out->Resize(1, global_embedding.cols() + 1);
+  Mat f(1, global_embedding.cols() + 1);
   for (int j = 0; j < global_embedding.cols(); ++j) {
-    (*out)(0, j) = global_embedding(0, j);
+    f(0, j) = global_embedding(0, j);
   }
-  (*out)(0, global_embedding.cols()) = LengthFeature(num_tokens);
+  f(0, global_embedding.cols()) = LengthFeature(num_tokens);
+  return f;
 }
 
 float EntityClassifier::Forward(const Mat& features) const {
@@ -69,31 +63,14 @@ float EntityClassifier::Probability(const Mat& features) const {
   return Forward(features);
 }
 
-float EntityClassifier::Probability(const Mat& features,
-                                    InferScratch* scratch) const {
-  EMD_CHECK_EQ(features.cols(), options_.input_dim);
-  const auto& kern = kernels::Kernels();
-  // Standardize into the first ping-pong buffer.
-  Mat* x = &scratch->a;
-  Mat* y = &scratch->b;
-  x->Resize(1, features.cols());
-  for (int j = 0; j < features.cols(); ++j) {
-    (*x)(0, j) = (features(0, j) - feat_mean_(0, j)) / feat_std_(0, j);
-  }
-  for (size_t l = 0; l < hidden_.size(); ++l) {
-    hidden_[l]->ApplyAuto(*x, &scratch->qs, y);
-    // Maskless in-place ReLU: inference needs no backward mask.
-    kern.relu(y->data(), y->data(), nullptr, static_cast<int>(y->size()));
-    std::swap(x, y);
-  }
-  out_->ApplyAuto(*x, &scratch->qs, y);
-  return SigmoidScalar((*y)(0, 0));
-}
-
-void EntityClassifier::ProbabilitiesBatched(
+Status EntityClassifier::TryProbabilities(
     const Mat& features, ForwardArena* arena,
     std::vector<float>* probabilities) const {
-  EMD_CHECK_EQ(features.cols(), options_.input_dim);
+  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.entity_classifier.classify"));
+  if (features.cols() != options_.input_dim) {
+    return Status::InvalidArgument("classifier feature width ", features.cols(),
+                                   ", want ", options_.input_dim);
+  }
   const auto& kern = kernels::Kernels();
   const int rows = features.rows();
   Mat* x = arena->mat(kArenaSlot);
@@ -117,6 +94,7 @@ void EntityClassifier::ProbabilitiesBatched(
   for (int i = 0; i < rows; ++i) {
     (*probabilities)[i] = SigmoidScalar((*y)(i, 0));
   }
+  return Status::OK();
 }
 
 void EntityClassifier::PrepareQuantizedInference() {
@@ -129,32 +107,6 @@ CandidateLabel EntityClassifier::Classify(const Mat& features) const {
   if (p >= options_.alpha) return CandidateLabel::kEntity;
   if (p <= options_.beta) return CandidateLabel::kNonEntity;
   return CandidateLabel::kAmbiguous;
-}
-
-Result<EntityClassifier::Verdict> EntityClassifier::TryEvaluate(
-    const Mat& features) const {
-  InferScratch scratch;
-  return TryEvaluate(features, &scratch);
-}
-
-Result<EntityClassifier::Verdict> EntityClassifier::TryEvaluate(
-    const Mat& features, InferScratch* scratch) const {
-  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.entity_classifier.classify"));
-  if (features.rows() != 1 || features.cols() != options_.input_dim) {
-    return Status::InvalidArgument("classifier feature shape [", features.rows(),
-                                   ", ", features.cols(), "], want [1, ",
-                                   options_.input_dim, "]");
-  }
-  Verdict v;
-  v.probability = Probability(features, scratch);
-  if (v.probability >= options_.alpha) {
-    v.label = CandidateLabel::kEntity;
-  } else if (v.probability <= options_.beta) {
-    v.label = CandidateLabel::kNonEntity;
-  } else {
-    v.label = CandidateLabel::kAmbiguous;
-  }
-  return v;
 }
 
 EntityClassifierTrainReport EntityClassifier::Train(

@@ -18,7 +18,6 @@
 #include "nn/linear.h"
 #include "nn/matrix.h"
 #include "nn/planner.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace emd {
@@ -69,62 +68,35 @@ class EntityClassifier {
   /// Builds the feature row for a candidate: global embedding ++ length.
   static Mat MakeFeatures(const Mat& global_embedding, int num_tokens);
 
-  /// Allocation-recycling MakeFeatures: writes into `*out` (resized).
-  static void MakeFeaturesInto(const Mat& global_embedding, int num_tokens,
-                               Mat* out);
-
   /// The last feature column: the candidate's length in tokens, scaled.
   static float LengthFeature(int num_tokens) {
     return static_cast<float>(num_tokens) / 4.f;
   }
 
-  /// Reusable per-worker inference scratch: the two ping-pong activation
-  /// buffers of the maskless forward pass.
-  struct InferScratch {
-    Mat a, b;
-    QuantizedLinear::Scratch qs;
-  };
-
-  /// P(candidate is an entity).
+  /// P(candidate is an entity): the training forward of one [1, input_dim]
+  /// row, always fp32 (it caches activations, so it is not thread-safe).
   float Probability(const Mat& features) const;
 
-  /// Allocation-recycling Probability: inference-only forward through
-  /// Linear::Apply and a maskless ReLU kernel — no activation caching, so it
-  /// is safe for concurrent workers sharing one trained classifier.
-  float Probability(const Mat& features, InferScratch* scratch) const;
-
-  /// Thresholded verdict.
+  /// Thresholded verdict of Probability.
   CandidateLabel Classify(const Mat& features) const;
 
-  /// Probability plus thresholded verdict in one forward pass.
-  struct Verdict {
-    float probability = 0.f;
-    CandidateLabel label = CandidateLabel::kUnlabeled;
-  };
-
-  /// Fault-isolating classification: validates the feature shape
-  /// (kInvalidArgument instead of a fatal check) and honors the
-  /// "core.entity_classifier.classify" failpoint. The Globalizer degrades
-  /// kFull to mention-extraction for the remaining cycle when this fails.
-  Result<Verdict> TryEvaluate(const Mat& features) const;
-
-  /// TryEvaluate with caller-owned scratch (hot path in Globalizer cycles).
-  Result<Verdict> TryEvaluate(const Mat& features, InferScratch* scratch) const;
-
-  /// Arena slots used by ProbabilitiesBatched (above the planner ranges of
+  /// Arena slots used by TryProbabilities (above the planner ranges of
   /// MiniBertweet, 0..20, and PhraseEmbedder, 24).
   static constexpr int kArenaSlot = 26;
 
-  /// Planner batched inference: one fused forward over [C, input_dim]
-  /// feature rows, probabilities[i] bit-identical (fp32) to
-  /// Probability(features row i) — every layer computes each output row from
-  /// its own input row alone. No failpoint; callers pre-screen resilience.
-  void ProbabilitiesBatched(const Mat& features, ForwardArena* arena,
-                            std::vector<float>* probabilities) const;
+  /// The inference path: scores every row of `features` [C, input_dim] in
+  /// one call. Evaluates the "core.entity_classifier.classify" failpoint
+  /// once, returns kInvalidArgument when features.cols() != input_dim(),
+  /// else runs one fused forward (fp32, or int8 once quantized) with its
+  /// activations in `arena` and resizes `*probabilities` to C. Every layer
+  /// computes each output row from its own input row alone, so row i is
+  /// bit-identical to a one-row call, and in fp32 to Probability(row i).
+  Status TryProbabilities(const Mat& features, ForwardArena* arena,
+                          std::vector<float>* probabilities) const;
 
   /// Packs int8 copies of the hidden and output layers; afterwards
-  /// Probability/ProbabilitiesBatched run their GEMMs through the quantized
-  /// backend. Called by Train()/Load() when kernels::Int8Enabled().
+  /// TryProbabilities runs its GEMMs through the quantized backend. Called
+  /// by Train()/Load() when kernels::Int8Enabled().
   void PrepareQuantizedInference();
 
   /// Trains on labelled examples with an internal 80/20 split.

@@ -574,35 +574,30 @@ void Globalizer::ExtractAndPool(size_t first_index) {
 Status Globalizer::ClassifyDirty(bool gamma_band_only,
                                  const RetryPolicy& retry, size_t* flipped) {
   // Rows in ascending gid order. A dirty candidate with no pooled embedding
-  // has nothing to score: Finalize files it ambiguous (it awaits evidence),
-  // the sweep leaves it for later.
-  std::vector<int> rows;
+  // has nothing to score: Finalize files it ambiguous (it awaits evidence)
+  // once the pass succeeds, the sweep leaves it for later.
+  std::vector<int> rows, awaiting;
   for (int gid : state_.DirtyGids()) {
     if (gamma_band_only && state_.Label(gid) != CandidateLabel::kAmbiguous &&
         state_.Label(gid) != CandidateLabel::kUnlabeled) {
       continue;
     }
     if (state_.at(gid).embedding_count == 0) {
-      if (!gamma_band_only) state_.SetLabel(gid, CandidateLabel::kAmbiguous);
+      if (!gamma_band_only) awaiting.push_back(gid);
       continue;
     }
     rows.push_back(gid);
   }
-  if (rows.empty()) return Status::OK();
 
-  // Planner path: one fused forward over every row, each row's probability
-  // bit-identical to TryEvaluate on that row alone. An armed failpoint
-  // routes to the per-row resilient loop instead.
-  const bool batched = !failpoint::AnyArmed();
-  std::vector<float> probs;
-  if (batched) {
+  if (!rows.empty()) {
+    // One fused forward over every row, retried whole under `retry`. Each
+    // row is written straight from the pooled sum: the same values as
+    // MakeFeatures(GlobalEmbedding(), num_tokens), with no per-row Mat.
     if (lane_arenas_.empty()) lane_arenas_.resize(1);
     ForwardArena* arena = &lane_arenas_[0];
     Mat* feats = arena->mat(EntityClassifier::kArenaSlot + 2);
     const int fdim = classifier_->input_dim();
     feats->Resize(static_cast<int>(rows.size()), fdim);
-    // Each row is written straight from the pooled sum: the same values as
-    // MakeFeatures(GlobalEmbedding(), num_tokens), with no per-row Mat.
     for (size_t k = 0; k < rows.size(); ++k) {
       const CandidateRecord& rec = state_.at(rows[k]);
       EMD_CHECK_EQ(rec.embedding_sum.size() + 1, static_cast<size_t>(fdim));
@@ -610,42 +605,30 @@ Status Globalizer::ClassifyDirty(bool gamma_band_only,
       rec.PooledMeanInto(row);
       row[fdim - 1] = EntityClassifier::LengthFeature(rec.num_tokens);
     }
-    classifier_->ProbabilitiesBatched(*feats, arena, &probs);
-  }
-
-  for (size_t k = 0; k < rows.size(); ++k) {
-    CandidateRecord& rec = state_.at(rows[k]);
-    float probability = 0.f;
-    if (batched) {
-      probability = probs[k];
-    } else {
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      RetryStats retry_stats;
-      Result<EntityClassifier::Verdict> verdict = RunWithRetry(
-          retry, clock_, &retry_rng_,
-          [&] {
-            return classifier_->TryEvaluate(classifier_features_,
-                                            &classifier_scratch_);
-          },
-          &retry_stats);
-      num_retries_ += retry_stats.retries;
-      if (retry_stats.retries > 0) {
-        Counters().retries->Increment(retry_stats.retries);
-      }
-      if (!verdict.ok()) {
-        // Rows from this one on keep their dirty mark for the next pass.
-        Counters().classifier_rows->Increment(k);
-        return verdict.status();
-      }
-      probability = verdict->probability;
+    std::vector<float> probs;
+    RetryStats retry_stats;
+    const Status scored = RunWithRetry(
+        retry, clock_, &retry_rng_,
+        [&] { return classifier_->TryProbabilities(*feats, arena, &probs); },
+        &retry_stats);
+    num_retries_ += retry_stats.retries;
+    if (retry_stats.retries > 0) {
+      Counters().retries->Increment(retry_stats.retries);
     }
-    rec.entity_probability = probability;
-    const CandidateLabel label = LabelFor(probability, rec);
-    if (label != state_.Label(rows[k])) ++*flipped;
-    state_.SetLabel(rows[k], label);
+    // All or nothing: a failed pass changes no label, probability or dirty
+    // mark, so the next pass re-scores every row.
+    if (!scored.ok()) return scored;
+
+    for (size_t k = 0; k < rows.size(); ++k) {
+      CandidateRecord& rec = state_.at(rows[k]);
+      rec.entity_probability = probs[k];
+      const CandidateLabel label = LabelFor(probs[k], rec);
+      if (label != state_.Label(rows[k])) ++*flipped;
+      state_.SetLabel(rows[k], label);
+    }
+    Counters().classifier_rows->Increment(rows.size());
   }
-  Counters().classifier_rows->Increment(rows.size());
+  for (int gid : awaiting) state_.SetLabel(gid, CandidateLabel::kAmbiguous);
   return Status::OK();
 }
 

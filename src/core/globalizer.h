@@ -392,12 +392,12 @@ class Globalizer {
 
   /// The one classify pass, shared by Finalize and the γ-band sweep. Scores
   /// the dirty candidates (only the ambiguous/unlabeled ones when
-  /// `gamma_band_only`) in ascending gid order: one batched forward, or
-  /// per-row TryEvaluate under `retry` while a failpoint is armed. Labels go
-  /// through LabelFor and ShardedGlobalState::SetLabel; `*flipped` counts
-  /// labels that changed. A row leaves the dirty set only once scored, so a
-  /// classifier failure (returned) leaves the rest dirty for the next pass.
-  /// With no dirty rows the classifier is never called.
+  /// `gamma_band_only`) in ascending gid order with one TryProbabilities
+  /// call, retried whole under `retry`. Labels go through LabelFor and
+  /// ShardedGlobalState::SetLabel; `*flipped` counts labels that changed.
+  /// All or nothing: a failed call (returned) changes no label, probability
+  /// or dirty mark, so the next pass re-scores every row. With no dirty rows
+  /// the classifier is never called.
   Status ClassifyDirty(bool gamma_band_only, const RetryPolicy& retry,
                        size_t* flipped);
 
@@ -487,12 +487,6 @@ class Globalizer {
   // in tweet order, and each tweet's count; copied in as the TweetBase tail.
   std::vector<RecordedMention> merged_mentions_;
   std::vector<size_t> merged_counts_;
-
-  // Allocation-recycling scratch for the per-row classify path: the
-  // classifier's feature row + ping-pong activations, reused across
-  // candidates within and across cycles.
-  Mat classifier_features_;
-  EntityClassifier::InferScratch classifier_scratch_;
 
   // Fault-tolerance state; persisted by SaveCheckpoint. num_retries_ is
   // mutable because the const SaveCheckpoint retries its IO.

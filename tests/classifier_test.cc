@@ -90,6 +90,54 @@ TEST(EntityClassifierTest, LoadRejectsWrongShape) {
   std::filesystem::remove(path);
 }
 
+TEST(EntityClassifierTest, TryProbabilitiesScoresEveryRowOrRejectsTheWidth) {
+  EntityClassifier clf({.input_dim = 7});
+  const std::vector<ClassifierExample> examples = SeparableExamples(50, 5);
+  clf.Train(examples, {.max_epochs = 10});
+  Mat rows(4, 7);
+  for (int i = 0; i < rows.rows(); ++i) {
+    rows.SetRow(i, examples[i].features.row(0));
+  }
+  ForwardArena arena;
+  std::vector<float> probs, one;
+  ASSERT_TRUE(clf.TryProbabilities(rows, &arena, &probs).ok());
+  ASSERT_EQ(probs.size(), 4u);
+  for (int i = 0; i < rows.rows(); ++i) {
+    EXPECT_GE(probs[i], 0.f);
+    EXPECT_LE(probs[i], 1.f);
+    ASSERT_TRUE(clf.TryProbabilities(examples[i].features, &arena, &one).ok());
+    EXPECT_EQ(one, std::vector<float>{probs[i]}) << "row " << i;
+  }
+
+  // A width other than input_dim is rejected before any forward runs, and
+  // leaves the output untouched.
+  const std::vector<float> kept = probs;
+  for (const int width : {6, 8}) {
+    Mat bad(4, width);
+    EXPECT_TRUE(clf.TryProbabilities(bad, &arena, &probs).IsInvalidArgument())
+        << width;
+    EXPECT_EQ(probs, kept);
+  }
+}
+
+TEST(EntityClassifierTest, TryProbabilitiesEvaluatesTheFailpointOncePerCall) {
+  EntityClassifier clf({.input_dim = 7});
+  Rng rng(7);
+  Mat rows(9, 7);
+  rows.InitGaussian(&rng, 1.f);
+  ForwardArena arena;
+  std::vector<float> probs;
+  failpoint::EnableAfter("core.entity_classifier.classify",
+                         Status::Unavailable("wedged"), /*skip=*/0,
+                         /*max_fires=*/1);
+  EXPECT_TRUE(clf.TryProbabilities(rows, &arena, &probs).IsUnavailable());
+  EXPECT_TRUE(probs.empty());
+  ASSERT_TRUE(clf.TryProbabilities(rows, &arena, &probs).ok());
+  EXPECT_EQ(probs.size(), 9u);
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 2);
+  failpoint::DisableAll();
+}
+
 // ------------------------------------------------------------ PhraseEmbedder
 
 TEST(PhraseEmbedderTest, EmbedSpanEqualsManualPool) {

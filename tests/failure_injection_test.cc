@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 
 #include "core/entity_classifier.h"
 #include "core/globalizer.h"
@@ -453,6 +456,187 @@ TEST(FailureInjectionTest, FinalizeWithoutNewEvidenceNeverCallsClassifier) {
   EXPECT_EQ(again.num_entity, first.num_entity);
   EXPECT_EQ(again.num_non_entity, first.num_non_entity);
   EXPECT_EQ(again.num_ambiguous, first.num_ambiguous);
+}
+
+/// Six two-tweet batches naming four candidates, for the classify-pass
+/// retry tests.
+Dataset ClassifyStream() {
+  Dataset d;
+  d.name = "classify";
+  const char* texts[] = {
+      "Beshear on Coronavirus today",     "Fauci and Beshear spoke",
+      "Kentucky cases rising",            "coronavirus in Kentucky again",
+      "Fauci briefing tonight",           "BESHEAR says Kentucky is ready",
+      "the Coronavirus report",           "fauci warns about coronavirus",
+      "Kentucky and Fauci",               "Beshear again tonight",
+      "Coronavirus numbers from Kentucky", "Fauci on Beshear",
+  };
+  long id = 1;
+  for (const char* text : texts) d.tweets.push_back(FiTweet(id++, text));
+  return d;
+}
+
+MockLocalSystem ClassifyMock() {
+  return MockLocalSystem({{.phrase = {"beshear"}, .require_capitalized = true},
+                          {.phrase = {"coronavirus"}, .require_capitalized = true},
+                          {.phrase = {"kentucky"}, .require_capitalized = true},
+                          {.phrase = {"fauci"}, .require_capitalized = true}});
+}
+
+/// Everything a classify pass decides, for exact comparison across runs.
+struct Verdicts {
+  std::vector<std::vector<TokenSpan>> mentions;
+  std::vector<CandidateLabel> labels;
+  std::vector<uint32_t> probability_bits;
+};
+
+Verdicts CaptureVerdicts(const Globalizer& g, const GlobalizerOutput& out) {
+  Verdicts v;
+  v.mentions = out.mentions;
+  const ShardedGlobalState& state = g.global_state();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    v.labels.push_back(state.Label(gid));
+    if (!state.Contains(gid)) continue;
+    uint32_t bits = 0;
+    std::memcpy(&bits, &state.at(gid).entity_probability, sizeof(bits));
+    v.probability_bits.push_back(bits);
+  }
+  return v;
+}
+
+void ExpectSameVerdicts(const Verdicts& want, const Verdicts& got) {
+  EXPECT_EQ(want.mentions, got.mentions);
+  EXPECT_EQ(want.labels, got.labels);
+  EXPECT_EQ(want.probability_bits, got.probability_bits);
+}
+
+/// DirtyGids only compacts the dirty list, so reading it through a const
+/// Globalizer changes nothing a classify pass would see.
+std::vector<int> DirtyGids(const Globalizer& g) {
+  return const_cast<ShardedGlobalState&>(g.global_state()).DirtyGids();
+}
+
+TEST(FailureInjectionTest, ClassifierRetryCoversTheWholePass) {
+  // One classify pass is one call, retried whole: two injected faults cost
+  // exactly two retries under a three-attempt policy, and nothing degrades.
+  FailpointGuard guard;
+  const Dataset d = ClassifyStream();
+  EntityClassifier clf({.input_dim = 7});
+  FakeClock clock;
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  opt.resilience.classifier.max_attempts = 3;
+  opt.resilience.clock = &clock;
+  MockLocalSystem clean_mock = ClassifyMock(), faulty_mock = ClassifyMock();
+  Globalizer clean(&clean_mock, nullptr, &clf, opt);
+  Globalizer faulty(&faulty_mock, nullptr, &clf, opt);
+  ASSERT_TRUE(clean.ProcessBatch(d.tweets).ok());
+  ASSERT_TRUE(faulty.ProcessBatch(d.tweets).ok());
+  const GlobalizerOutput want = clean.Finalize().value();
+  ASSERT_GT(want.num_candidates, 1);
+
+  failpoint::EnableAfter("core.entity_classifier.classify",
+                         Status::Unavailable("blip"), /*skip=*/0,
+                         /*max_fires=*/2);
+  const GlobalizerOutput got = faulty.Finalize().value();
+  EXPECT_FALSE(got.classifier_degraded);
+  EXPECT_EQ(got.num_retries - want.num_retries, 2);
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 3);
+  ExpectSameVerdicts(CaptureVerdicts(clean, want), CaptureVerdicts(faulty, got));
+}
+
+TEST(FailureInjectionTest, ClassifierOutlastingItsRetriesDegradesOneCycle) {
+  // Three faults exhaust a three-attempt policy: that cycle degrades, and
+  // the next one re-scores every row and matches an undisturbed run.
+  FailpointGuard guard;
+  const Dataset d = ClassifyStream();
+  EntityClassifier clf({.input_dim = 7});
+  FakeClock clock;
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  opt.resilience.classifier.max_attempts = 3;
+  opt.resilience.clock = &clock;
+  MockLocalSystem clean_mock = ClassifyMock(), faulty_mock = ClassifyMock();
+  Globalizer clean(&clean_mock, nullptr, &clf, opt);
+  Globalizer faulty(&faulty_mock, nullptr, &clf, opt);
+  const std::span<const AnnotatedTweet> tweets(d.tweets);
+  ASSERT_TRUE(clean.ProcessBatch(tweets.first(6)).ok());
+  ASSERT_TRUE(faulty.ProcessBatch(tweets.first(6)).ok());
+
+  failpoint::EnableAfter("core.entity_classifier.classify",
+                         Status::Unavailable("down"), /*skip=*/0,
+                         /*max_fires=*/3);
+  const GlobalizerOutput degraded = faulty.Finalize().value();
+  EXPECT_TRUE(degraded.classifier_degraded);
+  EXPECT_EQ(degraded.num_retries, 2);
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 3);
+  failpoint::DisableAll();
+  ASSERT_TRUE(clean.Finalize().ok());
+
+  ASSERT_TRUE(clean.ProcessBatch(tweets.subspan(6)).ok());
+  ASSERT_TRUE(faulty.ProcessBatch(tweets.subspan(6)).ok());
+  const GlobalizerOutput want = clean.Finalize().value();
+  const GlobalizerOutput got = faulty.Finalize().value();
+  EXPECT_FALSE(got.classifier_degraded);
+  ExpectSameVerdicts(CaptureVerdicts(clean, want), CaptureVerdicts(faulty, got));
+}
+
+TEST(FailureInjectionTest, FailedGammaBandSweepLeavesItsRowsDirty) {
+  // The governor's γ-band sweep is a classify pass too: when its one call
+  // fails, the rows it would have scored stay dirty with their labels
+  // untouched, and the next Finalize scores them as an undisturbed run did.
+  FailpointGuard guard;
+  const Dataset d = ClassifyStream();
+  EntityClassifier clf({.input_dim = 7});
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  opt.batch_size = 2;
+  opt.memory.reclassify_interval_batches = 1;
+  MockLocalSystem clean_mock = ClassifyMock(), faulty_mock = ClassifyMock();
+  Globalizer clean(&clean_mock, nullptr, &clf, opt);
+  Globalizer faulty(&faulty_mock, nullptr, &clf, opt);
+  StreamBatcher clean_batches(&d, 2), faulty_batches(&d, 2);
+  for (int b = 0; b < 5; ++b) {
+    ASSERT_TRUE(clean.ProcessBatch(clean_batches.Next()).ok());
+    ASSERT_TRUE(faulty.ProcessBatch(faulty_batches.Next()).ok());
+  }
+  ASSERT_EQ(DirtyGids(clean), DirtyGids(faulty));
+  const std::vector<CandidateLabel> labels_before =
+      CaptureVerdicts(faulty, {}).labels;
+
+  // The last batch's sweep fails in the faulty run only.
+  ASSERT_TRUE(clean.ProcessBatch(clean_batches.Next()).ok());
+  failpoint::EnableAfter("core.entity_classifier.classify",
+                         Status::Internal("down"), /*skip=*/0,
+                         /*max_fires=*/-1);
+  ASSERT_TRUE(faulty.ProcessBatch(faulty_batches.Next()).ok());
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 1);
+  failpoint::DisableAll();
+
+  // The clean sweep cleared the rows it scored; the faulty one cleared none
+  // and changed no label.
+  const std::vector<int> clean_dirty = DirtyGids(clean);
+  const std::vector<int> faulty_dirty = DirtyGids(faulty);
+  std::vector<int> unswept;
+  std::set_difference(faulty_dirty.begin(), faulty_dirty.end(),
+                      clean_dirty.begin(), clean_dirty.end(),
+                      std::back_inserter(unswept));
+  EXPECT_TRUE(std::includes(faulty_dirty.begin(), faulty_dirty.end(),
+                            clean_dirty.begin(), clean_dirty.end()));
+  EXPECT_FALSE(unswept.empty());
+  std::vector<CandidateLabel> labels_after = CaptureVerdicts(faulty, {}).labels;
+  ASSERT_GE(labels_after.size(), labels_before.size());
+  for (size_t gid = 0; gid < labels_after.size(); ++gid) {
+    const CandidateLabel want = gid < labels_before.size()
+                                    ? labels_before[gid]
+                                    : CandidateLabel::kUnlabeled;
+    EXPECT_EQ(labels_after[gid], want) << "gid " << gid;
+  }
+
+  const GlobalizerOutput want = clean.Finalize().value();
+  const GlobalizerOutput got = faulty.Finalize().value();
+  EXPECT_FALSE(got.classifier_degraded);
+  ExpectSameVerdicts(CaptureVerdicts(clean, want), CaptureVerdicts(faulty, got));
 }
 
 TEST(FailureInjectionTest, BatchLevelFaultFailsRunWithoutAborting) {

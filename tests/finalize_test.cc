@@ -193,21 +193,35 @@ void ExpectSame(const Snapshot& want, const Snapshot& got) {
 }
 
 /// The verdict a from-scratch re-score assigns `rec` — the historical
-/// Finalize, which classified every live candidate on every call.
+/// Finalize, which classified every live candidate on every call. A one-row
+/// TryProbabilities call, so it also holds under int8 packing.
 CandidateLabel RescoredLabel(const CandidateRecord& rec,
                              const EntityClassifier& clf,
                              const GlobalizerOptions& opt, float* probability) {
   if (rec.embedding_count == 0) return CandidateLabel::kAmbiguous;
-  Result<EntityClassifier::Verdict> v = clf.TryEvaluate(
-      EntityClassifier::MakeFeatures(rec.GlobalEmbedding(), rec.num_tokens));
-  EXPECT_TRUE(v.ok());
-  *probability = v->probability;
-  if (v->label == CandidateLabel::kNonEntity &&
+  ForwardArena arena;
+  std::vector<float> probs;
+  const Status scored = clf.TryProbabilities(
+      EntityClassifier::MakeFeatures(rec.GlobalEmbedding(), rec.num_tokens),
+      &arena, &probs);
+  if (!scored.ok()) {
+    ADD_FAILURE() << scored;
+    return CandidateLabel::kUnlabeled;
+  }
+  const float p = probs[0];
+  *probability = p;
+  CandidateLabel label = CandidateLabel::kAmbiguous;
+  if (p >= clf.options().alpha) {
+    label = CandidateLabel::kEntity;
+  } else if (p <= clf.options().beta) {
+    label = CandidateLabel::kNonEntity;
+  }
+  if (label == CandidateLabel::kNonEntity &&
       rec.embedding_count < opt.min_evidence_mentions &&
-      v->probability > opt.low_evidence_beta) {
+      p > opt.low_evidence_beta) {
     return CandidateLabel::kAmbiguous;
   }
-  return v->label;
+  return label;
 }
 
 /// After a Finalize: every live verdict equals a full re-score, the label
@@ -534,7 +548,9 @@ TEST(FinalizeGovernedTest, RestoredLabelColumnKeepsEvictedVerdicts) {
   Globalizer g(&p.mock, nullptr, &clf, opt);
   for (size_t b = 0; b < 30; ++b) {
     ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
-    if ((b + 1) % 3 == 0) ASSERT_TRUE(g.Finalize().ok());
+    if ((b + 1) % 3 == 0) {
+      ASSERT_TRUE(g.Finalize().ok());
+    }
   }
   ASSERT_GT(g.global_state().num_evicted(), 0u);
   const std::string path = TempPath("emd_finalize_governed.ckpt");
@@ -556,10 +572,35 @@ struct FailpointGuard {
   ~FailpointGuard() { failpoint::DisableAll(); }
 };
 
-TEST(FinalizeEdgeTest, DegradedFinalizeLeavesUnscoredRowsDirty) {
-  // A classifier that dies part-way through a Finalize degrades that cycle;
-  // the rows it never scored stay dirty, so the next cycle's Finalize
-  // produces exactly what an undisturbed one would.
+/// What a classify pass may change: the dirty set, the label column over
+/// every gid, and each live record's probability bits.
+struct ClassifyState {
+  std::vector<int> dirty;
+  std::vector<CandidateLabel> labels;
+  std::vector<uint32_t> probability_bits;
+};
+
+ClassifyState CaptureClassifyState(const Globalizer& g) {
+  // DirtyGids only compacts the dirty list, so reading it through a const
+  // Globalizer changes nothing a classify pass would see.
+  ShardedGlobalState& state = const_cast<ShardedGlobalState&>(g.global_state());
+  ClassifyState s;
+  s.dirty = state.DirtyGids();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    s.labels.push_back(state.Label(gid));
+    if (!state.Contains(gid)) continue;
+    uint32_t bits = 0;
+    std::memcpy(&bits, &state.at(gid).entity_probability, sizeof(bits));
+    s.probability_bits.push_back(bits);
+  }
+  return s;
+}
+
+TEST(FinalizeEdgeTest, DegradedFinalizeLeavesEveryRowDirty) {
+  // A classify pass is one call, all or nothing: when it fails the cycle
+  // degrades and no dirty mark, label or probability changes, so the next
+  // cycle's Finalize re-scores every row and produces exactly what an
+  // undisturbed one would.
   FailpointGuard guard;
   const Dataset d = CadenceStream(160, 23);
   const EntityClassifier clf = CadenceClassifier();
@@ -571,15 +612,27 @@ TEST(FinalizeEdgeTest, DegradedFinalizeLeavesUnscoredRowsDirty) {
   for (size_t b = 0; b + 1 < batches; ++b) {
     ASSERT_TRUE(clean.ProcessBatch(BatchAt(d, b)).ok());
     ASSERT_TRUE(faulty.ProcessBatch(BatchAt(d, b)).ok());
+    if (b + 1 == batches / 2) {
+      // Earlier verdicts, so the failed pass has labels it could disturb.
+      ASSERT_FALSE(clean.Finalize().value().classifier_degraded);
+      ASSERT_FALSE(faulty.Finalize().value().classifier_degraded);
+    }
   }
+  const ClassifyState before = CaptureClassifyState(faulty);
+  ASSERT_FALSE(before.dirty.empty());
   failpoint::EnableAfter("core.entity_classifier.classify",
-                         Status::Internal("down"), /*skip=*/5,
+                         Status::Internal("down"), /*skip=*/0,
                          /*max_fires=*/-1);
   EXPECT_TRUE(faulty.Finalize().value().classifier_degraded);
+  EXPECT_EQ(failpoint::HitCount("core.entity_classifier.classify"), 1);
   failpoint::DisableAll();
+  const ClassifyState after = CaptureClassifyState(faulty);
+  EXPECT_EQ(before.dirty, after.dirty);
+  EXPECT_EQ(before.labels, after.labels);
+  EXPECT_EQ(before.probability_bits, after.probability_bits);
+
   ASSERT_TRUE(clean.ProcessBatch(BatchAt(d, batches - 1)).ok());
   ASSERT_TRUE(faulty.ProcessBatch(BatchAt(d, batches - 1)).ok());
-
   const GlobalizerOutput want = clean.Finalize().value();
   const GlobalizerOutput got = faulty.Finalize().value();
   EXPECT_FALSE(got.classifier_degraded);

@@ -7,10 +7,11 @@
 //
 // Also pins the row independence of the Entity Classifier's batched forward,
 // which incremental Finalize relies on: a row's probability has the same
-// bits in any batch, in any order, and through per-row TryEvaluate — under
-// whichever fp32 backend EMD_BACKEND selects and with int8 packing. The
-// Entity Phrase Embedder's span batches carry the same contract: a mention's
-// embedding does not depend on the other mentions of its tweet.
+// bits in any batch and in any order — under whichever fp32 backend
+// EMD_BACKEND selects and with int8 packing — and in fp32 the bits of the
+// independent training forward, Probability(row). The Entity Phrase
+// Embedder's span batches carry the same contract: a mention's embedding
+// does not depend on the other mentions of its tweet.
 
 #include <gtest/gtest.h>
 
@@ -383,18 +384,24 @@ TEST(ClassifierRowIndependenceTest, SubsetsAndPermutationsKeepEveryRowsBits) {
     if (int8) clf.PrepareQuantizedInference();
     ForwardArena arena;
     std::vector<float> full;
-    clf.ProbabilitiesBatched(all, &arena, &full);
+    ASSERT_TRUE(clf.TryProbabilities(all, &arena, &full).ok());
     ASSERT_EQ(full.size(), static_cast<size_t>(kRows));
 
-    EntityClassifier::InferScratch scratch;
+    // One-row calls, and in fp32 the training forward (its own code path:
+    // Linear::Forward and ReluLayer, never the int8 packing).
     Mat row(1, 7);
+    std::vector<float> one;
     for (int i = 0; i < kRows; ++i) {
       std::memcpy(row.row(0), all.row(i), sizeof(float) * 7);
-      Result<EntityClassifier::Verdict> v = clf.TryEvaluate(row, &scratch);
-      ASSERT_TRUE(v.ok());
-      EXPECT_EQ(0, std::memcmp(&v->probability, &full[i], sizeof(float)))
-          << "row " << i << ": per-row " << v->probability << " vs batched "
-          << full[i];
+      ASSERT_TRUE(clf.TryProbabilities(row, &arena, &one).ok());
+      ASSERT_EQ(one.size(), 1u);
+      EXPECT_EQ(0, std::memcmp(&one[0], &full[i], sizeof(float)))
+          << "row " << i << ": one-row " << one[0] << " vs batched " << full[i];
+      if (int8) continue;
+      const float reference = clf.Probability(row);
+      EXPECT_EQ(0, std::memcmp(&reference, &full[i], sizeof(float)))
+          << "row " << i << ": training forward " << reference
+          << " vs batched " << full[i];
     }
 
     // Random subsets of every size class (single rows, SIMD-tail sizes,
@@ -408,7 +415,7 @@ TEST(ClassifierRowIndependenceTest, SubsetsAndPermutationsKeepEveryRowsBits) {
         std::memcpy(sub.row(k), all.row(order[k]), sizeof(float) * 7);
       }
       std::vector<float> probs;
-      clf.ProbabilitiesBatched(sub, &arena, &probs);
+      ASSERT_TRUE(clf.TryProbabilities(sub, &arena, &probs).ok());
       for (int k = 0; k < size; ++k) {
         EXPECT_EQ(0, std::memcmp(&probs[k], &full[order[k]], sizeof(float)))
             << "row " << order[k] << " at position " << k << " of " << size;
