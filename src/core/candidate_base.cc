@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "nn/kernels/kernels.h"
-
 namespace emd {
 
 void CandidateRecord::PooledMeanInto(float* out) const {
@@ -11,12 +9,10 @@ void CandidateRecord::PooledMeanInto(float* out) const {
   const size_t n = embedding_sum.size();
   if (n == 0) return;
   std::memcpy(out, embedding_sum.data(), n * sizeof(float));
-  // Decay off (or no decay has applied yet): the original integer-count
-  // mean, bit-exact with pre-governance builds.
-  const float scale = embedding_weight == static_cast<double>(embedding_count)
-                          ? 1.f / static_cast<float>(embedding_count)
-                          : 1.f / static_cast<float>(embedding_weight);
-  kernels::Kernels().vscale(scale, out, static_cast<int>(n));
+  // With decay off the weight is the exact integer count, and
+  // float(double(n)) == float(n): the plain integer-count mean.
+  kernels::Kernels().vscale(1.f / static_cast<float>(embedding_weight), out,
+                            static_cast<int>(n));
 }
 
 const char* CandidateLabelName(CandidateLabel label) {

@@ -6,8 +6,9 @@
 // Memory governance: pooling can be exponentially time-decayed (configurable
 // half-life in stream positions) so stale evidence fades; cold candidates can
 // be evicted, freeing their record while a compact side table preserves the
-// final label so already-emitted output stays stable. With decay off the
-// pooling path is byte-for-byte the original mean — bit-exact.
+// final label so already-emitted output stays stable. Pooling has one
+// formula, sum * (1 / weight); with decay off every scale is exactly 1 and
+// the weight the integer count, so it is bit-exact with the plain mean.
 //
 // Byte accounting: the live records' payload bytes (CandidateRecord::
 // ApproxBytes) are a running sum adjusted by GetOrCreate, AddMention and
@@ -22,10 +23,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
 #include "util/logging.h"
 
@@ -44,13 +47,12 @@ struct CandidateRecord {
   int num_tokens = 0;
   uint32_t num_mentions = 0;  // the TweetBase mentions carrying this id
 
-  /// Running (optionally decayed) sum of local mention embeddings; the global
-  /// embedding is sum / weight. Without decay, weight == embedding_count
-  /// exactly and the division reduces to the original mean.
+  /// Running (optionally decayed) sum of local mention embeddings, [1, d];
+  /// the global embedding is sum * (1 / weight).
   Mat embedding_sum;
   int embedding_count = 0;
-  /// Total decayed weight of pooled mentions. Stays equal to embedding_count
-  /// (as a double holding an exact small integer) when decay is off.
+  /// Total decayed weight of pooled mentions. Equals embedding_count exactly
+  /// (an integer-valued double) when decay is off.
   double embedding_weight = 0.0;
   /// Stream position (tweet index) of the last pooled mention — the decay
   /// reference point — and of the last mention of any kind (recency key for
@@ -64,10 +66,10 @@ struct CandidateRecord {
   CandidateLabel label = CandidateLabel::kUnlabeled;
   float entity_probability = -1.f;
 
-  /// Writes the pooled global candidate embedding (weighted mean of local
-  /// embeddings, embedding_sum.size() floats) to `out`. The one definition
-  /// of the mean: GlobalEmbedding() and the classifier's feature gather both
-  /// call it, so their values are bit-identical.
+  /// Writes the pooled global candidate embedding (embedding_sum scaled by
+  /// 1.f / float(embedding_weight), embedding_sum.size() floats) to `out`.
+  /// The one definition of the mean: GlobalEmbedding() and the classifier's
+  /// feature gather both call it, so their values are bit-identical.
   void PooledMeanInto(float* out) const;
 
   /// PooledMeanInto as a [1, d] matrix.
@@ -131,49 +133,42 @@ class CandidateBase {
   /// Counts a mention at stream position `pos` (its tweet index) and pools
   /// its local embedding into the global embedding (incremental update of
   /// §V: "the global embedding can be incrementally updated ... as and when
-  /// new mentions arrive"). With a decay half-life configured, earlier
-  /// evidence is scaled by lambda^(Δpos) before the new embedding joins the
-  /// pool, where Δpos is the stream distance since the last pooled mention.
-  void AddMention(int candidate_id, uint64_t pos, const Mat& local_emb) {
+  /// new mentions arrive"). Earlier evidence is scaled by lambda^(Δpos), Δpos
+  /// the stream distance since the last pooled mention, before the new row
+  /// joins the pool. An empty `local_emb` counts the mention only.
+  void AddMention(int candidate_id, uint64_t pos,
+                  std::span<const float> local_emb) {
     CandidateRecord& rec = at(candidate_id);
     ++rec.num_mentions;
     if (pos > rec.last_mention_pos) rec.last_mention_pos = pos;
     if (local_emb.empty()) return;
+    const int dim = static_cast<int>(local_emb.size());
     if (rec.embedding_sum.empty()) {
+      rec.embedding_sum =
+          Mat(1, dim, std::vector<float>(local_emb.begin(), local_emb.end()));
+      rec.embedding_weight = 1.0;
       record_bytes_ += local_emb.size() * sizeof(float);
-    }
-    if (decay_lambda_ == 1.0) {
-      // Legacy path, byte-for-byte the pre-decay pooling.
-      if (rec.embedding_sum.empty()) {
-        rec.embedding_sum = local_emb;
-      } else {
-        rec.embedding_sum.Add(local_emb);
-      }
-      ++rec.embedding_count;
-      rec.embedding_weight = static_cast<double>(rec.embedding_count);
     } else {
-      if (rec.embedding_sum.empty()) {
-        rec.embedding_sum = local_emb;
-        rec.embedding_weight = 1.0;
-      } else {
-        const uint64_t delta = pos > rec.last_update_pos
-                                   ? pos - rec.last_update_pos
-                                   : 0;
-        if (delta > 0) {
-          const double scale =
-              std::pow(decay_lambda_, static_cast<double>(delta));
-          rec.embedding_sum.Scale(static_cast<float>(scale));
-          rec.embedding_weight *= scale;
-        }
-        rec.embedding_sum.Add(local_emb);
-        rec.embedding_weight += 1.0;
+      EMD_CHECK_EQ(rec.embedding_sum.size(), local_emb.size());
+      const uint64_t delta =
+          pos > rec.last_update_pos ? pos - rec.last_update_pos : 0;
+      // At lambda = 1 the scale is exactly 1 and changes no float, so it is
+      // skipped; the weight then stays the exact integer count.
+      if (delta > 0 && decay_lambda_ != 1.0) {
+        const double scale = std::pow(decay_lambda_, static_cast<double>(delta));
+        rec.embedding_sum.Scale(static_cast<float>(scale));
+        rec.embedding_weight *= scale;
       }
-      ++rec.embedding_count;
+      kernels::Kernels().vadd(rec.embedding_sum.data(), local_emb.data(),
+                              rec.embedding_sum.data(), dim);
+      rec.embedding_weight += 1.0;
     }
+    ++rec.embedding_count;
     rec.last_update_pos = pos;
     if (retain_mention_embeddings_) {
       record_bytes_ -= rec.mention_embeddings.capacity() * sizeof(Mat);
-      rec.mention_embeddings.push_back(local_emb);
+      rec.mention_embeddings.emplace_back(
+          1, dim, std::vector<float>(local_emb.begin(), local_emb.end()));
       record_bytes_ += rec.mention_embeddings.capacity() * sizeof(Mat) +
                        local_emb.size() * sizeof(float);
     }
@@ -234,7 +229,8 @@ class CandidateBase {
   void RebuildByteTotals() { record_bytes_ = WalkRecordBytes(); }
 
   /// Exponential decay half-life in stream positions (tweets). 0 disables
-  /// decay (the default): pooling is then bit-exact with the original mean.
+  /// decay (the default): lambda = 1, and the pooled mean is bit-exact with
+  /// a plain running sum scaled by 1 / count.
   void set_decay_half_life(uint64_t half_life_tweets) {
     decay_half_life_ = half_life_tweets;
     decay_lambda_ =

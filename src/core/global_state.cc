@@ -292,7 +292,7 @@ bool ShardedGlobalState::Contains(int gid) const {
 }
 
 void ShardedGlobalState::AddMention(int gid, uint64_t pos,
-                                    const Mat& local_emb) {
+                                    std::span<const float> local_emb) {
   const GidRef r = ref(gid);
   shards_[r.shard].candidates.AddMention(r.local, pos, local_emb);
 }

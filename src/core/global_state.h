@@ -14,7 +14,7 @@
 // (MarkDirty / SetLabel) require the single-writer batch barrier, exactly
 // like the unsharded CTrie. Extract() is read-only and safe
 // from worker threads. AddMention(gid) mutates only the owning shard, so the
-// Globalizer's shard-aware merge may pool different shards from different
+// Globalizer's bucketed merge drain may pool different shards from different
 // workers concurrently as long as no two workers touch the same shard.
 
 #ifndef EMD_CORE_GLOBAL_STATE_H_
@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -135,8 +136,8 @@ class ShardedGlobalState {
   CandidateRecord& at(int gid);
   const CandidateRecord& at(int gid) const;
   bool Contains(int gid) const;
-  /// Counts a mention at tweet `pos` + pools its embedding. Owning shard only.
-  void AddMention(int gid, uint64_t pos, const Mat& local_emb);
+  /// Counts a mention at tweet `pos`, pools its row if any. Owning shard only.
+  void AddMention(int gid, uint64_t pos, std::span<const float> local_emb);
   /// Frees the record, preserving its final label in the shard's side table
   /// and freezing it in the label column; drops any dirty mark.
   void Evict(int gid);

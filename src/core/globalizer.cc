@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/syntactic_embedder.h"
+#include "nn/kernels/kernels.h"
 #include "obs/trace.h"
 #include "stream/batching.h"
 #include "util/failpoint.h"
@@ -113,37 +114,49 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
   }
 }
 
+size_t Globalizer::EmbeddingDim() const {
+  return system_->is_deep() ? phrase_embedder_->out_dim() : kNumSyntacticCategories;
+}
+
 void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
                                ForwardArena* arena, RescanScratch* scratch,
                                ExtractStage* stage) const {
   const std::vector<ExtractedMention>& extracted = stage->extracted;
   if (extracted.empty()) return;
   EMD_TRACE_SPAN("phrase_embed");
-  stage->embeddings.resize(extracted.size());
-  if (!system_->is_deep()) {
-    for (size_t e = 0; e < extracted.size(); ++e) {
-      stage->embeddings[e] = SyntacticEmbedding(record.tokens, extracted[e].span);
-    }
-    return;
-  }
+  stage->rows.assign(extracted.size(), -1);
   // A deep primary whose tweet was actually processed by a non-deep fallback
   // has no token embeddings; its mentions survive with no embedding
   // contribution.
+  const bool deep = system_->is_deep();
   const Mat& tok = record.token_embeddings;
-  if (tok.empty()) return;
-  // A span the token embeddings do not cover degrades to no contribution;
-  // the mention itself survives.
-  auto in_range = [&](const TokenSpan& span) {
-    return span.begin < span.end && span.end <= static_cast<size_t>(tok.rows());
-  };
+  if (deep && tok.empty()) return;
+  // Each embedded mention gets the next row of the lane's buffer, so the
+  // tweet's rows are contiguous from `first`, in `spans` order.
+  const size_t dim = EmbeddingDim();
+  std::vector<float>& rows = scratch->rows;
+  const size_t first = rows.size() / dim;
   std::vector<TokenSpan>& spans = scratch->spans;
   spans.clear();
-  for (const ExtractedMention& em : extracted) {
-    if (in_range(em.span)) {
-      spans.push_back(em.span);
-    } else {
+  for (size_t e = 0; e < extracted.size(); ++e) {
+    const TokenSpan& span = extracted[e].span;
+    // A span the token embeddings do not cover degrades to no contribution;
+    // the mention itself survives.
+    if (deep && (span.begin >= span.end ||
+                 span.end > static_cast<size_t>(tok.rows()))) {
       ++stage->degraded;
+      continue;
     }
+    stage->rows[e] = static_cast<int>(first + spans.size());
+    spans.push_back(span);
+  }
+  rows.resize((first + spans.size()) * dim, 0.f);
+  float* out = rows.data() + first * dim;
+  if (!deep) {
+    for (size_t k = 0; k < spans.size(); ++k) {
+      SyntacticEmbedding(record.tokens, spans[k], {out + k * dim, dim});
+    }
+    return;
   }
   if (spans.empty()) return;
 
@@ -157,32 +170,25 @@ void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
       },
       &retry_stats);
   stage->retries += retry_stats.retries;
-  if (!embedded.ok()) {
-    stage->degraded += static_cast<int>(spans.size());
-    EMD_LOG(Warn) << "phrase embedder failed (" << embedded
-                  << "); degrading " << spans.size()
-                  << " mentions to mean-pooled token embeddings";
+  if (embedded.ok()) {
+    std::copy_n(scratch->fused.data(), spans.size() * dim, out);
+    return;
   }
-  int row = 0;
-  for (size_t e = 0; e < extracted.size(); ++e) {
-    const TokenSpan& span = extracted[e].span;
-    if (!in_range(span)) continue;
-    if (embedded.ok()) {
-      stage->embeddings[e] = scratch->fused.RowCopy(row++);
-      continue;
-    }
-    // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable,
-    // so pool the raw entity-aware token embeddings directly (Eq. 1 without
-    // the dense projection of Eq. 2), fitted to the candidate embedding width.
-    const int out_dim = phrase_embedder_->out_dim();
-    Mat& emb = stage->embeddings[e];
-    emb = Mat(1, out_dim);
-    const int copy_dim = std::min(out_dim, tok.cols());
-    for (size_t t = span.begin; t < span.end; ++t) {
+  stage->degraded += static_cast<int>(spans.size());
+  EMD_LOG(Warn) << "phrase embedder failed (" << embedded << "); degrading "
+                << spans.size() << " mentions to mean-pooled token embeddings";
+  // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable,
+  // so pool the raw entity-aware token embeddings directly (Eq. 1 without
+  // the dense projection of Eq. 2), fitted to the candidate embedding width.
+  const size_t copy_dim = std::min(dim, static_cast<size_t>(tok.cols()));
+  for (size_t k = 0; k < spans.size(); ++k) {
+    float* row = out + k * dim;
+    for (size_t t = spans[k].begin; t < spans[k].end; ++t) {
       const float* tok_row = tok.row(static_cast<int>(t));
-      for (int j = 0; j < copy_dim; ++j) emb(0, j) += tok_row[j];
+      for (size_t j = 0; j < copy_dim; ++j) row[j] += tok_row[j];
     }
-    emb.Scale(1.f / static_cast<float>(span.length()));
+    kernels::Kernels().vscale(1.f / static_cast<float>(spans[k].length()), row,
+                              static_cast<int>(dim));
   }
 }
 
@@ -432,25 +438,20 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
     local_seconds_ += local_timer.ElapsedSeconds();
   }
 
-  if (options_.mode == GlobalizerOptions::Mode::kLocalOnly) {
-    Counters().batches->Increment();
-    governor_.Run([this] { return ReclassifyAmbiguous(); });
-    return Status::OK();
-  }
-
-  // ---- Step 2+3: Global EMD over this batch. ----
+  // ---- Step 2+3: Global EMD over this batch (none in kLocalOnly). ----
   const Timer global_timer;
-  ExtractAndPool(first_index);
-
-  if (options_.release_embeddings) {
-    tweets_.ReleaseEmbeddings(first_index, tweets_.size());
-  }
+  const bool local_only = options_.mode == GlobalizerOptions::Mode::kLocalOnly;
+  if (!local_only) ExtractAndPool(first_index);
+  // Only the re-scan's embedding step reads token embeddings: every mode
+  // drops the batch's here, so they never outlive one batch.
+  tweets_.ReleaseEmbeddings(first_index, tweets_.size());
   Counters().batches->Increment();
 
   // Memory governance runs at this same single-writer barrier: the trie and
   // CandidateBase are quiescent between batches, so eviction/pruning can
   // never race Step() on a worker thread.
   governor_.Run([this] { return ReclassifyAmbiguous(); });
+  if (local_only) return Status::OK();
 
   Counters().candidates->Set(state_.num_live_candidates());
   if (options_.publish_shard_gauges) {
@@ -485,37 +486,29 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   const size_t slots = static_cast<size_t>(std::max(1, options_.num_threads));
   if (lane_arenas_.size() < slots) lane_arenas_.resize(slots);
   if (rescan_scratch_.size() < slots) rescan_scratch_.resize(slots);
+  for (RescanScratch& scratch : rescan_scratch_) scratch.rows.clear();
   ParallelForOrSerial(
       options_.num_threads > 1 ? pool_.get() : nullptr, count,
       [&](int slot, size_t idx) {
         const TweetRecord& record = tweets_.at(first_index + idx);
         if (record.quarantined) return;
         ExtractStage& stage = staged[idx];
+        stage.lane = slot;
         state_.ExtractInto(record.tokens, &rescan_scratch_[slot].scan,
                            &stage.extracted);
         EmbedMentions(record, first_index + idx, &lane_arenas_[slot],
                       &rescan_scratch_[slot], &stage);
       });
 
-  // Shard-aware deterministic merge barrier. Phase A walks the batch in
-  // tweet order — counters, the longest-match rewrite of each record's
-  // mention list, record creation — and queues every (gid, tweet index,
-  // embedding) pooling op into its candidate's shard bucket, still in tweet
-  // order. Phase B drains the buckets: serially when single-threaded or
-  // single-sharded (byte-for-byte the historical merge loop), else one
-  // worker per shard. A candidate lives in exactly one shard, so its pooling
-  // ops replay in the same tweet order either way — incremental pooling
-  // order (and thus every global embedding, bit for bit) matches the serial
-  // single-shard pipeline.
-  struct PoolOp {
-    int gid;
-    uint64_t pos;
-    const Mat* embedding;
-  };
-  const bool sharded_merge = state_.shard_count() > 1 &&
-                             options_.num_threads > 1 && pool_ != nullptr;
-  std::vector<std::vector<PoolOp>> pool_ops;
-  if (sharded_merge) pool_ops.resize(state_.shard_count());
+  // Deterministic merge barrier. Phase A walks the batch in tweet order —
+  // counters, the longest-match rewrite of each record's mention list,
+  // record creation — and queues every (gid, tweet index, embedding row)
+  // pooling op into its candidate's shard bucket, still in tweet order.
+  // Phase B drains the buckets, one task per shard, in parallel only with a
+  // pool and more than one shard. A candidate lives in one shard, so its ops
+  // replay in tweet order either way: every global embedding is bit-exact.
+  const size_t dim = EmbeddingDim();
+  pool_ops_.resize(static_cast<size_t>(state_.shard_count()));
 
   // The batch's rewritten mention lists are built in reused scratch and
   // replace the TweetBase tail (the batch) in one step.
@@ -527,6 +520,7 @@ void Globalizer::ExtractAndPool(size_t first_index) {
     if (tweets_.at(i).quarantined) continue;
     const std::span<const RecordedMention> local = tweets_.mentions(i);
     ExtractStage& stage = staged[idx];
+    const float* lane_rows = rescan_scratch_[stage.lane].rows.data();
     num_retries_ += stage.retries;
     num_degraded_ += stage.degraded;
     if (stage.retries > 0) Counters().retries->Increment(stage.retries);
@@ -547,12 +541,10 @@ void Globalizer::ExtractAndPool(size_t first_index) {
 
       state_.GetOrCreate(em.candidate_id);
       state_.MarkDirty(em.candidate_id);
-      if (sharded_merge) {
-        pool_ops[state_.ShardOf(em.candidate_id)].push_back(
-            {em.candidate_id, i, &stage.embeddings[e]});
-      } else {
-        state_.AddMention(em.candidate_id, i, stage.embeddings[e]);
-      }
+      std::span<const float> row;
+      if (stage.rows[e] >= 0) row = {lane_rows + stage.rows[e] * dim, dim};
+      pool_ops_[state_.ShardOf(em.candidate_id)].push_back(
+          {em.candidate_id, i, row});
     }
     merged_counts_[idx] = stage.extracted.size();
   }
@@ -560,15 +552,15 @@ void Globalizer::ExtractAndPool(size_t first_index) {
       first_index, merged_mentions_, merged_counts_);
   EMD_CHECK(rewritten.ok()) << rewritten;
 
-  if (sharded_merge) {
-    // Phase B: one task per shard, so no two workers ever touch the same
-    // CandidateBase. `staged` embeddings stay alive until after this barrier.
-    pool_->ParallelFor(pool_ops.size(), [&](int /*slot*/, size_t s) {
-      for (const PoolOp& op : pool_ops[s]) {
-        state_.AddMention(op.gid, op.pos, *op.embedding);
-      }
-    });
-  }
+  // Phase B: no two workers ever touch the same CandidateBase.
+  ParallelForOrSerial(
+      state_.shard_count() > 1 ? pool_.get() : nullptr, pool_ops_.size(),
+      [&](int /*slot*/, size_t s) {
+        for (const PoolOp& op : pool_ops_[s]) {
+          state_.AddMention(op.gid, op.pos, op.row);
+        }
+        pool_ops_[s].clear();  // its rows are rewritten next batch
+      });
 }
 
 Status Globalizer::ClassifyDirty(bool gamma_band_only,

@@ -105,10 +105,6 @@ struct GlobalizerOptions {
   };
   Mode mode = Mode::kFull;
 
-  /// Free token-embedding storage after each batch's global pass (bounds
-  /// memory to one batch).
-  bool release_embeddings = true;
-
   /// A candidate's global embedding is only trusted for a confident
   /// *non-entity* verdict once it pools at least this many mentions (§V-C:
   /// "a candidate's global embedding ... is more reliable when its frequency
@@ -334,37 +330,50 @@ class Globalizer {
     int retries = 0;
   };
 
-  /// One tweet's re-scan stage: extracted mentions with their local
-  /// embeddings (embeddings[e] for extracted[e]; an empty Mat contributes
-  /// nothing), pooled into the CandidateBase by the deterministic merge.
-  /// `retries` and `degraded` count the tweet's embedding step.
+  /// One tweet's re-scan stage: extracted mentions and the row of each one's
+  /// local embedding in RescanScratch::rows of lane `lane` (rows[e] for
+  /// extracted[e]; -1 contributes nothing), pooled by the deterministic
+  /// merge. `retries` and `degraded` count the tweet's embedding step.
   struct ExtractStage {
     std::vector<ExtractedMention> extracted;
-    std::vector<Mat> embeddings;
+    std::vector<int> rows;
+    int lane = 0;
     int retries = 0;
     int degraded = 0;
   };
 
   /// Per-lane re-scan scratch, reused across tweets and batches: the
-  /// candidate scan's buffers, one tweet's in-range mention spans, and their
-  /// fused phrase embeddings.
+  /// candidate scan's buffers, one tweet's in-range mention spans, their
+  /// fused phrase embeddings, and `rows`, the batch's local mention
+  /// embeddings (EmbeddingDim() floats each), read by the merge's drain.
   struct RescanScratch {
     ShardedGlobalState::ScanScratch scan;
     std::vector<TokenSpan> spans;
     Mat fused;
+    std::vector<float> rows;
   };
 
+  /// A queued pooling op: ShardedGlobalState::AddMention's arguments.
+  struct PoolOp {
+    int gid;
+    uint64_t pos;
+    std::span<const float> row;
+  };
+
+  /// Local mention embedding width: out_dim() or kNumSyntacticCategories.
+  size_t EmbeddingDim() const;
+
   /// Step 3 for one tweet: one local embedding per extracted mention of
-  /// `stage`, under one `phrase_embed` span. Thread-safe (reads only
-  /// shared-immutable state; `arena` and `scratch` belong to the calling
-  /// lane). A non-deep system embeds each mention syntactically. A deep one
-  /// embeds the tweet's in-range spans in one TryEmbedSpans call under the
-  /// phrase_embedder retry policy, jittered by TaskRng(tweet_index); if that
-  /// still fails, each of those mentions degrades to its raw mean pool fitted
-  /// to out_dim (one warning per tweet). An out-of-range span degrades to no
-  /// embedding; a tweet without token embeddings (a non-deep fallback served
-  /// it) contributes none and degrades nothing. Degraded mentions are
-  /// counted in stage->degraded.
+  /// `stage`, as a row of scratch->rows, under one `phrase_embed` span.
+  /// Thread-safe (reads only shared-immutable state; `arena` and `scratch`
+  /// belong to the calling lane). A non-deep system embeds each mention
+  /// syntactically. A deep one embeds the tweet's in-range spans in one
+  /// TryEmbedSpans call under the phrase_embedder retry policy, jittered by
+  /// TaskRng(tweet_index); if that still fails, each of those mentions
+  /// degrades to its raw mean pool fitted to out_dim (one warning per
+  /// tweet). An out-of-range span degrades to no embedding; a tweet without
+  /// token embeddings (a non-deep fallback served it) contributes none and
+  /// degrades nothing. Degraded mentions are counted in stage->degraded.
   void EmbedMentions(const TweetRecord& record, size_t tweet_index,
                      ForwardArena* arena, RescanScratch* scratch,
                      ExtractStage* stage) const;
@@ -417,8 +426,8 @@ class Globalizer {
 
   /// Steps 2+3 over the records from `first_index` on: registers their seed
   /// candidates, re-scans them against every known candidate, embeds the
-  /// matches and pools them at the shard-aware merge barrier. Timed as the
-  /// `ctrie_extract` span.
+  /// matches into the lanes' rows and pools them at the merge barrier, one
+  /// shard bucket of PoolOps each. Timed as the `ctrie_extract` span.
   void ExtractAndPool(size_t first_index);
 
   /// Deterministic per-tweet RNG for retry jitter: the draws depend on the
@@ -484,9 +493,11 @@ class Globalizer {
   std::vector<RescanScratch> rescan_scratch_;
 
   // Merge-barrier scratch: the batch's rewritten mention lists, concatenated
-  // in tweet order, and each tweet's count; copied in as the TweetBase tail.
+  // in tweet order, and each tweet's count, copied in as the TweetBase tail;
+  // and one bucket of pooling ops per shard.
   std::vector<RecordedMention> merged_mentions_;
   std::vector<size_t> merged_counts_;
+  std::vector<std::vector<PoolOp>> pool_ops_;
 
   // Fault-tolerance state; persisted by SaveCheckpoint. num_retries_ is
   // mutable because the const SaveCheckpoint retries its IO.

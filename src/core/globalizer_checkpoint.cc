@@ -56,8 +56,8 @@
 // sharded build — with bit-identical pipeline output either way. When the
 // shard counts do match, the recorded shard assignments are additionally
 // validated against the router. Token embeddings in flight are not captured:
-// checkpoints are only valid between execution cycles, when
-// release_embeddings has already dropped them.
+// checkpoints are only valid between execution cycles, and every
+// ProcessBatch releases its batch's token embeddings before it returns.
 //
 // Pre-v4 checkpoints carry no decay/governance fields; they restore with
 // embedding_weight = embedding_count and last positions derived from the

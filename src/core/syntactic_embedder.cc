@@ -54,10 +54,11 @@ SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
   return SyntacticCategory::kNoCapitalization;
 }
 
-Mat SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span) {
-  Mat e(1, kNumSyntacticCategories);
-  e(0, static_cast<int>(ClassifyMentionSyntax(tokens, span))) = 1.f;
-  return e;
+void SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span,
+                        std::span<float> out) {
+  EMD_CHECK_EQ(out.size(), static_cast<size_t>(kNumSyntacticCategories));
+  for (float& v : out) v = 0.f;
+  out[static_cast<size_t>(ClassifyMentionSyntax(tokens, span))] = 1.f;
 }
 
 }  // namespace emd

@@ -7,9 +7,9 @@
 #ifndef EMD_CORE_SYNTACTIC_EMBEDDER_H_
 #define EMD_CORE_SYNTACTIC_EMBEDDER_H_
 
+#include <span>
 #include <vector>
 
-#include "nn/matrix.h"
 #include "text/token.h"
 
 namespace emd {
@@ -30,8 +30,9 @@ constexpr int kNumSyntacticCategories = 6;
 SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
                                         const TokenSpan& span);
 
-/// One-hot 1x6 embedding of the mention's category.
-Mat SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span);
+/// Writes the mention category's one-hot embedding to `out` (all 6 floats).
+void SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span,
+                        std::span<float> out);
 
 }  // namespace emd
 

@@ -136,7 +136,7 @@ TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
         // An empty embedding records the mention without pooling it.
         const Mat emb = rng.NextBernoulli(0.1) ? Mat() : RandomEmbedding(&rng, 6);
         base.AddMention(live[rng.NextU64(live.size())],
-                        static_cast<uint64_t>(step), emb);
+                        static_cast<uint64_t>(step), {emb.data(), emb.size()});
       } else {
         const size_t k = rng.NextU64(live.size());
         base.Evict(live[k]);
@@ -308,7 +308,9 @@ void ChurnShardedState(int shards, int threads, uint64_t seed) {
       workers.emplace_back([&, t] {
         for (size_t s = static_cast<size_t>(t); s < ops.size();
              s += static_cast<size_t>(threads)) {
-          for (const Op& op : ops[s]) state.AddMention(op.gid, op.pos, op.emb);
+          for (const Op& op : ops[s]) {
+            state.AddMention(op.gid, op.pos, {op.emb.data(), op.emb.size()});
+          }
         }
       });
     }
@@ -587,6 +589,26 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   std::remove(path.c_str());
 }
 
+// Checks that `out` emits exactly each tweet's in-range Local EMD spans of
+// `mock`, and that there are more of them than tweets.
+void ExpectLocalSpans(const Dataset& d, MockLocalSystem* mock,
+                      const GlobalizerOutput& out) {
+  ASSERT_EQ(out.mentions.size(), d.tweets.size());
+  size_t emitted = 0;
+  for (size_t i = 0; i < d.tweets.size(); ++i) {
+    const std::vector<Token>& tokens = d.tweets[i].tokens;
+    std::vector<TokenSpan> want;
+    for (const TokenSpan& span : mock->Process(tokens).mentions) {
+      if (span.begin < span.end && span.end <= tokens.size()) {
+        want.push_back(span);
+      }
+    }
+    EXPECT_EQ(out.mentions[i], want) << "tweet " << i;
+    emitted += want.size();
+  }
+  EXPECT_GT(emitted, d.tweets.size());
+}
+
 // kLocalOnly emits exactly each tweet's in-range Local EMD spans, read back
 // from the flat mention array: checked against the local system itself.
 TEST(AccountingTest, LocalOnlyFinalizeEmitsTheLocalSpans) {
@@ -605,20 +627,36 @@ TEST(AccountingTest, LocalOnlyFinalizeEmitsTheLocalSpans) {
     }
     const GlobalizerOutput out = g.Finalize().value();
     ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g.tweet_base()));
-    ASSERT_EQ(out.mentions.size(), d.tweets.size());
-    size_t emitted = 0;
-    for (size_t i = 0; i < d.tweets.size(); ++i) {
-      const std::vector<Token>& tokens = d.tweets[i].tokens;
-      std::vector<TokenSpan> want;
-      for (const TokenSpan& span : mock.Process(tokens).mentions) {
-        if (span.begin < span.end && span.end <= tokens.size()) {
-          want.push_back(span);
-        }
+    ExpectLocalSpans(d, &mock, out);
+  }
+}
+
+// Only the re-scan reads token embeddings, so a deep kLocalOnly stream drops
+// each batch's at the end of its ProcessBatch, like every other mode: the
+// TweetBase never holds more than the batch in flight, its running bytes
+// match the recount, and the output is still exactly the local spans.
+TEST(AccountingTest, DeepLocalOnlyReleasesTokenEmbeddingsEveryBatch) {
+  const Dataset d = ChurnStream(200, 47);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("T=" + std::to_string(threads));
+    MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+    ASSERT_TRUE(mock.is_deep());
+    GlobalizerOptions opt;
+    opt.mode = GlobalizerOptions::Mode::kLocalOnly;
+    opt.batch_size = kBatch;
+    opt.num_threads = threads;
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    for (size_t b = 0; b < batches; ++b) {
+      ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+      const TweetBase& tweets = g.tweet_base();
+      for (size_t i = 0; i < tweets.size(); ++i) {
+        ASSERT_TRUE(tweets.at(i).token_embeddings.empty())
+            << "batch " << b << " tweet " << i;
       }
-      EXPECT_EQ(out.mentions[i], want) << "tweet " << i;
-      emitted += want.size();
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(tweets));
     }
-    EXPECT_GT(emitted, d.tweets.size());
+    ExpectLocalSpans(d, &mock, g.Finalize().value());
   }
 }
 

@@ -7,6 +7,7 @@
 #include "core/entity_classifier.h"
 #include "core/phrase_embedder.h"
 #include "mock_local_system.h"
+#include "nn/kernels/kernels.h"
 #include "stream/sts_generator.h"
 #include "text/tweet_tokenizer.h"
 #include "util/failpoint.h"
@@ -218,6 +219,9 @@ TEST(PhraseEmbedderTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(pe.Save(path).ok());
   PhraseEmbedder loaded(6, 4, 999);  // different init, overwritten by Load
   ASSERT_TRUE(loaded.Load(path).ok());
+  // Load quantizes when the int8 backend is on; run `pe` on the same backend.
+  if (kernels::Int8Enabled()) pe.PrepareQuantizedInference();
+  EXPECT_EQ(pe.quantized(), loaded.quantized());
   Rng rng(11);
   Mat tokens(3, 6);
   tokens.InitGaussian(&rng, 1.f);

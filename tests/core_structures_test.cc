@@ -263,8 +263,10 @@ TEST(SyntacticEmbedderTest, NonDiscriminativeAllLowerSentence) {
 
 TEST(SyntacticEmbedderTest, OneHotEmbedding) {
   auto tokens = Toks("today Andy Beshear warned everyone");
-  Mat e = SyntacticEmbedding(tokens, {1, 3});
-  EXPECT_EQ(e.cols(), kNumSyntacticCategories);
+  // Every float of the row is written, whatever it held before.
+  Mat e(1, kNumSyntacticCategories);
+  e.Fill(7.f);
+  SyntacticEmbedding(tokens, {1, 3}, {e.data(), e.size()});
   float sum = 0;
   for (int j = 0; j < e.cols(); ++j) sum += e(0, j);
   EXPECT_FLOAT_EQ(sum, 1.f);
@@ -283,7 +285,7 @@ TEST(CandidateBaseTest, IncrementalPoolingEqualsBatchMean) {
     Mat e(1, 4);
     e.InitGaussian(&rng, 1.f);
     sum.Add(e);
-    base.AddMention(0, 0, e);
+    base.AddMention(0, 0, {e.data(), e.size()});
   }
   Mat mean = sum;
   mean.Scale(1.f / n);
@@ -296,8 +298,10 @@ TEST(CandidateBaseTest, RetainMentionEmbeddings) {
   CandidateBase base;
   base.set_retain_mention_embeddings(true);
   base.GetOrCreate(0, "x", 1);
-  base.AddMention(0, 0, Mat(1, 2, {1, 2}));
-  base.AddMention(0, 0, Mat(1, 2, {3, 4}));
+  const float a[] = {1, 2};
+  const float b[] = {3, 4};
+  base.AddMention(0, 0, a);
+  base.AddMention(0, 0, b);
   ASSERT_EQ(base.at(0).mention_embeddings.size(), 2u);
   EXPECT_FLOAT_EQ(base.at(0).mention_embeddings[1](0, 1), 4.f);
 }

@@ -163,8 +163,8 @@ TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
   Mat b(1, 2);
   b(0, 0) = 1.f;
   b(0, 1) = 1.f;
-  cb.AddMention(0, 0, a);
-  cb.AddMention(0, 2, b);
+  cb.AddMention(0, 0, {a.data(), a.size()});
+  cb.AddMention(0, 2, {b.data(), b.size()});
 
   // Two positions elapsed: old evidence decays by 0.5^2 = 0.25.
   const CandidateRecord& rec = cb.at(0);
@@ -178,30 +178,39 @@ TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
   EXPECT_EQ(rec.last_update_pos, 2u);
 }
 
+// With decay off, the one pooling formula is a plain running sum divided by
+// the integer count, bit for bit: every lambda^Δ scale is 1, the weight stays
+// an exact integer, and float(double(n)) == float(n).
 TEST(DecayedPoolingTest, DecayOffIsBitExactLegacyMean) {
   CandidateBase cb;  // default: no decay
   cb.GetOrCreate(0, "x", 1);
-  Mat a(1, 3);
-  Mat b(1, 3);
-  for (int j = 0; j < 3; ++j) {
-    a(0, j) = 0.1f * static_cast<float>(j + 1);
-    b(0, j) = 0.7f - 0.2f * static_cast<float>(j);
-  }
-  cb.AddMention(0, 0, a);
-  cb.AddMention(0, 5, b);
+  constexpr int kDim = 7;
+  Rng rng(5);
+  Mat expected;
+  uint64_t pos = 0;
+  for (int n = 1; n <= 1000; ++n) {
+    SCOPED_TRACE("mention " + std::to_string(n));
+    Mat e(1, kDim);
+    e.InitGaussian(&rng, 1.f);
+    pos += rng.NextU64(6);  // gaps of 0..5 stream positions
+    cb.AddMention(0, pos, {e.data(), e.size()});
+    if (expected.empty()) {
+      expected = e;
+    } else {
+      expected.Add(e);
+    }
 
-  const CandidateRecord& rec = cb.at(0);
-  EXPECT_EQ(rec.embedding_weight, 2.0);  // exactly the count
-  Mat expected = a;
-  expected.Add(b);
-  EXPECT_EQ(std::memcmp(rec.embedding_sum.data(), expected.data(),
-                        sizeof(float) * expected.size()),
-            0);
-  expected.Scale(1.f / 2.f);  // the legacy integer-count mean, bit for bit
-  const Mat g = rec.GlobalEmbedding();
-  EXPECT_EQ(std::memcmp(g.data(), expected.data(),
-                        sizeof(float) * expected.size()),
-            0);
+    const CandidateRecord& rec = cb.at(0);
+    ASSERT_EQ(rec.embedding_count, n);
+    ASSERT_EQ(rec.embedding_weight, static_cast<double>(n));  // exactly
+    ASSERT_EQ(std::memcmp(rec.embedding_sum.data(), expected.data(),
+                          sizeof(float) * kDim),
+              0);
+    Mat mean = expected;
+    mean.Scale(1.f / static_cast<float>(n));  // the integer-count mean
+    const Mat g = rec.GlobalEmbedding();
+    ASSERT_EQ(std::memcmp(g.data(), mean.data(), sizeof(float) * kDim), 0);
+  }
 }
 
 TEST(DecayedPoolingTest, SamePositionMentionsDoNotDecayEachOther) {
@@ -210,8 +219,8 @@ TEST(DecayedPoolingTest, SamePositionMentionsDoNotDecayEachOther) {
   cb.GetOrCreate(0, "x", 1);
   Mat a(1, 1);
   a(0, 0) = 2.f;
-  cb.AddMention(0, 3, a);
-  cb.AddMention(0, 3, a);
+  cb.AddMention(0, 3, {a.data(), a.size()});
+  cb.AddMention(0, 3, {a.data(), a.size()});
   EXPECT_DOUBLE_EQ(cb.at(0).embedding_weight, 2.0);
   EXPECT_FLOAT_EQ(cb.at(0).embedding_sum(0, 0), 4.f);
 }

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/globalizer.h"
@@ -549,7 +550,10 @@ TEST(ParallelPipelineTest, HappyPathReplaysBreakerSuccesses) {
 // embeddings its tweet's local stage produced: nothing for a tweet with none
 // (a non-deep fallback served it); nothing, counted degraded, for a span out
 // of range; the projected Embed(span) when the width fits; else the raw mean
-// pool fitted to out_dim, counted degraded.
+// pool fitted to out_dim, counted degraded. The pools must come out exact at
+// every shard count and thread count: the lanes' row buffers, the -1 row of
+// a mention with no contribution and the per-shard drain all sit between the
+// re-scan and the record.
 
 // A deep mock whose token embeddings cover all but the last two tokens, so
 // mentions at the end of a tweet are out of range for the phrase embedder.
@@ -580,7 +584,7 @@ struct ExpectedPool {
 ExpectedPool ExpectedEmbeddings(const Globalizer& g, const PhraseEmbedder& pe,
                                 const std::vector<Mat>& token_embeddings) {
   ExpectedPool e;
-  const size_t n = g.candidate_base().size();
+  const size_t n = static_cast<size_t>(g.global_state().num_candidates());
   e.counts.assign(n, 0);
   e.sums.assign(n, {});
   for (size_t i = 0; i < g.tweet_base().size(); ++i) {
@@ -617,11 +621,12 @@ ExpectedPool ExpectedEmbeddings(const Globalizer& g, const PhraseEmbedder& pe,
   return e;
 }
 
+// Reads every record by gid, so the pools of all shards are checked.
 void ExpectPooled(const Globalizer& g, const ExpectedPool& e) {
-  const CandidateBase& cb = g.candidate_base();
-  ASSERT_EQ(cb.size(), e.sums.size());
-  for (size_t id = 0; id < cb.size(); ++id) {
-    const CandidateRecord& rec = cb.at(static_cast<int>(id));
+  const ShardedGlobalState& state = g.global_state();
+  ASSERT_EQ(static_cast<size_t>(state.num_candidates()), e.sums.size());
+  for (size_t id = 0; id < e.sums.size(); ++id) {
+    const CandidateRecord& rec = state.at(static_cast<int>(id));
     EXPECT_EQ(rec.embedding_count, e.counts[id]) << rec.key;
     const Mat& sum = rec.embedding_sum;
     ASSERT_EQ(sum.size(), e.sums[id].size()) << rec.key;
@@ -653,10 +658,12 @@ TEST(ParallelPipelineTest, RescanEmbeddingEdgeCasesPoolExactly) {
     return tok;
   };
 
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("T" + std::to_string(threads));
+  for (const auto& [shards, threads] :
+       std::vector<std::pair<int, int>>{{1, 1}, {1, 4}, {3, 1}, {3, 4}}) {
+    SCOPED_TRACE("S" + std::to_string(shards) + " T" + std::to_string(threads));
     GlobalizerOptions opt;
     opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+    opt.shard_count = shards;
     opt.num_threads = threads;
 
     {

@@ -60,7 +60,9 @@ TEST_P(SeededTest, PoolingIsOrderAndBatchInvariant) {
   auto pooled = [&](const std::vector<size_t>& order) {
     CandidateBase base;
     base.GetOrCreate(0, "x", 1);
-    for (size_t i : order) base.AddMention(0, 0, embeddings[i]);
+    for (size_t i : order) {
+      base.AddMention(0, 0, {embeddings[i].data(), embeddings[i].size()});
+    }
     return base.at(0).GlobalEmbedding();
   };
   std::vector<size_t> order(n);
@@ -128,7 +130,8 @@ TEST_P(SeededTest, SyntacticCategoriesPartitionMentions) {
   for (int i = 0; i < 300; ++i) {
     AnnotatedTweet t = gen.Next();
     for (const auto& g : t.gold) {
-      Mat e = SyntacticEmbedding(t.tokens, g.span);
+      Mat e(1, kNumSyntacticCategories);
+      SyntacticEmbedding(t.tokens, g.span, {e.data(), e.size()});
       float sum = 0;
       int hot = -1;
       for (int j = 0; j < e.cols(); ++j) {
