@@ -11,8 +11,18 @@ CTrie::CTrie(SymbolTable* symbols) : symbols_(symbols) {
   nodes_.emplace_back();
 }
 
-void CTrie::AddSymEdge(int node, std::string_view folded, int child) {
-  const int32_t sym = symbols_->Acquire(folded);
+void FoldedPhrase::Append(std::string_view token) {
+  if (!joined_.empty()) joined_ += ' ';
+  const size_t begin = joined_.size();
+  joined_.append(token);
+  for (size_t i = begin; i < joined_.size(); ++i) {
+    char& c = joined_[i];
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  ends_.push_back(static_cast<uint32_t>(joined_.size()));
+}
+
+void CTrie::AddSymEdge(int node, int32_t sym, int child) {
   auto& edges = nodes_[node].sym_edges;
   element_bytes_ -= edges.capacity() * sizeof(Edge);
   edges.insert(std::lower_bound(edges.begin(), edges.end(), sym, EdgeLess),
@@ -46,41 +56,57 @@ int CTrie::AllocNode() {
   return slot;
 }
 
-int CTrie::Insert(const std::vector<std::string>& tokens) {
-  EMD_CHECK(!tokens.empty());
+int CTrie::Insert(const FoldedPhrase& phrase, int32_t* first_symbol) {
+  EMD_CHECK_GT(phrase.size(), 0u);
   int node = root();
-  std::string key;
-  for (const auto& tok : tokens) {
-    const std::string folded = ToLowerAscii(tok);
-    if (!key.empty()) key += ' ';
-    key += folded;
+  for (size_t i = 0; i < phrase.size(); ++i) {
     // An interned symbol may still lack an edge at this node (it labels
     // edges elsewhere); StepSymbol misses and the edge is created.
-    int child = StepSymbol(node, symbols_->Lookup(folded));
+    int32_t sym = symbols_->Lookup(phrase.token(i));
+    int child = StepSymbol(node, sym);
     if (child == kNoNode) {
+      if (sym == SymbolTable::kNoSymbol) {
+        sym = symbols_->Intern(phrase.token(i));
+      } else {
+        symbols_->Retain(sym);
+      }
       child = AllocNode();
-      AddSymEdge(node, folded, child);
+      AddSymEdge(node, sym, child);
     }
+    if (i == 0 && first_symbol != nullptr) *first_symbol = sym;
     node = child;
   }
   if (nodes_[node].candidate_id != kNoCandidate) return nodes_[node].candidate_id;
+  // The key grows by the same appends it always has: element_bytes_ counts
+  // its capacity, which depends on the growth steps.
+  std::string key;
+  for (size_t i = 0; i < phrase.size(); ++i) {
+    if (!key.empty()) key += ' ';
+    key += phrase.token(i);
+  }
   const int id = static_cast<int>(candidate_keys_.size());
   nodes_[node].candidate_id = id;
   candidate_keys_.push_back(std::move(key));
   element_bytes_ += candidate_keys_.back().capacity();
-  candidate_lengths_.push_back(static_cast<int>(tokens.size()));
+  const int length = static_cast<int>(phrase.size());
+  candidate_lengths_.push_back(length);
   tombstoned_.push_back(0);
-  max_len_ = std::max(max_len_, static_cast<int>(tokens.size()));
+  max_len_ = std::max(max_len_, length);
   return id;
+}
+
+int CTrie::Insert(const std::vector<std::string>& tokens) {
+  FoldedPhrase phrase;
+  for (const auto& tok : tokens) phrase.Append(tok);
+  return Insert(phrase);
 }
 
 int CTrie::Insert(const std::vector<Token>& tokens, const TokenSpan& span) {
   EMD_CHECK_LE(span.end, tokens.size());
   EMD_CHECK_LT(span.begin, span.end);
-  std::vector<std::string> words;
-  words.reserve(span.length());
-  for (size_t t = span.begin; t < span.end; ++t) words.push_back(tokens[t].text);
-  return Insert(words);
+  FoldedPhrase phrase;
+  for (size_t t = span.begin; t < span.end; ++t) phrase.Append(tokens[t].text);
+  return Insert(phrase);
 }
 
 int CTrie::CandidateAt(int node) const {

@@ -36,6 +36,32 @@ namespace emd {
 
 class SymbolTable;
 
+/// A phrase case-folded once into one buffer: its folded tokens joined by
+/// single spaces (no space follows while the buffer is still empty), which
+/// is the candidate key the shard router hashes and the trie stores, plus
+/// each token's end offset. Reusable scratch: Clear keeps the capacities.
+class FoldedPhrase {
+ public:
+  void Clear() {
+    joined_.clear();
+    ends_.clear();
+  }
+  /// Appends the case-folded `token`.
+  void Append(std::string_view token);
+
+  size_t size() const { return ends_.size(); }
+  std::string_view key() const { return joined_; }
+  /// Folded text of token `i`.
+  std::string_view token(size_t i) const {
+    const size_t begin = i == 0 || ends_[i - 1] == 0 ? 0 : ends_[i - 1] + 1;
+    return std::string_view(joined_).substr(begin, ends_[i] - begin);
+  }
+
+ private:
+  std::string joined_;
+  std::vector<uint32_t> ends_;
+};
+
 /// Token-level prefix trie over candidate strings.
 class CTrie {
  public:
@@ -47,8 +73,13 @@ class CTrie {
   /// symbol, taken on Insert and dropped on Prune.
   explicit CTrie(SymbolTable* symbols);
 
-  /// Registers a candidate (sequence of tokens; case-folded internally).
-  /// Returns its stable candidate id; re-inserting returns the existing id.
+  /// Registers a folded, non-empty phrase. Returns its stable candidate id;
+  /// re-inserting returns the existing id. Each token's symbol is looked up
+  /// once, and the candidate key is built only for a new candidate. When
+  /// `first_symbol` is set it receives the first token's symbol.
+  int Insert(const FoldedPhrase& phrase, int32_t* first_symbol = nullptr);
+
+  /// Convenience: registers a sequence of tokens (case-folded internally).
   int Insert(const std::vector<std::string>& tokens);
 
   /// Convenience: registers the tokens covered by `span`.
@@ -144,7 +175,8 @@ class CTrie {
   int AllocNode();
   /// Resets a slot to an empty node, releasing its edge array.
   void ClearNode(int node);
-  void AddSymEdge(int node, std::string_view folded, int child);
+  /// Links `child` under `node` by `sym`, whose reference the caller took.
+  void AddSymEdge(int node, int32_t sym, int child);
   void RemoveSymEdge(int node, int32_t sym);
   /// Terms read from container capacities at query time.
   size_t ContainerBytes() const;

@@ -38,12 +38,12 @@ ShardedGlobalState::ShardedGlobalState(int shard_count)
   for (int s = 0; s < shard_count; ++s) shards_.emplace_back(symbols_.get());
 }
 
-int ShardedGlobalState::InsertFolded(const std::vector<std::string>& folded,
-                                     std::string key) {
-  const int shard = router_.ShardOfFolded(key);
+int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
+  const int shard = router_.ShardOfFolded(phrase.key());
   Shard& sh = shards_[shard];
-  const int local = sh.trie.Insert(folded);
-  RegisterFirstToken(shard, folded.front());
+  int32_t first_symbol = SymbolTable::kNoSymbol;
+  const int local = sh.trie.Insert(phrase, &first_symbol);
+  RegisterFirstToken(shard, first_symbol);
   if (local == static_cast<int>(sh.local_to_gid.size())) {
     // Freshly discovered candidate: next gid in global discovery order.
     const int gid = AppendGid({shard, local});
@@ -61,9 +61,7 @@ int ShardedGlobalState::AppendGid(GidRef ref) {
   return gid;
 }
 
-void ShardedGlobalState::RegisterFirstToken(int shard,
-                                            std::string_view first_folded) {
-  const int32_t sym = symbols_->Lookup(first_folded);
+void ShardedGlobalState::RegisterFirstToken(int shard, int32_t sym) {
   EMD_CHECK_GE(sym, 0) << "first token not interned after Insert";
   const int node = shards_[shard].trie.RootChildForSymbol(sym);
   EMD_CHECK_NE(node, CTrie::kNoNode);
@@ -92,28 +90,18 @@ int ShardedGlobalState::Insert(const std::vector<Token>& tokens,
                                const TokenSpan& span) {
   EMD_CHECK_LE(span.end, tokens.size());
   EMD_CHECK_LT(span.begin, span.end);
-  std::vector<std::string> folded;
-  folded.reserve(span.length());
-  std::string key;
+  register_scratch_.Clear();
   for (size_t t = span.begin; t < span.end; ++t) {
-    folded.push_back(ToLowerAscii(tokens[t].text));
-    if (!key.empty()) key += ' ';
-    key += folded.back();
+    register_scratch_.Append(tokens[t].text);
   }
-  return InsertFolded(folded, std::move(key));
+  return InsertFolded(register_scratch_);
 }
 
 int ShardedGlobalState::Insert(const std::vector<std::string>& words) {
   EMD_CHECK(!words.empty());
-  std::vector<std::string> folded;
-  folded.reserve(words.size());
-  std::string key;
-  for (const auto& w : words) {
-    folded.push_back(ToLowerAscii(w));
-    if (!key.empty()) key += ' ';
-    key += folded.back();
-  }
-  return InsertFolded(folded, std::move(key));
+  register_scratch_.Clear();
+  for (const auto& w : words) register_scratch_.Append(w);
+  return InsertFolded(register_scratch_);
 }
 
 int ShardedGlobalState::Find(const std::vector<std::string>& words) const {

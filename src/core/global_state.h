@@ -249,12 +249,12 @@ class ShardedGlobalState {
   /// Tallies and marks a freshly created record (kUnlabeled).
   void OnRecordCreated(int gid);
 
-  /// Registers folded `words` (joined key precomputed) in their shard.
-  int InsertFolded(const std::vector<std::string>& folded, std::string key);
+  /// Registers a folded phrase in the shard its key routes to.
+  int InsertFolded(const FoldedPhrase& phrase);
 
-  /// Ensures first_token_[symbol of `first_folded`] carries `shard`'s root
-  /// continuation. Idempotent; called after every trie insert.
-  void RegisterFirstToken(int shard, std::string_view first_folded);
+  /// Ensures first_token_[sym] (the phrase's first symbol) carries
+  /// `shard`'s root continuation. Idempotent; called after every trie insert.
+  void RegisterFirstToken(int shard, int32_t sym);
 
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running
@@ -282,6 +282,9 @@ class ShardedGlobalState {
   // (unregister when the root edge disappears), so a recycled symbol id
   // always starts with an empty slot.
   std::vector<std::vector<DispatchEntry>> first_token_;
+  // Registration scratch (single writer): each phrase is folded once into
+  // it, so re-registering a known candidate allocates nothing once warm.
+  FoldedPhrase register_scratch_;
   // Capacity bytes of every first_token_ list, kept by RegisterFirstToken.
   size_t dispatch_bytes_ = 0;
   // Lazily resolved per-shard gauges (registry owns the objects).

@@ -5,11 +5,20 @@
 namespace emd {
 
 int32_t SymbolTable::Acquire(std::string_view folded) {
-  auto it = ids_.find(folded);
-  if (it != ids_.end()) {
-    ++refs_[it->second];
-    return it->second;
-  }
+  const int32_t sym = Lookup(folded);
+  if (sym == kNoSymbol) return Intern(folded);
+  Retain(sym);
+  return sym;
+}
+
+void SymbolTable::Retain(int32_t sym) {
+  EMD_CHECK_GE(sym, 0);
+  EMD_CHECK_LT(sym, capacity());
+  EMD_CHECK_GT(refs_[sym], 0u) << "retaining dead symbol " << sym;
+  ++refs_[sym];
+}
+
+int32_t SymbolTable::Intern(std::string_view folded) {
   int32_t sym;
   if (!free_ids_.empty()) {
     sym = free_ids_.back();
@@ -23,7 +32,9 @@ int32_t SymbolTable::Acquire(std::string_view folded) {
     refs_.push_back(1);
   }
   string_bytes_ += texts_[sym].capacity();
-  string_bytes_ += ids_.emplace(texts_[sym], sym).first->first.capacity();
+  const auto [it, inserted] = ids_.emplace(texts_[sym], sym);
+  EMD_CHECK(inserted) << "interning a live symbol";
+  string_bytes_ += it->first.capacity();
   return sym;
 }
 

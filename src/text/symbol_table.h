@@ -45,6 +45,12 @@ class SymbolTable {
   /// Returns its symbol id; a dead id slot is reused before a new one grows.
   int32_t Acquire(std::string_view folded);
 
+  /// Acquire split for a caller that already probed with Lookup: Retain
+  /// takes one more reference on a live `sym`; Intern adds `folded`, which
+  /// must not be interned yet, with one reference and returns its id.
+  void Retain(int32_t sym);
+  int32_t Intern(std::string_view folded);
+
   /// Drops one reference from `sym`. At zero the symbol dies: its text is
   /// forgotten, Lookup misses, and the id is recycled by a later Acquire.
   void Release(int32_t sym);

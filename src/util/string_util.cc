@@ -155,6 +155,12 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 std::string WordShape(std::string_view s, bool collapse_runs) {
   std::string out;
+  WordShapeInto(s, &out, collapse_runs);
+  return out;
+}
+
+void WordShapeInto(std::string_view s, std::string* out, bool collapse_runs) {
+  out->clear();
   char prev = 0;
   for (char c : s) {
     char sym;
@@ -167,10 +173,9 @@ std::string WordShape(std::string_view s, bool collapse_runs) {
     } else {
       sym = 'o';
     }
-    if (!collapse_runs || sym != prev) out += sym;
+    if (!collapse_runs || sym != prev) *out += sym;
     prev = sym;
   }
-  return out;
 }
 
 }  // namespace emd

@@ -75,6 +75,9 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 /// other->'o', with runs collapsed ("McDonald's"->"XxXxox").
 std::string WordShape(std::string_view s, bool collapse_runs = true);
 
+/// WordShape written into a reused buffer (replaced, capacity kept).
+void WordShapeInto(std::string_view s, std::string* out, bool collapse_runs = true);
+
 /// Transparent (heterogeneous) hash/eq for unordered containers keyed by
 /// std::string: lets find()/count() take a std::string_view without
 /// materialising a temporary std::string — the enabler for allocation-free

@@ -90,6 +90,89 @@ TEST(FailureInjectionTest, PosTaggerLoadTruncated) {
   std::filesystem::remove(path);
 }
 
+// A PosTagger model: "<count>\n" then "<feature> <w_0> ... <w_12>\n" lines.
+std::string PosWeightLine(const std::string& feature, const std::string& weight = "0.5") {
+  std::string line = feature;
+  for (int k = 0; k < kNumPosTags; ++k) line += " " + weight;
+  return line + "\n";
+}
+
+Status LoadPosModel(const std::string& content, PosTagger* tagger) {
+  const std::string path = TempPath("emd_pos_corrupt.model");
+  EMD_CHECK(WriteStringToFile(path, content).ok());
+  Status st = tagger->Load(path);
+  std::filesystem::remove(path);
+  return st;
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadAcceptsWellFormedModel) {
+  PosTagger tagger;
+  const Status st = LoadPosModel(
+      "3\n" + PosWeightLine("bias") + PosWeightLine("w=the") + PosWeightLine("prev_tag=^"),
+      &tagger);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_TRUE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadRejectsEmptyFile) {
+  PosTagger tagger;
+  EXPECT_TRUE(LoadPosModel("", &tagger).IsCorruption());
+  EXPECT_FALSE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadRejectsUnparsableHeader) {
+  PosTagger tagger;
+  EXPECT_TRUE(LoadPosModel("garbage\n" + PosWeightLine("bias"), &tagger).IsCorruption());
+  EXPECT_TRUE(LoadPosModel("-1\n" + PosWeightLine("bias"), &tagger).IsCorruption());
+  EXPECT_TRUE(LoadPosModel("1x\n" + PosWeightLine("bias"), &tagger).IsCorruption());
+  EXPECT_FALSE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadRejectsCountLargerThanFile) {
+  // Sized by nothing before the check: a count near SIZE_MAX neither throws
+  // from a reservation nor aborts.
+  PosTagger tagger;
+  EXPECT_TRUE(LoadPosModel("18446744073709551615\n" + PosWeightLine("bias"), &tagger)
+                  .IsCorruption());
+  EXPECT_TRUE(LoadPosModel("100\n" + PosWeightLine("bias"), &tagger).IsCorruption());
+  EXPECT_FALSE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadRejectsShortOrUnparsableWeightLine) {
+  PosTagger tagger;
+  std::string short_line = "bias";
+  for (int k = 0; k + 1 < kNumPosTags; ++k) short_line += " 0.5";
+  EXPECT_TRUE(LoadPosModel("2\n" + short_line + "\n" + PosWeightLine("w=the"), &tagger)
+                  .IsCorruption());
+  EXPECT_TRUE(LoadPosModel("2\n" + PosWeightLine("w=a") + PosWeightLine("w=b", "x"), &tagger)
+                  .IsCorruption());
+  EXPECT_TRUE(LoadPosModel("1\n" + PosWeightLine("bias", "0.5junk"), &tagger).IsCorruption());
+  EXPECT_TRUE(LoadPosModel("1\n" + PosWeightLine("nofeature"), &tagger).IsCorruption());
+  EXPECT_TRUE(LoadPosModel("2\n" + PosWeightLine("w=a") + PosWeightLine("w=a"), &tagger)
+                  .IsCorruption())
+      << "repeated feature";
+  EXPECT_FALSE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerLoadRejectsTrailingData) {
+  PosTagger tagger;
+  EXPECT_TRUE(LoadPosModel("1\n" + PosWeightLine("bias") + "junk\n", &tagger).IsCorruption());
+  EXPECT_TRUE(LoadPosModel("1\n" + PosWeightLine("bias") + PosWeightLine("w=a"), &tagger)
+                  .IsCorruption());
+  EXPECT_FALSE(tagger.trained());
+}
+
+TEST(FailureInjectionTest, PosTaggerFailedLoadKeepsTheLoadedModel) {
+  PosTagger tagger;
+  ASSERT_TRUE(LoadPosModel("1\n" + PosWeightLine("bias"), &tagger).ok());
+  Token word;
+  word.text = "anything";
+  const std::vector<PosTag> before = tagger.Tag({word});
+  EXPECT_TRUE(LoadPosModel("2\n" + PosWeightLine("w=a"), &tagger).IsCorruption());
+  EXPECT_TRUE(tagger.trained());
+  EXPECT_EQ(tagger.Tag({word}), before);
+}
+
 TEST(FailureInjectionTest, VocabularyCorruptHeaders) {
   EXPECT_TRUE(Vocabulary::Deserialize("vocab notanumber\n").status().IsCorruption() ||
               !Vocabulary::Deserialize("vocab notanumber\n").ok());

@@ -8,7 +8,9 @@
 
 #include "core/framework_kit.h"
 #include "core/globalizer.h"
+#include "emd/pos_tagger.h"
 #include "stream/datasets.h"
+#include "util/file_io.h"
 
 namespace emd {
 namespace {
@@ -62,6 +64,38 @@ TEST(FrameworkKitTest, CacheReloadReproducesPredictions) {
   }
   EXPECT_EQ(first, second);
   EXPECT_TRUE(std::filesystem::exists(cache));
+  std::filesystem::remove_all(cache);
+}
+
+TEST(FrameworkKitTest, CorruptCachedPosTaggerIsRetrained) {
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "emd_kit_corrupt_pos_test").string();
+  std::filesystem::remove_all(cache);
+  ASSERT_TRUE(CreateDirs(cache).ok());
+
+  FrameworkKitOptions opt;
+  opt.scale = 0.02;
+  opt.training_tweets = 200;
+  opt.cache_dir = cache;
+  opt.use_cache = true;
+  opt.seed = 99;
+  // FrameworkKit's cache name for the tagger: pos_s<seed>_t<tweets>_sc<scale*1000>.
+  const std::string path = cache + "/pos_s99_t200_sc20.model";
+  ASSERT_TRUE(WriteStringToFile(path, "garbage\n").ok());
+
+  FrameworkKit kit(opt);
+  const PosTagger& tagger = kit.pos_tagger();
+  ASSERT_TRUE(tagger.trained()) << "the corrupt cache must not load as an empty tagger";
+  PosTagger fresh;
+  fresh.Train(kit.training_corpus());
+  const Dataset held = BuildTrainingCorpus(kit.catalog(), 50, 7);
+  for (const auto& tweet : held.tweets) {
+    EXPECT_EQ(tagger.Tag(tweet.tokens), fresh.Tag(tweet.tokens));
+  }
+  // The retrained tagger replaced the corrupt file.
+  PosTagger reloaded;
+  ASSERT_TRUE(reloaded.Load(path).ok());
+  EXPECT_TRUE(reloaded.trained());
   std::filesystem::remove_all(cache);
 }
 

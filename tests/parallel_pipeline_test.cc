@@ -12,9 +12,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/entity_classifier.h"
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
+#include "emd/np_chunker.h"
+#include "emd/pos_tagger.h"
 #include "mock_local_system.h"
+#include "stream/datasets.h"
 #include "text/tweet_tokenizer.h"
 #include "util/circuit_breaker.h"
 #include "util/deadline.h"
@@ -260,6 +264,60 @@ TEST(ParallelPipelineTest, ShallowSystemParallelMatchesSerial) {
 
   EXPECT_GT(pr.local_lanes, 1);
   ExpectIdentical(sr, pr);
+}
+
+// A real concurrent-safe local system: the NP Chunker shares one trained
+// PosTagger across every local lane (Tag is const with per-call scratch).
+// Under the thread sanitizer this is the test that drives a real tagger from
+// several lanes at once.
+TEST(ParallelPipelineTest, NpChunkerSharedTaggerParallelMatchesSerial) {
+  EntityCatalogOptions copt;
+  copt.entities_per_topic = 60;
+  copt.seed = 5;
+  const EntityCatalog catalog = EntityCatalog::Build(copt);
+  PosTagger tagger;
+  tagger.Train(BuildTrainingCorpus(catalog, 200, 11), {.epochs = 2});
+  DatasetSuiteOptions sopt;
+  sopt.scale = 0.3;
+  const Dataset d = BuildD1(catalog, sopt);
+  ASSERT_GT(d.tweets.size(), 200u);
+
+  // The untrained classifier of the finalize tests: its thresholds sit
+  // inside its narrow score band, so all three verdicts occur.
+  const EntityClassifier clf({.input_dim = 7, .alpha = 0.487f, .beta = 0.479f});
+  auto run = [&](int threads, int* lanes) {
+    NpChunkerSystem chunker(&tagger);
+    GlobalizerOptions opt;
+    opt.num_threads = threads;
+    Globalizer g(&chunker, nullptr, &clf, opt);
+    *lanes = 1;
+    for (size_t begin = 0; begin < d.tweets.size(); begin += 32) {
+      const size_t end = std::min(d.tweets.size(), begin + 32);
+      EXPECT_TRUE(g.ProcessBatch(std::span<const AnnotatedTweet>(
+                                     d.tweets.data() + begin, end - begin))
+                      .ok());
+      *lanes = std::max(*lanes, g.last_local_lanes());
+    }
+    GlobalizerOutput out = g.Finalize().value();
+    std::vector<CandidateLabel> labels;
+    const ShardedGlobalState& state = g.global_state();
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      labels.push_back(state.Label(gid));
+    }
+    return std::make_pair(std::move(out), std::move(labels));
+  };
+  int serial_lanes = 0, parallel_lanes = 0;
+  const auto [serial, serial_labels] = run(1, &serial_lanes);
+  const auto [parallel, parallel_labels] = run(4, &parallel_lanes);
+
+  EXPECT_GT(parallel_lanes, 1) << "the chunker should fan out";
+  EXPECT_GT(serial.num_entity, 0);
+  EXPECT_EQ(serial.mentions, parallel.mentions);
+  EXPECT_EQ(serial_labels, parallel_labels);
+  EXPECT_EQ(serial.num_candidates, parallel.num_candidates);
+  EXPECT_EQ(serial.num_entity, parallel.num_entity);
+  EXPECT_EQ(serial.num_non_entity, parallel.num_non_entity);
+  EXPECT_EQ(serial.num_ambiguous, parallel.num_ambiguous);
 }
 
 // A mock that declares itself unsafe for concurrent use, to exercise the

@@ -529,5 +529,60 @@ TEST(ScanMatcherTest, SteadyStateScanIsAllocationFree) {
   EXPECT_EQ(after - before, 0) << "scan allocated in steady state";
 }
 
+// The candidate key registration stores (and routes by) is the folded
+// tokens joined the way it always was: a space before a token only once the
+// key is non-empty, so leading empty tokens add no space.
+TEST(ScanMatcherTest, RegistrationKeyJoinsFoldedTokensAsBefore) {
+  const std::vector<std::vector<std::string>> phrases = {
+      {"New", "York"}, {"", "X"}, {"A", "", "B"}, {"", "", "c"},
+      {"\xc3\x89cole", "Normale"}, {"UPPER", "lower", "MiXeD"}};
+  for (const int shards : {1, 4}) {
+    ShardedGlobalState state(shards);
+    for (const auto& phrase : phrases) {
+      std::string want;
+      for (const auto& w : phrase) {
+        if (!want.empty()) want += ' ';
+        want += ToLowerAscii(w);
+      }
+      const int gid = state.Insert(phrase);
+      EXPECT_EQ(state.CandidateKey(gid), want);
+      EXPECT_EQ(state.Insert(phrase), gid);
+      EXPECT_EQ(state.Find(phrase), gid);
+    }
+  }
+}
+
+// Registration folds each phrase once into member scratch and builds a key
+// only for a new candidate: re-registering known candidates, through either
+// overload, allocates nothing once warm.
+TEST(ScanMatcherTest, ReRegisteringAKnownCandidateIsAllocationFree) {
+  ShardedGlobalState state(4);
+  const std::vector<Token> tokens = Toks(
+      "Andy Beshear spoke in NEW YORK CITY about the Extraordinarily-Long-Phrase "
+      "candidate word7 word8");
+  std::vector<TokenSpan> spans;
+  for (size_t b = 0; b < tokens.size(); ++b) {
+    for (size_t e = b + 1; e <= std::min(tokens.size(), b + 4); ++e) spans.push_back({b, e});
+  }
+  const std::vector<std::string> words = {"Some", "Long", "Candidate", "Phrase"};
+  std::vector<int> gids;
+  for (const TokenSpan& span : spans) gids.push_back(state.Insert(tokens, span));
+  const int words_gid = state.Insert(words);
+  const int candidates = state.num_candidates();
+
+  std::vector<int> again(gids.size());
+  int words_again = -1;
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (size_t i = 0; i < spans.size(); ++i) again[i] = state.Insert(tokens, spans[i]);
+    words_again = state.Insert(words);
+  }
+  const long after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << "re-registration allocated";
+  EXPECT_EQ(again, gids);
+  EXPECT_EQ(words_again, words_gid);
+  EXPECT_EQ(state.num_candidates(), candidates);
+}
+
 }  // namespace
 }  // namespace emd

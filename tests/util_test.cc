@@ -6,6 +6,7 @@
 #include "util/binary_io.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
+#include "util/intern_index.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -190,6 +191,29 @@ TEST(StringUtilTest, WordShape) {
   EXPECT_EQ(WordShape("McDonald"), "XxXx");
   EXPECT_EQ(WordShape("COVID19"), "Xd");
   EXPECT_EQ(WordShape("covid-19", false), "xxxxxodd");
+  std::string shape = "stale contents";
+  WordShapeInto("McDonald", &shape);
+  EXPECT_EQ(shape, "XxXx");
+}
+
+TEST(InternIndexTest, DenseIdsInInsertionOrderAcrossGrowth) {
+  InternIndex index;
+  EXPECT_EQ(index.Find("absent"), InternIndex::kAbsent);
+  std::vector<std::string> keys = {"", "a", "ab", "abc", "A", "\xc3\xa9t\xc3\xa9",
+                                   "a much longer key than eight bytes"};
+  for (int i = 0; i < 5000; ++i) keys.push_back("k" + std::to_string(i));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(index.Intern(keys[i]), static_cast<int32_t>(i));
+  }
+  ASSERT_EQ(index.size(), static_cast<int32_t>(keys.size()));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(index.Find(keys[i]), static_cast<int32_t>(i)) << keys[i];
+    EXPECT_EQ(index.Intern(keys[i]), static_cast<int32_t>(i));
+    EXPECT_EQ(index.key(static_cast<int32_t>(i)), keys[i]);
+  }
+  EXPECT_EQ(index.size(), static_cast<int32_t>(keys.size()));
+  EXPECT_EQ(index.Find("k5000"), InternIndex::kAbsent);
+  EXPECT_EQ(index.Find("abcd"), InternIndex::kAbsent);
 }
 
 TEST(FileIoTest, RoundTrip) {
