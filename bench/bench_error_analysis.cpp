@@ -35,13 +35,12 @@ int main() {
     Globalizer g(kit.system(kind), kit.phrase_embedder(kind), kit.classifier(kind),
                  {});
     g.Run(dataset).value();
-    const CandidateBase& cb = g.candidate_base();
+    const ShardedGlobalState& state = g.global_state();
 
     // Index candidate verdict by surface key.
     std::unordered_map<std::string, CandidateLabel> verdicts;
-    for (size_t c = 0; c < cb.size(); ++c) {
-      if (!cb.Contains(static_cast<int>(c))) continue;
-      verdicts[cb.at(static_cast<int>(c)).key] = cb.at(static_cast<int>(c)).label;
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      if (state.Contains(gid)) verdicts[state.CandidateKey(gid)] = state.Label(gid);
     }
 
     for (const auto& tweet : dataset.tweets) {

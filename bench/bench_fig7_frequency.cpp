@@ -38,16 +38,15 @@ int main() {
     Globalizer g(kit.system(kind), kit.phrase_embedder(kind), kit.classifier(kind),
                  {});
     g.Run(dataset).value();
-    const CandidateBase& cb = g.candidate_base();
-    for (size_t c = 0; c < cb.size(); ++c) {
-      if (!cb.Contains(static_cast<int>(c))) continue;
-      const CandidateRecord& rec = cb.at(static_cast<int>(c));
-      if (!gold_keys.count(rec.key)) continue;  // only true entities
-      const int freq = static_cast<int>(rec.num_mentions);
+    const ShardedGlobalState& state = g.global_state();
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      if (!state.Contains(gid)) continue;
+      if (!gold_keys.count(state.CandidateKey(gid))) continue;  // true entities
+      const int freq = static_cast<int>(state.at(gid).num_mentions);
       if (freq <= 0) continue;
       const int bin = std::min(kNumBins - 1, (freq - 1) / 5);
       ++total[bin];
-      if (rec.label == CandidateLabel::kEntity) ++detected[bin];
+      if (state.Label(gid) == CandidateLabel::kEntity) ++detected[bin];
     }
   }
 

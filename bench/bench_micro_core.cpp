@@ -119,7 +119,7 @@ void BM_IncrementalPooling(benchmark::State& state) {
   }
   for (auto _ : state) {
     CandidateBase base;
-    base.GetOrCreate(0, "bench", 2);
+    base.GetOrCreate(0);
     for (const auto& e : embeddings) base.AddMention(0, 0, {e.data(), e.size()});
     benchmark::DoNotOptimize(base.at(0).GlobalEmbedding());
   }

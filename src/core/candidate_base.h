@@ -1,22 +1,25 @@
 // CandidateBase — per-candidate record store of §V-C. Maintains, for every
 // entity candidate discovered during Local EMD, the incrementally pooled
 // global embedding over the local embeddings of its mentions, a mention
-// count (the mentions live in the TweetBase) and the classifier's label.
+// count (the mentions live in the TweetBase) and the classifier's entity
+// probability. A record holds no key, length or label: the candidate's key
+// and token count live in its CTrie, its verdict in ShardedGlobalState's
+// per-gid label column.
 //
 // Memory governance: pooling can be exponentially time-decayed (configurable
 // half-life in stream positions) so stale evidence fades; cold candidates can
-// be evicted, freeing their record while a compact side table preserves the
-// final label so already-emitted output stays stable. Pooling has one
-// formula, sum * (1 / weight); with decay off every scale is exactly 1 and
-// the weight the integer count, so it is bit-exact with the plain mean.
+// be evicted, freeing their record (the label column keeps the final verdict,
+// so already-emitted output stays stable). Pooling has one formula,
+// sum * (1 / weight); with decay off every scale is exactly 1 and the weight
+// the integer count, so it is bit-exact with the plain mean.
 //
 // Byte accounting: the live records' payload bytes (CandidateRecord::
 // ApproxBytes) are a running sum adjusted by GetOrCreate, AddMention and
 // Evict, so ApproxBytes() is O(1). Those are the only mutations of a
-// record's footprint fields (key, embedding_sum, mention_embeddings);
-// callers of the mutable at() write labels, scores and positions only. The
-// checkpoint restore, which fills records field by field, calls
-// RebuildByteTotals() once afterwards.
+// record's footprint fields (embedding_sum, mention_embeddings); callers of
+// the mutable at() write scores and positions only. The checkpoint restore,
+// which fills records field by field, calls RebuildByteTotals() once
+// afterwards.
 
 #ifndef EMD_CORE_CANDIDATE_BASE_H_
 #define EMD_CORE_CANDIDATE_BASE_H_
@@ -24,7 +27,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -43,8 +45,6 @@ const char* CandidateLabelName(CandidateLabel label);
 /// One candidate record.
 struct CandidateRecord {
   int candidate_id = -1;
-  std::string key;      // case-folded surface ("andy beshear")
-  int num_tokens = 0;
   uint32_t num_mentions = 0;  // the TweetBase mentions carrying this id
 
   /// Running (optionally decayed) sum of local mention embeddings, [1, d];
@@ -63,7 +63,6 @@ struct CandidateRecord {
   /// (classifier training wants prefix pools; normal runs keep memory flat).
   std::vector<Mat> mention_embeddings;
 
-  CandidateLabel label = CandidateLabel::kUnlabeled;
   float entity_probability = -1.f;
 
   /// Writes the pooled global candidate embedding (embedding_sum scaled by
@@ -81,7 +80,7 @@ struct CandidateRecord {
 
   /// Heap bytes attributable to this record (estimate for budget accounting).
   size_t ApproxBytes() const {
-    size_t bytes = key.capacity() + embedding_sum.size() * sizeof(float);
+    size_t bytes = embedding_sum.size() * sizeof(float);
     for (const Mat& m : mention_embeddings) bytes += m.size() * sizeof(float);
     bytes += mention_embeddings.capacity() * sizeof(Mat);
     return bytes;
@@ -96,18 +95,12 @@ static_assert(std::is_nothrow_move_constructible_v<CandidateRecord>);
 class CandidateBase {
  public:
   /// Ensures a record exists for `candidate_id` (ids are dense CTrie ids).
-  CandidateRecord& GetOrCreate(int candidate_id, const std::string& key,
-                               int num_tokens) {
+  CandidateRecord& GetOrCreate(int candidate_id) {
     if (candidate_id >= static_cast<int>(records_.size())) {
       records_.resize(candidate_id + 1);
     }
     CandidateRecord& rec = records_[candidate_id];
-    if (rec.candidate_id < 0) {
-      rec.candidate_id = candidate_id;
-      rec.key = key;
-      rec.num_tokens = num_tokens;
-      record_bytes_ += rec.key.capacity();
-    }
+    if (rec.candidate_id < 0) rec.candidate_id = candidate_id;
     return rec;
   }
 
@@ -174,47 +167,13 @@ class CandidateBase {
     }
   }
 
-  /// Frees the record for `candidate_id`, preserving only its final label in
-  /// a compact side table so mention output for already-processed tweets
-  /// stays consistent. After eviction Contains() is false; GetOrCreate for
-  /// the same id is forbidden (the CTrie never reissues pruned ids).
+  /// Frees the record for `candidate_id`. After eviction Contains() is
+  /// false; GetOrCreate for the same id is forbidden (the CTrie never
+  /// reissues pruned ids).
   void Evict(int candidate_id) {
     CandidateRecord& rec = at(candidate_id);
-    SetEvictedLabel(candidate_id, rec.label);
     record_bytes_ -= rec.ApproxBytes();
     rec = CandidateRecord();
-  }
-
-  /// Label preserved at eviction time; kUnlabeled when `candidate_id` was
-  /// never evicted (or never labelled).
-  CandidateLabel EvictedLabel(int candidate_id) const {
-    if (candidate_id < 0 ||
-        candidate_id >= static_cast<int>(evicted_labels_.size())) {
-      return CandidateLabel::kUnlabeled;
-    }
-    const uint8_t enc = evicted_labels_[candidate_id];
-    return enc == 0 ? CandidateLabel::kUnlabeled
-                    : static_cast<CandidateLabel>(enc - 1);
-  }
-
-  bool WasEvicted(int candidate_id) const {
-    return candidate_id >= 0 &&
-           candidate_id < static_cast<int>(evicted_labels_.size()) &&
-           evicted_labels_[candidate_id] != 0;
-  }
-
-  /// Restore-path helper (checkpoint): records an eviction label directly.
-  void SetEvictedLabel(int candidate_id, CandidateLabel label) {
-    if (candidate_id >= static_cast<int>(evicted_labels_.size())) {
-      evicted_labels_.resize(candidate_id + 1, 0);
-    }
-    evicted_labels_[candidate_id] = static_cast<uint8_t>(label) + 1;
-  }
-
-  size_t num_evicted() const {
-    size_t n = 0;
-    for (uint8_t enc : evicted_labels_) n += enc != 0;
-    return n;
   }
 
   /// Approximate heap bytes across all live records. O(1).
@@ -249,8 +208,7 @@ class CandidateBase {
 
  private:
   size_t ContainerBytes() const {
-    return records_.capacity() * sizeof(CandidateRecord) +
-           evicted_labels_.capacity();
+    return records_.capacity() * sizeof(CandidateRecord);
   }
   size_t WalkRecordBytes() const {
     size_t bytes = 0;
@@ -261,7 +219,6 @@ class CandidateBase {
   }
 
   std::vector<CandidateRecord> records_;
-  std::vector<uint8_t> evicted_labels_;  // 0 = not evicted, else label + 1
   size_t record_bytes_ = 0;  // sum of live records' ApproxBytes()
   uint64_t decay_half_life_ = 0;
   double decay_lambda_ = 1.0;

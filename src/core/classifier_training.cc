@@ -28,12 +28,13 @@ std::vector<ClassifierExample> BuildClassifierExamples(
   }
 
   std::vector<ClassifierExample> examples;
-  const CandidateBase& candidates = globalizer.candidate_base();
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (!candidates.Contains(static_cast<int>(c))) continue;
-    const CandidateRecord& rec = candidates.at(static_cast<int>(c));
+  const ShardedGlobalState& state = globalizer.global_state();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    if (!state.Contains(gid)) continue;
+    const CandidateRecord& rec = state.at(gid);
     if (rec.embedding_count == 0) continue;
-    const bool label = gold_keys.count(rec.key) > 0;
+    const bool label = gold_keys.count(state.CandidateKey(gid)) > 0;
+    const int num_tokens = state.CandidateLength(gid);
 
     // Full-pool example plus prefix pools (1, 2, 4, 8, ... mentions in
     // arrival order): in the incremental streaming execution the classifier
@@ -48,7 +49,7 @@ std::vector<ClassifierExample> BuildClassifierExamples(
         Mat pooled = prefix_sum;
         pooled.Scale(1.f / static_cast<float>(m + 1));
         ClassifierExample ex;
-        ex.features = EntityClassifier::MakeFeatures(pooled, rec.num_tokens);
+        ex.features = EntityClassifier::MakeFeatures(pooled, num_tokens);
         ex.is_entity = label;
         examples.push_back(std::move(ex));
         if (is_full) break;
@@ -80,15 +81,16 @@ std::vector<TypeExample> BuildTypeExamples(const Dataset& labelled_stream,
   }
 
   std::vector<TypeExample> examples;
-  const CandidateBase& candidates = globalizer.candidate_base();
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    if (!candidates.Contains(static_cast<int>(c))) continue;
-    const CandidateRecord& rec = candidates.at(static_cast<int>(c));
+  const ShardedGlobalState& state = globalizer.global_state();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    if (!state.Contains(gid)) continue;
+    const CandidateRecord& rec = state.at(gid);
     if (rec.embedding_count == 0) continue;
-    auto it = gold_types.find(rec.key);
+    auto it = gold_types.find(state.CandidateKey(gid));
     if (it == gold_types.end()) continue;  // non-entities carry no type
     TypeExample ex;
-    ex.features = EntityClassifier::MakeFeatures(rec.GlobalEmbedding(), rec.num_tokens);
+    ex.features = EntityClassifier::MakeFeatures(rec.GlobalEmbedding(),
+                                                 state.CandidateLength(gid));
     ex.type = it->second;
     examples.push_back(std::move(ex));
   }

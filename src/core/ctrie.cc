@@ -2,7 +2,6 @@
 
 #include "text/symbol_table.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace emd {
 
@@ -127,15 +126,19 @@ int CTrie::CandidateLength(int candidate_id) const {
   return candidate_lengths_[candidate_id];
 }
 
-int CTrie::Find(const std::vector<std::string>& tokens) const {
+int CTrie::Find(const FoldedPhrase& phrase) const {
   int node = root();
-  std::string fold_scratch;
-  for (const auto& tok : tokens) {
-    node = StepSymbol(
-        node, symbols_->Lookup(ToLowerAsciiView(tok, &fold_scratch)));
+  for (size_t i = 0; i < phrase.size(); ++i) {
+    node = StepSymbol(node, symbols_->Lookup(phrase.token(i)));
     if (node == kNoNode) return kNoCandidate;
   }
   return CandidateAt(node);
+}
+
+int CTrie::Find(const std::vector<std::string>& tokens) const {
+  FoldedPhrase phrase;
+  for (const auto& tok : tokens) phrase.Append(tok);
+  return Find(phrase);
 }
 
 bool CTrie::IsTombstone(int candidate_id) const {

@@ -113,7 +113,10 @@ class CTrie {
   /// Number of tokens of a candidate (0 for a pruned id).
   int CandidateLength(int candidate_id) const;
 
-  /// Looks up a full phrase; returns its candidate id or kNoCandidate.
+  /// Looks up a folded phrase; returns its candidate id or kNoCandidate.
+  int Find(const FoldedPhrase& phrase) const;
+
+  /// Convenience: looks up a sequence of tokens (case-folded internally).
   int Find(const std::vector<std::string>& tokens) const;
 
   /// Evicts `candidate_id`: the terminal node is unmarked, nodes on its path

@@ -57,7 +57,7 @@ int ShardedGlobalState::AppendGid(GidRef ref) {
   const int gid = static_cast<int>(gids_.size());
   gids_.push_back(ref);
   labels_.push_back(static_cast<uint8_t>(CandidateLabel::kUnlabeled));
-  dirty_flags_.push_back(0);
+  flags_.push_back(0);
   return gid;
 }
 
@@ -106,13 +106,10 @@ int ShardedGlobalState::Insert(const std::vector<std::string>& words) {
 
 int ShardedGlobalState::Find(const std::vector<std::string>& words) const {
   if (words.empty()) return CTrie::kNoCandidate;
-  std::string key;
-  for (const auto& w : words) {
-    if (!key.empty()) key += ' ';
-    key += ToLowerAscii(w);
-  }
-  const Shard& sh = shards_[router_.ShardOfFolded(key)];
-  const int local = sh.trie.Find(words);
+  FoldedPhrase phrase;
+  for (const auto& w : words) phrase.Append(w);
+  const Shard& sh = shards_[router_.ShardOfFolded(phrase.key())];
+  const int local = sh.trie.Find(phrase);
   return local == CTrie::kNoCandidate ? CTrie::kNoCandidate
                                       : sh.local_to_gid[local];
 }
@@ -245,17 +242,7 @@ CandidateRecord& ShardedGlobalState::GetOrCreate(int gid) {
   const GidRef r = ref(gid);
   Shard& sh = shards_[r.shard];
   if (!sh.candidates.Contains(r.local)) OnRecordCreated(gid);
-  return sh.candidates.GetOrCreate(r.local, sh.trie.CandidateKey(r.local),
-                                   sh.trie.CandidateLength(r.local));
-}
-
-CandidateRecord& ShardedGlobalState::GetOrCreate(int gid,
-                                                 const std::string& key,
-                                                 int num_tokens) {
-  const GidRef r = ref(gid);
-  CandidateBase& cb = shards_[r.shard].candidates;
-  if (!cb.Contains(r.local)) OnRecordCreated(gid);
-  return cb.GetOrCreate(r.local, key, num_tokens);
+  return sh.candidates.GetOrCreate(r.local);
 }
 
 void ShardedGlobalState::OnRecordCreated(int gid) {
@@ -287,48 +274,49 @@ void ShardedGlobalState::AddMention(int gid, uint64_t pos,
 
 void ShardedGlobalState::Evict(int gid) {
   const GidRef r = ref(gid);
-  CandidateBase& cb = shards_[r.shard].candidates;
+  shards_[r.shard].candidates.Evict(r.local);
   --live_by_label_[labels_[gid]];
-  labels_[gid] = static_cast<uint8_t>(cb.at(r.local).label);
-  dirty_flags_[gid] = 0;
-  cb.Evict(r.local);
+  flags_[gid] = kEvictedFlag;
 }
 
 void ShardedGlobalState::MarkDirty(int gid) {
-  EMD_CHECK_LT(static_cast<size_t>(gid), dirty_flags_.size());
-  if (dirty_flags_[gid] != 0) return;
-  dirty_flags_[gid] = 1;
+  EMD_CHECK_LT(static_cast<size_t>(gid), flags_.size());
+  if ((flags_[gid] & kDirtyFlag) != 0) return;
+  flags_[gid] |= kDirtyFlag;
   dirty_.push_back(gid);
 }
 
 const std::vector<int>& ShardedGlobalState::DirtyGids() {
   // An entry is stale once SetLabel / Evict cleared its flag, and repeated
   // when the gid was re-marked after that.
-  std::erase_if(dirty_, [this](int gid) { return dirty_flags_[gid] == 0; });
+  std::erase_if(dirty_,
+                [this](int gid) { return (flags_[gid] & kDirtyFlag) == 0; });
   std::sort(dirty_.begin(), dirty_.end());
   dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
   return dirty_;
 }
 
 void ShardedGlobalState::SetLabel(int gid, CandidateLabel label) {
-  at(gid).label = label;
+  EMD_CHECK(Contains(gid)) << "SetLabel on gid " << gid << " with no record";
   --live_by_label_[labels_[gid]];
   ++live_by_label_[static_cast<size_t>(label)];
   labels_[gid] = static_cast<uint8_t>(label);
-  dirty_flags_[gid] = 0;
+  flags_[gid] &= static_cast<uint8_t>(~kDirtyFlag);
+}
+
+void ShardedGlobalState::RestoreLabel(int gid, CandidateLabel label,
+                                      bool evicted) {
+  EMD_CHECK_LT(static_cast<size_t>(gid), labels_.size());
+  labels_[gid] = static_cast<uint8_t>(label);
+  if (evicted) flags_[gid] |= kEvictedFlag;
 }
 
 void ShardedGlobalState::RebuildLabelColumn() {
   live_by_label_ = {};
   for (int gid = 0; gid < num_candidates(); ++gid) {
-    if (Contains(gid)) {
-      const CandidateLabel label = at(gid).label;
-      labels_[gid] = static_cast<uint8_t>(label);
-      ++live_by_label_[static_cast<size_t>(label)];
-      MarkDirty(gid);
-    } else {
-      labels_[gid] = static_cast<uint8_t>(EvictedLabel(gid));
-    }
+    if (!Contains(gid)) continue;
+    ++live_by_label_[labels_[gid]];
+    MarkDirty(gid);
   }
 }
 
@@ -361,31 +349,6 @@ int ShardedGlobalState::Prune(int gid) {
   return pruned;
 }
 
-CandidateLabel ShardedGlobalState::EvictedLabel(int gid) const {
-  if (gid < 0 || gid >= static_cast<int>(gids_.size())) {
-    return CandidateLabel::kUnlabeled;
-  }
-  const GidRef r = gids_[gid];
-  return shards_[r.shard].candidates.EvictedLabel(r.local);
-}
-
-bool ShardedGlobalState::WasEvicted(int gid) const {
-  if (gid < 0 || gid >= static_cast<int>(gids_.size())) return false;
-  const GidRef r = gids_[gid];
-  return shards_[r.shard].candidates.WasEvicted(r.local);
-}
-
-void ShardedGlobalState::SetEvictedLabel(int gid, CandidateLabel label) {
-  const GidRef r = ref(gid);
-  shards_[r.shard].candidates.SetEvictedLabel(r.local, label);
-}
-
-size_t ShardedGlobalState::num_evicted() const {
-  size_t n = 0;
-  for (const Shard& sh : shards_) n += sh.candidates.num_evicted();
-  return n;
-}
-
 void ShardedGlobalState::set_decay_half_life(uint64_t half_life_tweets) {
   for (Shard& sh : shards_) sh.candidates.set_decay_half_life(half_life_tweets);
 }
@@ -397,7 +360,7 @@ void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
 size_t ShardedGlobalState::SharedContainerBytes() const {
   return gids_.capacity() * sizeof(GidRef) +
          first_token_.capacity() * sizeof(std::vector<DispatchEntry>) +
-         labels_.capacity() + dirty_flags_.capacity() +
+         labels_.capacity() + flags_.capacity() +
          dirty_.capacity() * sizeof(int);
 }
 

@@ -128,32 +128,31 @@ class ShardedGlobalState {
 
   // --- Candidate records (gid-addressed CandidateBase facade) ------------
 
-  /// Ensures a record exists for `gid` (key/len read from the owning trie).
-  /// A newly created record starts kUnlabeled and dirty.
+  /// Ensures a record exists for `gid`. A newly created record starts
+  /// kUnlabeled and dirty.
   CandidateRecord& GetOrCreate(int gid);
-  /// Restore-path variant with an explicit key (the trie is already built).
-  CandidateRecord& GetOrCreate(int gid, const std::string& key, int num_tokens);
   CandidateRecord& at(int gid);
   const CandidateRecord& at(int gid) const;
   bool Contains(int gid) const;
   /// Counts a mention at tweet `pos`, pools its row if any. Owning shard only.
   void AddMention(int gid, uint64_t pos, std::span<const float> local_emb);
-  /// Frees the record, preserving its final label in the shard's side table
-  /// and freezing it in the label column; drops any dirty mark.
+  /// Frees the record, freezing its label in the column and marking the gid
+  /// evicted; drops any dirty mark.
   void Evict(int gid);
   /// Prunes the phrase from its owning trie; returns trie nodes freed.
   int Prune(int gid);
-  CandidateLabel EvictedLabel(int gid) const;
-  bool WasEvicted(int gid) const;
-  void SetEvictedLabel(int gid, CandidateLabel label);
-  size_t num_evicted() const;
+  /// True when `gid`'s record was evicted (its column label is frozen).
+  bool WasEvicted(int gid) const {
+    return static_cast<size_t>(gid) < flags_.size() &&
+           (flags_[gid] & kEvictedFlag) != 0;
+  }
 
   // --- Incremental classification (single-writer) ------------------------
   //
   // A verdict is a pure function of a candidate's pooled inputs, so only
   // *dirty* gids — created, or pooled into, since their last verdict — need
   // re-scoring. Every gid also owns one byte of a dense label column: the
-  // live verdict, frozen at eviction, which is all the output rule reads.
+  // live verdict, frozen at eviction — the only place a verdict is stored.
 
   /// Marks `gid` for re-scoring (deduplicated). Record creation marks
   /// implicitly; the Globalizer marks each pooled mention in the serial
@@ -162,9 +161,8 @@ class ShardedGlobalState {
   /// The dirty live gids in ascending order, after dropping the entries that
   /// SetLabel / Evict cleared since the last call.
   const std::vector<int>& DirtyGids();
-  /// Records a fresh verdict for live `gid`: writes the record's label and
-  /// the column, moves it between the per-label tallies and clears its dirty
-  /// mark.
+  /// Records a fresh verdict for live `gid`: writes the column, moves it
+  /// between the per-label tallies and clears its dirty mark.
   void SetLabel(int gid, CandidateLabel label);
   /// The label the output rule reads: the live verdict, or the label frozen
   /// at eviction; kUnlabeled for tombstones and unassigned ids.
@@ -178,8 +176,11 @@ class ShardedGlobalState {
   int NumLive(CandidateLabel label) const {
     return live_by_label_[static_cast<size_t>(label)];
   }
-  /// Restore path: rebuilds the column and tallies from the live records and
-  /// the evicted-label table, and marks every live gid dirty.
+  /// Restore path: writes a checkpointed verdict into the column, with the
+  /// evicted mark for a dead gid whose record was evicted.
+  void RestoreLabel(int gid, CandidateLabel label, bool evicted);
+  /// Restore path: recomputes the tallies from the column and marks every
+  /// live gid dirty.
   void RebuildLabelColumn();
 
   // --- Configuration fan-out ---------------------------------------------
@@ -194,7 +195,7 @@ class ShardedGlobalState {
 
   /// Approximate heap bytes across all shards (tries + candidate records)
   /// plus the shared symbol table, first-token dispatch, the gid map, and
-  /// the per-gid label / dirty columns with the dirty list. O(shards): every
+  /// the per-gid label / flag columns with the dirty list. O(shards): every
   /// store keeps its per-element bytes as running sums (docs/MEMORY.md).
   size_t ApproxBytes() const;
   /// Approximate heap bytes held by one shard. O(1).
@@ -259,7 +260,7 @@ class ShardedGlobalState {
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running
   /// sum): the gid -> (shard, local) map, the dispatch table and the
-  /// label / dirty columns.
+  /// label / flag columns.
   size_t SharedContainerBytes() const;
 
   ShardRouter router_;
@@ -269,11 +270,13 @@ class ShardedGlobalState {
   std::unique_ptr<SymbolTable> symbols_;
   std::vector<Shard> shards_;
   std::vector<GidRef> gids_;
-  // Per-gid label column (a CandidateLabel per byte) and dirty flags, plus
-  // the dirty list (may hold cleared or repeated entries until DirtyGids
-  // compacts it) and live-record tallies indexed by CandidateLabel.
+  // Per-gid label column (a CandidateLabel per byte) and flag bytes (dirty,
+  // evicted), plus the dirty list (may hold cleared or repeated entries until
+  // DirtyGids compacts it) and live-record tallies indexed by CandidateLabel.
+  static constexpr uint8_t kDirtyFlag = 1;
+  static constexpr uint8_t kEvictedFlag = 2;
   std::vector<uint8_t> labels_;
-  std::vector<uint8_t> dirty_flags_;
+  std::vector<uint8_t> flags_;
   std::vector<int> dirty_;
   std::array<int, 4> live_by_label_{};
   // Service-wide first-token dispatch: symbol id -> continuations, sorted by

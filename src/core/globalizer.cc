@@ -595,7 +595,8 @@ Status Globalizer::ClassifyDirty(bool gamma_band_only,
       EMD_CHECK_EQ(rec.embedding_sum.size() + 1, static_cast<size_t>(fdim));
       float* row = feats->row(static_cast<int>(k));
       rec.PooledMeanInto(row);
-      row[fdim - 1] = EntityClassifier::LengthFeature(rec.num_tokens);
+      row[fdim - 1] =
+          EntityClassifier::LengthFeature(state_.CandidateLength(rows[k]));
     }
     std::vector<float> probs;
     RetryStats retry_stats;

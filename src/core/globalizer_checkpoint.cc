@@ -25,7 +25,9 @@
 //              i32 candidate_id, u8 locally_detected]
 //   CandidateBase: u64 slots (== num_gids in v5); per slot (gid order):
 //              u8 present; when present:
-//              string key, i32 num_tokens, mentions[u32: u64 tweet_index,
+//              string key, i32 num_tokens (both as the candidate-key section
+//              registered them; restore refuses any other),
+//              mentions[u32: u64 tweet_index,
 //              u64 span.begin, u64 span.end, u8 locally_detected] (this
 //              gid's TweetBase mentions; restore refuses any other list),
 //              embedding_sum[i32 rows, i32 cols, f32 data...],
@@ -37,6 +39,8 @@
 //              when absent in v4+: u8 evicted_label (0 = never evicted,
 //              else CandidateLabel + 1 — the emit rule for mentions of
 //              evicted candidates survives a resume)
+//   The key and length come from the CTrie and the labels and evicted marks
+//   from the state's label column; the record stores none of them.
 //   [v3+] Metrics block — a serialized obs::MetricsSnapshot of the process
 //         registry, so a resumed stream continues its lifetime observability
 //         totals (gauges are instantaneous and deliberately not persisted):
@@ -317,15 +321,14 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     binio::AppendU8(&buf, present ? 1 : 0);
     if (!present) {
       // v4+: eviction-time label (0 when this slot was simply never created).
-      binio::AppendU8(&buf,
-                      state_.WasEvicted(id)
-                          ? static_cast<uint8_t>(state_.EvictedLabel(id)) + 1
-                          : 0);
+      binio::AppendU8(&buf, state_.WasEvicted(id)
+                                ? static_cast<uint8_t>(state_.Label(id)) + 1
+                                : 0);
       continue;
     }
     const CandidateRecord& rec = state_.at(id);
-    binio::AppendString(&buf, rec.key);
-    binio::AppendI32(&buf, rec.num_tokens);
+    binio::AppendString(&buf, state_.CandidateKey(id));
+    binio::AppendI32(&buf, state_.CandidateLength(id));
     binio::AppendU32(&buf, static_cast<uint32_t>(by_gid[id].size()));
     for (const auto& [tweet_index, m] : by_gid[id]) {
       binio::AppendU64(&buf, tweet_index);
@@ -341,7 +344,7 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     binio::AppendF64(&buf, rec.embedding_weight);
     binio::AppendU64(&buf, rec.last_update_pos);
     binio::AppendU64(&buf, rec.last_mention_pos);
-    binio::AppendU8(&buf, static_cast<uint8_t>(rec.label));
+    binio::AppendU8(&buf, static_cast<uint8_t>(state_.Label(id)));
     binio::AppendF32(&buf, rec.entity_probability);
     binio::AppendU32(&buf, static_cast<uint32_t>(rec.mention_embeddings.size()));
     for (const Mat& m : rec.mention_embeddings) AppendMat(&buf, m);
@@ -638,18 +641,28 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
                                     int(evicted_enc));
         }
         if (evicted_enc != 0) {
-          state.SetEvictedLabel(static_cast<int>(c),
-                                static_cast<CandidateLabel>(evicted_enc - 1));
+          state.RestoreLabel(static_cast<int>(c),
+                             static_cast<CandidateLabel>(evicted_enc - 1),
+                             /*evicted=*/true);
         }
       }
       continue;
     }
+    // The slot repeats the key and length the candidate-key section
+    // registered for this gid; a slot that disagrees (or names a tombstone)
+    // would describe a candidate the trie does not hold.
     std::string key;
     int32_t num_tokens = 0;
     EMD_RETURN_IF_ERROR(reader.ReadString(&key));
     EMD_RETURN_IF_ERROR(reader.ReadI32(&num_tokens));
-    CandidateRecord& rec =
-        state.GetOrCreate(static_cast<int>(c), key, num_tokens);
+    const int gid = static_cast<int>(c);
+    if (state.IsTombstone(gid) || key != state.CandidateKey(gid) ||
+        num_tokens != state.CandidateLength(gid)) {
+      return Status::Corruption(
+          "checkpoint ", path, " candidate slot ", c, " (\"", key, "\", ",
+          num_tokens, " tokens) disagrees with the candidate-key section");
+    }
+    CandidateRecord& rec = state.GetOrCreate(gid);
     uint32_t num_mentions = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinCandidateMentionBytes,
                                   "candidate mention", &num_mentions));
@@ -690,7 +703,8 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       return Status::Corruption("checkpoint ", path, " bad candidate label ",
                                 int(label));
     }
-    rec.label = static_cast<CandidateLabel>(label);
+    state.RestoreLabel(gid, static_cast<CandidateLabel>(label),
+                       /*evicted=*/false);
     EMD_RETURN_IF_ERROR(reader.ReadF32(&rec.entity_probability));
     uint32_t num_embeddings = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinMatBytes, "mention embedding",
@@ -720,9 +734,10 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   // not checkpointed state.
   state.set_retain_mention_embeddings(state_.retain_mention_embeddings());
   state.set_decay_half_life(options_.memory.decay_half_life_tweets);
-  // The label column and dirty set are derived state, not checkpointed:
-  // the column is rebuilt and every live candidate re-scored by the next
-  // classify pass, which reproduces its saved verdict exactly.
+  // The label column was filled from the slots above; the tallies and dirty
+  // set are derived state, not checkpointed. Every live candidate is
+  // re-scored by the next classify pass, which reproduces its saved verdict
+  // exactly.
   state.RebuildLabelColumn();
   // Records were filled field by field above; their byte sums are rebuilt
   // once here (trie, symbol and dispatch sums were kept by Insert).

@@ -168,11 +168,12 @@ bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
   for (int id = 0; id < state_->num_candidates(); ++id) {
     if (!state_->Contains(id)) continue;
     const CandidateRecord& rec = state_->at(id);
-    if (rec.label == CandidateLabel::kEntity) continue;
+    const CandidateLabel label = state_->Label(id);
+    if (label == CandidateLabel::kEntity) continue;
     if (tier == 0) {
-      if (rec.label != CandidateLabel::kNonEntity) continue;
+      if (label != CandidateLabel::kNonEntity) continue;
     } else {
-      if (rec.label == CandidateLabel::kNonEntity) continue;
+      if (label == CandidateLabel::kNonEntity) continue;
       if (rec.last_mention_pos + options_.min_retain_tweets > stream_pos) {
         continue;
       }

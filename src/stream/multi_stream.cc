@@ -179,12 +179,11 @@ std::vector<MultiStreamService::CandidateHit> MultiStreamService::QueryCandidate
     const ShardedGlobalState& state = streams_[sid].globalizer->global_state();
     const int gid = state.Find(words);
     if (gid < 0 || !state.Contains(gid)) continue;
-    const CandidateRecord& rec = state.at(gid);
     CandidateHit hit;
     hit.stream_id = static_cast<int>(sid);
     hit.candidate_id = gid;
-    hit.label = rec.label;
-    hit.num_mentions = rec.num_mentions;
+    hit.label = state.Label(gid);
+    hit.num_mentions = state.at(gid).num_mentions;
     hits.push_back(hit);
   }
   return hits;

@@ -41,6 +41,8 @@
 #include "stream/datasets.h"
 #include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
+#include "util/binary_io.h"
+#include "util/crc32.h"
 #include "util/file_io.h"
 #include "util/rng.h"
 
@@ -128,9 +130,7 @@ TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
     for (int step = 0; step < 3000; ++step) {
       const double r = rng.NextDouble();
       if (live.empty() || r < 0.2) {
-        std::string key;
-        for (const std::string& w : Phrase(&rng)) key += (key.empty() ? "" : " ") + w;
-        base.GetOrCreate(next_id, key, 1);
+        base.GetOrCreate(next_id);
         live.push_back(next_id++);
       } else if (r < 0.9) {
         // An empty embedding records the mention without pooling it.
@@ -586,6 +586,118 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   const std::string second = SavedStateSection(restored, path);
   ASSERT_EQ(first.size(), second.size());
   EXPECT_TRUE(first == second) << "state sections differ";
+  std::remove(path.c_str());
+}
+
+/// A hand-made v5 checkpoint (kMentionExtraction, one shard) whose gid 0 is
+/// live and labelled kEntity, and whose gids 1-3 are tombstones with the
+/// three kinds of evicted byte: 0 (never evicted), 1 (evicted while
+/// unlabeled) and kNonEntity + 1 (evicted with a label). Its metrics block is
+/// empty, so the state section is everything but the last 8 + 4 bytes.
+std::string BuildEvictedMarksCheckpoint() {
+  std::string buf;
+  binio::AppendU32(&buf, 0x454D4447);  // 'EMDG'
+  binio::AppendU32(&buf, 5);           // version
+  binio::AppendU8(&buf, 1);            // mode = kMentionExtraction
+  binio::AppendU64(&buf, 1);           // processed_tweets
+  binio::AppendU32(&buf, 0);           // num_quarantined
+  binio::AppendU32(&buf, 0);           // num_degraded
+  binio::AppendU8(&buf, 0);            // classifier_degraded
+  for (int i = 0; i < 5; ++i) binio::AppendU32(&buf, 0);  // resilience
+  binio::AppendU64(&buf, 2);  // evicted_candidates
+  for (int i = 0; i < 3; ++i) binio::AppendU64(&buf, 0);
+
+  // Candidate keys: gid 0 live in shard 0, gids 1-3 tombstoned.
+  binio::AppendU32(&buf, 1);  // shard_count
+  binio::AppendU32(&buf, 4);  // num_gids
+  for (const uint8_t live : {1, 0, 0, 0}) binio::AppendU8(&buf, live);
+  binio::AppendU32(&buf, 1);  // shard 0 count
+  binio::AppendU32(&buf, 0);  // gid
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendU32(&buf, 1);  // token length
+
+  // TweetBase: one tweet, one mention of gid 0.
+  binio::AppendU64(&buf, 1);
+  binio::AppendI64(&buf, 42);  // tweet_id
+  binio::AppendI32(&buf, 0);   // sentence_id
+  binio::AppendU8(&buf, 0);    // quarantined
+  binio::AppendU8(&buf, 0);    // trimmed
+  binio::AppendU32(&buf, 1);   // tokens
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendU64(&buf, 0);
+  binio::AppendU64(&buf, 11);
+  binio::AppendU8(&buf, 0);   // kWord
+  binio::AppendU32(&buf, 1);  // mentions
+  binio::AppendU64(&buf, 0);  // span.begin
+  binio::AppendU64(&buf, 1);  // span.end
+  binio::AppendI32(&buf, 0);  // candidate_id
+  binio::AppendU8(&buf, 1);   // locally_detected
+
+  // CandidateBase: one slot per gid.
+  binio::AppendU64(&buf, 4);
+  binio::AppendU8(&buf, 1);  // gid 0 present
+  binio::AppendString(&buf, "coronavirus");
+  binio::AppendI32(&buf, 1);  // num_tokens
+  binio::AppendU32(&buf, 1);  // mentions
+  binio::AppendU64(&buf, 0);  // tweet_index
+  binio::AppendU64(&buf, 0);
+  binio::AppendU64(&buf, 1);
+  binio::AppendU8(&buf, 1);
+  binio::AppendI32(&buf, 1);  // embedding_sum [1, 2]
+  binio::AppendI32(&buf, 2);
+  binio::AppendF32(&buf, 1.f);
+  binio::AppendF32(&buf, 2.f);
+  binio::AppendI32(&buf, 1);    // embedding_count
+  binio::AppendF64(&buf, 1.0);  // embedding_weight
+  binio::AppendU64(&buf, 0);    // last_update_pos
+  binio::AppendU64(&buf, 0);    // last_mention_pos
+  binio::AppendU8(&buf, static_cast<uint8_t>(CandidateLabel::kEntity));
+  binio::AppendF32(&buf, 0.75f);  // entity_probability
+  binio::AppendU32(&buf, 0);      // mention_embeddings
+  for (const uint8_t evicted :
+       {uint8_t{0}, uint8_t{1},
+        uint8_t(static_cast<uint8_t>(CandidateLabel::kNonEntity) + 1)}) {
+    binio::AppendU8(&buf, 0);  // absent
+    binio::AppendU8(&buf, evicted);
+  }
+
+  // Metrics block: empty.
+  binio::AppendU32(&buf, 0);
+  binio::AppendU32(&buf, 0);
+  binio::AppendU32(&buf, Crc32(buf.data(), buf.size()));
+  return buf;
+}
+
+// The evicted byte of a dead slot restores into the label column and the
+// evicted mark: never evicted, evicted unlabeled and evicted with a label
+// stay apart, and a re-save writes the same state section.
+TEST(AccountingTest, SaveRestoreSaveKeepsTheEvictedMarks) {
+  const std::string path = ::testing::TempDir() + "emd_accounting_marks.ckpt";
+  const std::string fixture = BuildEvictedMarksCheckpoint();
+  ASSERT_TRUE(WriteStringToFile(path, fixture).ok());
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  MockLocalSystem mock(ChurnRules());
+  Globalizer g(&mock, nullptr, nullptr, opt);
+  ASSERT_TRUE(g.RestoreCheckpoint(path).ok());
+
+  const ShardedGlobalState& state = g.global_state();
+  ASSERT_EQ(state.num_candidates(), 4);
+  EXPECT_TRUE(state.Contains(0));
+  EXPECT_FALSE(state.WasEvicted(0));
+  EXPECT_EQ(state.Label(0), CandidateLabel::kEntity);
+  EXPECT_FALSE(state.WasEvicted(1));
+  EXPECT_EQ(state.Label(1), CandidateLabel::kUnlabeled);
+  EXPECT_TRUE(state.WasEvicted(2));
+  EXPECT_EQ(state.Label(2), CandidateLabel::kUnlabeled);
+  EXPECT_TRUE(state.WasEvicted(3));
+  EXPECT_EQ(state.Label(3), CandidateLabel::kNonEntity);
+  for (int gid = 1; gid < 4; ++gid) EXPECT_TRUE(state.IsTombstone(gid));
+
+  const std::string resaved = SavedStateSection(g, path);
+  const std::string want = fixture.substr(0, fixture.size() - 8 - 4);
+  ASSERT_EQ(resaved.size(), want.size());
+  EXPECT_TRUE(resaved == want) << "state sections differ";
   std::remove(path.c_str());
 }
 

@@ -277,7 +277,7 @@ TEST(SyntacticEmbedderTest, OneHotEmbedding) {
 
 TEST(CandidateBaseTest, IncrementalPoolingEqualsBatchMean) {
   CandidateBase base;
-  base.GetOrCreate(0, "test", 1);
+  base.GetOrCreate(0);
   Rng rng(3);
   Mat sum(1, 4);
   const int n = 7;
@@ -297,7 +297,7 @@ TEST(CandidateBaseTest, IncrementalPoolingEqualsBatchMean) {
 TEST(CandidateBaseTest, RetainMentionEmbeddings) {
   CandidateBase base;
   base.set_retain_mention_embeddings(true);
-  base.GetOrCreate(0, "x", 1);
+  base.GetOrCreate(0);
   const float a[] = {1, 2};
   const float b[] = {3, 4};
   base.AddMention(0, 0, a);

@@ -881,11 +881,13 @@ TEST(FailureInjectionTest, BitFlippedCheckpointIsCorruption) {
 /// tweet with one token and one mention, one candidate with one mention and
 /// one retained mention embedding, and a metrics block with one counter and
 /// one histogram. Records the byte offset of every u32 element count restore
-/// sizes a container from.
+/// sizes a container from, and of the candidate slot's key and num_tokens.
 struct CountedCheckpoint {
   std::string bytes;
   size_t tokens = 0;
   size_t tweet_mentions = 0;
+  size_t slot_key = 0;
+  size_t slot_num_tokens = 0;
   size_t candidate_mentions = 0;
   size_t mention_embeddings = 0;
   size_t counters = 0;
@@ -936,7 +938,9 @@ CountedCheckpoint BuildCountedCheckpoint() {
   // CandidateBase.
   binio::AppendU64(&buf, 1);
   binio::AppendU8(&buf, 1);  // present
+  c.slot_key = buf.size();
   binio::AppendString(&buf, "coronavirus");
+  c.slot_num_tokens = buf.size();
   binio::AppendI32(&buf, 1);  // num_tokens
   c.candidate_mentions = buf.size();
   binio::AppendU32(&buf, 1);
@@ -1097,6 +1101,48 @@ TEST(FailureInjectionTest, CheckpointCandidateMentionsDisagreeingWithTweetBase) 
     EXPECT_NE(st.message().find("TweetBase"), std::string::npos) << st;
     EXPECT_EQ(fresh.processed_tweets(), 0u);
     EXPECT_EQ(fresh.global_state().num_candidates(), 0);
+  }
+  std::filesystem::remove(path);
+}
+
+// A candidate slot repeats the key and length the candidate-key section
+// registered for its gid: restore refuses a slot that disagrees rather than
+// keep a record for a phrase the trie does not hold.
+TEST(FailureInjectionTest, CheckpointSlotDisagreeingWithTheCandidateKeys) {
+  const std::string path = TempPath("emd_ckpt_slot_key.bin");
+  const CountedCheckpoint valid = BuildCountedCheckpoint();
+  struct Patch {
+    size_t offset;
+    char byte;
+    const char* what;
+  };
+  // Past the key's u32 length, its last byte: "coronavirus" -> "coronavirut".
+  const Patch patches[] = {{valid.slot_key + 4 + 10, 't', "same-length key"},
+                           {valid.slot_num_tokens, 2, "num_tokens 1 -> 2"}};
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  for (const Patch& p : patches) {
+    SCOPED_TRACE(p.what);
+    std::string bad = valid.bytes;
+    ASSERT_NE(bad[p.offset], p.byte);
+    bad[p.offset] = p.byte;
+    const size_t body = bad.size() - sizeof(uint32_t);
+    const uint32_t crc = Crc32(bad.data(), body);
+    std::memcpy(bad.data() + body, &crc, sizeof(crc));
+    ASSERT_TRUE(WriteStringToFile(path, bad).ok());
+
+    MockLocalSystem mock({{.phrase = {"coronavirus"}}});
+    Globalizer fresh(&mock, nullptr, nullptr, opt);
+    const Status st = fresh.RestoreCheckpoint(path);
+    EXPECT_TRUE(st.IsCorruption()) << st;
+    EXPECT_NE(st.message().find("candidate-key section"), std::string::npos)
+        << st;
+    EXPECT_EQ(fresh.processed_tweets(), 0u);
+    EXPECT_EQ(fresh.global_state().num_candidates(), 0);
+
+    ASSERT_TRUE(WriteStringToFile(path, valid.bytes).ok());
+    EXPECT_TRUE(fresh.RestoreCheckpoint(path).ok());
+    EXPECT_EQ(fresh.global_state().CandidateKey(0), "coronavirus");
   }
   std::filesystem::remove(path);
 }

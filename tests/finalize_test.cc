@@ -170,7 +170,7 @@ Snapshot Capture(const Globalizer& g, const GlobalizerOutput& out) {
     if (!state.Contains(gid)) continue;
     const CandidateRecord& rec = state.at(gid);
     s.live_gids.push_back(gid);
-    s.labels.push_back(rec.label);
+    s.labels.push_back(state.Label(gid));
     uint32_t bits = 0;
     std::memcpy(&bits, &rec.entity_probability, sizeof(bits));
     s.probability_bits.push_back(bits);
@@ -192,17 +192,19 @@ void ExpectSame(const Snapshot& want, const Snapshot& got) {
   EXPECT_EQ(want.probability_bits, got.probability_bits);
 }
 
-/// The verdict a from-scratch re-score assigns `rec` — the historical
+/// The verdict a from-scratch re-score assigns live `gid` — the historical
 /// Finalize, which classified every live candidate on every call. A one-row
 /// TryProbabilities call, so it also holds under int8 packing.
-CandidateLabel RescoredLabel(const CandidateRecord& rec,
+CandidateLabel RescoredLabel(const ShardedGlobalState& state, int gid,
                              const EntityClassifier& clf,
                              const GlobalizerOptions& opt, float* probability) {
+  const CandidateRecord& rec = state.at(gid);
   if (rec.embedding_count == 0) return CandidateLabel::kAmbiguous;
   ForwardArena arena;
   std::vector<float> probs;
   const Status scored = clf.TryProbabilities(
-      EntityClassifier::MakeFeatures(rec.GlobalEmbedding(), rec.num_tokens),
+      EntityClassifier::MakeFeatures(rec.GlobalEmbedding(),
+                                     state.CandidateLength(gid)),
       &arena, &probs);
   if (!scored.ok()) {
     ADD_FAILURE() << scored;
@@ -224,9 +226,9 @@ CandidateLabel RescoredLabel(const CandidateRecord& rec,
   return label;
 }
 
-/// After a Finalize: every live verdict equals a full re-score, the label
-/// column agrees with the records (and with the eviction table for evicted
-/// gids), and the output is the historical emit rule applied to them.
+/// After a Finalize: every live verdict in the label column equals a full
+/// re-score, every dead gid was evicted, and the output is the historical
+/// emit rule applied to the column.
 void ExpectMatchesFullRescore(const Globalizer& g, const GlobalizerOutput& out,
                               const EntityClassifier& clf,
                               const GlobalizerOptions& opt) {
@@ -234,18 +236,18 @@ void ExpectMatchesFullRescore(const Globalizer& g, const GlobalizerOutput& out,
   int live = 0, entity = 0, non_entity = 0;
   for (int gid = 0; gid < state.num_candidates(); ++gid) {
     if (!state.Contains(gid)) {
-      EXPECT_EQ(state.Label(gid), state.EvictedLabel(gid)) << "gid " << gid;
+      EXPECT_TRUE(state.WasEvicted(gid)) << "gid " << gid;
       continue;
     }
     const CandidateRecord& rec = state.at(gid);
+    const CandidateLabel label = state.Label(gid);
     float p = rec.entity_probability;
-    EXPECT_EQ(rec.label, RescoredLabel(rec, clf, opt, &p)) << "gid " << gid;
+    EXPECT_EQ(label, RescoredLabel(state, gid, clf, opt, &p)) << "gid " << gid;
     EXPECT_EQ(0, std::memcmp(&p, &rec.entity_probability, sizeof(float)))
         << "gid " << gid;
-    EXPECT_EQ(state.Label(gid), rec.label) << "gid " << gid;
     ++live;
-    entity += rec.label == CandidateLabel::kEntity;
-    non_entity += rec.label == CandidateLabel::kNonEntity;
+    entity += label == CandidateLabel::kEntity;
+    non_entity += label == CandidateLabel::kNonEntity;
   }
   EXPECT_EQ(out.num_candidates, live);
   EXPECT_EQ(out.num_entity, entity);
@@ -257,9 +259,7 @@ void ExpectMatchesFullRescore(const Globalizer& g, const GlobalizerOutput& out,
   for (size_t i = 0; i < tweets.size(); ++i) {
     std::vector<TokenSpan> want;
     for (const RecordedMention& m : tweets.mentions(i)) {
-      const CandidateLabel label = state.Contains(m.candidate_id)
-                                       ? state.at(m.candidate_id).label
-                                       : state.EvictedLabel(m.candidate_id);
+      const CandidateLabel label = state.Label(m.candidate_id);
       if (label == CandidateLabel::kEntity ||
           label == CandidateLabel::kAmbiguous) {
         want.push_back(m.span);
@@ -277,13 +277,13 @@ void ExpectGammaBandRescored(const Globalizer& g, const EntityClassifier& clf,
   for (int gid = 0; gid < state.num_candidates(); ++gid) {
     if (!state.Contains(gid)) continue;
     const CandidateRecord& rec = state.at(gid);
-    if (rec.embedding_count == 0 ||
-        (rec.label != CandidateLabel::kAmbiguous &&
-         rec.label != CandidateLabel::kUnlabeled)) {
+    const CandidateLabel label = state.Label(gid);
+    if (rec.embedding_count == 0 || (label != CandidateLabel::kAmbiguous &&
+                                     label != CandidateLabel::kUnlabeled)) {
       continue;
     }
     float p = 0.f;
-    EXPECT_EQ(rec.label, RescoredLabel(rec, clf, opt, &p)) << "gid " << gid;
+    EXPECT_EQ(label, RescoredLabel(state, gid, clf, opt, &p)) << "gid " << gid;
     EXPECT_EQ(0, std::memcmp(&p, &rec.entity_probability, sizeof(float)))
         << "gid " << gid;
   }
@@ -463,7 +463,7 @@ GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
     std::vector<bool> live_before(state.num_candidates());
     for (int gid = 0; gid < state.num_candidates(); ++gid) {
       live_before[gid] = state.Contains(gid);
-      if (live_before[gid]) before[gid] = state.at(gid).label;
+      if (live_before[gid]) before[gid] = state.Label(gid);
     }
     EXPECT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
     ExpectByteTotalsMatchRecount(g);
@@ -473,9 +473,8 @@ GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
     for (int gid = 0; gid < static_cast<int>(before.size()); ++gid) {
       if (!live_before[gid]) continue;
       // A sweep is the only label writer inside ProcessBatch; eviction
-      // freezes the label the record carried when it was freed.
-      const CandidateLabel now = state.Contains(gid) ? state.at(gid).label
-                                                     : state.EvictedLabel(gid);
+      // freezes the column label the gid carried when it was freed.
+      const CandidateLabel now = state.Label(gid);
       if (now == before[gid]) continue;
       // The sweep re-scores only the γ band: settled verdicts wait for the
       // next Finalize even when their evidence moved.
@@ -488,7 +487,7 @@ GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
     for (int gid : flipped) {
       if (!state.Contains(gid)) {
         ++run.flipped_then_evicted;
-        EXPECT_EQ(state.Label(gid), state.EvictedLabel(gid));
+        EXPECT_TRUE(state.WasEvicted(gid));
       }
     }
     std::erase_if(flipped, [&](int gid) { return !state.Contains(gid); });
@@ -534,9 +533,9 @@ TEST(FinalizeGovernedTest, EveryVerdictMatchesFullRescoreUnderEviction) {
 }
 
 TEST(FinalizeGovernedTest, RestoredLabelColumnKeepsEvictedVerdicts) {
-  // The label column is derived state: restore rebuilds it from the live
-  // records and the evicted-label table, so a restored Globalizer emits the
-  // same mentions — evicted candidates' included — as the one that saved.
+  // Restore writes each slot's label and evicted code back into the label
+  // column, so a restored Globalizer emits the same mentions — evicted
+  // candidates' included — as the one that saved.
   const Dataset d = CadenceStream(320, 17);
   const EntityClassifier clf = CadenceClassifier();
   Config c{.cadence = 3};
@@ -552,7 +551,7 @@ TEST(FinalizeGovernedTest, RestoredLabelColumnKeepsEvictedVerdicts) {
       ASSERT_TRUE(g.Finalize().ok());
     }
   }
-  ASSERT_GT(g.global_state().num_evicted(), 0u);
+  ASSERT_GT(g.memory_governor().stats().evicted_candidates, 0u);
   const std::string path = TempPath("emd_finalize_governed.ckpt");
   ASSERT_TRUE(g.SaveCheckpoint(path).ok());
   Globalizer restored(&p.mock, nullptr, &clf, opt);
@@ -662,15 +661,15 @@ TEST(FinalizeEdgeTest, LabelColumnTalliesAndDirtySetTrackTheRecords) {
   EXPECT_EQ(state.NumLive(CandidateLabel::kAmbiguous), 1);
   EXPECT_EQ(state.NumLive(CandidateLabel::kUnlabeled), 1);
 
-  // Eviction freezes whatever label the record carries — also one written
-  // straight into the record — and drops the gid from the dirty set and the
-  // live tallies.
-  state.at(gids[3]).label = CandidateLabel::kAmbiguous;
+  // Eviction freezes the column label (kUnlabeled too), marks the gid
+  // evicted and drops it from the dirty set and the live tallies.
   state.Evict(gids[3]);
   state.Evict(gids[0]);
-  EXPECT_EQ(state.Label(gids[3]), CandidateLabel::kAmbiguous);
-  EXPECT_EQ(state.Label(gids[3]), state.EvictedLabel(gids[3]));
+  EXPECT_EQ(state.Label(gids[3]), CandidateLabel::kUnlabeled);
+  EXPECT_TRUE(state.WasEvicted(gids[3]));
   EXPECT_EQ(state.Label(gids[0]), CandidateLabel::kEntity);
+  EXPECT_TRUE(state.WasEvicted(gids[0]));
+  EXPECT_FALSE(state.WasEvicted(gids[1]));
   EXPECT_TRUE(state.DirtyGids().empty());
   EXPECT_EQ(state.NumLive(CandidateLabel::kEntity), 0);
   EXPECT_EQ(state.NumLive(CandidateLabel::kUnlabeled), 0);
@@ -682,6 +681,7 @@ TEST(FinalizeEdgeTest, LabelColumnTalliesAndDirtySetTrackTheRecords) {
   EXPECT_EQ(state.NumLive(CandidateLabel::kNonEntity), 1);
   EXPECT_EQ(state.NumLive(CandidateLabel::kAmbiguous), 1);
   EXPECT_EQ(state.Label(gids[0]), CandidateLabel::kEntity);
+  EXPECT_TRUE(state.WasEvicted(gids[0]));
 }
 
 }  // namespace

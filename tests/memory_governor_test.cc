@@ -1,7 +1,7 @@
 // Memory-governance tests: CTrie pruning invariants (lookup misses, shared
 // prefixes, slot recycling, fresh ids), decayed incremental pooling math and
-// its bit-exact-when-off guarantee, score+recency eviction with the
-// evicted-label side table, forced-pressure and aborted-eviction failpoints,
+// its bit-exact-when-off guarantee, score+recency eviction with labels frozen
+// in the label column, forced-pressure and aborted-eviction failpoints,
 // admission-edge shedding under memory pressure, checkpoint v4 round-trips
 // after pruning plus the v3 compatibility / version-skew paths, and a
 // multi-threaded chaos run (the TSan target: eviction at the batch barrier
@@ -155,7 +155,7 @@ TEST(CTriePruneTest, ApproxBytesShrinksWithPruning) {
 TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
   CandidateBase cb;
   cb.set_decay_half_life(1);  // lambda = 0.5 per stream position
-  cb.GetOrCreate(0, "x", 1);
+  cb.GetOrCreate(0);
 
   Mat a(1, 2);
   a(0, 0) = 4.f;
@@ -183,7 +183,7 @@ TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
 // an exact integer, and float(double(n)) == float(n).
 TEST(DecayedPoolingTest, DecayOffIsBitExactLegacyMean) {
   CandidateBase cb;  // default: no decay
-  cb.GetOrCreate(0, "x", 1);
+  cb.GetOrCreate(0);
   constexpr int kDim = 7;
   Rng rng(5);
   Mat expected;
@@ -216,7 +216,7 @@ TEST(DecayedPoolingTest, DecayOffIsBitExactLegacyMean) {
 TEST(DecayedPoolingTest, SamePositionMentionsDoNotDecayEachOther) {
   CandidateBase cb;
   cb.set_decay_half_life(4);
-  cb.GetOrCreate(0, "x", 1);
+  cb.GetOrCreate(0);
   Mat a(1, 1);
   a(0, 0) = 2.f;
   cb.AddMention(0, 3, {a.data(), a.size()});
@@ -232,8 +232,10 @@ TEST(MemoryGovernorTest, ConfirmedEntitiesAreNeverEvicted) {
   TweetBase tb;
   const int keep = state.Insert({"kept"});
   const int drop = state.Insert({"dropped"});
-  state.GetOrCreate(keep).label = CandidateLabel::kEntity;
-  state.GetOrCreate(drop).label = CandidateLabel::kNonEntity;
+  state.GetOrCreate(keep);
+  state.GetOrCreate(drop);
+  state.SetLabel(keep, CandidateLabel::kEntity);
+  state.SetLabel(drop, CandidateLabel::kNonEntity);
 
   MemoryGovernorOptions opt;
   opt.budget_bytes = 1;  // everything is over budget: evict all it may
@@ -243,7 +245,9 @@ TEST(MemoryGovernorTest, ConfirmedEntitiesAreNeverEvicted) {
   EXPECT_TRUE(state.Contains(keep));
   EXPECT_FALSE(state.Contains(drop));
   EXPECT_TRUE(state.IsTombstone(drop));
-  EXPECT_EQ(state.EvictedLabel(drop), CandidateLabel::kNonEntity);
+  EXPECT_TRUE(state.WasEvicted(drop));
+  EXPECT_FALSE(state.WasEvicted(keep));
+  EXPECT_EQ(state.Label(drop), CandidateLabel::kNonEntity);
   EXPECT_EQ(governor.stats().evicted_candidates, 1u);
   EXPECT_GT(governor.stats().pruned_nodes, 0u);
   // Reclaim could not free the entity: the budget stays blown -> hard.
@@ -255,9 +259,8 @@ TEST(MemoryGovernorTest, YoungAmbiguousCandidatesAreRetained) {
   ShardedGlobalState state;
   TweetBase tb;
   const int young = state.Insert({"young"});
-  CandidateRecord& rec = state.GetOrCreate(young);
-  rec.label = CandidateLabel::kAmbiguous;
-  rec.last_mention_pos = 0;
+  state.GetOrCreate(young).last_mention_pos = 0;
+  state.SetLabel(young, CandidateLabel::kAmbiguous);
 
   MemoryGovernorOptions opt;
   opt.budget_bytes = 1;
@@ -317,7 +320,8 @@ TEST(MemoryGovernorTest, EvictFailpointAbortsSweepBetweenVictims) {
   for (int i = 0; i < 4; ++i) {
     const std::string key = "cold" + std::to_string(i);
     const int id = state.Insert({key});
-    state.GetOrCreate(id).label = CandidateLabel::kNonEntity;
+    state.GetOrCreate(id);
+    state.SetLabel(id, CandidateLabel::kNonEntity);
   }
   MemoryGovernorOptions opt;
   opt.budget_bytes = 1;
@@ -436,12 +440,17 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
   GlobalizerOutput out_evict = evicting.Finalize().value();
 
   // Candidates were evicted, yet their recorded mentions still flow to the
-  // output through the evicted-label side table.
+  // output through the labels the column froze at eviction.
   EXPECT_GT(out_evict.num_evicted, 0u);
   EXPECT_GT(out_evict.num_trimmed, 0u);
   EXPECT_EQ(MentionDigest(out_plain), MentionDigest(out_evict));
   EXPECT_NE(out_evict.summary.find("memory:"), std::string::npos);
-  EXPECT_GT(evicting.candidate_base().num_evicted(), 0u);
+  const ShardedGlobalState& state = evicting.global_state();
+  uint64_t marked = 0;
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    marked += state.WasEvicted(gid) ? 1 : 0;
+  }
+  EXPECT_EQ(marked, out_evict.num_evicted);
   CheckTrieCandidateInvariants(evicting.ctrie(), evicting.candidate_base());
 }
 
@@ -536,10 +545,9 @@ TEST(MemoryCheckpointTest, V4RoundTripsPrunedStateAndGovernorStats) {
             g.ctrie().num_live_candidates());
   for (int id = 0; id < g.ctrie().num_candidates(); ++id) {
     EXPECT_EQ(restored.ctrie().IsTombstone(id), g.ctrie().IsTombstone(id));
-    EXPECT_EQ(restored.candidate_base().WasEvicted(id),
-              g.candidate_base().WasEvicted(id));
-    EXPECT_EQ(restored.candidate_base().EvictedLabel(id),
-              g.candidate_base().EvictedLabel(id));
+    EXPECT_EQ(restored.global_state().WasEvicted(id),
+              g.global_state().WasEvicted(id));
+    EXPECT_EQ(restored.global_state().Label(id), g.global_state().Label(id));
   }
   CheckTrieCandidateInvariants(restored.ctrie(), restored.candidate_base());
   // Lifetime reclamation totals are cumulative across the restore.
@@ -561,7 +569,9 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.batch_size = 4;
-  opt.memory.budget_bytes = 4096;
+  // The first batch's state crosses the soft line (0.75 * budget) and needs
+  // more than one victim to get under the eviction target.
+  opt.memory.budget_bytes = 3072;
   opt.memory.min_retain_tweets = 0;
   MockLocalSystem mock(StreamRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
@@ -683,7 +693,7 @@ TEST(MemoryCheckpointTest, V3CheckpointLoadsIntoV4Reader) {
   EXPECT_EQ(rec.embedding_weight, 1.0);
   EXPECT_EQ(rec.last_mention_pos, 0u);
   EXPECT_EQ(rec.last_update_pos, 0u);
-  EXPECT_FALSE(g.candidate_base().WasEvicted(0));
+  EXPECT_FALSE(g.global_state().WasEvicted(0));
   EXPECT_EQ(g.memory_governor().stats().evicted_candidates, 0u);
 
   // And re-saving writes a v4 file that round-trips.

@@ -189,10 +189,10 @@ RunResult RunStream(Globalizer* g, const Dataset& d, size_t batch_size) {
   RunResult r;
   r.output = g->Finalize().value();
   r.local_lanes = lanes;
-  const CandidateBase& cb = g->candidate_base();
-  for (size_t id = 0; id < cb.size(); ++id) {
-    const CandidateRecord& rec = cb.at(static_cast<int>(id));
-    r.keys.push_back(rec.key);
+  const ShardedGlobalState& state = g->global_state();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    const CandidateRecord& rec = state.at(gid);
+    r.keys.push_back(state.CandidateKey(gid));
     r.embedding_counts.push_back(rec.embedding_count);
     const Mat& sum = rec.embedding_sum;
     r.embedding_sums.emplace_back(sum.data(), sum.data() + sum.rows() * sum.cols());
@@ -684,14 +684,16 @@ void ExpectPooled(const Globalizer& g, const ExpectedPool& e) {
   const ShardedGlobalState& state = g.global_state();
   ASSERT_EQ(static_cast<size_t>(state.num_candidates()), e.sums.size());
   for (size_t id = 0; id < e.sums.size(); ++id) {
-    const CandidateRecord& rec = state.at(static_cast<int>(id));
-    EXPECT_EQ(rec.embedding_count, e.counts[id]) << rec.key;
+    const int gid = static_cast<int>(id);
+    const CandidateRecord& rec = state.at(gid);
+    const std::string& key = state.CandidateKey(gid);
+    EXPECT_EQ(rec.embedding_count, e.counts[id]) << key;
     const Mat& sum = rec.embedding_sum;
-    ASSERT_EQ(sum.size(), e.sums[id].size()) << rec.key;
+    ASSERT_EQ(sum.size(), e.sums[id].size()) << key;
     if (sum.empty()) continue;
     EXPECT_EQ(0, std::memcmp(sum.data(), e.sums[id].data(),
                              sum.size() * sizeof(float)))
-        << rec.key;
+        << key;
   }
 }
 

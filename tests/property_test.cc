@@ -59,7 +59,7 @@ TEST_P(SeededTest, PoolingIsOrderAndBatchInvariant) {
   }
   auto pooled = [&](const std::vector<size_t>& order) {
     CandidateBase base;
-    base.GetOrCreate(0, "x", 1);
+    base.GetOrCreate(0);
     for (size_t i : order) {
       base.AddMention(0, 0, {embeddings[i].data(), embeddings[i].size()});
     }

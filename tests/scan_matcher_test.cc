@@ -320,7 +320,7 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
     }
   }
   EXPECT_GT(reference.num_candidates(), 100);
-  EXPECT_GT(reference.num_evicted(), 0u);
+  EXPECT_LT(reference.num_live_candidates(), reference.num_candidates());
 
   // Rebuild-restore interleaving: reconstruct each layout the way checkpoint
   // restore does (live keys re-inserted in gid order, tombstones appended as
@@ -535,7 +535,7 @@ TEST(ScanMatcherTest, SteadyStateScanIsAllocationFree) {
 TEST(ScanMatcherTest, RegistrationKeyJoinsFoldedTokensAsBefore) {
   const std::vector<std::vector<std::string>> phrases = {
       {"New", "York"}, {"", "X"}, {"A", "", "B"}, {"", "", "c"},
-      {"\xc3\x89cole", "Normale"}, {"UPPER", "lower", "MiXeD"}};
+      {"\xc3\x89" "cole", "Normale"}, {"UPPER", "lower", "MiXeD"}};
   for (const int shards : {1, 4}) {
     ShardedGlobalState state(shards);
     for (const auto& phrase : phrases) {
@@ -549,6 +549,12 @@ TEST(ScanMatcherTest, RegistrationKeyJoinsFoldedTokensAsBefore) {
       EXPECT_EQ(state.Insert(phrase), gid);
       EXPECT_EQ(state.Find(phrase), gid);
     }
+    // Find routes on the same join; adding or dropping an empty token gives
+    // another trie path, so the lookup misses.
+    EXPECT_EQ(state.Find({"", "new", "york"}), CTrie::kNoCandidate);
+    EXPECT_EQ(state.Find({"X"}), CTrie::kNoCandidate);
+    EXPECT_EQ(state.Find({""}), CTrie::kNoCandidate);
+    EXPECT_EQ(state.Find({}), CTrie::kNoCandidate);
   }
 }
 

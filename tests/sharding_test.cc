@@ -88,13 +88,12 @@ void ExpectSameGlobalState(const ShardedGlobalState& a,
     EXPECT_EQ(a.CandidateKey(gid), b.CandidateKey(gid)) << "gid " << gid;
     EXPECT_EQ(a.CandidateLength(gid), b.CandidateLength(gid)) << "gid " << gid;
     EXPECT_EQ(a.WasEvicted(gid), b.WasEvicted(gid)) << "gid " << gid;
-    EXPECT_EQ(a.EvictedLabel(gid), b.EvictedLabel(gid)) << "gid " << gid;
+    EXPECT_EQ(a.Label(gid), b.Label(gid)) << "gid " << gid;
     ASSERT_EQ(a.Contains(gid), b.Contains(gid)) << "gid " << gid;
     if (!a.Contains(gid)) continue;
     const CandidateRecord& ra = a.at(gid);
     const CandidateRecord& rb = b.at(gid);
     EXPECT_EQ(ra.num_mentions, rb.num_mentions) << "gid " << gid;
-    EXPECT_EQ(ra.label, rb.label) << "gid " << gid;
     ASSERT_EQ(ra.embedding_count, rb.embedding_count) << "gid " << gid;
     EXPECT_EQ(ra.embedding_weight, rb.embedding_weight) << "gid " << gid;
     ASSERT_EQ(ra.embedding_sum.size(), rb.embedding_sum.size());
@@ -310,7 +309,7 @@ TEST(ShardCheckpointTest, EvictionHolesSurviveShardedRoundTrip) {
   ASSERT_TRUE(g.SaveCheckpoint(path).ok());
 
   // The gid space — including tombstoned holes spread across shards — and
-  // the evicted-label side tables survive a restore into a different count.
+  // the evicted labels survive a restore into a different count.
   for (int shards : {4, 1}) {
     GlobalizerOptions ropt = opt;
     ropt.shard_count = shards;
@@ -444,7 +443,7 @@ TEST(ShardCheckpointTest, V4CheckpointRestoresIntoShardedBuild) {
     // Pre-governance fields restored verbatim from the v4 file.
     EXPECT_EQ(g->global_state().at(0).embedding_weight, 1.0);
     EXPECT_TRUE(g->global_state().WasEvicted(1));
-    EXPECT_EQ(g->global_state().EvictedLabel(1), CandidateLabel::kNonEntity);
+    EXPECT_EQ(g->global_state().Label(1), CandidateLabel::kNonEntity);
     EXPECT_EQ(g->memory_governor().stats().evicted_candidates, 1u);
   }
   EXPECT_EQ(sharded.global_state().ShardOf(0),
