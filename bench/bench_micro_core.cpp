@@ -384,7 +384,8 @@ std::vector<ExtractedMention> ReferenceScan(
   return out;
 }
 
-// Candidate re-scan over a sharded state (DESIGN §12): tokens/sec and trie
+// Candidate registration and re-scan over a sharded state (DESIGN §12): ns
+// per Insert of a new and of a repeated phrase, then tokens/sec and trie
 // steps/token of the symbol-keyed matcher. Every benchmarked tweet's mentions
 // are checked against ReferenceScan; any divergence exits nonzero (the
 // --scan-only CI smoke).
@@ -417,6 +418,27 @@ void RunScanBench(bench::BenchReporter* reporter, int num_candidates,
       live_keys.emplace(state.CandidateKey(gid), gid);
       phrases.push_back(std::move(phrase));
     }
+  }
+
+  // Registration (§IV): ns per ShardedGlobalState::Insert, first into a
+  // fresh state (every call creates a candidate), then of the same phrases
+  // again (every call finds one).
+  const double n = static_cast<double>(phrases.size());
+  double best_new = 1e100, best_repeat = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    ShardedGlobalState fresh(shards);
+    auto start = std::chrono::steady_clock::now();
+    for (const auto& phrase : phrases) fresh.Insert(phrase);
+    auto mid = std::chrono::steady_clock::now();
+    for (const auto& phrase : phrases) fresh.Insert(phrase);
+    const auto end = std::chrono::steady_clock::now();
+    if (fresh.num_candidates() != num_candidates) {
+      std::fprintf(stderr, "FAIL: registration built %d candidates, want %d\n",
+                   fresh.num_candidates(), num_candidates);
+      std::exit(1);
+    }
+    best_new = std::min(best_new, std::chrono::duration<double>(mid - start).count());
+    best_repeat = std::min(best_repeat, std::chrono::duration<double>(end - mid).count());
   }
 
   // Tweets: injected candidate phrases (some with uppercase surface forms)
@@ -482,9 +504,18 @@ void RunScanBench(bench::BenchReporter* reporter, int num_candidates,
               num_candidates / 1000, shards, mentions, tps / 1e6,
               steps_per_token);
 
+  std::printf("register %dk cand / %d shards: %.0f ns per new phrase, %.0f ns "
+              "per repeat\n",
+              num_candidates / 1000, shards, best_new * 1e9 / n,
+              best_repeat * 1e9 / n);
+
   const std::string dims =
       std::to_string(num_candidates) + "x" + std::to_string(shards);
   reporter->Add("scan/" + dims, reps, best * 1e9, tps, "tokens/sec");
+  reporter->Add("register/" + dims, reps, best_new * 1e9 / n, n / best_new,
+                "inserts/sec");
+  reporter->Add("register_repeat/" + dims, reps, best_repeat * 1e9 / n,
+                n / best_repeat, "inserts/sec");
   reporter->Add("scan_steps_per_token/" + dims, reps, 0, steps_per_token,
                 "steps/token");
 }

@@ -16,7 +16,7 @@ std::vector<ClassifierExample> BuildClassifierExamples(
   options.mode = GlobalizerOptions::Mode::kMentionExtraction;
   options.batch_size = batch_size;
   Globalizer globalizer(system, phrase_embedder, /*classifier=*/nullptr, options);
-  globalizer.mutable_candidate_base().set_retain_mention_embeddings(true);
+  globalizer.set_retain_mention_embeddings(true);
   globalizer.Run(labelled_stream).value();
 
   // Gold entity surfaces of the stream, case-folded.

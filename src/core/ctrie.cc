@@ -55,7 +55,7 @@ int CTrie::AllocNode() {
   return slot;
 }
 
-int CTrie::Insert(const FoldedPhrase& phrase, int32_t* first_symbol) {
+int CTrie::Insert(const FoldedPhrase& phrase, RootEdge* first) {
   EMD_CHECK_GT(phrase.size(), 0u);
   int node = root();
   for (size_t i = 0; i < phrase.size(); ++i) {
@@ -72,7 +72,7 @@ int CTrie::Insert(const FoldedPhrase& phrase, int32_t* first_symbol) {
       child = AllocNode();
       AddSymEdge(node, sym, child);
     }
-    if (i == 0 && first_symbol != nullptr) *first_symbol = sym;
+    if (i == 0 && first != nullptr) *first = {sym, child};
     node = child;
   }
   if (nodes_[node].candidate_id != kNoCandidate) return nodes_[node].candidate_id;

@@ -73,11 +73,18 @@ class CTrie {
   /// symbol, taken on Insert and dropped on Prune.
   explicit CTrie(SymbolTable* symbols);
 
+  /// The root edge a phrase's first token follows: its symbol and the root
+  /// child it leads to.
+  struct RootEdge {
+    int32_t symbol;
+    int node;
+  };
+
   /// Registers a folded, non-empty phrase. Returns its stable candidate id;
   /// re-inserting returns the existing id. Each token's symbol is looked up
   /// once, and the candidate key is built only for a new candidate. When
-  /// `first_symbol` is set it receives the first token's symbol.
-  int Insert(const FoldedPhrase& phrase, int32_t* first_symbol = nullptr);
+  /// `first` is set it receives the root edge the walk stepped through.
+  int Insert(const FoldedPhrase& phrase, RootEdge* first = nullptr);
 
   /// Convenience: registers a sequence of tokens (case-folded internally).
   int Insert(const std::vector<std::string>& tokens);

@@ -41,9 +41,9 @@ ShardedGlobalState::ShardedGlobalState(int shard_count)
 int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
   const int shard = router_.ShardOfFolded(phrase.key());
   Shard& sh = shards_[shard];
-  int32_t first_symbol = SymbolTable::kNoSymbol;
-  const int local = sh.trie.Insert(phrase, &first_symbol);
-  RegisterFirstToken(shard, first_symbol);
+  CTrie::RootEdge first;
+  const int local = sh.trie.Insert(phrase, &first);
+  RegisterFirstToken(shard, first);
   if (local == static_cast<int>(sh.local_to_gid.size())) {
     // Freshly discovered candidate: next gid in global discovery order.
     const int gid = AppendGid({shard, local});
@@ -61,9 +61,10 @@ int ShardedGlobalState::AppendGid(GidRef ref) {
   return gid;
 }
 
-void ShardedGlobalState::RegisterFirstToken(int shard, int32_t sym) {
+void ShardedGlobalState::RegisterFirstToken(int shard, CTrie::RootEdge first) {
+  const int32_t sym = first.symbol;
+  const int node = first.node;
   EMD_CHECK_GE(sym, 0) << "first token not interned after Insert";
-  const int node = shards_[shard].trie.RootChildForSymbol(sym);
   EMD_CHECK_NE(node, CTrie::kNoNode);
   if (sym >= static_cast<int32_t>(first_token_.size())) {
     first_token_.resize(symbols_->capacity());

@@ -253,9 +253,10 @@ class ShardedGlobalState {
   /// Registers a folded phrase in the shard its key routes to.
   int InsertFolded(const FoldedPhrase& phrase);
 
-  /// Ensures first_token_[sym] (the phrase's first symbol) carries
-  /// `shard`'s root continuation. Idempotent; called after every trie insert.
-  void RegisterFirstToken(int shard, int32_t sym);
+  /// Ensures first_token_[first.symbol] carries `shard`'s root continuation
+  /// `first.node`, the root child the trie insert stepped to. Idempotent;
+  /// called after every trie insert.
+  void RegisterFirstToken(int shard, CTrie::RootEdge first);
 
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running

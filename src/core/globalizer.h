@@ -277,6 +277,13 @@ class Globalizer {
   /// Must outlive the Globalizer. Append failures are logged, never fatal.
   void set_dead_letter_queue(DeadLetterQueue* dlq) { dead_letter_ = dlq; }
 
+  /// Keeps every mention embedding in its candidate record, in every shard,
+  /// beside the pooled sum (classifier training reads them). Owner
+  /// configuration, not checkpointed state: a restore keeps the setting.
+  void set_retain_mention_embeddings(bool retain) {
+    state_.set_retain_mention_embeddings(retain);
+  }
+
   /// Bounded ingest queue feeding this pipeline, if any. Must outlive the
   /// Globalizer. Finalize copies its admission/shedding stats into
   /// GlobalizerOutput so the operator report distinguishes backpressure,

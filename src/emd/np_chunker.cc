@@ -10,11 +10,7 @@ NpChunkerSystem::NpChunkerSystem(const PosTagger* tagger, NpChunkerOptions optio
 }
 
 void NpChunkerSystem::AddLexiconWord(const std::string& lower_word) {
-  lexicon_[lower_word] = true;
-}
-
-bool NpChunkerSystem::InLexicon(const std::string& lower_word) const {
-  return lexicon_.count(lower_word) > 0;
+  lexicon_.Intern(lower_word);
 }
 
 LocalEmdResult NpChunkerSystem::Process(const std::vector<Token>& tokens) {
@@ -26,6 +22,7 @@ LocalEmdResult NpChunkerSystem::Process(const std::vector<Token>& tokens) {
   auto nominal = [&](size_t t) {
     return tags[t] == PosTag::kNoun || tags[t] == PosTag::kPropNoun;
   };
+  std::string fold_scratch;
   size_t t = 0;
   while (t < tokens.size()) {
     if (!nominal(t)) {
@@ -54,7 +51,7 @@ LocalEmdResult NpChunkerSystem::Process(const std::vector<Token>& tokens) {
       const std::string& text = tokens[i].text;
       if (!text.empty() && IsUpperAscii(text[0])) any_cap = true;
     }
-    const std::string head = ToLowerAscii(tokens[t].text);
+    const std::string_view head = ToLowerAsciiView(tokens[t].text, &fold_scratch);
     if (options_.project_oov_lowercase && !InLexicon(head) && HasAlpha(head)) {
       oov_head = true;
     }

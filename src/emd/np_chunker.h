@@ -11,11 +11,12 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "emd/local_emd_system.h"
 #include "emd/pos_tagger.h"
+#include "util/intern_index.h"
 
 namespace emd {
 
@@ -46,11 +47,13 @@ class NpChunkerSystem : public LocalEmdSystem {
   void AddLexiconWord(const std::string& lower_word);
 
  private:
-  bool InLexicon(const std::string& lower_word) const;
+  bool InLexicon(std::string_view lower_word) const {
+    return lexicon_.Find(lower_word) != InternIndex::kAbsent;
+  }
 
   const PosTagger* tagger_;
   NpChunkerOptions options_;
-  std::unordered_map<std::string, bool> lexicon_;
+  InternIndex lexicon_;
 };
 
 }  // namespace emd

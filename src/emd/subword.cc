@@ -45,8 +45,7 @@ SubwordSplit SubwordTokenizer::Split(const std::string& word) const {
     return split;
   }
   // One piece buffer for the whole greedy scan: assign/append reuse its
-  // capacity, and the vocabulary probes are heterogeneous, so the candidate
-  // loop allocates nothing after the first iteration.
+  // capacity and each candidate length costs one allocation-free probe.
   std::string piece;
   size_t pos = 0;
   while (pos < lower.size()) {
@@ -57,9 +56,10 @@ SubwordSplit SubwordTokenizer::Split(const std::string& word) const {
     for (size_t len = lower.size() - pos; len >= 1; --len) {
       piece.assign(prefix);
       piece.append(lower, pos, len);
-      if (vocab_.Contains(piece)) {
+      const int id = vocab_.Find(piece);
+      if (id != Vocabulary::kAbsent) {
         best_len = len;
-        best_id = vocab_.Id(piece);
+        best_id = id;
         break;
       }
     }

@@ -1,7 +1,12 @@
 #include "emd/twitter_nlp.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <span>
+#include <string_view>
 
 #include "nn/activations.h"
 #include "nn/params.h"
@@ -260,36 +265,114 @@ Status TwitterNlpSystem::Save(const std::string& path) const {
   return Status::OK();
 }
 
+namespace {
+
+// Parses the space-separated floats of `line` into `out`, which must be
+// filled exactly. Save ends the matrix lines with a space; that one trailing
+// separator is allowed.
+bool ParseFloatLine(std::string_view line, std::span<float> out) {
+  const char* p = line.data();
+  const char* end = p + line.size();
+  for (float& v : out) {
+    const auto r = std::from_chars(p, end, v);
+    if (r.ec != std::errc()) return false;
+    p = r.ptr;
+    if (p != end && *p++ != ' ') return false;
+  }
+  return p == end;
+}
+
+}  // namespace
+
 Status TwitterNlpSystem::Load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for read: ", path);
+  std::error_code ec;
+  const uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  if (ec) return Status::IoError("cannot stat: ", path);
+
+  // Everything is parsed into locals first; the system changes only once the
+  // whole file has been read, so a rejected file leaves it untouched.
+  std::string line;
   std::array<float, 4> capw;
-  in >> capw[0] >> capw[1] >> capw[2] >> capw[3];
-  tcap_.set_weights(capw);
-  size_t n = 0;
-  in >> n;
-  feature_ids_.clear();
-  weights_.assign(n, {});
-  for (size_t i = 0; i < n; ++i) {
-    std::string feat;
-    int id;
-    in >> feat >> id;
-    std::array<float, kNumBioLabels> w{};
-    for (int l = 0; l < kNumBioLabels; ++l) in >> w[l];
-    if (!in) return Status::Corruption("truncated model: ", path);
-    feature_ids_.emplace(std::move(feat), id);
-    weights_[id] = w;
+  if (!std::getline(in, line) || !ParseFloatLine(line, capw)) {
+    return Status::Corruption("malformed TwitterNLP cap weights: ", path);
   }
-  Mat& trans = crf_->transitions();
-  for (int i = 0; i < trans.rows(); ++i) {
-    for (int j = 0; j < trans.cols(); ++j) in >> trans(i, j);
+  size_t n = 0;
+  {
+    if (!std::getline(in, line)) return Status::Corruption("truncated model: ", path);
+    const char* end = line.data() + line.size();
+    auto [p, err] = std::from_chars(line.data(), end, n);
+    if (err != std::errc() || p != end) {
+      return Status::Corruption("unparsable TwitterNLP feature count: ", path);
+    }
+  }
+  // A feature line holds at least a one-byte name, a one-digit id and
+  // kNumBioLabels " <digit>" fields plus its newline; a count the file cannot
+  // hold is rejected before anything is sized by it.
+  constexpr uintmax_t kMinLineBytes = 4 + 2 * kNumBioLabels;
+  if (n > file_bytes / kMinLineBytes) {
+    return Status::Corruption("TwitterNLP feature count ", n, " exceeds file size: ", path);
+  }
+
+  std::unordered_map<std::string, int> feature_ids;
+  feature_ids.reserve(n);
+  std::vector<std::array<float, kNumBioLabels>> weights(n);
+  std::vector<uint8_t> seen(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::getline(in, line)) return Status::Corruption("truncated model: ", path);
+    const std::string_view view(line);
+    const size_t name_end = view.find(' ');
+    if (name_end == 0 || name_end == std::string_view::npos) {
+      return Status::Corruption("malformed TwitterNLP feature line ", i + 3, ": ", path);
+    }
+    const char* end = view.data() + view.size();
+    size_t id = 0;
+    std::array<float, kNumBioLabels> w;
+    const auto r = std::from_chars(view.data() + name_end + 1, end, id);
+    if (r.ec != std::errc() || r.ptr == end || *r.ptr != ' ' ||
+        !ParseFloatLine(std::string_view(r.ptr + 1, end - r.ptr - 1), w)) {
+      return Status::Corruption("malformed TwitterNLP feature line ", i + 3, ": ", path);
+    }
+    if (id >= n) {
+      return Status::Corruption("TwitterNLP feature id ", id, " outside [0, ", n,
+                                ") on line ", i + 3, ": ", path);
+    }
+    if (seen[id] != 0 ||
+        !feature_ids.emplace(std::string(view.substr(0, name_end)), static_cast<int>(id))
+             .second) {
+      return Status::Corruption("repeated TwitterNLP feature or id on line ", i + 3, ": ", path);
+    }
+    seen[id] = 1;
+    weights[id] = w;
+  }
+
+  // The transition matrix, then one line per CRF parameter.
+  Mat trans(crf_->transitions().rows(), crf_->transitions().cols());
+  if (!std::getline(in, line) || !ParseFloatLine(line, {trans.data(), trans.size()})) {
+    return Status::Corruption("malformed TwitterNLP transitions: ", path);
   }
   ParamSet params;
   crf_->CollectParams(&params);
+  std::vector<std::vector<float>> values;
   for (const auto& p : params.params()) {
-    for (size_t i = 0; i < p.value->size(); ++i) in >> p.value->data()[i];
+    values.emplace_back(p.value->size());
+    if (!std::getline(in, line) || !ParseFloatLine(line, values.back())) {
+      return Status::Corruption("malformed TwitterNLP CRF parameter ", p.name, ": ", path);
+    }
   }
-  if (!in) return Status::Corruption("truncated model: ", path);
+  in >> std::ws;
+  if (in.peek() != std::char_traits<char>::eof()) {
+    return Status::Corruption("trailing data after TwitterNLP model: ", path);
+  }
+
+  tcap_.set_weights(capw);
+  feature_ids_ = std::move(feature_ids);
+  weights_ = std::move(weights);
+  crf_->transitions() = std::move(trans);
+  for (size_t k = 0; k < values.size(); ++k) {
+    std::copy(values[k].begin(), values[k].end(), params.params()[k].value->data());
+  }
   return Status::OK();
 }
 

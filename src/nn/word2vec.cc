@@ -28,7 +28,7 @@ void SkipGram::Train(const std::vector<std::vector<std::string>>& sentences,
   unigram_weights_.assign(vocab_.size(), 0.0);
   keep_probs_.assign(vocab_.size(), 1.0);
   for (int id = 2; id < vocab_.size(); ++id) {
-    const double count = counts[vocab_.Token(id)];
+    const double count = counts[std::string(vocab_.Token(id))];
     unigram_weights_[id] = std::pow(count, 0.75);
     const double freq = count / std::max<double>(1, total_tokens);
     keep_probs_[id] =

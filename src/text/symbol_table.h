@@ -9,14 +9,15 @@
 // Lifecycle: symbols are reference-counted by the trie edges that carry
 // them. Acquire() interns (or revives) a token and takes one reference;
 // Release() drops one, and a symbol whose last edge disappears dies — its id
-// goes on a free list and is reused by a later Acquire, so the id space
-// stays dense under eviction-heavy streams. Lookup() is the read-only scan
-// probe: allocation-free, returns kNoSymbol for tokens that begin no
-// registered edge anywhere.
+// is erased from the index and reused by a later Acquire (last freed, first
+// reused), so the id space stays dense under eviction-heavy streams.
+// Lookup() is the read-only scan probe: allocation-free, returns kNoSymbol
+// for tokens that begin no registered edge anywhere.
 //
-// Byte accounting: the string capacities (texts plus map keys) are kept as
-// a running sum adjusted by Acquire/Release, so ApproxBytes() is O(1);
-// RecountBytes() is the full walk it must always equal.
+// Storage: one InternIndex (flat slot array plus one key arena) and a
+// refcount per id. Byte accounting reads container capacities, so
+// ApproxBytes() is O(1); RecountBytes() recounts the key arena's held bytes
+// from a walk of the live symbols and must always equal it.
 //
 // Concurrency contract: Acquire/Release mutate and follow the same
 // single-writer batch barrier as CTrie::Insert/Prune. Lookup/text are
@@ -27,19 +28,17 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
-#include "util/string_util.h"
+#include "util/intern_index.h"
 
 namespace emd {
 
 /// Refcounted map from case-folded token to dense int32 symbol id.
 class SymbolTable {
  public:
-  static constexpr int32_t kNoSymbol = -1;
+  static constexpr int32_t kNoSymbol = InternIndex::kAbsent;
 
   /// Interns `folded` (must already be case-folded) and takes one reference.
   /// Returns its symbol id; a dead id slot is reused before a new one grows.
@@ -56,46 +55,37 @@ class SymbolTable {
   void Release(int32_t sym);
 
   /// Read-only probe: symbol of `folded`, or kNoSymbol when it is not
-  /// currently interned. Zero allocations (transparent hash lookup).
-  int32_t Lookup(std::string_view folded) const {
-    auto it = ids_.find(folded);
-    return it == ids_.end() ? kNoSymbol : it->second;
-  }
+  /// currently interned. Zero allocations.
+  int32_t Lookup(std::string_view folded) const { return index_.Find(folded); }
 
-  /// Folded text of a live symbol (empty for a dead id).
-  const std::string& text(int32_t sym) const { return texts_[sym]; }
+  /// Folded text of a live symbol (empty for a dead id). Valid until the
+  /// next Acquire, Intern or Release.
+  std::string_view text(int32_t sym) const { return index_.key(sym); }
 
   /// References currently held on `sym` (0 for a dead id).
   uint32_t ref_count(int32_t sym) const { return refs_[sym]; }
 
   /// Live (referenced) symbols.
-  int num_live() const {
-    return static_cast<int>(texts_.size() - free_ids_.size());
-  }
+  int num_live() const { return index_.num_live(); }
 
   /// Total id slots ever grown (bound for dense symbol-indexed arrays).
-  int capacity() const { return static_cast<int>(texts_.size()); }
+  int capacity() const { return index_.size(); }
 
-  /// Approximate heap bytes (map buckets + entries + text storage). An
-  /// estimate for the memory governor, not allocator-exact. O(1): the text
-  /// storage is a running sum.
-  size_t ApproxBytes() const { return ContainerBytes() + string_bytes_; }
+  /// Approximate heap bytes: the index's slot array, key spans, free list
+  /// and key arena, plus the refcounts. An estimate for the memory governor,
+  /// not allocator-exact. O(1).
+  size_t ApproxBytes() const {
+    return index_.ApproxBytes() + refs_.capacity() * sizeof(uint32_t);
+  }
 
-  /// The same figure by walking every string: the oracle ApproxBytes()
-  /// must equal. O(symbols).
+  /// The same figure with the key arena's held bytes recounted from the
+  /// live symbols' texts (InternIndex::RecountBytes): the oracle
+  /// ApproxBytes() must equal. O(symbols).
   size_t RecountBytes() const;
 
  private:
-  /// Terms read from container sizes and capacities at query time.
-  size_t ContainerBytes() const;
-
-  std::unordered_map<std::string, int32_t, TransparentStringHash,
-                     TransparentStringEq>
-      ids_;
-  std::vector<std::string> texts_;   // id -> folded text ("" when dead)
-  std::vector<uint32_t> refs_;       // id -> live references
-  std::vector<int32_t> free_ids_;    // dead ids awaiting reuse
-  size_t string_bytes_ = 0;          // capacity of every text and map key
+  InternIndex index_;
+  std::vector<uint32_t> refs_;  // id -> live references
 };
 
 }  // namespace emd

@@ -12,28 +12,12 @@ Vocabulary::Vocabulary() {
   Add(kUnkToken);
 }
 
-int Vocabulary::Add(std::string_view token) {
-  auto it = token_to_id_.find(token);
-  if (it != token_to_id_.end()) return it->second;
-  int id = static_cast<int>(id_to_token_.size());
-  id_to_token_.emplace_back(token);
-  token_to_id_.emplace(std::string(token), id);
-  return id;
-}
+int Vocabulary::Add(std::string_view token) { return index_.Intern(token); }
 
-int Vocabulary::Id(std::string_view token) const {
-  auto it = token_to_id_.find(token);
-  return it == token_to_id_.end() ? kUnkId : it->second;
-}
-
-bool Vocabulary::Contains(std::string_view token) const {
-  return token_to_id_.find(token) != token_to_id_.end();
-}
-
-const std::string& Vocabulary::Token(int id) const {
+std::string_view Vocabulary::Token(int id) const {
   EMD_CHECK_GE(id, 0);
   EMD_CHECK_LT(id, size());
-  return id_to_token_[id];
+  return index_.key(id);
 }
 
 Vocabulary Vocabulary::FromCounts(const std::unordered_map<std::string, int>& counts,
@@ -51,8 +35,8 @@ Vocabulary Vocabulary::FromCounts(const std::unordered_map<std::string, int>& co
 
 std::string Vocabulary::Serialize() const {
   std::string out = "vocab " + std::to_string(size()) + "\n";
-  for (const auto& token : id_to_token_) {
-    out += token;
+  for (int id = 0; id < size(); ++id) {
+    out += index_.key(id);
     out += '\n';
   }
   return out;

@@ -1,7 +1,8 @@
 // Vocabulary: bidirectional string<->id map with frequency-based pruning.
 //
 // Used for word, character, and feature vocabularies across all the neural
-// and CRF models. Id 0 is reserved for <pad>, id 1 for <unk>.
+// and CRF models. Id 0 is reserved for <pad>, id 1 for <unk>. Ids are the
+// key indices of one InternIndex, so a lookup is one allocation-free probe.
 
 #ifndef EMD_TEXT_VOCABULARY_H_
 #define EMD_TEXT_VOCABULARY_H_
@@ -9,10 +10,9 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
+#include "util/intern_index.h"
 #include "util/result.h"
-#include "util/string_util.h"
 
 namespace emd {
 
@@ -21,6 +21,7 @@ class Vocabulary {
  public:
   static constexpr int kPadId = 0;
   static constexpr int kUnkId = 1;
+  static constexpr int kAbsent = InternIndex::kAbsent;
   static constexpr const char* kPadToken = "<pad>";
   static constexpr const char* kUnkToken = "<unk>";
 
@@ -30,16 +31,19 @@ class Vocabulary {
   int Add(std::string_view token);
 
   /// Id of a token, or kUnkId when absent.
-  int Id(std::string_view token) const;
+  int Id(std::string_view token) const {
+    const int id = Find(token);
+    return id == kAbsent ? kUnkId : id;
+  }
 
-  /// True when token is present (excluding <unk> fallback).
-  bool Contains(std::string_view token) const;
+  /// Id of a token, or kAbsent (no <unk> fallback).
+  int Find(std::string_view token) const { return index_.Find(token); }
 
   /// Token text for an id; aborts on out-of-range.
-  const std::string& Token(int id) const;
+  std::string_view Token(int id) const;
 
   /// Number of entries including <pad> and <unk>.
-  int size() const { return static_cast<int>(id_to_token_.size()); }
+  int size() const { return index_.size(); }
 
   /// Builds a vocabulary from counted tokens, keeping those with
   /// count >= min_count, ordered by descending count then lexicographic.
@@ -51,12 +55,7 @@ class Vocabulary {
   static Result<Vocabulary> Deserialize(const std::string& data);
 
  private:
-  // Transparent hash/eq: Id()/Contains() look up string_view keys without
-  // building a temporary std::string per query.
-  std::unordered_map<std::string, int, TransparentStringHash,
-                     TransparentStringEq>
-      token_to_id_;
-  std::vector<std::string> id_to_token_;
+  InternIndex index_;  // token -> id; never erased, so ids stay dense
 };
 
 }  // namespace emd

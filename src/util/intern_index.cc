@@ -1,69 +1,76 @@
 #include "util/intern_index.h"
 
-#include <cstring>
+#include "util/logging.h"
 
 namespace emd {
 
-namespace {
-constexpr uint64_t kIndexMask = 0xffffffffull;
-}  // namespace
-
-uint64_t InternIndex::Hash(std::string_view key) {
-  // Eight bytes per multiply-xorshift round, then a final avalanche; the low
-  // bits pick the slot and the high bits tag it.
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ key.size();
-  size_t i = 0;
-  for (; i + 8 <= key.size(); i += 8) {
-    uint64_t v;
-    std::memcpy(&v, key.data() + i, 8);
-    h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 31;
-  }
-  if (i < key.size()) {
-    uint64_t v = 0;
-    std::memcpy(&v, key.data() + i, key.size() - i);
-    h = (h ^ v) * 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 31;
-  }
-  h *= 0x94d049bb133111ebull;
-  return h ^ (h >> 29);
-}
-
-size_t InternIndex::Probe(std::string_view key, uint64_t h) const {
-  const size_t mask = slots_.size() - 1;
-  const uint64_t tag = h & ~kIndexMask;
-  for (size_t i = h & mask;; i = (i + 1) & mask) {
-    const uint64_t slot = slots_[i];
-    if (slot == 0) return i;
-    if ((slot & ~kIndexMask) == tag &&
-        this->key(static_cast<int32_t>((slot & kIndexMask) - 1)) == key) {
-      return i;
-    }
-  }
-}
-
-int32_t InternIndex::Find(std::string_view key) const {
-  if (slots_.empty()) return kAbsent;
-  const uint64_t slot = slots_[Probe(key, Hash(key))];
-  return slot == 0 ? kAbsent : static_cast<int32_t>((slot & kIndexMask) - 1);
-}
-
 int32_t InternIndex::Intern(std::string_view key) {
-  if (2 * (ends_.size() + 1) > slots_.size()) Grow();
+  if (2 * static_cast<size_t>(num_live_ + num_tombstones_ + 1) > slots_.size()) {
+    Rebuild();
+  }
   const uint64_t h = Hash(key);
   uint64_t& slot = slots_[Probe(key, h)];
   if (slot != 0) return static_cast<int32_t>((slot & kIndexMask) - 1);
+  int32_t i;
+  if (!free_.empty()) {
+    i = free_.back();
+    free_.pop_back();
+  } else {
+    i = size();
+    EMD_CHECK_LT(static_cast<uint64_t>(i) + 1, kIndexMask) << "index space full";
+    spans_.push_back({});
+  }
+  EMD_CHECK_LT(arena_.size() + key.size(), size_t{kErased}) << "key arena full";
+  spans_[i] = {static_cast<uint32_t>(arena_.size()),
+               static_cast<uint32_t>(key.size())};
   arena_.append(key);
-  ends_.push_back(static_cast<uint32_t>(arena_.size()));
-  slot = (h & ~kIndexMask) | ends_.size();
-  return size() - 1;
+  slot = (h & ~kIndexMask) | (static_cast<uint64_t>(i) + 1);
+  ++num_live_;
+  return i;
 }
 
-void InternIndex::Grow() {
-  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+void InternIndex::Erase(int32_t i) {
+  EMD_CHECK_GE(i, 0);
+  EMD_CHECK_LT(i, size());
+  EMD_CHECK(live(i)) << "erasing a dead key index " << i;
+  const std::string_view k = key(i);
+  uint64_t& slot = slots_[Probe(k, Hash(k))];
+  EMD_CHECK_EQ(slot & kIndexMask, static_cast<uint64_t>(i) + 1);
+  slot = kTombstone;
+  erased_bytes_ += spans_[i].size;
+  spans_[i].begin = kErased;
+  free_.push_back(i);
+  --num_live_;
+  ++num_tombstones_;
+}
+
+size_t InternIndex::RecountBytes() const {
+  size_t held = erased_bytes_;
+  for (int32_t i = 0; i < size(); ++i) held += key(i).size();
+  return ApproxBytes() - arena_.size() + held;
+}
+
+void InternIndex::Rebuild() {
+  size_t n = slots_.empty() ? 16 : slots_.size();
+  if (4 * static_cast<size_t>(num_live_ + 1) > n) n *= 2;
+  if (erased_bytes_ > 0) {
+    std::string packed;
+    packed.reserve(arena_.size() - erased_bytes_);
+    for (Span& s : spans_) {
+      if (s.begin == kErased) continue;
+      const uint32_t begin = static_cast<uint32_t>(packed.size());
+      packed.append(arena_, s.begin, s.size);
+      s.begin = begin;
+    }
+    arena_ = std::move(packed);
+    erased_bytes_ = 0;
+  }
+  slots_.assign(n, 0);
+  num_tombstones_ = 0;
   for (int32_t i = 0; i < size(); ++i) {
+    if (!live(i)) continue;
     const uint64_t h = Hash(key(i));
-    slots_[Probe(key(i), h)] = (h & ~kIndexMask) | static_cast<uint64_t>(i + 1);
+    slots_[Probe(key(i), h)] = (h & ~kIndexMask) | (static_cast<uint64_t>(i) + 1);
   }
 }
 

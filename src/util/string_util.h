@@ -78,24 +78,6 @@ std::string WordShape(std::string_view s, bool collapse_runs = true);
 /// WordShape written into a reused buffer (replaced, capacity kept).
 void WordShapeInto(std::string_view s, std::string* out, bool collapse_runs = true);
 
-/// Transparent (heterogeneous) hash/eq for unordered containers keyed by
-/// std::string: lets find()/count() take a std::string_view without
-/// materialising a temporary std::string — the enabler for allocation-free
-/// hot-path lookups (CTrie edges, vocabulary ids).
-struct TransparentStringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const noexcept {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-struct TransparentStringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const noexcept {
-    return a == b;
-  }
-};
-
 }  // namespace emd
 
 #endif  // EMD_UTIL_STRING_UTIL_H_

@@ -15,6 +15,8 @@
 //   * the Globalizer under a byte budget at shards {1, 4, 13} x threads
 //     {1, 4}, checkpoint restore into a different shard count, and
 //     save -> restore -> save reproducing the state bytes;
+//   * a resumed 3-shard run retaining mention embeddings against an
+//     uninterrupted one (record bytes and the next checkpoint state);
 //   * every live candidate's mention count and recency against the
 //     TweetBase, ungoverned and evicting, at shards {1, 3} x threads {1, 4};
 //   * kLocalOnly Finalize output against the local system's own spans, and
@@ -24,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
 #include <thread>
@@ -439,7 +442,7 @@ TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
       MockLocalSystem mock(ChurnRules(), /*dim=*/6);
       PhraseEmbedder pe(6, 4);
       Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, threads));
-      g.mutable_candidate_base().set_retain_mention_embeddings(true);
+      g.set_retain_mention_embeddings(true);
       for (size_t b = 0; b < batches; ++b) {
         ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
         ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g)) << "batch " << b;
@@ -512,7 +515,7 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
   Globalizer saved(&mock, &pe, nullptr, GovernedOptions(4, 4));
-  saved.mutable_candidate_base().set_retain_mention_embeddings(true);
+  saved.set_retain_mention_embeddings(true);
   for (size_t b = 0; b < batches / 2; ++b) {
     ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
   }
@@ -522,7 +525,7 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
   for (const int shards : {1, 13}) {
     SCOPED_TRACE("restored into S=" + std::to_string(shards));
     Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, 4));
-    g.mutable_candidate_base().set_retain_mention_embeddings(true);
+    g.set_retain_mention_embeddings(true);
     ASSERT_TRUE(g.RestoreCheckpoint(path).ok());
     ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g));
     for (size_t b = batches / 2; b < batches; ++b) {
@@ -573,7 +576,7 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
   Globalizer saved(&mock, &pe, nullptr, GovernedOptions(3, 4));
-  saved.mutable_candidate_base().set_retain_mention_embeddings(true);
+  saved.set_retain_mention_embeddings(true);
   for (size_t b = 0; b < batches; ++b) {
     ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
   }
@@ -581,11 +584,77 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   const std::string first = SavedStateSection(saved, path);
 
   Globalizer restored(&mock, &pe, nullptr, GovernedOptions(3, 4));
-  restored.mutable_candidate_base().set_retain_mention_embeddings(true);
+  restored.set_retain_mention_embeddings(true);
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
   const std::string second = SavedStateSection(restored, path);
   ASSERT_EQ(first.size(), second.size());
   EXPECT_TRUE(first == second) << "state sections differ";
+  std::remove(path.c_str());
+}
+
+// Retention is owner configuration that reaches every shard: a 3-shard run
+// resumed from a checkpoint holds the same record bytes and writes the same
+// next checkpoint state as the run that was never interrupted. Ungoverned:
+// after a resume a governor's evictions follow byte figures and a sweep
+// schedule that a restore does not yet reproduce exactly.
+TEST(AccountingTest, ResumedShardedRetainingRunMatchesAnUninterruptedOne) {
+  const Dataset d = ChurnStream(320, 61);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  const std::string path = ::testing::TempDir() + "emd_accounting_retain.ckpt";
+  MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+  PhraseEmbedder pe(6, 4);
+  GlobalizerOptions opt = GovernedOptions(3, 4);
+  opt.memory = MemoryGovernorOptions();
+
+  Globalizer whole(&mock, &pe, nullptr, opt);
+  whole.set_retain_mention_embeddings(true);
+  for (size_t b = 0; b < batches; ++b) {
+    ASSERT_TRUE(whole.ProcessBatch(BatchAt(d, b)).ok());
+  }
+
+  {
+    Globalizer first(&mock, &pe, nullptr, opt);
+    first.set_retain_mention_embeddings(true);
+    for (size_t b = 0; b < batches / 2; ++b) {
+      ASSERT_TRUE(first.ProcessBatch(BatchAt(d, b)).ok());
+    }
+    ASSERT_TRUE(first.SaveCheckpoint(path).ok());
+  }
+  Globalizer resumed(&mock, &pe, nullptr, opt);
+  resumed.set_retain_mention_embeddings(true);
+  ASSERT_TRUE(resumed.RestoreCheckpoint(path).ok());
+  for (size_t b = batches / 2; b < batches; ++b) {
+    ASSERT_TRUE(resumed.ProcessBatch(BatchAt(d, b)).ok());
+  }
+
+  const ShardedGlobalState& a = whole.global_state();
+  const ShardedGlobalState& b = resumed.global_state();
+  ASSERT_EQ(a.num_candidates(), b.num_candidates());
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_TRUE(a.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
+    EXPECT_TRUE(b.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
+  }
+  // Record bytes: every retained embedding, float for float. (Container
+  // capacities differ between a grown and a restored record.)
+  size_t retained_off_shard_0 = 0;
+  for (int gid = 0; gid < a.num_candidates(); ++gid) {
+    ASSERT_EQ(a.Contains(gid), b.Contains(gid)) << "gid " << gid;
+    if (!a.Contains(gid)) continue;
+    const auto& want = a.at(gid).mention_embeddings;
+    const auto& got = b.at(gid).mention_embeddings;
+    ASSERT_EQ(want.size(), got.size()) << "gid " << gid;
+    for (size_t m = 0; m < want.size(); ++m) {
+      ASSERT_EQ(want[m].size(), got[m].size()) << "gid " << gid;
+      EXPECT_EQ(std::memcmp(want[m].data(), got[m].data(), want[m].size() * sizeof(float)), 0)
+          << "gid " << gid << " mention " << m;
+    }
+    if (a.ShardOf(gid) != 0) retained_off_shard_0 += want.size();
+  }
+  EXPECT_GT(retained_off_shard_0, 0u) << "only shard 0 retained embeddings";
+  const std::string want = SavedStateSection(whole, path);
+  const std::string got = SavedStateSection(resumed, path);
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_TRUE(want == got) << "state sections differ";
   std::remove(path.c_str());
 }
 

@@ -15,6 +15,7 @@
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
 #include "emd/pos_tagger.h"
+#include "emd/twitter_nlp.h"
 #include "eval/metrics.h"
 #include "mock_local_system.h"
 #include "nn/serialize.h"
@@ -171,6 +172,148 @@ TEST(FailureInjectionTest, PosTaggerFailedLoadKeepsTheLoadedModel) {
   EXPECT_TRUE(LoadPosModel("2\n" + PosWeightLine("w=a"), &tagger).IsCorruption());
   EXPECT_TRUE(tagger.trained());
   EXPECT_EQ(tagger.Tag({word}), before);
+}
+
+// A TwitterNLP feature line: "<feature> <id> <w_B> <w_I> <w_O>\n".
+std::string TnlpFeature(const std::string& name, const std::string& id,
+                        const std::string& weights = "0.25 -0.5 1") {
+  return name + " " + id + " " + weights + "\n";
+}
+
+// A TwitterNLP model is the T-CAP weights line, "<count>\n", the feature
+// lines, then the CRF lines, which the harness takes from an untrained
+// system's Save.
+class TwitterNlpModelHarness {
+ public:
+  TwitterNlpModelHarness() : system_(&tagger_, &gazetteer_) {
+    const std::string saved = Saved();
+    // Skip the cap-weights line and the "0" feature count.
+    crf_lines_ = saved.substr(saved.find('\n', saved.find('\n') + 1) + 1);
+  }
+
+  std::string Model(const std::string& count, const std::string& features) const {
+    return "0.1 0.2 0.3 0.4\n" + count + "\n" + features + crf_lines_;
+  }
+
+  Status Load(const std::string& content) {
+    const std::string path = TempPath(FileName("load"));
+    EMD_CHECK(WriteStringToFile(path, content).ok());
+    Status st = system_.Load(path);
+    std::filesystem::remove(path);
+    return st;
+  }
+
+  std::string Saved() const {
+    const std::string path = TempPath(FileName("save"));
+    EMD_CHECK(system_.Save(path).ok());
+    std::string bytes = ReadFileToString(path).value();
+    std::filesystem::remove(path);
+    return bytes;
+  }
+
+  bool trained() const { return system_.trained(); }
+  const std::string& crf_lines() const { return crf_lines_; }
+
+ private:
+  // Per-test file names: ctest runs the tests of this file in parallel.
+  static std::string FileName(const std::string& what) {
+    return std::string("emd_tnlp_") +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" + what +
+           ".model";
+  }
+
+  PosTagger tagger_;
+  Gazetteer gazetteer_;
+  TwitterNlpSystem system_;
+  std::string crf_lines_;
+};
+
+TEST(FailureInjectionTest, TwitterNlpLoadAcceptsWellFormedModelWithIdsInAnyOrder) {
+  TwitterNlpModelHarness h;
+  const Status st = h.Load(h.Model(
+      "3", TnlpFeature("w=andy", "2") + TnlpFeature("bias", "0") + TnlpFeature("gz_b", "1")));
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_TRUE(h.trained());
+  // A saved model loads back to the same lines (Save writes the features in
+  // hash-map order, so only their order may differ).
+  auto sorted_lines = [](const std::string& text) {
+    std::vector<std::string> lines = SplitKeepEmpty(text, '\n');
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  const std::string saved = h.Saved();
+  ASSERT_TRUE(h.Load(saved).ok());
+  EXPECT_EQ(sorted_lines(h.Saved()), sorted_lines(saved));
+  EXPECT_EQ(sorted_lines(saved),
+            sorted_lines(h.Model("3", TnlpFeature("w=andy", "2") + TnlpFeature("bias", "0") +
+                                          TnlpFeature("gz_b", "1"))));
+}
+
+TEST(FailureInjectionTest, TwitterNlpLoadRejectsAnIdOutsideTheFeatureCount) {
+  TwitterNlpModelHarness h;
+  // The id indexes the weight table the count sizes: 2 is one past it.
+  EXPECT_TRUE(
+      h.Load(h.Model("2", TnlpFeature("bias", "0") + TnlpFeature("w=a", "2"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1", TnlpFeature("bias", "-1"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1", TnlpFeature("bias", "99999999999"))).IsCorruption());
+  EXPECT_FALSE(h.trained());
+}
+
+TEST(FailureInjectionTest, TwitterNlpLoadRejectsARepeatedFeatureOrId) {
+  TwitterNlpModelHarness h;
+  EXPECT_TRUE(
+      h.Load(h.Model("2", TnlpFeature("w=a", "0") + TnlpFeature("w=a", "1"))).IsCorruption())
+      << "repeated feature";
+  EXPECT_TRUE(
+      h.Load(h.Model("2", TnlpFeature("w=a", "1") + TnlpFeature("w=b", "1"))).IsCorruption())
+      << "repeated id";
+  EXPECT_FALSE(h.trained());
+}
+
+TEST(FailureInjectionTest, TwitterNlpLoadRejectsACountLargerThanTheFileCanHold) {
+  TwitterNlpModelHarness h;
+  // Sized by nothing before the check: a count near SIZE_MAX neither throws
+  // from an allocation nor aborts.
+  EXPECT_TRUE(
+      h.Load(h.Model("18446744073709551615", TnlpFeature("bias", "0"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1000", TnlpFeature("bias", "0"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("x", TnlpFeature("bias", "0"))).IsCorruption());
+  EXPECT_FALSE(h.trained());
+}
+
+TEST(FailureInjectionTest, TwitterNlpLoadRejectsAShortLine) {
+  TwitterNlpModelHarness h;
+  EXPECT_TRUE(h.Load(h.Model("1", TnlpFeature("bias", "0", "0.25 -0.5"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1", TnlpFeature("bias", "0", "0.25 x 1"))).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1", "bias 0\n")).IsCorruption());
+  EXPECT_TRUE(h.Load(h.Model("1", "bias\n")).IsCorruption());
+  EXPECT_TRUE(h.Load("0.1 0.2 0.3\n1\n" + TnlpFeature("bias", "0") + h.crf_lines())
+                  .IsCorruption())
+      << "cap weights line one value short";
+  std::string model = h.Model("1", TnlpFeature("bias", "0"));
+  model.erase(model.rfind(' ', model.size() - 3) + 1);
+  model += "\n";
+  EXPECT_TRUE(h.Load(model).IsCorruption()) << "CRF line one value short";
+  EXPECT_FALSE(h.trained());
+}
+
+TEST(FailureInjectionTest, TwitterNlpLoadRejectsTrailingData) {
+  TwitterNlpModelHarness h;
+  EXPECT_TRUE(h.Load(h.Model("1", TnlpFeature("bias", "0")) + "junk\n").IsCorruption());
+  EXPECT_TRUE(
+      h.Load(h.Model("1", TnlpFeature("bias", "0", "0.25 -0.5 1 2"))).IsCorruption());
+  EXPECT_FALSE(h.trained());
+}
+
+TEST(FailureInjectionTest, TwitterNlpFailedLoadKeepsTheLoadedModel) {
+  TwitterNlpModelHarness h;
+  ASSERT_TRUE(h.Load(h.Model("2", TnlpFeature("bias", "0") + TnlpFeature("w=a", "1"))).ok());
+  const std::string before = h.Saved();
+  EXPECT_TRUE(
+      h.Load(h.Model("2", TnlpFeature("w=b", "0", "9 9 9") + TnlpFeature("w=c", "5")))
+          .IsCorruption());
+  EXPECT_TRUE(h.trained());
+  EXPECT_EQ(h.Saved(), before);  // same map, same iteration order
 }
 
 TEST(FailureInjectionTest, VocabularyCorruptHeaders) {

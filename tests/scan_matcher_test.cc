@@ -1,5 +1,7 @@
 // Candidate matcher tests (DESIGN §12, ctest label `scan`): SymbolTable
-// refcount/recycle semantics, the CTrie's symbol-keyed edges, the sharded
+// refcount/recycle semantics and its InternIndex checked against a map and
+// free-list model (also from concurrent readers), the subword split against
+// a map-backed vocabulary, the CTrie's symbol-keyed edges, the sharded
 // first-token-dispatch scan agreeing with a naive longest-match reference
 // (ReferenceScan below) — on fixed corpora and under a randomized fuzz with
 // insert/evict/rebuild churn and non-ASCII tokens — the pipeline digest
@@ -14,6 +16,7 @@
 #include <filesystem>
 #include <new>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -42,11 +45,14 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "core/ctrie.h"
 #include "core/global_state.h"
 #include "core/globalizer.h"
+#include "emd/subword.h"
 #include "mock_local_system.h"
 #include "stream/datasets.h"
 #include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
+#include "text/vocabulary.h"
 #include "util/crc32.h"
+#include "util/intern_index.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -131,6 +137,257 @@ TEST(SymbolTableTest, AcquireLookupReleaseRecyclesIds) {
   EXPECT_EQ(c, a);
   EXPECT_EQ(syms.text(c), "kentucky");
   EXPECT_EQ(syms.capacity(), 2);
+}
+
+// Model of the symbol table the index must reproduce: a string-keyed map plus
+// an id free list reused last-in first-out, as SymbolTable kept before it
+// moved onto InternIndex.
+struct SymbolModel {
+  std::unordered_map<std::string, int32_t> ids;
+  std::vector<std::string> texts;
+  std::vector<uint32_t> refs;
+  std::vector<int32_t> free_ids;
+
+  int32_t Acquire(const std::string& key) {
+    auto it = ids.find(key);
+    if (it != ids.end()) {
+      ++refs[it->second];
+      return it->second;
+    }
+    int32_t sym;
+    if (!free_ids.empty()) {
+      sym = free_ids.back();
+      free_ids.pop_back();
+    } else {
+      sym = static_cast<int32_t>(texts.size());
+      texts.emplace_back();
+      refs.push_back(0);
+    }
+    texts[sym] = key;
+    refs[sym] = 1;
+    ids.emplace(key, sym);
+    return sym;
+  }
+  void Release(int32_t sym) {
+    if (--refs[sym] > 0) return;
+    ids.erase(texts[sym]);
+    texts[sym].clear();
+    free_ids.push_back(sym);
+  }
+  int32_t Lookup(const std::string& key) const {
+    auto it = ids.find(key);
+    return it == ids.end() ? SymbolTable::kNoSymbol : it->second;
+  }
+};
+
+// Keys of every length class the index packs differently: empty, short,
+// exactly 8 and 16 bytes (hash word boundaries), and over 15 bytes (past the
+// std::string inline buffer).
+std::string DifferentialKey(Rng* rng, int pool) {
+  const int k = rng->NextInt(0, pool - 1);
+  switch (k % 5) {
+    case 0: return k == 0 ? std::string() : "k" + std::to_string(k);
+    case 1: return "eightby" + std::to_string(k % 10);
+    case 2: return "sixteen-bytes-" + std::to_string(10 + k % 90);
+    case 3: return "a-rather-long-key-past-fifteen-bytes-" + std::to_string(k);
+    default: return std::string(1 + k % 23, static_cast<char>('a' + k % 26)) +
+                    std::to_string(k);
+  }
+}
+
+TEST(SymbolTableTest, MatchesAMapAndFreeListModelAcrossRebuilds) {
+  Rng rng(2027);
+  SymbolTable syms;
+  SymbolModel model;
+  std::vector<int32_t> held;  // one entry per reference taken
+  size_t last_bytes = syms.ApproxBytes();
+  int shrinks = 0;  // a rebuild that drops erased keys shrinks the arena
+  for (int step = 0; step < 60000; ++step) {
+    // Grow to ~600 references, then churn around that size, so the table
+    // crosses many tombstone rebuilds at a steady live count.
+    const double dice = rng.NextDouble();
+    const double acquire = held.size() < 600 ? 0.6 : 0.45;
+    if (held.empty() || dice < acquire) {
+      const std::string key = DifferentialKey(&rng, 1500);
+      const int32_t want = model.Acquire(key);
+      ASSERT_EQ(syms.Acquire(key), want) << "step " << step << " key " << key;
+      held.push_back(want);
+    } else if (dice < acquire + 0.05) {
+      const int32_t sym = held[rng.NextU64(held.size())];
+      syms.Retain(sym);
+      ++model.refs[sym];
+      held.push_back(sym);
+    } else if (dice < 0.95) {
+      const size_t k = rng.NextU64(held.size());
+      syms.Release(held[k]);
+      model.Release(held[k]);
+      held[k] = held.back();
+      held.pop_back();
+    } else {
+      const std::string key = DifferentialKey(&rng, 1500);
+      ASSERT_EQ(syms.Lookup(key), model.Lookup(key)) << "step " << step;
+    }
+    ASSERT_EQ(syms.ApproxBytes(), syms.RecountBytes()) << "step " << step;
+    ASSERT_EQ(syms.num_live(), static_cast<int>(model.ids.size()));
+    ASSERT_EQ(syms.capacity(), static_cast<int>(model.texts.size()));
+    if (syms.ApproxBytes() < last_bytes) ++shrinks;
+    last_bytes = syms.ApproxBytes();
+    if (step % 997 == 0) {
+      for (int32_t sym = 0; sym < syms.capacity(); ++sym) {
+        ASSERT_EQ(syms.text(sym), model.texts[sym]) << "sym " << sym;
+        ASSERT_EQ(syms.ref_count(sym), model.refs[sym]) << "sym " << sym;
+        if (model.refs[sym] > 0) {
+          ASSERT_EQ(syms.Lookup(model.texts[sym]), sym);
+        }
+      }
+    }
+  }
+  EXPECT_GE(shrinks, 3) << "too few rebuilds crossed";
+
+  // A key whose slot became a tombstone is found again once re-interned:
+  // under its old id when that id was the last freed, else under whatever
+  // id the free list hands out.
+  for (int32_t sym : held) syms.Release(sym);
+  EXPECT_EQ(syms.num_live(), 0);
+  const int32_t a = syms.Acquire("a-key-longer-than-fifteen-bytes");
+  syms.Release(a);
+  EXPECT_EQ(syms.Lookup("a-key-longer-than-fifteen-bytes"), SymbolTable::kNoSymbol);
+  EXPECT_EQ(syms.Acquire("a-key-longer-than-fifteen-bytes"), a);
+  const int32_t empty = syms.Acquire("");
+  EXPECT_EQ(syms.Lookup(""), empty);
+  syms.Release(a);
+  syms.Release(empty);
+  EXPECT_EQ(syms.Acquire("other"), empty);
+  EXPECT_EQ(syms.Acquire("a-key-longer-than-fifteen-bytes"), a);
+  EXPECT_EQ(syms.Lookup(""), SymbolTable::kNoSymbol);
+  EXPECT_EQ(syms.ApproxBytes(), syms.RecountBytes());
+}
+
+TEST(InternIndexTest, InternEraseFindMatchAMapAndFreeListModel) {
+  Rng rng(31);
+  InternIndex index;
+  SymbolModel model;  // refcounts stay at 1: every Erase drops the key
+  for (int step = 0; step < 40000; ++step) {
+    const std::string key = DifferentialKey(&rng, 800);
+    const int32_t have = model.Lookup(key);
+    if (have != SymbolTable::kNoSymbol && rng.NextBernoulli(0.5)) {
+      index.Erase(have);
+      model.Release(have);
+    } else if (have == SymbolTable::kNoSymbol && rng.NextBernoulli(0.5)) {
+      ASSERT_EQ(index.Intern(key), model.Acquire(key)) << "step " << step;
+    } else {
+      ASSERT_EQ(index.Find(key), have) << "step " << step;
+      if (have != SymbolTable::kNoSymbol) {
+        ASSERT_EQ(index.Intern(key), have);
+      }
+    }
+    ASSERT_EQ(index.num_live(), static_cast<int32_t>(model.ids.size()));
+    ASSERT_EQ(index.size(), static_cast<int32_t>(model.texts.size()));
+    ASSERT_EQ(index.ApproxBytes(), index.RecountBytes()) << "step " << step;
+  }
+  for (int32_t i = 0; i < index.size(); ++i) {
+    EXPECT_EQ(index.live(i), model.refs[i] > 0);
+    EXPECT_EQ(index.key(i), model.texts[i]);
+  }
+}
+
+// Find is read-only: four threads probe one index (with erased keys and
+// tombstones in it) while nothing writes, and each sees every answer the
+// single-threaded model gives. Under TSan this is also the race check.
+TEST(SymbolTableTest, LookupFromFourReadersWhileNoWriterRuns) {
+  Rng rng(404);
+  SymbolTable syms;
+  SymbolModel model;
+  std::vector<int32_t> held;
+  for (int step = 0; step < 6000; ++step) {
+    if (held.empty() || rng.NextBernoulli(0.6)) {
+      const std::string key = DifferentialKey(&rng, 3000);
+      held.push_back(model.Acquire(key));
+      syms.Acquire(key);
+    } else {
+      const size_t k = rng.NextU64(held.size());
+      syms.Release(held[k]);
+      model.Release(held[k]);
+      held[k] = held.back();
+      held.pop_back();
+    }
+  }
+  std::vector<std::string> keys;
+  std::vector<int32_t> want;
+  for (int k = 0; k < 3000; ++k) {
+    Rng key_rng(static_cast<uint64_t>(k));
+    keys.push_back(DifferentialKey(&key_rng, 3000));
+    want.push_back(model.Lookup(keys.back()));
+  }
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      for (int pass = 0; pass < 20; ++pass) {
+        for (size_t k = 0; k < keys.size(); ++k) {
+          if (syms.Lookup(keys[k]) != want[k]) ++mismatches[r];
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
+// Split over a D4-like stream gives the piece ids of the same greedy longest
+// match run against a plain map from piece text to id.
+TEST(SubwordSplitTest, MatchesAMapBackedVocabularyOverADLikeStream) {
+  EntityCatalogOptions copt;
+  copt.entities_per_topic = 150;
+  copt.seed = 5;
+  const EntityCatalog catalog = EntityCatalog::Build(copt);
+  const SubwordTokenizer tok =
+      SubwordTokenizer::Build(BuildTrainingCorpus(catalog, 600, 11));
+  std::unordered_map<std::string, int> pieces;
+  for (int id = 0; id < tok.vocab_size(); ++id) {
+    pieces.emplace(std::string(tok.vocab().Token(id)), id);
+  }
+  auto reference = [&pieces](const std::string& word) {
+    const std::string lower = ToLowerAscii(word);
+    std::vector<int> ids;
+    if (lower.empty()) return std::vector<int>{Vocabulary::kUnkId};
+    size_t pos = 0;
+    while (pos < lower.size()) {
+      size_t best_len = 1;
+      int best_id = Vocabulary::kUnkId;
+      for (size_t len = lower.size() - pos; len >= 1; --len) {
+        auto it = pieces.find((pos == 0 ? "" : "##") + lower.substr(pos, len));
+        if (it != pieces.end()) {
+          best_len = len;
+          best_id = it->second;
+          break;
+        }
+      }
+      ids.push_back(best_id);
+      pos += best_len;
+    }
+    return ids;
+  };
+
+  DatasetSuiteOptions sopt;
+  sopt.scale = 5000.0 / 6000.0;
+  sopt.seed = 11;
+  Dataset d4 = BuildD4(catalog, sopt);
+  ASSERT_GE(d4.tweets.size(), 4990u);
+  size_t words = 0, multi_piece = 0;
+  for (const AnnotatedTweet& tweet : d4.tweets) {
+    for (const Token& t : tweet.tokens) {
+      const std::vector<int> got = tok.Split(t.text).piece_ids;
+      ASSERT_EQ(got, reference(t.text)) << "word " << t.text;
+      ++words;
+      multi_piece += got.size() > 1;
+    }
+  }
+  for (const std::string w : {"", "\xc3\x89" "cole", "Supercalifragilistic", "##x"}) {
+    EXPECT_EQ(tok.Split(w).piece_ids, reference(w)) << "word " << w;
+  }
+  EXPECT_GT(words, 50000u);
+  EXPECT_GT(multi_piece, 0u);
 }
 
 // --------------------------------------------------- CTrie symbol edges --
@@ -527,6 +784,21 @@ TEST(ScanMatcherTest, SteadyStateScanIsAllocationFree) {
   }
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0) << "scan allocated in steady state";
+
+  // The same holds for the vocabulary probe the subword split makes per
+  // candidate piece: a warm Vocabulary::Id allocates nothing, hit or miss.
+  Vocabulary vocab;
+  for (const auto& phrase : phrases) {
+    for (const auto& w : phrase) vocab.Add(w);
+  }
+  int hits = 0;
+  const long vocab_before = g_allocations.load(std::memory_order_relaxed);
+  for (const auto& tokens : tweets) {
+    for (const Token& t : tokens) hits += vocab.Id(t.text) != Vocabulary::kUnkId;
+  }
+  const long vocab_after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(vocab_after - vocab_before, 0) << "Vocabulary::Id allocated";
+  EXPECT_GT(hits, 0);
 }
 
 // The candidate key registration stores (and routes by) is the folded

@@ -111,17 +111,17 @@ TEST(VocabularyTest, AddAndLookup) {
   EXPECT_EQ(v.Add("virus"), id);  // idempotent
   EXPECT_EQ(v.Id("virus"), id);
   EXPECT_EQ(v.Token(id), "virus");
-  EXPECT_TRUE(v.Contains("virus"));
-  EXPECT_FALSE(v.Contains("other"));
+  EXPECT_EQ(v.Find("virus"), id);
+  EXPECT_EQ(v.Find("other"), Vocabulary::kAbsent);
 }
 
 TEST(VocabularyTest, FromCountsOrdersAndPrunes) {
   std::unordered_map<std::string, int> counts = {
       {"common", 10}, {"mid", 5}, {"rare", 1}};
   Vocabulary v = Vocabulary::FromCounts(counts, 2);
-  EXPECT_TRUE(v.Contains("common"));
-  EXPECT_TRUE(v.Contains("mid"));
-  EXPECT_FALSE(v.Contains("rare"));
+  EXPECT_NE(v.Find("common"), Vocabulary::kAbsent);
+  EXPECT_NE(v.Find("mid"), Vocabulary::kAbsent);
+  EXPECT_EQ(v.Find("rare"), Vocabulary::kAbsent);
   EXPECT_LT(v.Id("common"), v.Id("mid"));  // higher count -> earlier id
 }
 
