@@ -4,8 +4,9 @@
 // additional computational overhead" claim at the operation level.
 //
 // The custom main additionally hand-times the blocked GEMM against the
-// pre-optimization naive kernel at 256^3 and writes every result as
-// emd-bench-v1 JSON (BENCH_micro.json) via bench::BenchReporter.
+// pre-optimization naive kernel at 256^3, the MiniBertweet forward slots
+// (fused kernels against the compositions they replaced), and writes every
+// result as emd-bench-v1 JSON (BENCH_micro.json) via bench::BenchReporter.
 
 #include <benchmark/benchmark.h>
 
@@ -354,6 +355,151 @@ void RunQuantComparison(bench::BenchReporter* reporter, int reps) {
   reporter->Add(std::string("quant_backend/") + q8.name, 1, 0, 0, "");
 }
 
+// Seconds of the fastest of `reps` calls of `fn`.
+template <typename Fn>
+double BestSeconds(int reps, Fn fn) {
+  double best = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
+  }
+  return best;
+}
+
+// The MiniBertweet inference slots at the shapes one deep_local batch of 256
+// tweets issues (about 5120 piece rows, 4096 words, 1-3 spans per
+// phrase-embedder call), each timed through the fused kernel and through the
+// kernel composition it replaced: matmul, axpy(1, bias) per row and a ReLU
+// pass; and per (tweet, head) a copy of the head slices, matmul_bt, vscale,
+// softmax_rows, matmul and a copy back. The two must agree bit for bit;
+// any difference exits nonzero. Rows: "<slot>/<shape>" (fused) and
+// "<slot>_composed/<shape>".
+void RunForwardSlots(bench::BenchReporter* reporter, int reps) {
+  const kernels::KernelBackend& kern = kernels::Kernels();
+  Rng rng(17);
+  auto fail_unless_equal = [](const Mat& a, const Mat& b, const std::string& what) {
+    if (a.size() != b.size() ||
+        std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) != 0) {
+      std::fprintf(stderr, "FAIL: fused %s differs from its composition\n",
+                   what.c_str());
+      std::exit(1);
+    }
+  };
+  struct LinearShape {
+    int m, k, n;
+    bool relu;
+  };
+  const LinearShape shapes[] = {
+      {5120, 64, 64, false},   // Q/K/V/output projections
+      {5120, 64, 128, true},   // FFN 1 + ReLU
+      {5120, 128, 64, false},  // FFN 2
+      {4096, 64, 3, false},    // word head (3 BIO labels)
+      {2, 64, 300, false},     // phrase embedder, 2 spans
+  };
+  for (const LinearShape& s : shapes) {
+    Mat a(s.m, s.k), w(s.k, s.n), bias(1, s.n), fused(s.m, s.n),
+        composed(s.m, s.n);
+    a.InitGaussian(&rng, 1.f);
+    w.InitGaussian(&rng, 0.2f);
+    bias.InitGaussian(&rng, 0.5f);
+    // Small shapes repeat so one timing spans well over a microsecond.
+    const int calls = std::max(1, 200000 / (s.m * s.n));
+    const double fused_s = BestSeconds(reps, [&] {
+      for (int c = 0; c < calls; ++c) {
+        kern.linear(a.data(), w.data(), bias.data(), fused.data(), s.m, s.k,
+                    s.n, s.relu);
+      }
+    });
+    const double composed_s = BestSeconds(reps, [&] {
+      for (int c = 0; c < calls; ++c) {
+        kern.matmul(a.data(), w.data(), composed.data(), s.m, s.k, s.n);
+        for (int i = 0; i < s.m; ++i) {
+          kern.axpy(1.f, bias.data(), composed.row(i), s.n);
+        }
+        if (s.relu) {
+          kern.relu(composed.data(), composed.data(), nullptr, s.m * s.n);
+        }
+      }
+    });
+    const std::string slot = s.relu ? "linear_relu" : "linear";
+    const std::string dims = std::to_string(s.m) + "x" + std::to_string(s.k) +
+                             "x" + std::to_string(s.n);
+    fail_unless_equal(fused, composed, slot + "/" + dims);
+    const double flops = 2.0 * s.m * s.k * s.n * calls;
+    std::printf("%s/%s: fused %.1f us, composed %.1f us (x%.2f)\n",
+                slot.c_str(), dims.c_str(), fused_s / calls * 1e6,
+                composed_s / calls * 1e6, composed_s / fused_s);
+    reporter->Add(slot + "/" + dims, reps, fused_s / calls * 1e9,
+                  flops / fused_s / 1e9, "GFLOP/s");
+    reporter->Add(slot + "_composed/" + dims, reps, composed_s / calls * 1e9,
+                  flops / composed_s / 1e9, "GFLOP/s");
+  }
+
+  // Attention: 256 tweets of 4 to 40 pieces, 4 heads of width 16.
+  constexpr int kTweets = 256, kHeads = 4, kHead = 16, kModel = kHeads * kHead;
+  std::vector<int> begin(kTweets + 1, 0);
+  for (int t = 0; t < kTweets; ++t) {
+    begin[t + 1] = begin[t] + 4 + static_cast<int>(rng.NextU64(37));
+  }
+  const int rows = begin[kTweets];
+  Mat q(rows, kModel), k(rows, kModel), v(rows, kModel);
+  q.InitGaussian(&rng, 1.f);
+  k.InitGaussian(&rng, 1.f);
+  v.InitGaussian(&rng, 1.f);
+  Mat fused(rows, kModel), composed(rows, kModel), scores, qh, kh, vh, ctx;
+  const float scale = 1.f / std::sqrt(static_cast<float>(kHead));
+  const double fused_s = BestSeconds(reps, [&] {
+    for (int t = 0; t < kTweets; ++t) {
+      const int b = begin[t], len = begin[t + 1] - begin[t];
+      scores.Resize(len, len);
+      for (int h = 0; h < kHeads; ++h) {
+        kern.attend_head(q.row(b) + h * kHead, k.row(b) + h * kHead,
+                         v.row(b) + h * kHead, kModel, len, kHead, scale,
+                         scores.data(), fused.row(b) + h * kHead);
+      }
+    }
+  });
+  const size_t head_bytes = sizeof(float) * kHead;
+  const double composed_s = BestSeconds(reps, [&] {
+    for (int t = 0; t < kTweets; ++t) {
+      const int b = begin[t], len = begin[t + 1] - begin[t];
+      for (int h = 0; h < kHeads; ++h) {
+        const int off = h * kHead;
+        qh.Resize(len, kHead);
+        kh.Resize(len, kHead);
+        vh.Resize(len, kHead);
+        for (int r = 0; r < len; ++r) {
+          std::memcpy(qh.row(r), q.row(b + r) + off, head_bytes);
+          std::memcpy(kh.row(r), k.row(b + r) + off, head_bytes);
+          std::memcpy(vh.row(r), v.row(b + r) + off, head_bytes);
+        }
+        scores.Resize(len, len);
+        kern.matmul_bt(qh.data(), kh.data(), scores.data(), len, kHead, len);
+        kern.vscale(scale, scores.data(), len * len);
+        kern.softmax_rows(scores.data(), len, len);
+        ctx.Resize(len, kHead);
+        kern.matmul(scores.data(), vh.data(), ctx.data(), len, len, kHead);
+        for (int r = 0; r < len; ++r) {
+          std::memcpy(composed.row(b + r) + off, ctx.row(r), head_bytes);
+        }
+      }
+    }
+  });
+  const std::string dims = std::to_string(kTweets) + "x" +
+                           std::to_string(kHeads) + "x" + std::to_string(kHead);
+  fail_unless_equal(fused, composed, "attention/" + dims);
+  std::printf("attention/%s (%d rows): fused %.1f us, composed %.1f us (x%.2f)\n",
+              dims.c_str(), rows, fused_s * 1e6, composed_s * 1e6,
+              composed_s / fused_s);
+  reporter->Add("attention/" + dims, reps, fused_s * 1e9,
+                kTweets / fused_s, "tweets/sec");
+  reporter->Add("attention_composed/" + dims, reps, composed_s * 1e9,
+                kTweets / composed_s, "tweets/sec");
+}
+
 // Naive §V-A oracle: at each start position the longest window whose folded
 // text is a live candidate key wins; no trie, no symbols, no shards.
 std::vector<ExtractedMention> ReferenceScan(
@@ -524,12 +670,13 @@ void RunScanBench(bench::BenchReporter* reporter, int num_candidates,
 }  // namespace emd
 
 int main(int argc, char** argv) {
-  // --gemm-only / --quant-only / --scan-only (ours, not google-benchmark's)
-  // skip the microbenchmark sweep so CI's backend-comparison smokes stay
+  // --gemm-only / --quant-only / --scan-only / --forward-only (ours, not
+  // google-benchmark's) skip the microbenchmark sweep so CI's smokes stay
   // fast; strip them before Initialize.
   bool gemm_only = false;
   bool quant_only = false;
   bool scan_only = false;
+  bool forward_only = false;
   int kept = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--gemm-only") == 0) {
@@ -544,6 +691,10 @@ int main(int argc, char** argv) {
       scan_only = true;
       continue;
     }
+    if (std::strcmp(argv[i], "--forward-only") == 0) {
+      forward_only = true;
+      continue;
+    }
     argv[kept++] = argv[i];
   }
   argc = kept;
@@ -551,7 +702,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   emd::bench::BenchReporter reporter;
   emd::CapturingReporter console(&reporter);
-  const bool full = !gemm_only && !quant_only && !scan_only;
+  const bool full = !gemm_only && !quant_only && !scan_only && !forward_only;
   if (full) benchmark::RunSpecifiedBenchmarks(&console);
   if (scan_only) {
     // CI scan smoke at the reference point: 100k candidates / 13 shards.
@@ -561,6 +712,7 @@ int main(int argc, char** argv) {
   }
   if (full || gemm_only) emd::RunGemmComparison(&reporter, 256, 3);
   if (full || quant_only) emd::RunQuantComparison(&reporter, 5);
+  if (full || forward_only) emd::RunForwardSlots(&reporter, 7);
   // Machine-readable record of the resolved dispatch selection.
   reporter.Add(std::string("kernel_backend/") + emd::kernels::BackendName(), 1,
                0, 0, "");

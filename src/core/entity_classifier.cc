@@ -71,7 +71,6 @@ Status EntityClassifier::TryProbabilities(
     return Status::InvalidArgument("classifier feature width ", features.cols(),
                                    ", want ", options_.input_dim);
   }
-  const auto& kern = kernels::Kernels();
   const int rows = features.rows();
   Mat* x = arena->mat(kArenaSlot);
   Mat* y = arena->mat(kArenaSlot + 1);
@@ -85,8 +84,7 @@ Status EntityClassifier::TryProbabilities(
     }
   }
   for (size_t l = 0; l < hidden_.size(); ++l) {
-    hidden_[l]->ApplyAuto(*x, qs, y);
-    kern.relu(y->data(), y->data(), nullptr, static_cast<int>(y->size()));
+    hidden_[l]->ApplyAuto(*x, qs, y, /*relu=*/true);
     std::swap(x, y);
   }
   out_->ApplyAuto(*x, qs, y);

@@ -81,7 +81,7 @@ class EntityClassifier {
   CandidateLabel Classify(const Mat& features) const;
 
   /// Arena slots used by TryProbabilities (above the planner ranges of
-  /// MiniBertweet, 0..20, and PhraseEmbedder, 24).
+  /// MiniBertweet, 0..16, and PhraseEmbedder, 24).
   static constexpr int kArenaSlot = 26;
 
   /// The inference path: scores every row of `features` [C, input_dim] in

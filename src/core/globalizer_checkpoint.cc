@@ -709,7 +709,9 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     uint32_t num_embeddings = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinMatBytes, "mention embedding",
                                   &num_embeddings));
-    rec.mention_embeddings.reserve(num_embeddings);
+    // No reserve: growing one push_back at a time gives the restored vector
+    // the capacity AddMention's growth gives it, so the byte accounting of a
+    // resumed run matches an uninterrupted one.
     for (uint32_t m = 0; m < num_embeddings; ++m) {
       Mat emb;
       EMD_RETURN_IF_ERROR(ReadMat(&reader, &emb));

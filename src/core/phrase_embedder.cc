@@ -88,8 +88,10 @@ Status PhraseEmbedder::TryEmbedSpans(const Mat& token_embeddings,
   if (q_.packed()) {
     q_.Apply(*pooled, arena->qscratch(kArenaSlot), out);
   } else {
-    MatMulInto(*pooled, w_, out);
-    AddRowBroadcastInPlace(out, b_);
+    out->Resize(pooled->rows(), out_dim());
+    kernels::Kernels().linear(pooled->data(), w_.data(), b_.data(),
+                              out->data(), pooled->rows(), in_dim(),
+                              out_dim(), /*relu=*/false);
   }
   return Status::OK();
 }

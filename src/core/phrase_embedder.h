@@ -91,7 +91,7 @@ class PhraseEmbedder {
 
  private:
   /// Arena slot of the pooled rows and the int8 activation scratch (clear
-  /// of the MiniBertweet planner range 0..20 and the classifier's 26..28,
+  /// of the MiniBertweet planner range 0..16 and the classifier's 26..28,
   /// so one lane arena serves every stage warm).
   static constexpr int kArenaSlot = 24;
 

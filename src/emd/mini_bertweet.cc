@@ -241,9 +241,7 @@ void MiniBertweetSystem::ProcessBatched(
 
   // First-piece gather + FFNN + prediction layer, fused over all words.
   GatherRowsInto(*x, *word_rows, words);
-  ffnn_->ApplyAuto(*words, qs, ff_out);
-  kern.relu(ff_out->data(), ff_out->data(), nullptr,
-            static_cast<int>(ff_out->size()));
+  ffnn_->ApplyAuto(*words, qs, ff_out, /*relu=*/true);
   out_->ApplyAuto(*ff_out, qs, logits);
 
   // Per-tweet argmax -> BIO spans, and per-tweet embedding copies.

@@ -243,9 +243,13 @@ Status TwitterNlpSystem::Save(const std::string& path) const {
   if (!out) return Status::IoError("cannot open for write: ", path);
   const auto capw = tcap_.weights();
   out << capw[0] << ' ' << capw[1] << ' ' << capw[2] << ' ' << capw[3] << "\n";
-  out << feature_ids_.size() << "\n";
-  for (const auto& [feat, id] : feature_ids_) {
-    out << feat << ' ' << id;
+  // Features in id order, so a model saves to the same bytes however its
+  // hash map happens to iterate.
+  std::vector<const std::string*> names(feature_ids_.size());
+  for (const auto& [feat, id] : feature_ids_) names[id] = &feat;
+  out << names.size() << "\n";
+  for (size_t id = 0; id < names.size(); ++id) {
+    out << *names[id] << ' ' << id;
     for (int l = 0; l < kNumBioLabels; ++l) out << ' ' << weights_[id][l];
     out << "\n";
   }

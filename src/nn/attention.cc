@@ -1,7 +1,6 @@
 #include "nn/attention.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "nn/kernels/kernels.h"
 
@@ -27,21 +26,14 @@ Mat MultiHeadSelfAttention::Forward(const Mat& x) {
   wv_.ForwardInto(x, &v_);
   if (static_cast<int>(attn_.size()) != num_heads_) attn_.resize(num_heads_);
   context_.Resize(T, d_model_);
+  const kernels::KernelBackend& kern = kernels::Kernels();
   const float scale = 1.f / std::sqrt(static_cast<float>(d_head_));
-  for (int h = 0; h < num_heads_; ++h) {
+  for (int h = 0; h < num_heads_ && T > 0; ++h) {
     const int off = h * d_head_;
-    SliceColsInto(q_, off, off + d_head_, &qh_);
-    SliceColsInto(k_, off, off + d_head_, &kh_);
-    SliceColsInto(v_, off, off + d_head_, &vh_);
-    MatMulBTInto(qh_, kh_, &scores_);  // [T, T]
-    scores_.Scale(scale);
-    SoftmaxRowsInPlace(&scores_);
-    attn_[h] = scores_;  // backward cache (buffer reused across calls)
-    MatMulInto(scores_, vh_, &ctx_);  // [T, d_head]
-    for (int r = 0; r < T; ++r) {
-      std::memcpy(context_.row(r) + off, ctx_.row(r),
-                  sizeof(float) * d_head_);
-    }
+    attn_[h].Resize(T, T);  // the softmax weights Backward reads
+    kern.attend_head(q_.data() + off, k_.data() + off, v_.data() + off,
+                     d_model_, T, d_head_, scale, attn_[h].data(),
+                     context_.data() + off);
   }
   return wo_.Forward(context_);
 }
@@ -54,12 +46,8 @@ void MultiHeadSelfAttention::ApplyBatched(const Mat& x, const RaggedPack& pack,
   Mat* q = arena->mat(slot_base + 0);
   Mat* k = arena->mat(slot_base + 1);
   Mat* v = arena->mat(slot_base + 2);
-  Mat* qh = arena->mat(slot_base + 3);
-  Mat* kh = arena->mat(slot_base + 4);
-  Mat* vh = arena->mat(slot_base + 5);
-  Mat* scores = arena->mat(slot_base + 6);
-  Mat* ctx = arena->mat(slot_base + 7);
-  Mat* context = arena->mat(slot_base + 8);
+  Mat* scores = arena->mat(slot_base + 3);
+  Mat* context = arena->mat(slot_base + 4);
   QuantizedLinear::Scratch* qs = arena->qscratch(slot_base);
   // One fused projection per matrix over every packed row.
   wq_.ApplyAuto(x, qs, q);
@@ -68,30 +56,16 @@ void MultiHeadSelfAttention::ApplyBatched(const Mat& x, const RaggedPack& pack,
   context->Resize(x.rows(), d_model_);
   const kernels::KernelBackend& kern = kernels::Kernels();
   const float scale = 1.f / std::sqrt(static_cast<float>(d_head_));
-  const std::size_t head_bytes = sizeof(float) * d_head_;
   for (int s = 0; s < pack.num_seqs(); ++s) {
     const int b = pack.begin(s);
     const int T = pack.len(s);
     if (T == 0) continue;
+    scores->Resize(T, T);
     for (int h = 0; h < num_heads_; ++h) {
       const int off = h * d_head_;
-      qh->Resize(T, d_head_);
-      kh->Resize(T, d_head_);
-      vh->Resize(T, d_head_);
-      for (int r = 0; r < T; ++r) {
-        std::memcpy(qh->row(r), q->row(b + r) + off, head_bytes);
-        std::memcpy(kh->row(r), k->row(b + r) + off, head_bytes);
-        std::memcpy(vh->row(r), v->row(b + r) + off, head_bytes);
-      }
-      scores->Resize(T, T);
-      kern.matmul_bt(qh->data(), kh->data(), scores->data(), T, d_head_, T);
-      kern.vscale(scale, scores->data(), T * T);
-      kern.softmax_rows(scores->data(), T, T);
-      ctx->Resize(T, d_head_);
-      kern.matmul(scores->data(), vh->data(), ctx->data(), T, T, d_head_);
-      for (int r = 0; r < T; ++r) {
-        std::memcpy(context->row(b + r) + off, ctx->row(r), head_bytes);
-      }
+      kern.attend_head(q->row(b) + off, k->row(b) + off, v->row(b) + off,
+                       d_model_, T, d_head_, scale, scores->data(),
+                       context->row(b) + off);
     }
   }
   wo_.ApplyAuto(*context, qs, out);

@@ -27,14 +27,16 @@ class MultiHeadSelfAttention {
   void CollectParams(ParamSet* params);
 
   /// Arena slots ApplyBatched consumes starting at its slot_base.
-  static constexpr int kArenaSlots = 9;
+  static constexpr int kArenaSlots = 5;
 
   /// Inference-only planner forward: `x` holds the packed token rows of many
   /// sequences ([pack.total_rows(), d_model]); the Q/K/V/output projections
   /// run fused over ALL rows while attention walks the offsets table per
-  /// sequence. Const — no caches touched, safe across worker lanes with
-  /// per-lane arenas. In fp32 the result is bit-identical per sequence to
-  /// Forward; after PrepareQuantized the projections run int8.
+  /// sequence, one attend_head kernel call per (sequence, head) reading and
+  /// writing the head's columns in place. Const — no caches touched, safe
+  /// across worker lanes with per-lane arenas. In fp32 the result is
+  /// bit-identical per sequence to Forward; after PrepareQuantized the
+  /// projections run int8.
   void ApplyBatched(const Mat& x, const RaggedPack& pack, ForwardArena* arena,
                     int slot_base, Mat* out) const;
 
@@ -51,9 +53,7 @@ class MultiHeadSelfAttention {
   // Caches for backward.
   Mat q_, k_, v_;                 // [T, d_model] post-projection
   std::vector<Mat> attn_;         // per head: [T, T] softmax weights
-  // Forward scratch, reused across calls and heads so steady-state inference
-  // performs no per-call allocations.
-  Mat qh_, kh_, vh_, scores_, ctx_, context_;
+  Mat context_;                   // [T, d_model] heads side by side
 };
 
 }  // namespace emd

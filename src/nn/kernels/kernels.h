@@ -56,6 +56,23 @@ struct KernelBackend {
   /// C[m,n] = A[k,m]^T * B[k,n] (rank-1 update form).
   void (*matmul_at)(const float* a, const float* b, float* c, int k, int m,
                     int n);
+  /// C[m,n] = A[m,k] * W[k,n] + bias[n] broadcast to every row, then
+  /// max(C, 0) when `relu`. `bias` may be nullptr (no bias add). Bit for bit
+  /// the composition matmul, axpy(1, bias) per row, relu of the same table.
+  void (*linear)(const float* a, const float* w, const float* bias, float* c,
+                 int m, int k, int n, bool relu);
+
+  // ---- Attention. ----
+  /// One scaled-dot-product attention head over a sequence of t rows. q, k
+  /// and v point at the head's first column; row r of each starts `ld`
+  /// floats after row r-1 (ld = d_model for the head slices of [t, d_model]
+  /// projections). Writes the softmax weights
+  /// softmax_rows(scale * Q K^T) to `p` ([t, t], contiguous) and the head's
+  /// context P V to `out` (t rows of dh floats, `ld` apart). Bit for bit the
+  /// composition matmul_bt, vscale, softmax_rows, matmul of the same table
+  /// over contiguous copies of the head slices.
+  void (*attend_head)(const float* q, const float* k, const float* v, int ld,
+                      int t, int dh, float scale, float* p, float* out);
 
   // ---- BLAS-1 style. ----
   /// sum(x[i] * y[i]).

@@ -9,7 +9,9 @@
 // Accuracy contract: each kernel may differ from the scalar backend by
 // float-rounding noise only (FMA contraction, vectorized reduction order,
 // polynomial exp). tests/kernels_test.cc asserts <= 1e-5 max-abs divergence
-// on every kernel over odd/remainder shapes.
+// on every kernel over odd/remainder shapes. matmul, linear, dot and
+// attend_head also keep the exact bits of the kernels they replaced;
+// tests/kernels_bits_test.cc pins them against verbatim copies.
 
 #include "nn/kernels/kernels.h"
 
@@ -127,118 +129,257 @@ inline float SigmoidTail(float v) {
 // GEMM family.
 // ---------------------------------------------------------------------------
 
-// 4x16 register-tiled microkernel: C[4, 16] += A[4, p0:p1] * B[p0:p1, 16].
-// Eight ymm accumulators stay resident across the whole k-panel; each loaded
-// B vector feeds four FMA chains.
-inline void Micro4x16(const float* __restrict a, const float* __restrict b,
-                      float* __restrict c, int lda, int ldn, int p0, int p1) {
-  __m256 acc00 = _mm256_loadu_ps(c);
-  __m256 acc01 = _mm256_loadu_ps(c + 8);
-  __m256 acc10 = _mm256_loadu_ps(c + ldn);
-  __m256 acc11 = _mm256_loadu_ps(c + ldn + 8);
-  __m256 acc20 = _mm256_loadu_ps(c + 2 * ldn);
-  __m256 acc21 = _mm256_loadu_ps(c + 2 * ldn + 8);
-  __m256 acc30 = _mm256_loadu_ps(c + 3 * ldn);
-  __m256 acc31 = _mm256_loadu_ps(c + 3 * ldn + 8);
-  for (int p = p0; p < p1; ++p) {
-    const float* __restrict brow = b + size_t(p) * ldn;
-    const __m256 b0 = _mm256_loadu_ps(brow);
-    const __m256 b1 = _mm256_loadu_ps(brow + 8);
-    __m256 av = _mm256_broadcast_ss(a + p);
-    acc00 = _mm256_fmadd_ps(av, b0, acc00);
-    acc01 = _mm256_fmadd_ps(av, b1, acc01);
-    av = _mm256_broadcast_ss(a + lda + p);
-    acc10 = _mm256_fmadd_ps(av, b0, acc10);
-    acc11 = _mm256_fmadd_ps(av, b1, acc11);
-    av = _mm256_broadcast_ss(a + 2 * lda + p);
-    acc20 = _mm256_fmadd_ps(av, b0, acc20);
-    acc21 = _mm256_fmadd_ps(av, b1, acc21);
-    av = _mm256_broadcast_ss(a + 3 * lda + p);
-    acc30 = _mm256_fmadd_ps(av, b0, acc30);
-    acc31 = _mm256_fmadd_ps(av, b1, acc31);
-  }
-  _mm256_storeu_ps(c, acc00);
-  _mm256_storeu_ps(c + 8, acc01);
-  _mm256_storeu_ps(c + ldn, acc10);
-  _mm256_storeu_ps(c + ldn + 8, acc11);
-  _mm256_storeu_ps(c + 2 * ldn, acc20);
-  _mm256_storeu_ps(c + 2 * ldn + 8, acc21);
-  _mm256_storeu_ps(c + 3 * ldn, acc30);
-  _mm256_storeu_ps(c + 3 * ldn + 8, acc31);
-}
+// One GEMM walk serves matmul, linear and the P V product of attend_head:
+// C = A B (+ bias) (then max(., 0)) over strided rows. Every accumulator
+// starts at zero and walks p = 0..k-1 in order with one FMA per step, so
+// each element of C is the same FMA chain whatever tile, lane or k-panel
+// computes it (the historical 4x16 / 4x8 / 1-row kernels, whose scalar
+// column tail compiles to vfmadd231ss, produced exactly these chains). The
+// bias add and the ReLU happen in the store.
+struct GemmArgs {
+  const float* a;
+  int lda;
+  const float* b;
+  int ldb;
+  const float* bias;  // nullptr: no bias
+  bool relu;
+  float* c;
+  int ldc;
+  int k;
+};
 
-// 4x8 variant for the 8 <= n-tail < 16 strip.
-inline void Micro4x8(const float* __restrict a, const float* __restrict b,
-                     float* __restrict c, int lda, int ldn, int p0, int p1) {
-  __m256 acc0 = _mm256_loadu_ps(c);
-  __m256 acc1 = _mm256_loadu_ps(c + ldn);
-  __m256 acc2 = _mm256_loadu_ps(c + 2 * ldn);
-  __m256 acc3 = _mm256_loadu_ps(c + 3 * ldn);
-  for (int p = p0; p < p1; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + size_t(p) * ldn);
-    acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + p), b0, acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + lda + p), b0, acc1);
-    acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 2 * lda + p), b0, acc2);
-    acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(a + 3 * lda + p), b0, acc3);
+// R rows x V 8-float column vectors of C starting at (i, j). Up to 12
+// accumulators stay in registers for the whole k walk.
+template <int R, int V>
+inline void Tile(const GemmArgs& g, int i, int j) {
+  // Strides live in locals and the operand pointers step once per p, so
+  // every row address is a pointer plus a hoisted offset and each step of
+  // the k walk costs two pointer increments besides the FMAs.
+  const size_t lda = g.lda, ldb = g.ldb;
+  const float* __restrict ap = g.a + i * lda;
+  const float* __restrict bp = g.b + j;
+  __m256 acc[R][V];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_ps();
   }
-  _mm256_storeu_ps(c, acc0);
-  _mm256_storeu_ps(c + ldn, acc1);
-  _mm256_storeu_ps(c + 2 * ldn, acc2);
-  _mm256_storeu_ps(c + 3 * ldn, acc3);
-}
-
-// Single-row strip: C[1, j0:n] += A[1, p0:p1] * B[p0:p1, j0:n].
-inline void Micro1Row(const float* __restrict a, const float* __restrict b,
-                      float* __restrict c, int ldn, int p0, int p1, int j0,
-                      int n) {
-  int j = j0;
-  for (; j + 7 < n; j += 8) {
-    __m256 acc = _mm256_loadu_ps(c + j);
-    for (int p = p0; p < p1; ++p) {
-      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(a + p),
-                            _mm256_loadu_ps(b + size_t(p) * ldn + j), acc);
-    }
-    _mm256_storeu_ps(c + j, acc);
-  }
-  for (; j < n; ++j) {
-    float s = c[j];
-    for (int p = p0; p < p1; ++p) s += a[p] * b[size_t(p) * ldn + j];
-    c[j] = s;
-  }
-}
-
-// k-panel depth: 256 floats of 4 A rows (4 KB) plus the streamed B panel
-// rows keep the microkernel L1/L2 resident.
-constexpr int kPanelK = 256;
-
-void MatMulAvx2(const float* A, const float* B, float* C, int m, int k,
-                int n) {
-  std::memset(C, 0, sizeof(float) * size_t(m) * n);
-  for (int p0 = 0; p0 < k; p0 += kPanelK) {
-    const int p1 = std::min(p0 + kPanelK, k);
-    int i = 0;
-    for (; i + 3 < m; i += 4) {
-      const float* arow = A + size_t(i) * k;
-      float* crow = C + size_t(i) * n;
-      int j = 0;
-      for (; j + 15 < n; j += 16) {
-        Micro4x16(arow, B + j, crow + j, k, n, p0, p1);
+  for (int p = g.k; p > 0; --p, ++ap, bp += ldb) {
+    // Keep the shorter operand list in registers: 12 accumulators plus
+    // min(R, V) + 1 operands fit the 16 ymm registers.
+    if constexpr (R > V) {
+      __m256 bv[V];
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_broadcast_ss(ap + r * lda);
+#pragma GCC unroll 8
+        for (int v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+        }
       }
-      if (j + 7 < n) {
-        Micro4x8(arow, B + j, crow + j, k, n, p0, p1);
-        j += 8;
-      }
-      if (j < n) {
-        for (int r = 0; r < 4; ++r) {
-          Micro1Row(arow + size_t(r) * k, B, crow + size_t(r) * n, n, p0, p1,
-                    j, n);
+    } else {
+      __m256 av[R];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) av[r] = _mm256_broadcast_ss(ap + r * lda);
+#pragma GCC unroll 8
+      for (int v = 0; v < V; ++v) {
+        const __m256 bv = _mm256_loadu_ps(bp + 8 * v);
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+          acc[r][v] = _mm256_fmadd_ps(av[r], bv, acc[r][v]);
         }
       }
     }
-    for (; i < m; ++i) {
-      Micro1Row(A + size_t(i) * k, B, C + size_t(i) * n, n, p0, p1, 0, n);
+  }
+  // Epilogue: bias add and ReLU in the store.
+  const float* bias = g.bias == nullptr ? nullptr : g.bias + j;
+  const bool relu = g.relu;
+  const size_t ldc = g.ldc;
+  float* c = g.c + i * ldc + j;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) {
+      __m256 x = acc[r][v];
+      if (bias != nullptr) x = _mm256_add_ps(x, _mm256_loadu_ps(bias + 8 * v));
+      if (relu) x = _mm256_max_ps(x, _mm256_setzero_ps());
+      _mm256_storeu_ps(c + r * ldc + 8 * v, x);
     }
   }
+}
+
+// The last w < 8 columns of R rows: masked loads and stores keep the lanes
+// past the matrix edge out of memory.
+template <int R>
+inline void TileMasked(const GemmArgs& g, int i, int j, int w) {
+  const __m256i mask = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(w), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const size_t lda = g.lda, ldb = g.ldb;
+  const float* __restrict ap = g.a + i * lda;
+  const float* __restrict bp = g.b + j;
+  __m256 acc[R];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+  for (int p = g.k; p > 0; --p, ++ap, bp += ldb) {
+    const __m256 bv = _mm256_maskload_ps(bp, mask);
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(ap + r * lda), bv, acc[r]);
+    }
+  }
+  const __m256 bias = g.bias != nullptr ? _mm256_maskload_ps(g.bias + j, mask)
+                                        : _mm256_setzero_ps();
+  float* c = g.c + size_t(i) * g.ldc + j;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+    __m256 x = acc[r];
+    if (g.bias != nullptr) x = _mm256_add_ps(x, bias);
+    if (g.relu) x = _mm256_max_ps(x, _mm256_setzero_ps());
+    _mm256_maskstore_ps(c + size_t(r) * g.ldc, mask, x);
+  }
+}
+
+// R rows of C, every column. Six rows use 6x16 tiles; fewer rows (the
+// m % 6 tail, or the phrase embedder's 1-3 pooled spans) widen the tile to
+// four column vectors so enough independent chains stay in flight.
+template <int R>
+void RowStrip(const GemmArgs& g, int i, int n) {
+  constexpr int V = R <= 3 ? 4 : 2;
+  int j = 0;
+  for (; j + 8 * V <= n; j += 8 * V) Tile<R, V>(g, i, j);
+  if constexpr (V > 2) {
+    for (; j + 16 <= n; j += 16) Tile<R, 2>(g, i, j);
+  }
+  for (; j + 8 <= n; j += 8) Tile<R, 1>(g, i, j);
+  if (j < n) TileMasked<R>(g, i, j, n - j);
+}
+
+// Narrow C (n < 8, e.g. the 3-label word head or a 1-logit classifier
+// output): eight rows ride in the vector lanes, one accumulator per output
+// column, so the chains run eight rows at a time instead of one scalar FMA
+// chain per element. A is transposed 8x8 on the fly.
+template <int N>
+void NarrowN(const GemmArgs& g, int m) {
+  const int k = g.k;
+  const size_t ldb = g.ldb;
+  for (int i = 0; i < m; i += 8) {
+    const int rows = std::min(8, m - i);
+    // Lanes past the last row read that row again and are not stored.
+    const float* arow[8];
+    for (int r = 0; r < 8; ++r) {
+      arow[r] = g.a + size_t(i + std::min(r, rows - 1)) * g.lda;
+    }
+    __m256 acc[N];
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) acc[j] = _mm256_setzero_ps();
+    int p = 0;
+    for (; p + 7 < k; p += 8) {
+      // 8x8 transpose: col[q] holds A[i..i+7, p + q].
+      const __m256 r0 = _mm256_loadu_ps(arow[0] + p);
+      const __m256 r1 = _mm256_loadu_ps(arow[1] + p);
+      const __m256 r2 = _mm256_loadu_ps(arow[2] + p);
+      const __m256 r3 = _mm256_loadu_ps(arow[3] + p);
+      const __m256 r4 = _mm256_loadu_ps(arow[4] + p);
+      const __m256 r5 = _mm256_loadu_ps(arow[5] + p);
+      const __m256 r6 = _mm256_loadu_ps(arow[6] + p);
+      const __m256 r7 = _mm256_loadu_ps(arow[7] + p);
+      const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+      const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+      const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+      const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+      const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+      const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+      const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+      const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+      const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+      const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+      const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+      const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+      const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+      const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+      const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+      const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+      const __m256 col[8] = {
+          _mm256_permute2f128_ps(u0, u4, 0x20),
+          _mm256_permute2f128_ps(u1, u5, 0x20),
+          _mm256_permute2f128_ps(u2, u6, 0x20),
+          _mm256_permute2f128_ps(u3, u7, 0x20),
+          _mm256_permute2f128_ps(u0, u4, 0x31),
+          _mm256_permute2f128_ps(u1, u5, 0x31),
+          _mm256_permute2f128_ps(u2, u6, 0x31),
+          _mm256_permute2f128_ps(u3, u7, 0x31),
+      };
+#pragma GCC unroll 8
+      for (int q = 0; q < 8; ++q) {
+        const float* __restrict brow = g.b + (p + q) * ldb;
+#pragma GCC unroll 8
+        for (int j = 0; j < N; ++j) {
+          acc[j] = _mm256_fmadd_ps(col[q], _mm256_broadcast_ss(brow + j),
+                                   acc[j]);
+        }
+      }
+    }
+    for (; p < k; ++p) {
+      const __m256 col = _mm256_setr_ps(
+          arow[0][p], arow[1][p], arow[2][p], arow[3][p], arow[4][p],
+          arow[5][p], arow[6][p], arow[7][p]);
+      const float* __restrict brow = g.b + p * ldb;
+#pragma GCC unroll 8
+      for (int j = 0; j < N; ++j) {
+        acc[j] = _mm256_fmadd_ps(col, _mm256_broadcast_ss(brow + j), acc[j]);
+      }
+    }
+    alignas(32) float out[N][8];
+#pragma GCC unroll 8
+    for (int j = 0; j < N; ++j) {
+      __m256 x = acc[j];
+      if (g.bias != nullptr) {
+        x = _mm256_add_ps(x, _mm256_broadcast_ss(g.bias + j));
+      }
+      if (g.relu) x = _mm256_max_ps(x, _mm256_setzero_ps());
+      _mm256_store_ps(out[j], x);
+    }
+    for (int r = 0; r < rows; ++r) {
+      float* crow = g.c + size_t(i + r) * g.ldc;
+      for (int j = 0; j < N; ++j) crow[j] = out[j][r];
+    }
+  }
+}
+
+void Gemm(const GemmArgs& g, int m, int n) {
+  if (m <= 0 || n <= 0) return;
+  switch (n) {
+    case 1: return NarrowN<1>(g, m);
+    case 2: return NarrowN<2>(g, m);
+    case 3: return NarrowN<3>(g, m);
+    case 4: return NarrowN<4>(g, m);
+    case 5: return NarrowN<5>(g, m);
+    case 6: return NarrowN<6>(g, m);
+    case 7: return NarrowN<7>(g, m);
+    default: break;
+  }
+  int i = 0;
+  for (; i + 6 <= m; i += 6) RowStrip<6>(g, i, n);
+  switch (m - i) {
+    case 1: return RowStrip<1>(g, i, n);
+    case 2: return RowStrip<2>(g, i, n);
+    case 3: return RowStrip<3>(g, i, n);
+    case 4: return RowStrip<4>(g, i, n);
+    case 5: return RowStrip<5>(g, i, n);
+    default: return;
+  }
+}
+
+void LinearAvx2(const float* A, const float* W, const float* bias, float* C,
+                int m, int k, int n, bool relu) {
+  Gemm({A, k, W, n, bias, relu, C, n, k}, m, n);
+}
+
+void MatMulAvx2(const float* A, const float* B, float* C, int m, int k,
+                int n) {
+  Gemm({A, k, B, n, nullptr, false, C, n, k}, m, n);
 }
 
 float DotAvx2(const float* x, const float* y, int n) {
@@ -257,7 +398,7 @@ float DotAvx2(const float* x, const float* y, int n) {
     i += 8;
   }
   float s = HSum256(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) s += x[i] * y[i];
+  for (; i < n; ++i) s = std::fma(x[i], y[i], s);
   return s;
 }
 
@@ -511,6 +652,119 @@ void LayerNormAvx2(const float* x, const float* gamma, const float* beta,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Attention.
+// ---------------------------------------------------------------------------
+
+// [HSum256(s[0]), ..., HSum256(s[7])] in one register: a transposed
+// reduction that adds in HSum256's association order, ((v0 + v4) + (v2 +
+// v6)) + ((v1 + v5) + (v3 + v7)), so every lane has HSum256's bits. Blends
+// stand in for half the shuffles, so it costs 8 shuffle-port uops for eight
+// sums where eight HSum256 calls cost 24.
+inline __m256 HSum8(const __m256 s[8]) {
+  // [lo + hi of s[c] | hi + lo of s[c + 4]] for c = 0..3.
+  __m256 t[4];
+#pragma GCC unroll 4
+  for (int c = 0; c < 4; ++c) {
+    t[c] = _mm256_add_ps(_mm256_blend_ps(s[c], s[c + 4], 0xF0),
+                         _mm256_permute2f128_ps(s[c], s[c + 4], 0x21));
+  }
+  // Lanes 0+2 and 1+3: [u0 u0' u1 u1' | u4 u4' u5 u5'] and the same for
+  // columns 2, 3, 6, 7.
+  const __m256 u01 = _mm256_add_ps(_mm256_blend_ps(t[0], t[1], 0xCC),
+                                   _mm256_shuffle_ps(t[0], t[1], 0x4E));
+  const __m256 u23 = _mm256_add_ps(_mm256_blend_ps(t[2], t[3], 0xCC),
+                                   _mm256_shuffle_ps(t[2], t[3], 0x4E));
+  return _mm256_hadd_ps(u01, u23);
+}
+
+// Eight scores q . kc[c] in the form matmul_bt gives its 4-column groups:
+// one FMA chain over the 8-float blocks, reduced by HSum8, then a scalar
+// FMA tail over dh % 8. Lanes 0-3 take their query row from q_lo and lanes
+// 4-7 from q_hi, so a lone 4-column group fills the register with two rows.
+[[gnu::always_inline]] inline __m256 GroupScores(const float* q_lo,
+                                                 const float* q_hi,
+                                                 const float* const kc[8],
+                                                 int dh) {
+  const int blocks = dh & ~7;
+  __m256 s[8];
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) s[c] = _mm256_setzero_ps();
+  for (int pb = 0; pb < blocks; pb += 8) {
+    const __m256 lo = _mm256_loadu_ps(q_lo + pb);
+    const __m256 hi = _mm256_loadu_ps(q_hi + pb);
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) {
+      s[c] = _mm256_fmadd_ps(c < 4 ? lo : hi, _mm256_loadu_ps(kc[c] + pb),
+                             s[c]);
+    }
+  }
+  __m256 r = HSum8(s);
+  if (blocks < dh) {
+    alignas(32) float sc[8];
+    _mm256_store_ps(sc, r);
+#pragma GCC unroll 8
+    for (int c = 0; c < 8; ++c) {
+      const float* q = c < 4 ? q_lo : q_hi;
+      for (int p = blocks; p < dh; ++p) sc[c] = std::fma(q[p], kc[c][p], sc[c]);
+    }
+    r = _mm256_load_ps(sc);
+  }
+  return r;
+}
+
+// Scores of every query row against the key rows j0..j0+7, scaled in the
+// store as vscale did after matmul_bt.
+void GroupColumns8(const float* q, const float* k, size_t ld, int t, int dh,
+                   int j0, __m256 scale, float* p) {
+  const float* kc[8];
+  for (int c = 0; c < 8; ++c) kc[c] = k + (j0 + c) * ld;
+  for (int i = 0; i < t; ++i) {
+    const float* qi = q + i * ld;
+    _mm256_storeu_ps(p + size_t(i) * t + j0,
+                     _mm256_mul_ps(GroupScores(qi, qi, kc, dh), scale));
+  }
+}
+
+// The same for a lone last group of four key rows, two query rows per
+// register (an odd last row pairs with itself).
+void GroupColumns4(const float* q, const float* k, size_t ld, int t, int dh,
+                   int j0, __m256 scale, float* p) {
+  const float* kc[8];
+  for (int c = 0; c < 8; ++c) kc[c] = k + (j0 + c % 4) * ld;
+  for (int i = 0; i < t; i += 2) {
+    const int i2 = std::min(i + 1, t - 1);
+    const __m256 r = _mm256_mul_ps(
+        GroupScores(q + i * ld, q + i2 * ld, kc, dh), scale);
+    _mm_storeu_ps(p + size_t(i) * t + j0, _mm256_castps256_ps128(r));
+    _mm_storeu_ps(p + size_t(i2) * t + j0, _mm256_extractf128_ps(r, 1));
+  }
+}
+
+// One head, read in place from the strided Q/K/V rows. The scores of the
+// 4-column groups (j < t & ~3) go eight key rows at a time through
+// GroupScores; the at most three columns past them use DotAvx2, as
+// matmul_bt did. Softmax is SoftmaxRowsAvx2 unchanged, and P V is the GEMM
+// walk writing straight into the head's columns of the context.
+void AttendHeadAvx2(const float* q, const float* k, const float* v, int ld,
+                    int t, int dh, float scale, float* p, float* out) {
+  const int groups = t & ~3;
+  const __m256 vscale = _mm256_set1_ps(scale);
+  int j0 = 0;
+  for (; j0 + 8 <= groups; j0 += 8) {
+    GroupColumns8(q, k, ld, t, dh, j0, vscale, p);
+  }
+  if (j0 < groups) GroupColumns4(q, k, ld, t, dh, j0, vscale, p);
+  for (int i = 0; i < t; ++i) {
+    for (int j = groups; j < t; ++j) {
+      p[size_t(i) * t + j] =
+          DotAvx2(q + size_t(i) * ld, k + size_t(j) * ld, dh) * scale;
+    }
+  }
+  SoftmaxRowsAvx2(p, t, t);
+  Gemm({p, t, v, ld, nullptr, false, out, ld, t}, t, dh);
+}
+
 double LogSumExpAvx2(const float* x, int n) {
   float mx = x[0];
   int i = 0;
@@ -539,6 +793,7 @@ double LogSumExpAvx2(const float* x, int n) {
 const KernelBackend* Avx2Kernels() {
   static const KernelBackend backend = {
       "avx2",          MatMulAvx2,    MatMulBTAvx2,  MatMulATAvx2,
+      LinearAvx2,      AttendHeadAvx2,
       DotAvx2,         AxpyAvx2,      VAddAvx2,      VScaleAvx2,
       ReluAvx2,        GeluAvx2,      TanhAvx2,      SigmoidAvx2,
       SoftmaxRowsAvx2, LayerNormAvx2, LogSumExpAvx2,

@@ -280,11 +280,49 @@ double LogSumExpScalar(const float* x, int n) {
   return double(mx) + std::log(s);
 }
 
+void LinearScalar(const float* a, const float* w, const float* bias, float* c,
+                  int m, int k, int n, bool relu) {
+  MatMulScalar(a, w, c, m, k, n);
+  if (bias != nullptr) {
+    for (int i = 0; i < m; ++i) AxpyScalar(1.f, bias, c + size_t(i) * n, n);
+  }
+  if (relu) ReluScalar(c, c, nullptr, m * n);
+}
+
+// The strided head slices are read in place; each score and each context
+// element sums its products in ascending order from zero, as MatMulBTScalar
+// and MatMulScalar do over contiguous copies.
+void AttendHeadScalar(const float* q, const float* k, const float* v, int ld,
+                      int t, int dh, float scale, float* p, float* out) {
+  for (int i = 0; i < t; ++i) {
+    const float* qi = q + size_t(i) * ld;
+    float* prow = p + size_t(i) * t;
+    for (int j = 0; j < t; ++j) {
+      const float* kj = k + size_t(j) * ld;
+      float s = 0;
+      for (int c = 0; c < dh; ++c) s += qi[c] * kj[c];
+      prow[j] = s;
+    }
+  }
+  VScaleScalar(scale, p, t * t);
+  SoftmaxRowsScalar(p, t, t);
+  for (int i = 0; i < t; ++i) {
+    const float* prow = p + size_t(i) * t;
+    float* orow = out + size_t(i) * ld;
+    for (int c = 0; c < dh; ++c) {
+      float s = 0;
+      for (int j = 0; j < t; ++j) s += prow[j] * v[size_t(j) * ld + c];
+      orow[c] = s;
+    }
+  }
+}
+
 }  // namespace
 
 const KernelBackend& ScalarKernels() {
   static const KernelBackend backend = {
       "scalar",        MatMulScalar,  MatMulBTScalar,      MatMulATScalar,
+      LinearScalar,    AttendHeadScalar,
       DotScalar,       AxpyScalar,    VAddScalar,          VScaleScalar,
       ReluScalar,      GeluScalar,    TanhScalar,          SigmoidScalarKernel,
       SoftmaxRowsScalar, LayerNormScalar, LogSumExpScalar,

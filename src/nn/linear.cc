@@ -1,5 +1,7 @@
 #include "nn/linear.h"
 
+#include "nn/kernels/kernels.h"
+
 namespace emd {
 
 Linear::Linear(int in_dim, int out_dim, Rng* rng, std::string name)
@@ -18,26 +20,27 @@ Mat Linear::Forward(const Mat& x) {
 }
 
 void Linear::ForwardInto(const Mat& x, Mat* out) {
-  EMD_CHECK_EQ(x.cols(), w_.rows());
   x_cache_ = x;
-  MatMulInto(x, w_, out);
-  AddRowBroadcastInPlace(out, b_);
+  Apply(x, out);
 }
 
-void Linear::Apply(const Mat& x, Mat* out) const {
+void Linear::Apply(const Mat& x, Mat* out, bool relu) const {
   EMD_CHECK_EQ(x.cols(), w_.rows());
-  MatMulInto(x, w_, out);
-  AddRowBroadcastInPlace(out, b_);
+  EMD_CHECK(out != &x);
+  out->Resize(x.rows(), w_.cols());
+  kernels::Kernels().linear(x.data(), w_.data(), b_.data(), out->data(),
+                            x.rows(), x.cols(), w_.cols(), relu);
 }
 
 void Linear::PrepareQuantized() { q_.Pack(w_, b_); }
 
-void Linear::ApplyAuto(const Mat& x, QuantizedLinear::Scratch* qs,
-                       Mat* out) const {
-  if (q_.packed()) {
-    q_.Apply(x, qs, out);
-  } else {
-    Apply(x, out);
+void Linear::ApplyAuto(const Mat& x, QuantizedLinear::Scratch* qs, Mat* out,
+                       bool relu) const {
+  if (!q_.packed()) return Apply(x, out, relu);
+  q_.Apply(x, qs, out);
+  if (relu) {
+    kernels::Kernels().relu(out->data(), out->data(), nullptr,
+                            static_cast<int>(out->size()));
   }
 }
 

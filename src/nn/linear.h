@@ -32,8 +32,9 @@ class Linear {
 
   /// Inference-only forward: like ForwardInto but does NOT cache x, so it is
   /// const and safe to call concurrently from many workers sharing one
-  /// trained layer. Backward must not follow an Apply.
-  void Apply(const Mat& x, Mat* out) const;
+  /// trained layer. Backward must not follow an Apply. With `relu` the
+  /// output is max(x W + b, 0), applied as the GEMM stores it.
+  void Apply(const Mat& x, Mat* out, bool relu = false) const;
 
   /// Packs an int8 copy of the current weights (nn/qlinear) for quantized
   /// inference. Idempotent; re-call after further training to refresh the
@@ -44,7 +45,8 @@ class Linear {
 
   /// Apply through the int8 pack when one was prepared, else fp32 Apply.
   /// `qs` may be nullptr when !quantized().
-  void ApplyAuto(const Mat& x, QuantizedLinear::Scratch* qs, Mat* out) const;
+  void ApplyAuto(const Mat& x, QuantizedLinear::Scratch* qs, Mat* out,
+                 bool relu = false) const;
 
   /// Given dL/dy, accumulates dL/dW and dL/db; returns dL/dx.
   Mat Backward(const Mat& dy);

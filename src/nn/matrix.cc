@@ -173,20 +173,14 @@ Mat ConcatCols(const Mat& a, const Mat& b) {
 }
 
 Mat SliceCols(const Mat& a, int begin, int end) {
-  Mat c;
-  SliceColsInto(a, begin, end, &c);
-  return c;
-}
-
-void SliceColsInto(const Mat& a, int begin, int end, Mat* out) {
   EMD_CHECK_GE(begin, 0);
   EMD_CHECK_LE(begin, end);
   EMD_CHECK_LE(end, a.cols());
-  EMD_CHECK(out != &a);
-  out->Resize(a.rows(), end - begin);
+  Mat out(a.rows(), end - begin);
   for (int r = 0; r < a.rows(); ++r) {
-    std::memcpy(out->row(r), a.row(r) + begin, sizeof(float) * (end - begin));
+    std::memcpy(out.row(r), a.row(r) + begin, sizeof(float) * (end - begin));
   }
+  return out;
 }
 
 Mat StackRows(const std::vector<Mat>& rows) {

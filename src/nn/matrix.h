@@ -145,10 +145,6 @@ Mat ConcatCols(const Mat& a, const Mat& b);
 /// Splits columns: returns a[:, begin:end].
 Mat SliceCols(const Mat& a, int begin, int end);
 
-/// Allocation-free slice: resizes `out` and copies a[:, begin:end] into it.
-/// `out` must not alias `a`.
-void SliceColsInto(const Mat& a, int begin, int end, Mat* out);
-
 /// Stacks 1-row matrices vertically.
 Mat StackRows(const std::vector<Mat>& rows);
 

@@ -1,7 +1,5 @@
 #include "nn/transformer.h"
 
-#include "nn/kernels/kernels.h"
-
 namespace emd {
 
 TransformerEncoderLayer::TransformerEncoderLayer(int d_model, int num_heads, int d_ff,
@@ -40,9 +38,7 @@ void TransformerEncoderLayer::ApplyBatched(const Mat& x,
   mhsa_.ApplyBatched(x, pack, arena, mhsa_base, attn);
   attn->Add(x);  // residual
   ln1_.Apply(*attn, h1, ln_xhat, ln_inv_std);
-  ff1_.ApplyAuto(*h1, qs, ff_a);
-  kernels::Kernels().relu(ff_a->data(), ff_a->data(), nullptr,
-                          static_cast<int>(ff_a->size()));
+  ff1_.ApplyAuto(*h1, qs, ff_a, /*relu=*/true);
   ff2_.ApplyAuto(*ff_a, qs, ff_b);
   ff_b->Add(*h1);  // residual
   ln2_.Apply(*ff_b, out, ln_xhat, ln_inv_std);

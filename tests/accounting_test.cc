@@ -634,8 +634,14 @@ TEST(AccountingTest, ResumedShardedRetainingRunMatchesAnUninterruptedOne) {
     EXPECT_TRUE(a.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
     EXPECT_TRUE(b.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
   }
-  // Record bytes: every retained embedding, float for float. (Container
-  // capacities differ between a grown and a restored record.)
+  // Record bytes: every retained embedding, float for float, and every
+  // shard's byte total (restore grows the mention vectors as AddMention
+  // does, so the capacities agree too).
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(a.shard_candidates(s).ApproxBytes(),
+              b.shard_candidates(s).ApproxBytes())
+        << "shard " << s;
+  }
   size_t retained_off_shard_0 = 0;
   for (int gid = 0; gid < a.num_candidates(); ++gid) {
     ASSERT_EQ(a.Contains(gid), b.Contains(gid)) << "gid " << gid;

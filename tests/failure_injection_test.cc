@@ -235,7 +235,7 @@ TEST(FailureInjectionTest, TwitterNlpLoadAcceptsWellFormedModelWithIdsInAnyOrder
   ASSERT_TRUE(st.ok()) << st;
   EXPECT_TRUE(h.trained());
   // A saved model loads back to the same lines (Save writes the features in
-  // hash-map order, so only their order may differ).
+  // id order, so only their order may differ from the file loaded).
   auto sorted_lines = [](const std::string& text) {
     std::vector<std::string> lines = SplitKeepEmpty(text, '\n');
     std::sort(lines.begin(), lines.end());
@@ -247,6 +247,31 @@ TEST(FailureInjectionTest, TwitterNlpLoadAcceptsWellFormedModelWithIdsInAnyOrder
   EXPECT_EQ(sorted_lines(saved),
             sorted_lines(h.Model("3", TnlpFeature("w=andy", "2") + TnlpFeature("bias", "0") +
                                           TnlpFeature("gz_b", "1"))));
+}
+
+TEST(FailureInjectionTest, TwitterNlpSaveLoadSaveIsByteIdentical) {
+  TwitterNlpModelHarness h;
+  // Enough features, listed in a scrambled id order, that hash-map iteration
+  // order would differ between the loaded model and its reload.
+  constexpr int kFeatures = 200;
+  std::string features;
+  for (int i = 0; i < kFeatures; ++i) {
+    const int id = (i * 37) % kFeatures;
+    features += TnlpFeature("w=f" + std::to_string(id), std::to_string(id),
+                            std::to_string(id) + " -0.5 0.125");
+  }
+  ASSERT_TRUE(h.Load(h.Model(std::to_string(kFeatures), features)).ok());
+  const std::string first = h.Saved();
+  ASSERT_TRUE(h.Load(first).ok());
+  const std::string second = h.Saved();
+  EXPECT_TRUE(first == second) << "Save -> Load -> Save changed the bytes";
+  // The feature lines come in id order.
+  const std::vector<std::string> lines = SplitKeepEmpty(first, '\n');
+  ASSERT_GT(lines.size(), size_t{2 + kFeatures});
+  for (int id = 0; id < kFeatures; ++id) {
+    EXPECT_EQ(lines[2 + id].rfind("w=f" + std::to_string(id) + " ", 0), 0u)
+        << "line " << 2 + id << ": " << lines[2 + id];
+  }
 }
 
 TEST(FailureInjectionTest, TwitterNlpLoadRejectsAnIdOutsideTheFeatureCount) {

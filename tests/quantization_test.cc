@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "emd/mini_bertweet.h"
+#include "emd/subword.h"
 #include "eval/metrics.h"
 #include "nn/kernels/kernels.h"
 #include "nn/planner.h"
@@ -386,6 +387,24 @@ TEST(MiniBertweetBatchTest, BatchedMatchesPerTweetBitwise) {
     for (const Token& t : w.test.tweets[1].tokens) longtweet.push_back(t);
   }
   tweets.push_back(longtweet);
+
+  // Tweets of T = 1..40 subword pieces (T is the attention length), built
+  // from words that are one piece each, so every T mod 8 and both sides of
+  // the last 4-column group are covered: each lane of the attention
+  // kernel's 8-column score blocks and its dot-product tail columns is
+  // compared. The tokenizer is rebuilt as Train() builds it to count pieces.
+  const SubwordTokenizer subword = SubwordTokenizer::Build(
+      w.train, MiniBertweetOptions().min_word_count);
+  std::vector<Token> single;
+  for (const auto& tweet : w.test.tweets) {
+    for (const Token& t : tweet.tokens) {
+      if (subword.Split(t.text).piece_ids.size() == 1) single.push_back(t);
+    }
+  }
+  ASSERT_GE(single.size(), 40u);
+  for (int pieces = 1; pieces <= 40; ++pieces) {
+    tweets.emplace_back(single.begin(), single.begin() + pieces);
+  }
 
   std::vector<const std::vector<Token>*> views;
   for (const auto& t : tweets) views.push_back(&t);
