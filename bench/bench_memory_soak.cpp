@@ -166,6 +166,7 @@ struct SoakRun {
   std::vector<size_t> epoch_min_bytes;    // min across the epoch's barriers
   std::vector<size_t> epoch_rss_bytes;    // resident set after each epoch
   double state_bytes_per_candidate = 0;   // global state / live candidates
+  double tweet_bytes_per_tweet = 0;       // TweetBase / stored tweets
   MemoryGovernorStats stats;
   size_t accounting_mismatches = 0;       // samples where totals != recount
 };
@@ -197,11 +198,13 @@ SoakRun RunSoak(const Dataset& d, int replays, size_t batch_size,
         std::fprintf(stderr, "ProcessBatch failed: %s\n", st.ToString().c_str());
         std::exit(1);
       }
-      // The same accounting the governor uses (MemoryGovernor::ComputeBytes:
-      // every shard, the symbol table, the first-token dispatch and the gid
-      // index, plus the TweetBase), sampled at every batch barrier right
-      // after the governor's own pass so both runs' curves are directly
-      // comparable. The per-epoch minimum is the reclaim floor: the level
+      // The stores' own accounting (every shard, the symbol table, the
+      // first-token dispatch and the gid index, plus the TweetBase), sampled
+      // at every batch barrier right after the governor's own pass so both
+      // runs' curves are directly comparable. The governor itself decides
+      // on GovernedBytes(), which charges the per-shard structures by
+      // gid-level counts; the budget gate below holds the bytes the stores
+      // actually hold. The per-epoch minimum is the reclaim floor: the level
       // eviction sweeps return to.
       bytes = g.global_state().ApproxBytes() + g.tweet_base().ApproxBytes();
       const size_t recounted =
@@ -225,6 +228,9 @@ SoakRun RunSoak(const Dataset& d, int replays, size_t batch_size,
   run.state_bytes_per_candidate =
       static_cast<double>(state.ApproxBytes()) /
       std::max(1, state.num_live_candidates());
+  run.tweet_bytes_per_tweet =
+      static_cast<double>(g.tweet_base().ApproxBytes()) /
+      static_cast<double>(std::max<size_t>(1, g.tweet_base().size()));
   GlobalizerOutput out = g.Finalize().value();
   run.seconds = SecondsSince(start);
   run.f1 = EvaluateMentions(d, out.mentions).f1;
@@ -311,10 +317,11 @@ int main(int argc, char** argv) {
       emd::RunSoak(d, static_cast<int>(replays), batch_size, {});
   const size_t unbounded_final = unbounded.epoch_bytes.back();
   std::printf("  unbounded: %.1f KiB -> %.1f KiB, F1=%.4f (%.2fs), "
-              "%.0f state bytes/candidate\n",
+              "%.0f state bytes/candidate, %.0f TweetBase bytes/tweet\n",
               unbounded.epoch_bytes.front() / 1024.0,
               unbounded_final / 1024.0, unbounded.f1, unbounded.seconds,
-              unbounded.state_bytes_per_candidate);
+              unbounded.state_bytes_per_candidate,
+              unbounded.tweet_bytes_per_tweet);
   for (size_t e = 0; e < governed.epoch_bytes.size(); ++e) {
     std::printf("    epoch %zu: unbounded %8.1f KiB | governed %8.1f KiB "
                 "(floor %.1f KiB, rss %.1f MiB)\n",
@@ -363,6 +370,8 @@ int main(int argc, char** argv) {
                static_cast<double>(governed_final), "bytes");
   reporter.Add("memory_soak/unbounded_state_bytes_per_candidate", 1, 0,
                unbounded.state_bytes_per_candidate, "bytes");
+  reporter.Add("memory_soak/unbounded_tweet_bytes_per_tweet", 1, 0,
+               unbounded.tweet_bytes_per_tweet, "bytes");
   reporter.Add("memory_soak/budget", 1, 0,
                static_cast<double>(memory.budget_bytes), "bytes");
   reporter.Add("memory_soak/evicted", 1, 0,

@@ -8,8 +8,9 @@
 //
 // Memory governance: pooling can be exponentially time-decayed (configurable
 // half-life in stream positions) so stale evidence fades; cold candidates can
-// be evicted, freeing their record (the label column keeps the final verdict,
-// so already-emitted output stays stable). Pooling has one formula,
+// be evicted, freeing their record and its slot, which the next new record
+// reuses (the label column keeps the final verdict, so already-emitted output
+// stays stable). Pooling has one formula,
 // sum * (1 / weight); with decay off every scale is exactly 1 and the weight
 // the integer count, so it is bit-exact with the plain mean.
 //
@@ -91,37 +92,55 @@ struct CandidateRecord {
 // behind CandidateBase's running byte sum.
 static_assert(std::is_nothrow_move_constructible_v<CandidateRecord>);
 
-/// Dense store indexed by CTrie candidate id.
+/// Record store addressed by dense CTrie candidate id.
 class CandidateBase {
  public:
   /// Ensures a record exists for `candidate_id` (ids are dense CTrie ids).
+  /// A new record takes the most recently freed slot, if any.
   CandidateRecord& GetOrCreate(int candidate_id) {
-    if (candidate_id >= static_cast<int>(records_.size())) {
-      records_.resize(candidate_id + 1);
+    EMD_CHECK_GE(candidate_id, 0);
+    if (candidate_id >= static_cast<int>(slot_of_.size())) {
+      slot_of_.resize(candidate_id + 1, kNoSlot);
     }
-    CandidateRecord& rec = records_[candidate_id];
-    if (rec.candidate_id < 0) rec.candidate_id = candidate_id;
-    return rec;
+    int32_t& slot = slot_of_[candidate_id];
+    if (slot == kNoSlot) {
+      if (free_slots_.empty()) {
+        slot = static_cast<int32_t>(records_.size());
+        records_.emplace_back();
+      } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      records_[slot].candidate_id = candidate_id;
+    }
+    return records_[slot];
   }
 
   CandidateRecord& at(int candidate_id) {
-    EMD_CHECK_GE(candidate_id, 0);
-    EMD_CHECK_LT(candidate_id, static_cast<int>(records_.size()));
-    EMD_CHECK_GE(records_[candidate_id].candidate_id, 0);
-    return records_[candidate_id];
+    EMD_CHECK(Contains(candidate_id)) << "no record for id " << candidate_id;
+    return records_[slot_of_[candidate_id]];
   }
+  /// The record of `candidate_id`, or an empty record (candidate_id -1) for
+  /// an id that has none.
   const CandidateRecord& at(int candidate_id) const {
     EMD_CHECK_GE(candidate_id, 0);
-    EMD_CHECK_LT(candidate_id, static_cast<int>(records_.size()));
-    return records_[candidate_id];
+    EMD_CHECK_LT(candidate_id, static_cast<int>(slot_of_.size()));
+    const int32_t slot = slot_of_[candidate_id];
+    return slot == kNoSlot ? NoRecord() : records_[slot];
   }
 
   bool Contains(int candidate_id) const {
-    return candidate_id >= 0 && candidate_id < static_cast<int>(records_.size()) &&
-           records_[candidate_id].candidate_id >= 0;
+    return candidate_id >= 0 &&
+           candidate_id < static_cast<int>(slot_of_.size()) &&
+           slot_of_[candidate_id] != kNoSlot;
   }
 
-  size_t size() const { return records_.size(); }
+  /// Bound of the id space seen so far (ids with and without a record).
+  size_t size() const { return slot_of_.size(); }
+  /// Live records.
+  size_t num_records() const { return records_.size() - free_slots_.size(); }
+  /// The live records' payload bytes (the running sum). O(1).
+  size_t PayloadBytes() const { return record_bytes_; }
 
   /// Counts a mention at stream position `pos` (its tweet index) and pools
   /// its local embedding into the global embedding (incremental update of
@@ -167,13 +186,18 @@ class CandidateBase {
     }
   }
 
-  /// Frees the record for `candidate_id`. After eviction Contains() is
-  /// false; GetOrCreate for the same id is forbidden (the CTrie never
-  /// reissues pruned ids).
+  /// Frees the record for `candidate_id` and puts its slot on the free list;
+  /// once free slots outnumber live ones the pool is compacted. After
+  /// eviction Contains() is false; the id itself is never reissued (the CTrie
+  /// assigns fresh ids), so a dead id costs only its slot index. Invalidates
+  /// references to records.
   void Evict(int candidate_id) {
     CandidateRecord& rec = at(candidate_id);
     record_bytes_ -= rec.ApproxBytes();
     rec = CandidateRecord();
+    free_slots_.push_back(slot_of_[candidate_id]);
+    slot_of_[candidate_id] = kNoSlot;
+    if (free_slots_.size() * 2 > records_.size()) CompactRecords();
   }
 
   /// Approximate heap bytes across all live records. O(1).
@@ -207,8 +231,38 @@ class CandidateBase {
   bool retain_mention_embeddings() const { return retain_mention_embeddings_; }
 
  private:
+  static constexpr int32_t kNoSlot = -1;
+
+  static const CandidateRecord& NoRecord() {
+    static const CandidateRecord empty;
+    return empty;
+  }
+
+  /// Moves the live records to the front of the pool in slot order,
+  /// re-pointing their ids, and releases the free slots. O(pool), and only
+  /// run once as many records were evicted as remain live.
+  void CompactRecords() {
+    size_t live = 0;
+    for (size_t s = 0; s < records_.size(); ++s) {
+      const int id = records_[s].candidate_id;
+      if (id < 0) continue;
+      if (s != live) {
+        records_[live] = std::move(records_[s]);
+        slot_of_[id] = static_cast<int32_t>(live);
+      }
+      ++live;
+    }
+    records_.resize(live);
+    records_.shrink_to_fit();
+    free_slots_.clear();
+    free_slots_.shrink_to_fit();
+    record_bytes_ = WalkRecordBytes();
+  }
+
   size_t ContainerBytes() const {
-    return records_.capacity() * sizeof(CandidateRecord);
+    return slot_of_.capacity() * sizeof(int32_t) +
+           records_.capacity() * sizeof(CandidateRecord) +
+           free_slots_.capacity() * sizeof(int32_t);
   }
   size_t WalkRecordBytes() const {
     size_t bytes = 0;
@@ -218,7 +272,13 @@ class CandidateBase {
     return bytes;
   }
 
+  // Records live in slots: an id maps to its slot (kNoSlot once evicted or
+  // never created), an evicted record's slot is reused by the next new
+  // record, and the pool is compacted once it is mostly free, so it is
+  // bounded by the live count, not the id space.
+  std::vector<int32_t> slot_of_;
   std::vector<CandidateRecord> records_;
+  std::vector<int32_t> free_slots_;
   size_t record_bytes_ = 0;  // sum of live records' ApproxBytes()
   uint64_t decay_half_life_ = 0;
   double decay_lambda_ = 1.0;

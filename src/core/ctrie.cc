@@ -83,14 +83,24 @@ int CTrie::Insert(const FoldedPhrase& phrase, RootEdge* first) {
     if (!key.empty()) key += ' ';
     key += phrase.token(i);
   }
-  const int id = static_cast<int>(candidate_keys_.size());
+  const int id = static_cast<int>(entry_of_.size());
   nodes_[node].candidate_id = id;
-  candidate_keys_.push_back(std::move(key));
-  element_bytes_ += candidate_keys_.back().capacity();
-  const int length = static_cast<int>(phrase.size());
-  candidate_lengths_.push_back(length);
-  tombstoned_.push_back(0);
-  max_len_ = std::max(max_len_, length);
+  int32_t slot;
+  if (free_entries_.empty()) {
+    slot = static_cast<int32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    slot = free_entries_.back();
+    free_entries_.pop_back();
+    element_bytes_ -= entries_[slot].key.capacity();
+  }
+  Entry& entry = entries_[slot];
+  entry.key = std::move(key);
+  element_bytes_ += entry.key.capacity();
+  entry.length = static_cast<int>(phrase.size());
+  entry.id = id;
+  entry_of_.push_back(slot);
+  max_len_ = std::max(max_len_, entry.length);
   return id;
 }
 
@@ -115,15 +125,14 @@ int CTrie::CandidateAt(int node) const {
 }
 
 const std::string& CTrie::CandidateKey(int candidate_id) const {
-  EMD_CHECK_GE(candidate_id, 0);
-  EMD_CHECK_LT(candidate_id, num_candidates());
-  return candidate_keys_[candidate_id];
+  static const std::string kPrunedKey;
+  const int32_t slot = EntryOf(candidate_id);
+  return slot == kNoEntry ? kPrunedKey : entries_[slot].key;
 }
 
 int CTrie::CandidateLength(int candidate_id) const {
-  EMD_CHECK_GE(candidate_id, 0);
-  EMD_CHECK_LT(candidate_id, num_candidates());
-  return candidate_lengths_[candidate_id];
+  const int32_t slot = EntryOf(candidate_id);
+  return slot == kNoEntry ? 0 : entries_[slot].length;
 }
 
 int CTrie::Find(const FoldedPhrase& phrase) const {
@@ -141,26 +150,30 @@ int CTrie::Find(const std::vector<std::string>& tokens) const {
   return Find(phrase);
 }
 
-bool CTrie::IsTombstone(int candidate_id) const {
+int32_t CTrie::EntryOf(int candidate_id) const {
   EMD_CHECK_GE(candidate_id, 0);
   EMD_CHECK_LT(candidate_id, num_candidates());
-  return tombstoned_[candidate_id] != 0;
+  return entry_of_[candidate_id];
+}
+
+bool CTrie::IsTombstone(int candidate_id) const {
+  return EntryOf(candidate_id) == kNoEntry;
 }
 
 int CTrie::Prune(int candidate_id) {
-  EMD_CHECK_GE(candidate_id, 0);
-  EMD_CHECK_LT(candidate_id, num_candidates());
-  if (tombstoned_[candidate_id]) return 0;
+  const int32_t slot = EntryOf(candidate_id);
+  if (slot == kNoEntry) return 0;
+  Entry& entry = entries_[slot];
 
   // Re-walk the candidate's (already case-folded) key from the root,
   // remembering the path so empty suffix nodes can be unlinked bottom-up.
-  const std::string_view key = candidate_keys_[candidate_id];
+  const std::string_view key = entry.key;
   struct PathEdge {
     int parent;
     int32_t sym;
   };
   std::vector<PathEdge> path;
-  path.reserve(static_cast<size_t>(candidate_lengths_[candidate_id]));
+  path.reserve(static_cast<size_t>(entry.length));
   int node = root();
   size_t begin = 0;
   while (begin <= key.size()) {
@@ -178,13 +191,14 @@ int CTrie::Prune(int candidate_id) {
 
   EMD_CHECK_EQ(nodes_[node].candidate_id, candidate_id);
   nodes_[node].candidate_id = kNoCandidate;
-  tombstoned_[candidate_id] = 1;
-  std::string& dead_key = candidate_keys_[candidate_id];
-  element_bytes_ -= dead_key.capacity();
-  dead_key.clear();
-  dead_key.shrink_to_fit();
-  element_bytes_ += dead_key.capacity();
-  candidate_lengths_[candidate_id] = 0;
+  element_bytes_ -= entry.key.capacity();
+  entry.key.clear();
+  entry.key.shrink_to_fit();
+  element_bytes_ += entry.key.capacity();
+  entry.length = 0;
+  entry.id = kNoCandidate;
+  free_entries_.push_back(slot);
+  entry_of_[candidate_id] = kNoEntry;
   ++num_tombstones_;
 
   // Unlink nodes that no longer terminate a candidate and have no children.
@@ -201,31 +215,53 @@ int CTrie::Prune(int candidate_id) {
     ++pruned;
     node = path[i].parent;
   }
+  if (free_entries_.size() * 2 > entries_.size()) CompactEntries();
   return pruned;
 }
 
+void CTrie::CompactEntries() {
+  for (const Entry& entry : entries_) element_bytes_ -= entry.key.capacity();
+  size_t live = 0;
+  for (size_t s = 0; s < entries_.size(); ++s) {
+    const int id = entries_[s].id;
+    if (id == kNoCandidate) continue;
+    if (s != live) {
+      entries_[live] = std::move(entries_[s]);
+      entry_of_[id] = static_cast<int32_t>(live);
+    }
+    ++live;
+  }
+  entries_.resize(live);
+  entries_.shrink_to_fit();
+  free_entries_.clear();
+  free_entries_.shrink_to_fit();
+  for (const Entry& entry : entries_) element_bytes_ += entry.key.capacity();
+}
+
 int CTrie::AppendTombstone() {
-  const int id = static_cast<int>(candidate_keys_.size());
-  element_bytes_ += candidate_keys_.emplace_back().capacity();
-  candidate_lengths_.push_back(0);
-  tombstoned_.push_back(1);
+  const int id = static_cast<int>(entry_of_.size());
+  entry_of_.push_back(kNoEntry);
   ++num_tombstones_;
   return id;
 }
+
+size_t CTrie::EntryBytes() { return sizeof(Entry); }
+
+size_t CTrie::PathBytesPerToken() { return sizeof(Node) + sizeof(Edge); }
 
 size_t CTrie::ContainerBytes() const {
   // Edge token text lives once in the shared SymbolTable, which its owner
   // counts.
   return nodes_.capacity() * sizeof(Node) +
          free_nodes_.capacity() * sizeof(int) +
-         candidate_keys_.capacity() * sizeof(std::string) +
-         candidate_lengths_.capacity() * sizeof(int) +
-         tombstoned_.capacity() * sizeof(uint8_t);
+         entry_of_.capacity() * sizeof(int32_t) +
+         entries_.capacity() * sizeof(Entry) +
+         free_entries_.capacity() * sizeof(int32_t);
 }
 
 size_t CTrie::RecountBytes() const {
   size_t bytes = ContainerBytes();
-  for (const auto& key : candidate_keys_) bytes += key.capacity();
+  for (const Entry& entry : entries_) bytes += entry.key.capacity();
   for (const auto& node : nodes_) {
     bytes += node.sym_edges.capacity() * sizeof(Edge);
   }

@@ -15,7 +15,9 @@
 // Inserts), and tombstones the candidate id. Ids are dense and NEVER reused:
 // a pruned candidate that reappears in the stream is re-inserted under a
 // fresh id, so accumulated evidence restarts from zero — exactly the
-// semantics eviction wants. Pruning requires the same external
+// semantics eviction wants. A candidate's key and length live in an entry
+// slot that Prune frees for the next new candidate, so a tombstoned id costs
+// one slot index. Pruning requires the same external
 // synchronization as Insert (single writer, no concurrent scan): the
 // Globalizer only prunes at its batch merge barrier.
 
@@ -135,16 +137,17 @@ class CTrie {
   /// id. Caller must hold the single-writer contract (no concurrent scan).
   int Prune(int candidate_id);
 
-  /// True when `candidate_id` was pruned. Ids stay dense; tombstoned slots
-  /// are never reassigned.
+  /// True when `candidate_id` was pruned. Ids stay dense; tombstoned ids
+  /// are never reassigned (their entry slots are).
   bool IsTombstone(int candidate_id) const;
 
-  /// Restore-path only: appends a tombstoned id slot (no trie nodes) so a
-  /// checkpointed id space including holes rebuilds exactly. Returns the id.
+  /// Restore-path only: appends a tombstoned id (no trie nodes, no entry) so
+  /// a checkpointed id space including holes rebuilds exactly. Returns the
+  /// id.
   int AppendTombstone();
 
   /// Total ids ever assigned, including tombstones (dense id space bound).
-  int num_candidates() const { return static_cast<int>(candidate_keys_.size()); }
+  int num_candidates() const { return static_cast<int>(entry_of_.size()); }
 
   /// Live (non-tombstoned) candidates.
   int num_live_candidates() const {
@@ -156,15 +159,22 @@ class CTrie {
     return static_cast<int>(nodes_.size() - free_nodes_.size());
   }
 
-  /// Approximate heap bytes held by the trie: node slots, edge arrays, and
-  /// candidate key strings. An estimate for the memory governor's budget
+  /// Approximate heap bytes held by the trie: node slots, edge arrays, the
+  /// id -> entry map and the entries' key strings. An estimate for byte
   /// accounting, not an allocator-exact figure. O(1): edge arrays and key
-  /// strings are running sums kept by Insert / Prune / AppendTombstone.
+  /// strings are running sums kept by Insert and Prune.
   size_t ApproxBytes() const { return ContainerBytes() + element_bytes_; }
 
   /// The same figure by walking every node and key: the oracle ApproxBytes()
   /// must equal. O(nodes).
   size_t RecountBytes() const;
+
+  /// Bytes the governor's shard-independent figure charges per live
+  /// candidate (its entry slot) and per token of its key (a node and the
+  /// edge to it, as if no prefix were shared). See
+  /// ShardedGlobalState::GovernedBytes.
+  static size_t EntryBytes();
+  static size_t PathBytesPerToken();
 
   /// Longest depth of any registered candidate (scan window bound k of
   /// §V-A). Monotonic: pruning does not shrink it — a stale upper bound only
@@ -180,8 +190,23 @@ class CTrie {
     int candidate_id = kNoCandidate;
   };
 
+  /// A live candidate's case-folded key and token count, and its id
+  /// (kNoCandidate while the slot is free).
+  struct Entry {
+    std::string key;
+    int length = 0;
+    int id = kNoCandidate;
+  };
+  static constexpr int32_t kNoEntry = -1;
+
   static bool EdgeLess(const Edge& e, int32_t sym) { return e.first < sym; }
 
+  /// Entry slot of a candidate id (kNoEntry when tombstoned).
+  int32_t EntryOf(int candidate_id) const;
+  /// Moves the live entries to the front in slot order, re-pointing their
+  /// ids, and releases the free slots. Prune runs it once free slots
+  /// outnumber live ones, so its O(entries) cost is amortised.
+  void CompactEntries();
   int AllocNode();
   /// Resets a slot to an empty node, releasing its edge array.
   void ClearNode(int node);
@@ -193,12 +218,15 @@ class CTrie {
 
   std::vector<Node> nodes_;
   std::vector<int> free_nodes_;  // recycled slots from Prune
-  std::vector<std::string> candidate_keys_;
-  std::vector<int> candidate_lengths_;
-  std::vector<uint8_t> tombstoned_;
+  // Candidate id -> entry slot (kNoEntry: tombstoned). Pruned entries go on
+  // a free list and are recycled by later Inserts; CompactEntries releases
+  // them once they outnumber the live ones.
+  std::vector<int32_t> entry_of_;
+  std::vector<Entry> entries_;
+  std::vector<int32_t> free_entries_;
   int num_tombstones_ = 0;
   int max_len_ = 0;
-  // Edge-array bytes of every node plus the capacity of every key string.
+  // Edge-array bytes of every node plus the capacity of every entry's key.
   size_t element_bytes_ = 0;
   SymbolTable* symbols_;  // not owned
 };

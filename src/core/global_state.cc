@@ -48,6 +48,9 @@ int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
     // Freshly discovered candidate: next gid in global discovery order.
     const int gid = AppendGid({shard, local});
     sh.local_to_gid.push_back(gid);
+    live_key_bytes_ += sh.trie.CandidateKey(local).capacity();
+    live_key_tokens_ += phrase.size();
+    peak_key_tokens_ = std::max(peak_key_tokens_, live_key_tokens_);
     return gid;
   }
   return sh.local_to_gid[local];
@@ -76,6 +79,10 @@ void ShardedGlobalState::RegisterFirstToken(int shard, CTrie::RootEdge first) {
   if (it != list.end() && it->shard == shard) {
     EMD_CHECK_EQ(it->node, node);  // root edges are stable until pruned
     return;
+  }
+  if (list.empty()) {
+    ++live_first_tokens_;
+    peak_first_tokens_ = std::max(peak_first_tokens_, live_first_tokens_);
   }
   dispatch_bytes_ -= list.capacity() * sizeof(DispatchEntry);
   list.insert(it, {shard, node});
@@ -283,17 +290,30 @@ void ShardedGlobalState::Evict(int gid) {
 void ShardedGlobalState::MarkDirty(int gid) {
   EMD_CHECK_LT(static_cast<size_t>(gid), flags_.size());
   if ((flags_[gid] & kDirtyFlag) != 0) return;
+  // A full list first drops its stale entries, so candidates evicted
+  // between Finalizes do not grow it with the id space. It doubles when
+  // that frees less than half, which keeps the compaction amortised.
+  if (!dirty_.empty() && dirty_.size() == dirty_.capacity()) {
+    CompactDirty();
+    if (dirty_.size() * 2 > dirty_.capacity()) {
+      dirty_.reserve(2 * dirty_.capacity());
+    }
+  }
   flags_[gid] |= kDirtyFlag;
   dirty_.push_back(gid);
 }
 
-const std::vector<int>& ShardedGlobalState::DirtyGids() {
+void ShardedGlobalState::CompactDirty() {
   // An entry is stale once SetLabel / Evict cleared its flag, and repeated
   // when the gid was re-marked after that.
   std::erase_if(dirty_,
                 [this](int gid) { return (flags_[gid] & kDirtyFlag) == 0; });
   std::sort(dirty_.begin(), dirty_.end());
   dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+}
+
+const std::vector<int>& ShardedGlobalState::DirtyGids() {
+  CompactDirty();
   return dirty_;
 }
 
@@ -328,6 +348,10 @@ int ShardedGlobalState::Prune(int gid) {
   // and releases edge references (the symbol itself may die with them).
   const std::string& key = sh.trie.CandidateKey(r.local);
   int32_t first_sym = SymbolTable::kNoSymbol;
+  if (!sh.trie.IsTombstone(r.local)) {
+    live_key_bytes_ -= key.capacity();
+    live_key_tokens_ -= static_cast<size_t>(sh.trie.CandidateLength(r.local));
+  }
   if (!key.empty()) {
     const size_t space = key.find(' ');
     first_sym = symbols_->Lookup(std::string_view(key).substr(
@@ -345,7 +369,10 @@ int ShardedGlobalState::Prune(int gid) {
     auto it = std::lower_bound(
         list.begin(), list.end(), r.shard,
         [](const DispatchEntry& e, int shard) { return e.shard < shard; });
-    if (it != list.end() && it->shard == r.shard) list.erase(it);
+    if (it != list.end() && it->shard == r.shard) {
+      list.erase(it);
+      if (list.empty()) --live_first_tokens_;
+    }
   }
   return pruned;
 }
@@ -372,6 +399,51 @@ size_t ShardedGlobalState::ApproxBytes() const {
       symbols_->ApproxBytes() + SharedContainerBytes() + dispatch_bytes_;
   for (int s = 0; s < shard_count(); ++s) bytes += ShardApproxBytes(s);
   return bytes;
+}
+
+namespace {
+
+// Per gid, the governor's figure charges the three int32 index columns that
+// grow with the id space: the shard's local -> gid map, the trie's entry
+// index and the record store's slot index.
+constexpr size_t kIndexBytesPerGid = 3 * sizeof(int32_t);
+
+}  // namespace
+
+size_t ShardedGlobalState::GovernedBaseBytes() const {
+  size_t records = 0;
+  size_t payload = 0;
+  for (const Shard& sh : shards_) {
+    records += sh.candidates.num_records();
+    payload += sh.candidates.PayloadBytes();
+  }
+  return symbols_->ApproxBytes() + SharedContainerBytes() +
+         gids_.capacity() * kIndexBytesPerGid +
+         static_cast<size_t>(num_live_candidates()) * CTrie::EntryBytes() +
+         records * sizeof(CandidateRecord) + payload;
+}
+
+size_t ShardedGlobalState::GovernedBytes() const {
+  return GovernedBaseBytes() + live_key_bytes_ +
+         peak_key_tokens_ * CTrie::PathBytesPerToken() +
+         peak_first_tokens_ * sizeof(DispatchEntry);
+}
+
+size_t ShardedGlobalState::RecountGovernedBytes() const {
+  size_t key_bytes = 0, key_tokens = 0, first_tokens = 0;
+  for (int gid = 0; gid < num_candidates(); ++gid) {
+    if (IsTombstone(gid)) continue;
+    key_bytes += CandidateKey(gid).capacity();
+    key_tokens += static_cast<size_t>(CandidateLength(gid));
+  }
+  for (const auto& list : first_token_) first_tokens += !list.empty();
+  // The peaks are history a walk cannot see; it checks that they bound the
+  // live counts it finds.
+  EMD_CHECK_LE(key_tokens, peak_key_tokens_);
+  EMD_CHECK_LE(first_tokens, peak_first_tokens_);
+  return GovernedBaseBytes() + key_bytes +
+         peak_key_tokens_ * CTrie::PathBytesPerToken() +
+         peak_first_tokens_ * sizeof(DispatchEntry);
 }
 
 size_t ShardedGlobalState::ShardApproxBytes(int shard) const {

@@ -200,6 +200,17 @@ class ShardedGlobalState {
   size_t ApproxBytes() const;
   /// Approximate heap bytes held by one shard. O(1).
   size_t ShardApproxBytes(int shard) const;
+  /// The memory governor's figure for the global state: ApproxBytes() with
+  /// every per-shard structure charged by gid-level counts instead of its
+  /// containers (live candidates and records, their key bytes, the peak
+  /// token and first-token counts, the gid map's capacity), so it is the
+  /// same at any shard count and so are the governor's eviction decisions
+  /// (docs/MEMORY.md, "Byte accounting"). O(shards).
+  size_t GovernedBytes() const;
+  /// The same figure with the live key bytes, token count and first-token
+  /// count taken from a walk of every live candidate and dispatch list: the
+  /// oracle GovernedBytes() must equal. O(state).
+  size_t RecountGovernedBytes() const;
   /// The same two figures by walking every node, record and symbol: the
   /// oracle the running sums must equal. O(state).
   size_t RecountBytes() const;
@@ -250,6 +261,9 @@ class ShardedGlobalState {
   /// Tallies and marks a freshly created record (kUnlabeled).
   void OnRecordCreated(int gid);
 
+  /// Drops the dirty list's stale and repeated entries and sorts it.
+  void CompactDirty();
+
   /// Registers a folded phrase in the shard its key routes to.
   int InsertFolded(const FoldedPhrase& phrase);
 
@@ -257,6 +271,9 @@ class ShardedGlobalState {
   /// `first.node`, the root child the trie insert stepped to. Idempotent;
   /// called after every trie insert.
   void RegisterFirstToken(int shard, CTrie::RootEdge first);
+
+  /// The GovernedBytes terms that do not depend on the running sums.
+  size_t GovernedBaseBytes() const;
 
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running
@@ -291,6 +308,15 @@ class ShardedGlobalState {
   FoldedPhrase register_scratch_;
   // Capacity bytes of every first_token_ list, kept by RegisterFirstToken.
   size_t dispatch_bytes_ = 0;
+  // GovernedBytes terms kept by registration and Prune: the live
+  // candidates' key capacities and token counts, and the symbols with a
+  // non-empty dispatch list, with the peaks of the last two (trie node slots
+  // and dispatch lists are recycled but never released).
+  size_t live_key_bytes_ = 0;
+  size_t live_key_tokens_ = 0;
+  size_t peak_key_tokens_ = 0;
+  size_t live_first_tokens_ = 0;
+  size_t peak_first_tokens_ = 0;
   // Lazily resolved per-shard gauges (registry owns the objects).
   std::vector<obs::Gauge*> shard_candidate_gauges_;
   std::vector<obs::Gauge*> shard_byte_gauges_;

@@ -118,7 +118,8 @@ size_t Globalizer::EmbeddingDim() const {
   return system_->is_deep() ? phrase_embedder_->out_dim() : kNumSyntacticCategories;
 }
 
-void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
+void Globalizer::EmbedMentions(const std::vector<Token>& tokens,
+                               const Mat& token_embeddings, size_t tweet_index,
                                ForwardArena* arena, RescanScratch* scratch,
                                ExtractStage* stage) const {
   const std::vector<ExtractedMention>& extracted = stage->extracted;
@@ -129,7 +130,7 @@ void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
   // has no token embeddings; its mentions survive with no embedding
   // contribution.
   const bool deep = system_->is_deep();
-  const Mat& tok = record.token_embeddings;
+  const Mat& tok = token_embeddings;
   if (deep && tok.empty()) return;
   // Each embedded mention gets the next row of the lane's buffer, so the
   // tweet's rows are contiguous from `first`, in `spans` order.
@@ -154,7 +155,7 @@ void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
   float* out = rows.data() + first * dim;
   if (!deep) {
     for (size_t k = 0; k < spans.size(); ++k) {
-      SyntacticEmbedding(record.tokens, spans[k], {out + k * dim, dim});
+      SyntacticEmbedding(tokens, spans[k], {out + k * dim, dim});
     }
     return;
   }
@@ -293,13 +294,12 @@ void Globalizer::FillLocalStage(const AnnotatedTweet& tweet,
                                 LocalStage* stage) {
   stage->record.tweet_id = tweet.tweet_id;
   stage->record.sentence_id = tweet.sentence_id;
-  stage->record.tokens = tweet.tokens;
   if (!local.ok()) {
     stage->status = local.status();
     stage->record.quarantined = true;
     return;
   }
-  stage->record.token_embeddings = std::move(local->token_embeddings);
+  stage->token_embeddings = std::move(local->token_embeddings);
   for (const TokenSpan& span : local->mentions) {
     if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
     RecordedMention m;
@@ -327,7 +327,8 @@ CandidateLabel Globalizer::LabelFor(float probability,
 }
 
 void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
-                               size_t first_index, int lanes) {
+                               size_t first_index, int lanes,
+                               std::vector<Mat>* token_embeddings) {
   const size_t n = batch.size();
   const int chunks =
       static_cast<int>(std::max<size_t>(1, std::min<size_t>(lanes, n)));
@@ -388,11 +389,12 @@ void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
       breaker_.AllowRequest();
       breaker_.RecordSuccess();
     }
-    MergeLocalStage(batch[i], std::move(staged[i]));
+    MergeLocalStage(batch[i], std::move(staged[i]), &(*token_embeddings)[i]);
   }
 }
 
-void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage) {
+void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage,
+                                 Mat* token_embeddings) {
   num_retries_ += stage.retries;
   if (stage.retries > 0) Counters().retries->Increment(stage.retries);
   Counters().tweets->Increment();
@@ -405,14 +407,15 @@ void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage) 
     EMD_LOG(Warn) << "quarantined tweet " << tweet.tweet_id << ": "
                   << stage.status;
     DeadLetter(tweet, stage.status);
-    tweets_.Add(std::move(stage.record), stage.mentions);
+    tweets_.Add(stage.record, tweet.tokens, stage.mentions);
     return;
   }
   if (stage.via_fallback) {
     ++num_fallback_;
     Counters().fallback->Increment();
   }
-  tweets_.Add(std::move(stage.record), stage.mentions);
+  tweets_.Add(stage.record, tweet.tokens, stage.mentions);
+  *token_embeddings = std::move(stage.token_embeddings);
 }
 
 Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
@@ -431,20 +434,23 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   // the determinism barrier that keeps parallel output identical to serial.
   const int lanes = LocalLanes();
   last_local_lanes_ = (batch.size() > 1) ? lanes : 1;
-  {
-    const Timer local_timer;
-    EMD_TRACE_SPAN("local_emd");
-    RunLocalStage(batch, first_index, lanes);
-    local_seconds_ += local_timer.ElapsedSeconds();
-  }
-
-  // ---- Step 2+3: Global EMD over this batch (none in kLocalOnly). ----
-  const Timer global_timer;
+  Timer global_timer;
   const bool local_only = options_.mode == GlobalizerOptions::Mode::kLocalOnly;
-  if (!local_only) ExtractAndPool(first_index);
-  // Only the re-scan's embedding step reads token embeddings: every mode
-  // drops the batch's here, so they never outlive one batch.
-  tweets_.ReleaseEmbeddings(first_index, tweets_.size());
+  {
+    // The batch's token embeddings are staged here, beside the batch: only
+    // the re-scan's embedding step reads them, so they never outlive it.
+    std::vector<Mat> token_embeddings(batch.size());
+    {
+      const Timer local_timer;
+      EMD_TRACE_SPAN("local_emd");
+      RunLocalStage(batch, first_index, lanes, &token_embeddings);
+      local_seconds_ += local_timer.ElapsedSeconds();
+    }
+
+    // ---- Step 2+3: Global EMD over this batch (none in kLocalOnly). ----
+    global_timer.Reset();
+    if (!local_only) ExtractAndPool(batch, token_embeddings, first_index);
+  }
   Counters().batches->Increment();
 
   // Memory governance runs at this same single-writer barrier: the trie and
@@ -462,17 +468,19 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   return Status::OK();
 }
 
-void Globalizer::ExtractAndPool(size_t first_index) {
+void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
+                                std::span<const Mat> token_embeddings,
+                                size_t first_index) {
   EMD_TRACE_SPAN("ctrie_extract");
 
   // Register this batch's seed candidates in the sharded global state
   // (single writer: the tries and CandidateBases only ever grow on this
   // thread). Gids come out in discovery order, identical at any shard count.
   for (size_t i = first_index; i < tweets_.size(); ++i) {
-    const TweetRecord& record = tweets_.at(i);
-    if (record.quarantined) continue;
+    if (tweets_.at(i).quarantined) continue;
+    const std::vector<Token>& tokens = batch[i - first_index].tokens;
     for (RecordedMention& m : tweets_.mutable_mentions(i)) {
-      m.candidate_id = state_.Insert(record.tokens, m.span);
+      m.candidate_id = state_.Insert(tokens, m.span);
       state_.GetOrCreate(m.candidate_id);
     }
   }
@@ -481,7 +489,7 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   // and collect local embeddings. The trie is frozen for the rest of the
   // cycle, and the extractor + phrase embedder are const over shared state,
   // so this stage fans out per tweet regardless of the local system.
-  const size_t count = tweets_.size() - first_index;
+  const size_t count = batch.size();
   std::vector<ExtractStage> staged(count);
   const size_t slots = static_cast<size_t>(std::max(1, options_.num_threads));
   if (lane_arenas_.size() < slots) lane_arenas_.resize(slots);
@@ -490,14 +498,14 @@ void Globalizer::ExtractAndPool(size_t first_index) {
   ParallelForOrSerial(
       options_.num_threads > 1 ? pool_.get() : nullptr, count,
       [&](int slot, size_t idx) {
-        const TweetRecord& record = tweets_.at(first_index + idx);
-        if (record.quarantined) return;
+        if (tweets_.at(first_index + idx).quarantined) return;
+        const std::vector<Token>& tokens = batch[idx].tokens;
         ExtractStage& stage = staged[idx];
         stage.lane = slot;
-        state_.ExtractInto(record.tokens, &rescan_scratch_[slot].scan,
+        state_.ExtractInto(tokens, &rescan_scratch_[slot].scan,
                            &stage.extracted);
-        EmbedMentions(record, first_index + idx, &lane_arenas_[slot],
-                      &rescan_scratch_[slot], &stage);
+        EmbedMentions(tokens, token_embeddings[idx], first_index + idx,
+                      &lane_arenas_[slot], &rescan_scratch_[slot], &stage);
       });
 
   // Deterministic merge barrier. Phase A walks the batch in tweet order —

@@ -331,6 +331,7 @@ class Globalizer {
   /// append plus the resilience outcome, merged serially in tweet order.
   struct LocalStage {
     TweetRecord record;
+    Mat token_embeddings;
     std::vector<RecordedMention> mentions;
     Status status = Status::OK();
     bool via_fallback = false;
@@ -381,7 +382,8 @@ class Globalizer {
   /// tweet). An out-of-range span degrades to no embedding; a tweet without
   /// token embeddings (a non-deep fallback served it) contributes none and
   /// degrades nothing. Degraded mentions are counted in stage->degraded.
-  void EmbedMentions(const TweetRecord& record, size_t tweet_index,
+  void EmbedMentions(const std::vector<Token>& tokens,
+                     const Mat& token_embeddings, size_t tweet_index,
                      ForwardArena* arena, RescanScratch* scratch,
                      ExtractStage* stage) const;
 
@@ -393,10 +395,10 @@ class Globalizer {
                                            LocalEmdSystem* primary, Rng* rng,
                                            int* retries, bool* via_fallback);
 
-  /// The one LocalEmdResult -> TweetRecord conversion, shared by the happy
-  /// and resilient halves of the local stage: identity and tokens come
-  /// from the tweet; a failed `local` quarantines the record, a successful
-  /// one contributes its token embeddings and every in-range mention span.
+  /// The one LocalEmdResult -> LocalStage conversion, shared by the happy
+  /// and resilient halves of the local stage: identity comes from the
+  /// tweet; a failed `local` quarantines the record, a successful one
+  /// contributes its token embeddings and every in-range mention span.
   static void FillLocalStage(const AnnotatedTweet& tweet,
                              Result<LocalEmdResult> local, LocalStage* stage);
 
@@ -424,18 +426,26 @@ class Globalizer {
   /// breaker closed — each chunk is one ProcessBatched call, whatever the
   /// system. Otherwise each tweet of the chunk runs LocalEmdResilient with
   /// TaskRng(index). A single-threaded loop then merges in tweet order,
-  /// replaying the breaker bookkeeping on the happy path.
+  /// replaying the breaker bookkeeping on the happy path. Tweet i's token
+  /// embeddings (empty when quarantined or served by a non-deep fallback)
+  /// land in (*token_embeddings)[i], the batch's own staging.
   void RunLocalStage(std::span<const AnnotatedTweet> batch, size_t first_index,
-                     int lanes);
+                     int lanes, std::vector<Mat>* token_embeddings);
 
-  /// Folds a computed local stage into TweetBase + counters, in tweet order.
-  void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage);
+  /// Folds a computed local stage into TweetBase + counters, in tweet order,
+  /// and moves its token embeddings to `*token_embeddings`.
+  void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage,
+                       Mat* token_embeddings);
 
-  /// Steps 2+3 over the records from `first_index` on: registers their seed
-  /// candidates, re-scans them against every known candidate, embeds the
-  /// matches into the lanes' rows and pools them at the merge barrier, one
-  /// shard bucket of PoolOps each. Timed as the `ctrie_extract` span.
-  void ExtractAndPool(size_t first_index);
+  /// Steps 2+3 over `batch`, stored as the records from `first_index` on:
+  /// registers their seed candidates, re-scans them against every known
+  /// candidate, embeds the matches into the lanes' rows and pools them at
+  /// the merge barrier, one shard bucket of PoolOps each. Tokens are read
+  /// from `batch` itself, embeddings from the batch's staging. Timed as the
+  /// `ctrie_extract` span.
+  void ExtractAndPool(std::span<const AnnotatedTweet> batch,
+                      std::span<const Mat> token_embeddings,
+                      size_t first_index);
 
   /// Deterministic per-tweet RNG for retry jitter: the draws depend on the
   /// tweet's stream index only, not on the lane or chunk that runs it.

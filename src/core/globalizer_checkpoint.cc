@@ -67,6 +67,7 @@
 // embedding_weight = embedding_count and last positions derived from the
 // mention list, which is exactly the ungoverned state they were saved in.
 
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
@@ -296,8 +297,10 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     binio::AppendI32(&buf, rec.sentence_id);
     binio::AppendU8(&buf, rec.quarantined ? 1 : 0);
     binio::AppendU8(&buf, rec.trimmed ? 1 : 0);
-    binio::AppendU32(&buf, static_cast<uint32_t>(rec.tokens.size()));
-    for (const Token& tok : rec.tokens) {
+    const TweetBase::Tokens tokens = tweets_.tokens(i);
+    binio::AppendU32(&buf, static_cast<uint32_t>(tokens.size()));
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      const StoredToken tok = tokens[t];
       binio::AppendString(&buf, tok.text);
       binio::AppendU64(&buf, tok.begin);
       binio::AppendU64(&buf, tok.end);
@@ -556,6 +559,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     return Status::Corruption("checkpoint ", path, " cursor ", cursor,
                               " does not match ", num_tweets, " tweet records");
   }
+  std::vector<Token> tokens;
   std::vector<RecordedMention> mentions;
   for (uint64_t i = 0; i < num_tweets; ++i) {
     TweetRecord rec;
@@ -573,23 +577,32 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     uint32_t num_tokens = 0;
     EMD_RETURN_IF_ERROR(
         ReadCount(&reader, kMinTokenBytes, "token", &num_tokens));
-    rec.tokens.reserve(num_tokens);
-    for (uint32_t t = 0; t < num_tokens; ++t) {
-      Token tok;
+    if (rec.trimmed && num_tokens > 0) {
+      return Status::Corruption("checkpoint ", path, " trimmed tweet record ",
+                                i, " holds ", num_tokens, " tokens");
+    }
+    // The strings of `tokens` keep their capacity from record to record.
+    tokens.resize(num_tokens);
+    for (Token& tok : tokens) {
       uint64_t begin = 0, end = 0;
       uint8_t kind = 0;
       EMD_RETURN_IF_ERROR(reader.ReadString(&tok.text));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&begin));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&end));
       EMD_RETURN_IF_ERROR(reader.ReadU8(&kind));
-      tok.begin = begin;
-      tok.end = end;
+      // The TweetBase keeps source offsets in 32 bits.
+      if (begin > UINT32_MAX || end > UINT32_MAX) {
+        return Status::Corruption("checkpoint ", path, " token offsets [",
+                                  begin, ", ", end, ") of tweet record ", i,
+                                  " do not fit in 32 bits");
+      }
       if (kind > static_cast<uint8_t>(TokenKind::kPunct)) {
         return Status::Corruption("checkpoint ", path, " bad token kind ",
                                   int(kind));
       }
+      tok.begin = begin;
+      tok.end = end;
       tok.kind = static_cast<TokenKind>(kind);
-      rec.tokens.push_back(std::move(tok));
     }
     uint32_t num_mentions = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinTweetMentionBytes,
@@ -604,7 +617,14 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       EMD_RETURN_IF_ERROR(reader.ReadU64(&end));
       EMD_RETURN_IF_ERROR(reader.ReadI32(&mention.candidate_id));
       EMD_RETURN_IF_ERROR(reader.ReadU8(&local));
-      mention.span = TokenSpan{begin, end};
+      // The TweetBase keeps mention spans in 32 bits.
+      if (begin > UINT32_MAX || end > UINT32_MAX) {
+        return Status::Corruption("checkpoint ", path, " mention span [", begin,
+                                  ", ", end, ") of tweet record ", i,
+                                  " does not fit in 32 bits");
+      }
+      mention.span = MentionSpan(static_cast<uint32_t>(begin),
+                                 static_cast<uint32_t>(end));
       mention.locally_detected = local != 0;
       if (mention.candidate_id < -1 ||
           mention.candidate_id >= static_cast<int>(num_candidates)) {
@@ -613,7 +633,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       }
       mentions.push_back(mention);
     }
-    tweets.Add(std::move(rec), mentions);
+    tweets.Add(rec, tokens, mentions);
   }
 
   // CandidateBase. Slots are gid-ordered; v5 always writes one per gid,
@@ -677,7 +697,10 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       EMD_RETURN_IF_ERROR(reader.ReadU64(&begin));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&end));
       EMD_RETURN_IF_ERROR(reader.ReadU8(&local));
-      same = want[m] == TweetMention{tweet, {{begin, end}, int(c), local != 0}};
+      const auto& [want_tweet, want_mention] = want[m];
+      same = want_tweet == tweet && want_mention.span.begin == begin &&
+             want_mention.span.end == end &&
+             want_mention.locally_detected == (local != 0);
       rec.last_mention_pos = tweet;  // tweet order: the last is the largest
     }
     if (!same) {

@@ -74,7 +74,7 @@ void MemoryGovernor::RestoreStats(const MemoryGovernorStats& stats) {
 }
 
 size_t MemoryGovernor::ComputeBytes() const {
-  return state_->ApproxBytes() + tweets_->ApproxBytes();
+  return state_->GovernedBytes() + tweets_->ApproxBytes();
 }
 
 void MemoryGovernor::Run(const std::function<size_t()>& reclassify) {
@@ -133,14 +133,11 @@ void MemoryGovernor::Run(const std::function<size_t()>& reclassify) {
 size_t MemoryGovernor::Reclaim(size_t bytes) {
   // Rung 1: trim token text of every record that already finished Global
   // EMD — pure savings, no output impact (mentions/spans are retained).
-  if (trim_cursor_ < tweets_->size()) {
-    const size_t trimmed = tweets_->TrimTokens(trim_cursor_, tweets_->size());
-    trim_cursor_ = tweets_->size();
-    if (trimmed > 0) {
-      stats_.trimmed_tweets += trimmed;
-      Counters().trimmed->Increment(trimmed);
-      bytes = ComputeBytes();
-    }
+  const size_t trimmed = tweets_->TrimTokens(tweets_->size());
+  if (trimmed > 0) {
+    stats_.trimmed_tweets += trimmed;
+    Counters().trimmed->Increment(trimmed);
+    bytes = ComputeBytes();
   }
 
   const size_t target =
@@ -189,7 +186,6 @@ bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
     // is atomic — record freed and trie pruned together — so state stays
     // checkpointable mid-sweep).
     if (!EMD_FAILPOINT("core.memory_governor.evict").ok()) return false;
-    const size_t freed = state_->at(id).ApproxBytes();
     state_->Evict(id);
     // Prune also unwinds the scan index: per-edge symbol references
     // are released (dead symbol ids recycle) and the shard's first-token
@@ -200,7 +196,7 @@ bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
     stats_.pruned_nodes += static_cast<uint64_t>(pruned);
     Counters().evicted->Increment();
     Counters().pruned->Increment(static_cast<uint64_t>(pruned));
-    *bytes -= std::min(*bytes, freed);
+    *bytes = ComputeBytes();
   }
   return true;
 }

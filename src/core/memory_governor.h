@@ -7,10 +7,13 @@
 // an operator-set byte budget with graceful, observable degradation instead
 // of an OOM kill:
 //
-//   * byte accounting — ApproxBytes() over the three stores, read at every
-//     batch barrier and exported as gauges. Each store keeps its
-//     per-element bytes as running sums, so a read is O(shards), not a walk
-//     of the state (RecountBytes() is the walk, kept as the test oracle);
+//   * byte accounting — the global state's GovernedBytes() plus the
+//     TweetBase's ApproxBytes(), read at every batch barrier and exported as
+//     gauges. GovernedBytes() charges per-shard structures by gid-level
+//     counts, so every decision below is the same at any shard count. Each
+//     store keeps its per-element bytes as running sums, so a read is
+//     O(shards), not a walk of the state (the Recount* walks are kept as
+//     test oracles);
 //   * soft watermark — reclaim in escalating rungs: trim token text of
 //     tweets that finished Global EMD, then evict cold candidates (coldest
 //     first by last-mention recency; confirmed non-entities before
@@ -139,8 +142,8 @@ class MemoryGovernor {
   size_t ComputeBytes() const;
   /// Escalating reclamation; returns bytes after the sweep.
   size_t Reclaim(size_t bytes);
-  /// Evicts cold candidates of the given tier until `bytes` (an in/out
-  /// running estimate) reaches `target` or victims run out. Tier 0 =
+  /// Evicts cold candidates of the given tier until `bytes` (in/out, re-read
+  /// after each victim) falls below `target` or victims run out. Tier 0 =
   /// confirmed non-entities, tier 1 = ambiguous/unlabeled past
   /// min_retain_tweets. Returns false when the eviction failpoint fired
   /// (sweep aborted).
@@ -154,7 +157,6 @@ class MemoryGovernor {
   std::atomic<size_t> governed_bytes_{0};
   MemoryGovernorStats stats_;
   uint64_t batches_ = 0;
-  size_t trim_cursor_ = 0;  // TweetBase prefix already trimmed
 };
 
 }  // namespace emd

@@ -1,12 +1,24 @@
 // TweetBase — per-sentence record store of §IV: one entry per
-// (tweet id, sentence id), holding the detected mentions (updated as the
-// sentence moves through Global EMD) and, while its batch is in flight, the
-// deep system's token-level entity-aware embeddings.
+// (tweet id, sentence id), holding the sentence's tokens and the detected
+// mentions (updated as the sentence moves through Global EMD). It is the
+// one store that grows for the life of a stream, so it keeps each token
+// once, in compact form.
 //
-// Layout: records hold identity, tokens and in-flight embeddings; every
-// record's mentions live in one flat RecordedMention array, record i owning
+// Layout: records live in fixed-size segments of kSegmentRecords records,
+// record i in segment i / kSegmentRecords. A segment holds its records'
+// identity and flags, one char arena with every token's text back to back,
+// and flat per-token columns (text end in the arena, source begin/end, kind)
+// with per-record token offsets: 13 B per token plus its text, and no heap
+// block per token or per record. A segment's columns are shrunk to fit
+// when its last record arrives, so only the open segment carries growth
+// slack, and a growth step copies at most one segment: never the whole
+// store. Every record's mentions live in one flat RecordedMention array
+// (16 B each: 32-bit span ends, candidate id and origin), record i owning
 // [offsets_[i], offsets_[i + 1]), so the output walk of Finalize is one
 // sequential pass over two arrays.
+//
+// The pipeline reads a batch's tokens from the batch itself; stored tokens
+// are read back (tokens()) by the checkpoint writer and by tests.
 //
 // Mention rewrites are suffix-only: the merge barrier rewrites the current
 // batch, which is always the store's tail, so ReplaceMentionTail replaces
@@ -14,35 +26,61 @@
 // Earlier records' mentions are written once (Add) and afterwards only their
 // candidate ids change, in place (mutable_mentions).
 //
-// Memory governance: old records can have their token text trimmed once no
-// future stage needs it (tokens serve the current batch's candidate re-scan
-// and checkpointing; mention spans and ids — the output — are retained).
+// Memory governance: token text can be trimmed once no future stage needs
+// it (mention spans and ids — the output — are retained). Trims are
+// prefix-only: TrimTokens(end) trims every record before `end`, so a
+// segment drops its trimmed records' text by cutting a prefix of its
+// columns, and a fully trimmed segment frees them.
 //
-// Byte accounting: each record's payload (cached token bytes, in-flight
-// embeddings) is a running sum adjusted by Add, ReleaseEmbeddings and
-// TrimTokens — the only ways to change a record's footprint, since at() is
-// read-only. The record slots, the flat mention array and the offsets are
+// Byte accounting: each segment's heap bytes (column and arena capacities)
+// are a running sum adjusted by Add and TrimTokens — the only ways to change
+// a segment. The segment table, the flat mention array and the offsets are
 // container terms read at query time, so ApproxBytes() is O(1).
 
 #ifndef EMD_CORE_TWEET_BASE_H_
 #define EMD_CORE_TWEET_BASE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <type_traits>
-#include <utility>
+#include <string_view>
 #include <vector>
 
-#include "nn/matrix.h"
 #include "text/token.h"
 #include "util/logging.h"
 #include "util/status.h"
 
 namespace emd {
 
-/// A mention recorded for a sentence during the pipeline.
+/// A recorded mention's token span, 32 bits per end: the TweetBase keeps
+/// one per mention for the life of the stream. Converts to and from
+/// TokenSpan; a span past 32 bits is refused (checked when converted,
+/// Corruption on checkpoint restore).
+struct MentionSpan {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+
+  MentionSpan() = default;
+  constexpr MentionSpan(uint32_t b, uint32_t e) : begin(b), end(e) {}
+  MentionSpan(const TokenSpan& span)  // NOLINT(google-explicit-constructor)
+      : begin(static_cast<uint32_t>(span.begin)),
+        end(static_cast<uint32_t>(span.end)) {
+    EMD_CHECK(span.begin <= UINT32_MAX && span.end <= UINT32_MAX)
+        << "mention span must fit in 32 bits";
+  }
+  size_t length() const { return end - begin; }
+  operator TokenSpan() const {  // NOLINT(google-explicit-constructor)
+    return {begin, end};
+  }
+  bool operator==(const MentionSpan&) const = default;
+  bool operator==(const TokenSpan& o) const {
+    return begin == o.begin && end == o.end;
+  }
+};
+
+/// A mention recorded for a sentence during the pipeline: 16 B.
 struct RecordedMention {
-  TokenSpan span;
+  MentionSpan span;
   int candidate_id = -1;
   /// True when Local EMD itself produced this mention (vs recovered by the
   /// Candidate Mention Extraction re-scan).
@@ -50,57 +88,71 @@ struct RecordedMention {
   bool operator==(const RecordedMention&) const = default;
 };
 
-/// One sentence record. Its mentions are held by the TweetBase.
+/// One sentence record: identity and flags. Its tokens and mentions are
+/// held by the TweetBase.
 struct TweetRecord {
   long tweet_id = 0;
   int sentence_id = 0;
-  std::vector<Token> tokens;
-  /// Entity-aware token embeddings [T, d]; cleared once the batch has been
-  /// globally processed (memory bound is one batch, not the stream).
-  Mat token_embeddings;
   /// True when Local EMD failed on this sentence and it was isolated: the
   /// record stays (dense stream indexes) but contributes no candidates.
   bool quarantined = false;
   /// True once the memory governor dropped the token text (spans/mentions
   /// survive; the surface strings do not).
   bool trimmed = false;
-  /// Token heap bytes cached at Add time so budget accounting never re-walks
-  /// token strings. Not serialized; recomputed when a restored record is
-  /// re-added.
-  size_t approx_token_bytes = 0;
-
-  /// Heap bytes this record contributes to TweetBase::ApproxBytes.
-  size_t PayloadBytes() const {
-    return approx_token_bytes + token_embeddings.size() * sizeof(float);
-  }
 };
 
-// Vector growth must move records: a copy would shrink their capacities
-// behind TweetBase's running byte sum.
-static_assert(std::is_nothrow_move_constructible_v<TweetRecord>);
+/// A stored token, read in place: `text` views its segment's arena and is
+/// valid until the next Add or TrimTokens.
+struct StoredToken {
+  std::string_view text;
+  size_t begin = 0;  // inclusive char offset in the source string
+  size_t end = 0;    // exclusive char offset
+  TokenKind kind = TokenKind::kWord;
+};
 
 /// Append-only store, indexed densely by insertion order.
 class TweetBase {
+  struct Segment;
+
  public:
-  /// Adds a record with its mentions; returns its dense index.
-  size_t Add(TweetRecord record,
-             std::span<const RecordedMention> mentions = {}) {
-    record.approx_token_bytes = TokenBytes(record.tokens);
-    record_bytes_ += record.PayloadBytes();
-    records_.push_back(std::move(record));
-    mentions_.insert(mentions_.end(), mentions.begin(), mentions.end());
-    offsets_.push_back(mentions_.size());
-    return records_.size() - 1;
-  }
+  /// Records per segment (DESIGN §8, "Segmented TweetBase"): on
+  /// long_stream a sealed segment holds ~3.1k tokens in ~63 KB, so the open
+  /// segment's growth slack and the copy that seals it stay under 0.2% of the
+  /// store, while the segment table costs under one byte per tweet.
+  static constexpr size_t kSegmentRecords = 256;
+
+  /// The tokens of one record, read in place from its segment's columns.
+  class Tokens {
+   public:
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    StoredToken operator[](size_t t) const;
+
+   private:
+    friend class TweetBase;
+    Tokens(const Segment* segment, uint32_t first, uint32_t count)
+        : segment_(segment), first_(first), count_(count) {}
+    const Segment* segment_;
+    uint32_t first_;
+    uint32_t count_;
+  };
+
+  /// Adds a record with its tokens and mentions; returns its dense index.
+  /// Token offsets must fit in 32 bits, and a trimmed record has no tokens.
+  size_t Add(const TweetRecord& record, std::span<const Token> tokens = {},
+             std::span<const RecordedMention> mentions = {});
 
   const TweetRecord& at(size_t index) const {
-    EMD_CHECK_LT(index, records_.size());
-    return records_[index];
+    EMD_CHECK_LT(index, size());
+    return segments_[index / kSegmentRecords].records[index % kSegmentRecords];
   }
+
+  /// The stored tokens of record `index`: none once it is trimmed.
+  Tokens tokens(size_t index) const;
 
   /// The mentions of record `index`.
   std::span<const RecordedMention> mentions(size_t index) const {
-    EMD_CHECK_LT(index, records_.size());
+    EMD_CHECK_LT(index, size());
     return {mentions_.data() + offsets_[index],
             mentions_.data() + offsets_[index + 1]};
   }
@@ -108,7 +160,7 @@ class TweetBase {
   /// The mentions of record `index`, writable in place (candidate ids) but
   /// not resizable.
   std::span<RecordedMention> mutable_mentions(size_t index) {
-    EMD_CHECK_LT(index, records_.size());
+    EMD_CHECK_LT(index, size());
     return {mentions_.data() + offsets_[index],
             mentions_.data() + offsets_[index + 1]};
   }
@@ -120,90 +172,51 @@ class TweetBase {
   /// when the range is not a suffix or the counts do not sum to tail.size().
   Status ReplaceMentionTail(size_t first,
                             std::span<const RecordedMention> tail,
-                            std::span<const size_t> counts) {
-    if (first > records_.size() || counts.size() != records_.size() - first) {
-      return Status::InvalidArgument(
-          "mention rewrite of records [", first, ", ", first + counts.size(),
-          ") is not the suffix of a store of ", records_.size(), " records");
-    }
-    size_t total = 0;
-    for (size_t c : counts) total += c;
-    if (total != tail.size()) {
-      return Status::InvalidArgument("mention rewrite counts sum to ", total,
-                                     " for ", tail.size(), " mentions");
-    }
-    mentions_.resize(offsets_[first]);
-    mentions_.insert(mentions_.end(), tail.begin(), tail.end());
-    for (size_t k = 0; k < counts.size(); ++k) {
-      offsets_[first + k + 1] = offsets_[first + k] + counts[k];
-    }
-    return Status::OK();
-  }
+                            std::span<const size_t> counts);
 
-  size_t size() const { return records_.size(); }
+  size_t size() const { return offsets_.size() - 1; }
 
-  /// Frees the embedding matrices of records [begin, end) after their batch
-  /// completes Global EMD.
-  void ReleaseEmbeddings(size_t begin, size_t end) {
-    EMD_CHECK_LE(begin, end);
-    EMD_CHECK_LE(end, records_.size());
-    for (size_t i = begin; i < end; ++i) {
-      Mat& emb = records_[i].token_embeddings;
-      record_bytes_ -= emb.size() * sizeof(float);
-      emb = Mat();
-    }
-  }
+  /// Drops the token text of every record before `end` (mentions and spans
+  /// are retained). Returns how many records were newly trimmed. Only safe
+  /// for batches that finished Global EMD — their re-scan no longer needs
+  /// text.
+  size_t TrimTokens(size_t end);
 
-  /// Drops the token text of records [begin, end) (mentions and spans are
-  /// retained). Returns how many records were newly trimmed. Only safe for
-  /// batches that finished Global EMD — their re-scan no longer needs text.
-  size_t TrimTokens(size_t begin, size_t end) {
-    EMD_CHECK_LE(begin, end);
-    EMD_CHECK_LE(end, records_.size());
-    size_t trimmed = 0;
-    for (size_t i = begin; i < end; ++i) {
-      TweetRecord& rec = records_[i];
-      if (rec.trimmed) continue;
-      rec.tokens.clear();
-      rec.tokens.shrink_to_fit();
-      record_bytes_ -= rec.approx_token_bytes;
-      rec.approx_token_bytes = 0;
-      rec.trimmed = true;
-      ++trimmed;
-    }
-    return trimmed;
-  }
+  /// Approximate heap bytes: the segment table, every segment's records,
+  /// columns and arena, the flat mention array and its offsets. O(1).
+  size_t ApproxBytes() const { return ContainerBytes() + segment_bytes_; }
 
-  /// Approximate heap bytes across all records: record slots, cached token
-  /// text, any in-flight embedding matrices, the flat mention array and its
-  /// offsets. O(1).
-  size_t ApproxBytes() const { return ContainerBytes() + record_bytes_; }
-
-  /// The same figure by walking every record: the oracle ApproxBytes() must
-  /// equal. O(records).
-  size_t RecountBytes() const {
-    size_t bytes = ContainerBytes();
-    for (const TweetRecord& rec : records_) bytes += rec.PayloadBytes();
-    return bytes;
-  }
+  /// The same figure by walking every segment: the oracle ApproxBytes() must
+  /// equal. O(segments).
+  size_t RecountBytes() const;
 
  private:
-  static size_t TokenBytes(const std::vector<Token>& tokens) {
-    size_t bytes = tokens.capacity() * sizeof(Token);
-    for (const Token& tok : tokens) bytes += tok.text.capacity();
-    return bytes;
-  }
+  struct Segment {
+    std::vector<TweetRecord> records;  // at most kSegmentRecords
+    std::vector<uint32_t> token_end;   // per record: end of its tokens
+    std::vector<char> chars;           // every token's text, back to back
+    std::vector<uint32_t> text_end;    // per token: end of its text in chars
+    std::vector<uint32_t> source_begin, source_end;  // per token
+    std::vector<uint8_t> kind;                       // per token: TokenKind
+
+    size_t Bytes() const;
+    /// Frees the tokens of records [0, cut): cuts that prefix off every
+    /// column and shrinks them to fit.
+    void DropTokensBefore(size_t cut);
+    void ShrinkToFit();
+  };
 
   size_t ContainerBytes() const {
-    return records_.capacity() * sizeof(TweetRecord) +
+    return segments_.capacity() * sizeof(Segment) +
            mentions_.capacity() * sizeof(RecordedMention) +
            offsets_.capacity() * sizeof(size_t);
   }
 
-  std::vector<TweetRecord> records_;
+  std::vector<Segment> segments_;
   std::vector<RecordedMention> mentions_;  // every record's, in record order
   std::vector<size_t> offsets_{0};         // size() + 1 entries
-  size_t record_bytes_ = 0;  // sum of every record's PayloadBytes()
+  size_t segment_bytes_ = 0;  // sum of every segment's Bytes()
+  size_t trimmed_end_ = 0;    // records before it are trimmed
 };
 
 }  // namespace emd

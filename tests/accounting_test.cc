@@ -7,32 +7,41 @@
 //   * CTrie insert / prune / tombstone with node-slot recycling;
 //   * CandidateBase creation, decayed pooling with retained mention
 //     embeddings, and eviction;
-//   * TweetBase append, in-place id writes, suffix mention rewrites,
-//     embedding release and token trim, against a naive per-record model of
-//     the flat mention array; a rewrite that is not a suffix is refused;
+//   * TweetBase append, in-place id writes, suffix mention rewrites and
+//     prefix token trims across segments, against a naive per-record model
+//     of the mentions and tokens; a rewrite that is not a suffix is
+//     refused; short tokens account at most sizeof(Token) each;
 //   * ShardedGlobalState at shards {1, 4, 13} with per-shard pooling from
 //     {1, 4} threads, evict + prune recycling symbol ids;
 //   * the Globalizer under a byte budget at shards {1, 4, 13} x threads
 //     {1, 4}, checkpoint restore into a different shard count, and
-//     save -> restore -> save reproducing the state bytes;
+//     save -> restore -> save reproducing the state bytes, for a pipeline
+//     run and for the golden v5 fixture; token offsets and mention spans
+//     past 32 bits are refused on restore;
+//   * the governor's figure, evictions and surviving gids after every batch
+//     at shards {2, 4, 13} x threads {1, 4} against one shard;
 //   * a resumed 3-shard run retaining mention embeddings against an
 //     uninterrupted one (record bytes and the next checkpoint state);
 //   * every live candidate's mention count and recency against the
 //     TweetBase, ungoverned and evicting, at shards {1, 3} x threads {1, 4};
-//   * kLocalOnly Finalize output against the local system's own spans, and
-//     the merge's locally_detected flags against them.
+//   * kLocalOnly Finalize output against the local system's own spans (and
+//     a deep run's TweetBase bytes against a non-deep one's: no token
+//     embeddings reach the store), and the merge's locally_detected flags
+//     against them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "byte_accounting.h"
+#include "churn_stream.h"
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
 #include "core/global_state.h"
@@ -53,22 +62,6 @@ namespace emd {
 namespace {
 
 // ------------------------------------------------------------ Fixtures --
-
-/// A word from a small syllable alphabet. Lengths span the short-string
-/// buffer boundary (15 chars), so both inline and heap strings churn.
-std::string Word(Rng* rng) {
-  const char* syllables[] = {"ka", "lo", "mi", "ra", "zu", "te", "vo", "ni"};
-  std::string w;
-  const int n = rng->NextBernoulli(0.2) ? rng->NextInt(8, 12) : rng->NextInt(1, 3);
-  for (int i = 0; i < n; ++i) w += syllables[rng->NextU64(8)];
-  return w;
-}
-
-std::vector<std::string> Phrase(Rng* rng) {
-  std::vector<std::string> words(static_cast<size_t>(rng->NextInt(1, 3)));
-  for (std::string& w : words) w = Word(rng);
-  return words;
-}
 
 Mat RandomEmbedding(Rng* rng, int dim) {
   Mat m(1, dim);
@@ -155,7 +148,7 @@ std::vector<RecordedMention> RandomMentions(Rng* rng, uint64_t max_count) {
   std::vector<RecordedMention> mentions(rng->NextU64(max_count + 1));
   for (RecordedMention& m : mentions) {
     const size_t begin = rng->NextU64(20);
-    m.span = {begin, begin + 1 + rng->NextU64(3)};
+    m.span = TokenSpan{begin, begin + 1 + rng->NextU64(3)};
     m.candidate_id = rng->NextInt(-1, 500);
     m.locally_detected = rng->NextBernoulli(0.5);
   }
@@ -173,25 +166,30 @@ void ExpectSameMentions(std::span<const RecordedMention> got,
   }
 }
 
-// The flat mention array against a naive one-vector-per-record model, under
-// every operation that touches a TweetBase: append, in-place id writes,
-// suffix rewrites, embedding release and token trim.
-TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
+// The flat mention array and the segmented token store against a naive
+// per-record model, under every operation that touches a TweetBase: append,
+// in-place id writes, suffix rewrites and prefix token trims. The stream
+// crosses segment boundaries, and a trim may end inside a segment.
+TEST(AccountingTest, TweetBaseRewriteAndTrim) {
   Rng rng(11);
   TweetBase tweets;
   std::vector<std::vector<RecordedMention>> model;
-  size_t released = 0, trimmed = 0;
-  for (int step = 0; step < 2000; ++step) {
+  std::vector<std::vector<Token>> model_tokens;
+  std::vector<long> model_ids;
+  size_t trimmed = 0;
+  for (int step = 0; step < 4000; ++step) {
     const double r = rng.NextDouble();
-    if (tweets.size() == 0 || r < 0.35) {
-      TweetRecord rec;
+    if (tweets.size() == 0 || r < 0.6) {
       std::string text;
-      for (int w = rng.NextInt(2, 12); w > 0; --w) text += Word(&rng) + " ";
-      rec.tokens = TweetTokenizer().Tokenize(text);
-      rec.token_embeddings = Mat(static_cast<int>(rec.tokens.size()), 4);
+      for (int w = rng.NextInt(0, 12); w > 0; --w) text += Word(&rng) + " ";
+      model_tokens.push_back(TweetTokenizer().Tokenize(text));
       model.push_back(RandomMentions(&rng, 3));
-      ASSERT_EQ(tweets.Add(std::move(rec), model.back()), model.size() - 1);
-    } else if (r < 0.6) {
+      TweetRecord rec;
+      rec.tweet_id = step;
+      model_ids.push_back(step);
+      ASSERT_EQ(tweets.Add(rec, model_tokens.back(), model.back()),
+                model.size() - 1);
+    } else if (r < 0.75) {
       // Rewrite the last 0..8 records, as the merge barrier rewrites a batch.
       const size_t len = rng.NextU64(std::min<size_t>(tweets.size(), 8) + 1);
       const size_t first = tweets.size() - len;
@@ -203,17 +201,14 @@ TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
         counts.push_back(model[i].size());
       }
       ASSERT_TRUE(tweets.ReplaceMentionTail(first, tail, counts).ok());
-    } else if (r < 0.75) {
+    } else if (r < 0.9) {
       const size_t i = rng.NextU64(tweets.size());
       for (RecordedMention& m : tweets.mutable_mentions(i)) m.candidate_id = step;
       for (RecordedMention& m : model[i]) m.candidate_id = step;
-    } else if (r < 0.87) {
-      const size_t end = released + rng.NextU64(tweets.size() - released + 1);
-      tweets.ReleaseEmbeddings(released, end);
-      released = end;
     } else {
       const size_t end = trimmed + rng.NextU64(tweets.size() - trimmed + 1);
-      tweets.TrimTokens(trimmed, end);
+      EXPECT_EQ(tweets.TrimTokens(end), end - trimmed);
+      for (size_t i = trimmed; i < end; ++i) model_tokens[i].clear();
       trimmed = end;
     }
     ASSERT_EQ(tweets.ApproxBytes(), tweets.RecountBytes()) << "step " << step;
@@ -222,6 +217,46 @@ TEST(AccountingTest, TweetBaseRewriteReleaseAndTrim) {
       ASSERT_NO_FATAL_FAILURE(ExpectSameMentions(tweets.mentions(i), model[i]))
           << "step " << step << " record " << i;
     }
+    if (step % 100 != 99) continue;
+    for (size_t i = 0; i < model.size(); ++i) {
+      EXPECT_EQ(tweets.at(i).tweet_id, model_ids[i]) << "record " << i;
+      EXPECT_EQ(tweets.at(i).trimmed, i < trimmed) << "record " << i;
+      const TweetBase::Tokens got = tweets.tokens(i);
+      ASSERT_EQ(got.size(), model_tokens[i].size()) << "record " << i;
+      for (size_t t = 0; t < got.size(); ++t) {
+        const Token& want = model_tokens[i][t];
+        EXPECT_EQ(got[t].text, want.text) << "record " << i << " token " << t;
+        EXPECT_EQ(got[t].begin, want.begin);
+        EXPECT_EQ(got[t].end, want.end);
+        EXPECT_EQ(got[t].kind, want.kind);
+      }
+    }
+  }
+  ASSERT_GT(tweets.size(), 2 * TweetBase::kSegmentRecords);
+}
+
+// The stored form of short tokens: a record of k tokens of at most 15 chars
+// accounts at most k x sizeof(Token) bytes more than the same record with no
+// tokens, measured over a full (sealed) segment of such records. A
+// std::string's inline buffer already sits inside sizeof(Token), so counting
+// its capacity on top of that would count those bytes twice.
+TEST(AccountingTest, ShortTokensAccountAtMostATokenEach) {
+  for (const size_t k : {1, 3, 12, 40}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    std::vector<Token> tokens(k);
+    for (size_t t = 0; t < k; ++t) {
+      tokens[t].text = std::string(1 + t % 15, 'a' + t % 26);
+      tokens[t].begin = 16 * t;
+      tokens[t].end = 16 * t + tokens[t].text.size();
+    }
+    TweetBase with, without;
+    for (size_t i = 0; i < TweetBase::kSegmentRecords; ++i) {
+      with.Add(TweetRecord{}, tokens);
+      without.Add(TweetRecord{});
+    }
+    const size_t per_record = (with.ApproxBytes() - without.ApproxBytes()) /
+                              TweetBase::kSegmentRecords;
+    EXPECT_LE(per_record, k * sizeof(Token));
   }
 }
 
@@ -231,7 +266,7 @@ TEST(AccountingTest, TweetBaseRefusesARewriteThatIsNotASuffix) {
   std::vector<std::vector<RecordedMention>> model;
   for (int i = 0; i < 4; ++i) {
     model.push_back(RandomMentions(&rng, 3));
-    tweets.Add(TweetRecord{}, model.back());
+    tweets.Add(TweetRecord{}, {}, model.back());
   }
   const size_t bytes = tweets.ApproxBytes();
   const std::vector<RecordedMention> none;
@@ -360,78 +395,6 @@ TEST(AccountingTest, ShardedStateChurnAtEveryShardAndThreadCount) {
 
 // ------------------------------------------------- Governed pipeline --
 
-/// Coined entities (some past the short-string boundary, some two-word)
-/// drawn Zipf-style, so most candidates are cold and get evicted while a
-/// few keep recurring and pooling.
-std::vector<std::vector<std::string>> Entities() {
-  Rng rng(29);
-  std::vector<std::vector<std::string>> entities;
-  for (int i = 0; i < 120; ++i) entities.push_back(Phrase(&rng));
-  return entities;
-}
-
-Dataset ChurnStream(int num_tweets, uint64_t seed) {
-  const auto entities = Entities();
-  const std::vector<std::string> fillers = {"the", "cases", "rising", "today",
-                                            "spoke", "about", "new", "again"};
-  Rng rng(seed);
-  Dataset d;
-  d.name = "accounting";
-  d.streaming = true;
-  TweetTokenizer tokenizer;
-  for (int i = 0; i < num_tweets; ++i) {
-    std::string text;
-    for (int w = rng.NextInt(3, 7); w > 0; --w) {
-      text += fillers[rng.NextU64(fillers.size())] + " ";
-    }
-    for (int m = rng.NextInt(1, 3); m > 0; --m) {
-      const auto& phrase = entities[rng.NextZipf(entities.size(), 0.8)];
-      for (std::string w : phrase) {
-        if (rng.NextBernoulli(0.7)) w[0] = static_cast<char>(w[0] - 'a' + 'A');
-        text += w + " ";
-      }
-    }
-    AnnotatedTweet t;
-    t.tweet_id = i + 1;
-    t.text = text;
-    t.tokens = tokenizer.Tokenize(text);
-    d.tweets.push_back(std::move(t));
-  }
-  return d;
-}
-
-std::vector<MockLocalSystem::Rule> ChurnRules() {
-  std::vector<MockLocalSystem::Rule> rules;
-  bool partial = false;
-  for (const auto& phrase : Entities()) {
-    rules.push_back({.phrase = phrase,
-                     .require_capitalized = true,
-                     .partial = partial && phrase.size() > 1});
-    partial = !partial;
-  }
-  return rules;
-}
-
-constexpr size_t kBatch = 8;
-
-GlobalizerOptions GovernedOptions(int shards, int threads) {
-  GlobalizerOptions opt;
-  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  opt.batch_size = kBatch;
-  opt.shard_count = shards;
-  opt.num_threads = threads;
-  opt.memory.budget_bytes = 48 * 1024;
-  opt.memory.min_retain_tweets = 8;
-  opt.memory.decay_half_life_tweets = 24;
-  return opt;
-}
-
-std::span<const AnnotatedTweet> BatchAt(const Dataset& d, size_t b) {
-  const size_t begin = b * kBatch;
-  const size_t end = std::min(d.tweets.size(), begin + kBatch);
-  return {d.tweets.data() + begin, end - begin};
-}
-
 TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
   const Dataset d = ChurnStream(480, 41);
   const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
@@ -452,6 +415,48 @@ TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
       EXPECT_GT(out.num_evicted, 0u);
       EXPECT_GT(out.num_pruned_nodes, 0u);
       EXPECT_GT(out.num_trimmed, 0u);
+    }
+  }
+}
+
+// The governor decides on GovernedBytes(), which charges per-shard
+// structures by gid-level counts: after every batch its figure, its
+// evictions and the surviving gids are those of the one-shard run, at every
+// shard and thread count.
+TEST(AccountingTest, GovernorFigureAndEvictionsMatchAtEveryShardCount) {
+  const Dataset d = ChurnStream(480, 43);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  struct Trace {
+    std::vector<size_t> governed;
+    std::vector<uint64_t> evicted;
+    std::vector<bool> live;
+  };
+  auto run = [&](int shards, int threads) {
+    MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+    PhraseEmbedder pe(6, 4);
+    Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, threads));
+    Trace trace;
+    for (size_t b = 0; b < batches; ++b) {
+      EXPECT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
+      trace.governed.push_back(g.memory_governor().governed_bytes());
+      trace.evicted.push_back(g.memory_governor().stats().evicted_candidates);
+    }
+    const ShardedGlobalState& state = g.global_state();
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      trace.live.push_back(state.Contains(gid));
+    }
+    return trace;
+  };
+  const Trace want = run(1, 1);
+  ASSERT_GT(want.evicted.back(), 0u);
+  for (const int shards : {2, 4, 13}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("S=" + std::to_string(shards) +
+                   " T=" + std::to_string(threads));
+      const Trace got = run(shards, threads);
+      EXPECT_EQ(got.governed, want.governed);
+      EXPECT_EQ(got.evicted, want.evicted);
+      EXPECT_EQ(got.live, want.live);
     }
   }
 }
@@ -536,34 +541,11 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
   std::remove(path.c_str());
 }
 
-/// Byte length of the metrics block SaveCheckpoint appends for `snap` (its
-/// layout is in globalizer_checkpoint.cc). Every field but the strings has a
-/// fixed width, so the block's length depends on the registered names only.
-size_t MetricsBlockBytes(const obs::MetricsSnapshot& snap) {
-  auto strings = [](const auto& s) {
-    return 4 * 4 + s.name.size() + s.help.size() + s.label.key.size() +
-           s.label.value.size();
-  };
-  size_t bytes = 4 + 4;  // counter and histogram counts
-  for (const auto& c : snap.counters) bytes += strings(c) + 8;
-  for (const auto& h : snap.histograms) {
-    bytes += strings(h) + 4 + 8 * h.bounds.size() +
-             8 * (h.bounds.size() + 1) + 8 + 8;
-  }
-  return bytes;
-}
-
-/// Saves `g` to `path` and returns the state section: the checkpoint bytes
-/// before the metrics block, which holds process-wide counters. The first
-/// save registers every metric the save path uses, so the snapshot taken
-/// before the second has the same names as the block that save writes.
+/// Saves `g` to `path` and returns its state section (SaveStateSection).
 std::string SavedStateSection(const Globalizer& g, const std::string& path) {
-  EXPECT_TRUE(g.SaveCheckpoint(path).ok());
-  const size_t metrics = MetricsBlockBytes(obs::Metrics().Snapshot());
-  EXPECT_TRUE(g.SaveCheckpoint(path).ok());
-  const std::string bytes = ReadFileToString(path).value();
-  EXPECT_GT(bytes.size(), metrics + sizeof(uint32_t));
-  return bytes.substr(0, bytes.size() - metrics - sizeof(uint32_t));
+  Result<std::string> state = SaveStateSection(g, path);
+  EXPECT_TRUE(state.ok()) << state.status();
+  return state.ok() ? *std::move(state) : std::string();
 }
 
 // Candidates store no mention list; the writer rebuilds each from the
@@ -668,8 +650,14 @@ TEST(AccountingTest, ResumedShardedRetainingRunMatchesAnUninterruptedOne) {
 /// live and labelled kEntity, and whose gids 1-3 are tombstones with the
 /// three kinds of evicted byte: 0 (never evicted), 1 (evicted while
 /// unlabeled) and kNonEntity + 1 (evicted with a label). Its metrics block is
-/// empty, so the state section is everything but the last 8 + 4 bytes.
-std::string BuildEvictedMarksCheckpoint() {
+/// empty, so the state section is everything but the last 8 + 4 bytes. The
+/// tweet's one token ends at char `token_end`; `trimmed` is its trimmed
+/// byte, which a record holding tokens must not set. With `unscored_begin`
+/// the tweet records a second mention, of no candidate, spanning tokens
+/// [*unscored_begin, *unscored_begin + 1).
+std::string BuildEvictedMarksCheckpoint(
+    uint64_t token_end = 11, uint8_t trimmed = 0,
+    std::optional<uint64_t> unscored_begin = std::nullopt) {
   std::string buf;
   binio::AppendU32(&buf, 0x454D4447);  // 'EMDG'
   binio::AppendU32(&buf, 5);           // version
@@ -696,17 +684,23 @@ std::string BuildEvictedMarksCheckpoint() {
   binio::AppendI64(&buf, 42);  // tweet_id
   binio::AppendI32(&buf, 0);   // sentence_id
   binio::AppendU8(&buf, 0);    // quarantined
-  binio::AppendU8(&buf, 0);    // trimmed
+  binio::AppendU8(&buf, trimmed);
   binio::AppendU32(&buf, 1);   // tokens
   binio::AppendString(&buf, "coronavirus");
-  binio::AppendU64(&buf, 0);
-  binio::AppendU64(&buf, 11);
+  binio::AppendU64(&buf, token_end - 11);
+  binio::AppendU64(&buf, token_end);
   binio::AppendU8(&buf, 0);   // kWord
-  binio::AppendU32(&buf, 1);  // mentions
+  binio::AppendU32(&buf, unscored_begin ? 2 : 1);  // mentions
   binio::AppendU64(&buf, 0);  // span.begin
   binio::AppendU64(&buf, 1);  // span.end
   binio::AppendI32(&buf, 0);  // candidate_id
   binio::AppendU8(&buf, 1);   // locally_detected
+  if (unscored_begin) {
+    binio::AppendU64(&buf, *unscored_begin);
+    binio::AppendU64(&buf, *unscored_begin + 1);
+    binio::AppendI32(&buf, -1);
+    binio::AppendU8(&buf, 0);
+  }
 
   // CandidateBase: one slot per gid.
   binio::AppendU64(&buf, 4);
@@ -776,6 +770,105 @@ TEST(AccountingTest, SaveRestoreSaveKeepsTheEvictedMarks) {
   std::remove(path.c_str());
 }
 
+// ------------------------------------------------- Golden checkpoint --
+
+/// tests/data/golden_v5.ckpt, written by golden_checkpoint_writer.cc (the
+/// command is at its top): trimmed and untrimmed records, one quarantined
+/// tweet, tokens longer than 15 chars, tombstones and retained mention
+/// embeddings, over 2 shards.
+const char kGoldenCheckpoint[] = EMD_TEST_DATA_DIR "/golden_v5.ckpt";
+
+// The golden fixture restores, and re-saves to the very same state section:
+// the TweetBase's compact layout reads back every token it was given.
+TEST(AccountingTest, GoldenCheckpointRestoresAndResavesItsStateSection) {
+  const std::string fixture = ReadFileToString(kGoldenCheckpoint).value();
+  MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+  PhraseEmbedder pe(6, 4);
+  Globalizer g(&mock, &pe, nullptr, GoldenOptions());
+  g.set_retain_mention_embeddings(true);
+  ASSERT_TRUE(g.RestoreCheckpoint(kGoldenCheckpoint).ok());
+
+  // What the fixture covers.
+  const TweetBase& tweets = g.tweet_base();
+  ASSERT_EQ(tweets.size(), 112u);
+  size_t trimmed = 0, quarantined = 0, long_tokens = 0;
+  for (size_t i = 0; i < tweets.size(); ++i) {
+    trimmed += tweets.at(i).trimmed;
+    quarantined += tweets.at(i).quarantined;
+    const TweetBase::Tokens tokens = tweets.tokens(i);
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      long_tokens += tokens[t].text.size() > 15;
+    }
+  }
+  EXPECT_GT(trimmed, 0u);
+  EXPECT_LT(trimmed, tweets.size());
+  EXPECT_EQ(quarantined, 1u);
+  EXPECT_GT(long_tokens, 0u);
+  const ShardedGlobalState& state = g.global_state();
+  size_t retained = 0, tombstones = 0;
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    tombstones += state.IsTombstone(gid);
+    if (state.Contains(gid)) retained += state.at(gid).mention_embeddings.size();
+  }
+  EXPECT_GT(retained, 0u);
+  EXPECT_GT(tombstones, 0u);
+  EXPECT_GT(state.shard_trie(1).num_live_candidates(), 0);
+
+  const std::string path = ::testing::TempDir() + "emd_golden_resave.ckpt";
+  const std::string resaved = SavedStateSection(g, path);
+  std::remove(path.c_str());
+  const std::string want = fixture.substr(0, fixture.size() - 8 - 4);
+  ASSERT_EQ(resaved.size(), want.size());
+  EXPECT_TRUE(resaved == want) << "state sections differ";
+}
+
+// The TweetBase keeps token source offsets in 32 bits: a checkpoint whose
+// offsets do not fit is refused as corrupt rather than truncated, and so is
+// a trimmed record that still holds tokens.
+TEST(AccountingTest, RestoreRefusesTokenOffsetsPast32Bits) {
+  const std::string path = ::testing::TempDir() + "emd_accounting_offsets.ckpt";
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  MockLocalSystem mock(ChurnRules());
+  auto restore = [&](const std::string& bytes) {
+    EXPECT_TRUE(WriteStringToFile(path, bytes).ok());
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    return g.RestoreCheckpoint(path);
+  };
+  const uint64_t kLast = 0xFFFFFFFFull;
+  EXPECT_TRUE(restore(BuildEvictedMarksCheckpoint(kLast)).ok());
+  EXPECT_EQ(restore(BuildEvictedMarksCheckpoint(kLast + 1)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(restore(BuildEvictedMarksCheckpoint(kLast + 12)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(restore(BuildEvictedMarksCheckpoint(11, /*trimmed=*/1)).code(),
+            StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+// The TweetBase keeps mention spans in 32 bits too: a checkpoint whose span
+// ends do not fit is refused as corrupt rather than truncated. The mention
+// names no candidate, so only the TweetBase section reads it.
+TEST(AccountingTest, RestoreRefusesMentionSpansPast32Bits) {
+  const std::string path = ::testing::TempDir() + "emd_accounting_spans.ckpt";
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  MockLocalSystem mock(ChurnRules());
+  auto restore = [&](const std::string& bytes) {
+    EXPECT_TRUE(WriteStringToFile(path, bytes).ok());
+    Globalizer g(&mock, nullptr, nullptr, opt);
+    return g.RestoreCheckpoint(path);
+  };
+  const uint64_t kLast = 0xFFFFFFFFull;
+  EXPECT_TRUE(restore(BuildEvictedMarksCheckpoint(11, 0, kLast - 1)).ok());
+  EXPECT_TRUE(restore(BuildEvictedMarksCheckpoint(11, 0, 3)).ok());
+  EXPECT_EQ(restore(BuildEvictedMarksCheckpoint(11, 0, kLast)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(restore(BuildEvictedMarksCheckpoint(11, 0, kLast + 7)).code(),
+            StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
 // Checks that `out` emits exactly each tweet's in-range Local EMD spans of
 // `mock`, and that there are more of them than tweets.
 void ExpectLocalSpans(const Dataset& d, MockLocalSystem* mock,
@@ -818,32 +911,33 @@ TEST(AccountingTest, LocalOnlyFinalizeEmitsTheLocalSpans) {
   }
 }
 
-// Only the re-scan reads token embeddings, so a deep kLocalOnly stream drops
-// each batch's at the end of its ProcessBatch, like every other mode: the
-// TweetBase never holds more than the batch in flight, its running bytes
+// Token embeddings are staged beside their batch, never in the TweetBase:
+// a deep kLocalOnly stream's TweetBase accounts exactly the bytes of the
+// same stream run by a non-deep system after every batch, its running bytes
 // match the recount, and the output is still exactly the local spans.
-TEST(AccountingTest, DeepLocalOnlyReleasesTokenEmbeddingsEveryBatch) {
+TEST(AccountingTest, DeepLocalOnlyTweetBaseHoldsNoEmbeddings) {
   const Dataset d = ChurnStream(200, 47);
   const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
   for (const int threads : {1, 4}) {
     SCOPED_TRACE("T=" + std::to_string(threads));
-    MockLocalSystem mock(ChurnRules(), /*dim=*/6);
-    ASSERT_TRUE(mock.is_deep());
+    MockLocalSystem deep(ChurnRules(), /*dim=*/6);
+    MockLocalSystem shallow(ChurnRules());
+    ASSERT_TRUE(deep.is_deep());
     GlobalizerOptions opt;
     opt.mode = GlobalizerOptions::Mode::kLocalOnly;
     opt.batch_size = kBatch;
     opt.num_threads = threads;
-    Globalizer g(&mock, nullptr, nullptr, opt);
+    Globalizer g(&deep, nullptr, nullptr, opt);
+    Globalizer reference(&shallow, nullptr, nullptr, opt);
     for (size_t b = 0; b < batches; ++b) {
       ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
-      const TweetBase& tweets = g.tweet_base();
-      for (size_t i = 0; i < tweets.size(); ++i) {
-        ASSERT_TRUE(tweets.at(i).token_embeddings.empty())
-            << "batch " << b << " tweet " << i;
-      }
-      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(tweets));
+      ASSERT_TRUE(reference.ProcessBatch(BatchAt(d, b)).ok());
+      ASSERT_EQ(g.tweet_base().ApproxBytes(),
+                reference.tweet_base().ApproxBytes())
+          << "batch " << b;
+      ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g.tweet_base()));
     }
-    ExpectLocalSpans(d, &mock, g.Finalize().value());
+    ExpectLocalSpans(d, &deep, g.Finalize().value());
   }
 }
 

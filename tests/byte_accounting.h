@@ -21,6 +21,7 @@ inline void ExpectByteTotalsMatchRecount(const ShardedGlobalState& state) {
   }
   ASSERT_EQ(state.symbols().ApproxBytes(), state.symbols().RecountBytes());
   ASSERT_EQ(state.ApproxBytes(), state.RecountBytes());
+  ASSERT_EQ(state.GovernedBytes(), state.RecountGovernedBytes());
 }
 
 inline void ExpectByteTotalsMatchRecount(const TweetBase& tweets) {

@@ -306,14 +306,44 @@ TEST(CandidateBaseTest, RetainMentionEmbeddings) {
   EXPECT_FLOAT_EQ(base.at(0).mention_embeddings[1](0, 1), 4.f);
 }
 
-TEST(TweetBaseTest, AddAndReleaseEmbeddings) {
+TEST(TweetBaseTest, TokensReadBackAcrossSegments) {
   TweetBase base;
-  TweetRecord rec;
-  rec.token_embeddings = Mat(3, 4);
-  const size_t idx = base.Add(std::move(rec));
-  EXPECT_FALSE(base.at(idx).token_embeddings.empty());
-  base.ReleaseEmbeddings(0, base.size());
-  EXPECT_TRUE(base.at(idx).token_embeddings.empty());
+  const std::vector<Token> tokens = Toks("Andy Beshear spoke in Kentucky");
+  const size_t n = TweetBase::kSegmentRecords + 3;
+  for (size_t i = 0; i < n; ++i) {
+    TweetRecord rec;
+    rec.tweet_id = static_cast<long>(i);
+    rec.quarantined = i % 7 == 0;
+    base.Add(rec, std::span(tokens).first(i % (tokens.size() + 1)));
+  }
+  ASSERT_EQ(base.size(), n);
+  auto expect_tokens = [&](size_t i) {
+    const TweetBase::Tokens got = base.tokens(i);
+    ASSERT_EQ(got.size(), i % (tokens.size() + 1)) << "record " << i;
+    for (size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].text, tokens[t].text);
+      EXPECT_EQ(got[t].begin, tokens[t].begin);
+      EXPECT_EQ(got[t].end, tokens[t].end);
+      EXPECT_EQ(got[t].kind, tokens[t].kind);
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(base.at(i).tweet_id, static_cast<long>(i));
+    EXPECT_EQ(base.at(i).quarantined, i % 7 == 0);
+    ASSERT_NO_FATAL_FAILURE(expect_tokens(i));
+  }
+  // A trim ending inside the second segment keeps the records after it.
+  const size_t end = TweetBase::kSegmentRecords + 1;
+  EXPECT_EQ(base.TrimTokens(end), end);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(base.at(i).trimmed, i < end);
+    if (i < end) {
+      EXPECT_TRUE(base.tokens(i).empty()) << "record " << i;
+    } else {
+      ASSERT_NO_FATAL_FAILURE(expect_tokens(i));
+    }
+  }
+  EXPECT_EQ(base.ApproxBytes(), base.RecountBytes());
 }
 
 // ------------------------------------------------------------------ Metrics

@@ -443,11 +443,12 @@ struct GovernedRun {
 };
 
 GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
-                        const EntityClassifier& clf) {
+                        const EntityClassifier& clf,
+                        size_t budget_bytes = 24 * 1024) {
   Config c{.shards = shards, .threads = threads, .cadence = cadence};
   SCOPED_TRACE(Describe(c));
   GlobalizerOptions opt = OptionsFor(c);
-  opt.memory.budget_bytes = 24 * 1024;
+  opt.memory.budget_bytes = budget_bytes;
   opt.memory.min_retain_tweets = 16;
   opt.memory.decay_half_life_tweets = 40;
   opt.memory.reclassify_interval_batches = 2;
@@ -530,6 +531,26 @@ TEST(FinalizeGovernedTest, EveryVerdictMatchesFullRescoreUnderEviction) {
   EXPECT_GT(flipped_then_evicted, 0)
       << "no candidate flipped in a sweep and was evicted before the next "
          "Finalize; the fixture no longer covers that path";
+}
+
+TEST(FinalizeGovernedTest, ShardCountChangesNoEvictionAtAnyBudget) {
+  // The governor decides on a figure that charges per-shard structures by
+  // gid-level counts, so a batch that ends near the eviction target sweeps
+  // (or not) alike at every shard count: the victims are the same whatever
+  // the budget.
+  const Dataset d = CadenceStream(320, 17);
+  const EntityClassifier clf = CadenceClassifier();
+  for (const size_t kib : {12, 20, 32}) {
+    SCOPED_TRACE("budget " + std::to_string(kib) + " KiB");
+    const GovernedRun want = RunGoverned(d, 1, 1, 3, clf, kib * 1024);
+    EXPECT_GT(want.evicted, 0u);
+    for (const int shards : {4, 13}) {
+      const GovernedRun got = RunGoverned(d, shards, 4, 3, clf, kib * 1024);
+      ExpectSame(want.final, got.final);
+      EXPECT_EQ(want.evicted, got.evicted);
+      EXPECT_EQ(want.reclassified, got.reclassified);
+    }
+  }
 }
 
 TEST(FinalizeGovernedTest, RestoredLabelColumnKeepsEvictedVerdicts) {

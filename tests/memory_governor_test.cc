@@ -150,6 +150,74 @@ TEST(CTriePruneTest, ApproxBytesShrinksWithPruning) {
   EXPECT_EQ(trie.num_live_candidates(), 0);
 }
 
+TEST(CTriePruneTest, PrunedIdsFreeTheirEntriesAndTheStoreCompacts) {
+  // A tombstoned id keeps only its index: its key and length slot is reused
+  // by the next new candidate, and once most slots are free the store
+  // compacts. Every live id still resolves, and the bytes come back.
+  SymbolTable syms;
+  CTrie trie(&syms);
+  const auto phrase = [](int i) {
+    return std::vector<std::string>{"phrase", "number", std::to_string(i)};
+  };
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(trie.Insert(phrase(i)), i);
+  const size_t full = trie.ApproxBytes();
+  for (int i = 0; i < 64; ++i) {
+    if (i % 8 != 0) trie.Prune(i);
+    ASSERT_EQ(trie.ApproxBytes(), trie.RecountBytes()) << "prune " << i;
+  }
+  // Node slots stay allocated for reuse; the 56 dead entries are released.
+  EXPECT_LE(trie.ApproxBytes() + 56 * CTrie::EntryBytes(), full);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(trie.IsTombstone(i), i % 8 != 0) << "id " << i;
+    EXPECT_EQ(trie.Find(phrase(i)), i % 8 == 0 ? i : CTrie::kNoCandidate);
+  }
+  // Re-admission takes fresh ids in recycled slots.
+  for (int i = 1; i < 8; ++i) {
+    const int id = trie.Insert(phrase(i));
+    EXPECT_EQ(id, 63 + i);
+    EXPECT_EQ(trie.CandidateKey(id), "phrase number " + std::to_string(i));
+    EXPECT_EQ(trie.CandidateLength(id), 3);
+    ASSERT_EQ(trie.ApproxBytes(), trie.RecountBytes());
+  }
+  EXPECT_EQ(trie.CandidateKey(0), "phrase number 0");
+  EXPECT_TRUE(trie.CandidateKey(1).empty());
+  EXPECT_EQ(trie.num_live_candidates(), 15);
+}
+
+TEST(CandidateBaseEvictTest, EvictedSlotsAreReusedAndThePoolCompacts) {
+  CandidateBase cb;
+  const std::vector<float> emb = {1.f, 2.f, 3.f, 4.f};
+  for (int id = 0; id < 64; ++id) {
+    cb.GetOrCreate(id);
+    cb.AddMention(id, static_cast<uint64_t>(id), emb);
+    cb.at(id).entity_probability = static_cast<float>(id);
+  }
+  const size_t full = cb.ApproxBytes();
+  for (int id = 0; id < 64; ++id) {
+    if (id % 8 != 0) cb.Evict(id);
+    ASSERT_EQ(cb.ApproxBytes(), cb.RecountBytes()) << "evict " << id;
+  }
+  EXPECT_LT(cb.ApproxBytes(), full / 2);
+  EXPECT_EQ(cb.num_records(), 8u);
+  for (int id = 0; id < 64; ++id) {
+    ASSERT_EQ(cb.Contains(id), id % 8 == 0) << "id " << id;
+    if (id % 8 != 0) continue;
+    const CandidateRecord& rec = cb.at(id);
+    EXPECT_EQ(rec.candidate_id, id);
+    EXPECT_EQ(rec.entity_probability, static_cast<float>(id));
+    EXPECT_EQ(rec.last_mention_pos, static_cast<uint64_t>(id));
+    EXPECT_EQ(rec.embedding_sum.size(), emb.size());
+  }
+  // New ids take the freed slots; an evicted id reads as an empty record.
+  for (int id = 64; id < 72; ++id) {
+    EXPECT_EQ(cb.GetOrCreate(id).candidate_id, id);
+    ASSERT_EQ(cb.ApproxBytes(), cb.RecountBytes());
+  }
+  EXPECT_EQ(cb.num_records(), 16u);
+  EXPECT_EQ(cb.size(), 72u);
+  EXPECT_EQ(static_cast<const CandidateBase&>(cb).at(1).candidate_id, -1);
+}
+
 // --------------------------------------------------------- Decayed pooling --
 
 TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
@@ -527,7 +595,7 @@ TEST(MemoryCheckpointTest, V4RoundTripsPrunedStateAndGovernorStats) {
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.batch_size = 4;
-  opt.memory.budget_bytes = 4096;
+  opt.memory.budget_bytes = 3072;  // trimming alone cannot meet it
   opt.memory.min_retain_tweets = 0;  // everything is immediately evictable
   MockLocalSystem mock(StreamRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
@@ -571,7 +639,7 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   opt.batch_size = 4;
   // The first batch's state crosses the soft line (0.75 * budget) and needs
   // more than one victim to get under the eviction target.
-  opt.memory.budget_bytes = 3072;
+  opt.memory.budget_bytes = 2560;
   opt.memory.min_retain_tweets = 0;
   MockLocalSystem mock(StreamRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
