@@ -6,11 +6,11 @@
 // and token count live in its CTrie, its verdict in ShardedGlobalState's
 // per-gid label column.
 //
-// Memory governance: pooling can be exponentially time-decayed (configurable
-// half-life in stream positions) so stale evidence fades; cold candidates can
-// be evicted, freeing their record and its slot, which the next new record
-// reuses (the label column keeps the final verdict, so already-emitted output
-// stays stable). Pooling has one formula,
+// Memory governance: pooling can be exponentially time-decayed (a half-life
+// in stream positions, fixed at construction) so stale evidence fades; cold
+// candidates can be evicted, freeing their record and its slot, which the
+// next new record reuses (the label column keeps the final verdict, so
+// already-emitted output stays stable). Pooling has one formula,
 // sum * (1 / weight); with decay off every scale is exactly 1 and the weight
 // the integer count, so it is bit-exact with the plain mean.
 //
@@ -60,8 +60,9 @@ struct CandidateRecord {
   /// eviction).
   uint64_t last_update_pos = 0;
   uint64_t last_mention_pos = 0;
-  /// Individual mention embeddings, retained only when the owner requests it
-  /// (classifier training wants prefix pools; normal runs keep memory flat).
+  /// Individual mention embeddings, retained only by a store built to retain
+  /// them (classifier training wants prefix pools; normal runs keep memory
+  /// flat).
   std::vector<Mat> mention_embeddings;
 
   float entity_probability = -1.f;
@@ -95,6 +96,20 @@ static_assert(std::is_nothrow_move_constructible_v<CandidateRecord>);
 /// Record store addressed by dense CTrie candidate id.
 class CandidateBase {
  public:
+  /// The pooling policy, fixed for the store's life. `decay_half_life_tweets`
+  /// is the exponential decay half-life in stream positions (tweets); 0
+  /// disables decay (lambda = 1), and the pooled mean is then bit-exact with
+  /// a plain running sum scaled by 1 / count. `retain_mention_embeddings`
+  /// keeps every pooled row in its record (classifier training reads them;
+  /// off by default to bound memory).
+  explicit CandidateBase(uint64_t decay_half_life_tweets = 0,
+                         bool retain_mention_embeddings = false)
+      : decay_lambda_(decay_half_life_tweets == 0
+                          ? 1.0
+                          : std::exp2(-1.0 / static_cast<double>(
+                                                 decay_half_life_tweets))),
+        retain_mention_embeddings_(retain_mention_embeddings) {}
+
   /// Ensures a record exists for `candidate_id` (ids are dense CTrie ids).
   /// A new record takes the most recently freed slot, if any.
   CandidateRecord& GetOrCreate(int candidate_id) {
@@ -211,25 +226,6 @@ class CandidateBase {
   /// records field by field through at() (checkpoint restore).
   void RebuildByteTotals() { record_bytes_ = WalkRecordBytes(); }
 
-  /// Exponential decay half-life in stream positions (tweets). 0 disables
-  /// decay (the default): lambda = 1, and the pooled mean is bit-exact with
-  /// a plain running sum scaled by 1 / count.
-  void set_decay_half_life(uint64_t half_life_tweets) {
-    decay_half_life_ = half_life_tweets;
-    decay_lambda_ =
-        half_life_tweets == 0
-            ? 1.0
-            : std::exp2(-1.0 / static_cast<double>(half_life_tweets));
-  }
-  uint64_t decay_half_life() const { return decay_half_life_; }
-  double decay_lambda() const { return decay_lambda_; }
-
-  /// Keep per-mention embeddings (off by default to bound memory).
-  void set_retain_mention_embeddings(bool retain) {
-    retain_mention_embeddings_ = retain;
-  }
-  bool retain_mention_embeddings() const { return retain_mention_embeddings_; }
-
  private:
   static constexpr int32_t kNoSlot = -1;
 
@@ -280,9 +276,8 @@ class CandidateBase {
   std::vector<CandidateRecord> records_;
   std::vector<int32_t> free_slots_;
   size_t record_bytes_ = 0;  // sum of live records' ApproxBytes()
-  uint64_t decay_half_life_ = 0;
-  double decay_lambda_ = 1.0;
-  bool retain_mention_embeddings_ = false;
+  double decay_lambda_;
+  bool retain_mention_embeddings_;
 };
 
 }  // namespace emd

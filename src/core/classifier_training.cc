@@ -15,8 +15,8 @@ std::vector<ClassifierExample> BuildClassifierExamples(
   GlobalizerOptions options;
   options.mode = GlobalizerOptions::Mode::kMentionExtraction;
   options.batch_size = batch_size;
+  options.retain_mention_embeddings = true;
   Globalizer globalizer(system, phrase_embedder, /*classifier=*/nullptr, options);
-  globalizer.set_retain_mention_embeddings(true);
   globalizer.Run(labelled_stream).value();
 
   // Gold entity surfaces of the stream, case-folded.

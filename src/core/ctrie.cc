@@ -92,11 +92,11 @@ int CTrie::Insert(const FoldedPhrase& phrase, RootEdge* first) {
   } else {
     slot = free_entries_.back();
     free_entries_.pop_back();
-    element_bytes_ -= entries_[slot].key.capacity();
+    element_bytes_ -= KeyBytes(entries_[slot].key);
   }
   Entry& entry = entries_[slot];
   entry.key = std::move(key);
-  element_bytes_ += entry.key.capacity();
+  element_bytes_ += KeyBytes(entry.key);
   entry.length = static_cast<int>(phrase.size());
   entry.id = id;
   entry_of_.push_back(slot);
@@ -191,10 +191,10 @@ int CTrie::Prune(int candidate_id) {
 
   EMD_CHECK_EQ(nodes_[node].candidate_id, candidate_id);
   nodes_[node].candidate_id = kNoCandidate;
-  element_bytes_ -= entry.key.capacity();
+  element_bytes_ -= KeyBytes(entry.key);
   entry.key.clear();
   entry.key.shrink_to_fit();
-  element_bytes_ += entry.key.capacity();
+  element_bytes_ += KeyBytes(entry.key);
   entry.length = 0;
   entry.id = kNoCandidate;
   free_entries_.push_back(slot);
@@ -220,7 +220,7 @@ int CTrie::Prune(int candidate_id) {
 }
 
 void CTrie::CompactEntries() {
-  for (const Entry& entry : entries_) element_bytes_ -= entry.key.capacity();
+  for (const Entry& entry : entries_) element_bytes_ -= KeyBytes(entry.key);
   size_t live = 0;
   for (size_t s = 0; s < entries_.size(); ++s) {
     const int id = entries_[s].id;
@@ -235,7 +235,7 @@ void CTrie::CompactEntries() {
   entries_.shrink_to_fit();
   free_entries_.clear();
   free_entries_.shrink_to_fit();
-  for (const Entry& entry : entries_) element_bytes_ += entry.key.capacity();
+  for (const Entry& entry : entries_) element_bytes_ += KeyBytes(entry.key);
 }
 
 int CTrie::AppendTombstone() {
@@ -261,7 +261,7 @@ size_t CTrie::ContainerBytes() const {
 
 size_t CTrie::RecountBytes() const {
   size_t bytes = ContainerBytes();
-  for (const Entry& entry : entries_) bytes += entry.key.capacity();
+  for (const Entry& entry : entries_) bytes += KeyBytes(entry.key);
   for (const auto& node : nodes_) {
     bytes += node.sym_edges.capacity() * sizeof(Edge);
   }

@@ -160,9 +160,9 @@ class CTrie {
   }
 
   /// Approximate heap bytes held by the trie: node slots, edge arrays, the
-  /// id -> entry map and the entries' key strings. An estimate for byte
-  /// accounting, not an allocator-exact figure. O(1): edge arrays and key
-  /// strings are running sums kept by Insert and Prune.
+  /// id -> entry map, the entry slots and their keys' heap bytes. An
+  /// estimate for byte accounting, not an allocator-exact figure. O(1): edge
+  /// arrays and key bytes are running sums kept by Insert and Prune.
   size_t ApproxBytes() const { return ContainerBytes() + element_bytes_; }
 
   /// The same figure by walking every node and key: the oracle ApproxBytes()
@@ -175,6 +175,15 @@ class CTrie {
   /// ShardedGlobalState::GovernedBytes.
   static size_t EntryBytes();
   static size_t PathBytesPerToken();
+
+  /// Bytes a candidate key adds beyond its entry slot: its capacity when it
+  /// is held on the heap, 0 for a key short enough to sit inside the slot's
+  /// std::string (which EntryBytes already counts). The one key term of both
+  /// ApproxBytes() and the governor's figure.
+  static size_t KeyBytes(const std::string& key) {
+    static const size_t kInlineCapacity = std::string().capacity();
+    return key.capacity() > kInlineCapacity ? key.capacity() : 0;
+  }
 
   /// Longest depth of any registered candidate (scan window bound k of
   /// §V-A). Monotonic: pruning does not shrink it — a stale upper bound only
@@ -226,7 +235,7 @@ class CTrie {
   std::vector<int32_t> free_entries_;
   int num_tombstones_ = 0;
   int max_len_ = 0;
-  // Edge-array bytes of every node plus the capacity of every entry's key.
+  // Edge-array bytes of every node plus every entry's KeyBytes.
   size_t element_bytes_ = 0;
   SymbolTable* symbols_;  // not owned
 };

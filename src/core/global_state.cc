@@ -32,10 +32,15 @@ obs::Counter& ExtractRootProbesCounter() {
 
 }  // namespace
 
-ShardedGlobalState::ShardedGlobalState(int shard_count)
+ShardedGlobalState::ShardedGlobalState(int shard_count,
+                                       uint64_t decay_half_life_tweets,
+                                       bool retain_mention_embeddings)
     : router_(shard_count), symbols_(std::make_unique<SymbolTable>()) {
   shards_.reserve(static_cast<size_t>(shard_count));
-  for (int s = 0; s < shard_count; ++s) shards_.emplace_back(symbols_.get());
+  for (int s = 0; s < shard_count; ++s) {
+    shards_.emplace_back(symbols_.get(), decay_half_life_tweets,
+                         retain_mention_embeddings);
+  }
 }
 
 int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
@@ -48,7 +53,7 @@ int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
     // Freshly discovered candidate: next gid in global discovery order.
     const int gid = AppendGid({shard, local});
     sh.local_to_gid.push_back(gid);
-    live_key_bytes_ += sh.trie.CandidateKey(local).capacity();
+    live_key_bytes_ += CTrie::KeyBytes(sh.trie.CandidateKey(local));
     live_key_tokens_ += phrase.size();
     peak_key_tokens_ = std::max(peak_key_tokens_, live_key_tokens_);
     return gid;
@@ -349,7 +354,7 @@ int ShardedGlobalState::Prune(int gid) {
   const std::string& key = sh.trie.CandidateKey(r.local);
   int32_t first_sym = SymbolTable::kNoSymbol;
   if (!sh.trie.IsTombstone(r.local)) {
-    live_key_bytes_ -= key.capacity();
+    live_key_bytes_ -= CTrie::KeyBytes(key);
     live_key_tokens_ -= static_cast<size_t>(sh.trie.CandidateLength(r.local));
   }
   if (!key.empty()) {
@@ -375,14 +380,6 @@ int ShardedGlobalState::Prune(int gid) {
     }
   }
   return pruned;
-}
-
-void ShardedGlobalState::set_decay_half_life(uint64_t half_life_tweets) {
-  for (Shard& sh : shards_) sh.candidates.set_decay_half_life(half_life_tweets);
-}
-
-void ShardedGlobalState::set_retain_mention_embeddings(bool retain) {
-  for (Shard& sh : shards_) sh.candidates.set_retain_mention_embeddings(retain);
 }
 
 size_t ShardedGlobalState::SharedContainerBytes() const {
@@ -433,7 +430,7 @@ size_t ShardedGlobalState::RecountGovernedBytes() const {
   size_t key_bytes = 0, key_tokens = 0, first_tokens = 0;
   for (int gid = 0; gid < num_candidates(); ++gid) {
     if (IsTombstone(gid)) continue;
-    key_bytes += CandidateKey(gid).capacity();
+    key_bytes += CTrie::KeyBytes(CandidateKey(gid));
     key_tokens += static_cast<size_t>(CandidateLength(gid));
   }
   for (const auto& list : first_token_) first_tokens += !list.empty();
@@ -479,24 +476,6 @@ int ShardedGlobalState::ShardLiveCandidates(int shard) const {
   EMD_CHECK_GE(shard, 0);
   EMD_CHECK_LT(shard, shard_count());
   return shards_[shard].trie.num_live_candidates();
-}
-
-const CTrie& ShardedGlobalState::shard_trie(int shard) const {
-  EMD_CHECK_GE(shard, 0);
-  EMD_CHECK_LT(shard, shard_count());
-  return shards_[shard].trie;
-}
-
-const CandidateBase& ShardedGlobalState::shard_candidates(int shard) const {
-  EMD_CHECK_GE(shard, 0);
-  EMD_CHECK_LT(shard, shard_count());
-  return shards_[shard].candidates;
-}
-
-CandidateBase& ShardedGlobalState::mutable_shard_candidates(int shard) {
-  EMD_CHECK_GE(shard, 0);
-  EMD_CHECK_LT(shard, shard_count());
-  return shards_[shard].candidates;
 }
 
 void ShardedGlobalState::UpdateShardGauges() {

@@ -62,7 +62,11 @@ struct ExtractedMention {
 /// gid-addressed facade that is drop-in equivalent to the single pair.
 class ShardedGlobalState {
  public:
-  explicit ShardedGlobalState(int shard_count = 1);
+  /// Builds `shard_count` shards, each pooling with the given policy (see
+  /// CandidateBase's constructor): the policy is fixed for the state's life.
+  explicit ShardedGlobalState(int shard_count = 1,
+                              uint64_t decay_half_life_tweets = 0,
+                              bool retain_mention_embeddings = false);
 
   int shard_count() const { return router_.num_shards(); }
   const ShardRouter& router() const { return router_; }
@@ -183,14 +187,6 @@ class ShardedGlobalState {
   /// live gid dirty.
   void RebuildLabelColumn();
 
-  // --- Configuration fan-out ---------------------------------------------
-
-  void set_decay_half_life(uint64_t half_life_tweets);
-  void set_retain_mention_embeddings(bool retain);
-  bool retain_mention_embeddings() const {
-    return shards_[0].candidates.retain_mention_embeddings();
-  }
-
   // --- Accounting & views -------------------------------------------------
 
   /// Approximate heap bytes across all shards (tries + candidate records)
@@ -221,13 +217,6 @@ class ShardedGlobalState {
   /// Live candidates homed in one shard.
   int ShardLiveCandidates(int shard) const;
 
-  /// Direct shard views. Shard 0 backs the Globalizer's legacy ctrie() /
-  /// candidate_base() accessors — with shard_count=1 these are exactly the
-  /// historical single structures.
-  const CTrie& shard_trie(int shard) const;
-  const CandidateBase& shard_candidates(int shard) const;
-  CandidateBase& mutable_shard_candidates(int shard);
-
   /// Publishes per-shard gauges (emd_shard_candidates / emd_shard_bytes,
   /// labelled shard="<index>"). Called at the batch merge barrier.
   void UpdateShardGauges();
@@ -242,7 +231,10 @@ class ShardedGlobalState {
 
  private:
   struct Shard {
-    explicit Shard(SymbolTable* symbols) : trie(symbols) {}
+    Shard(SymbolTable* symbols, uint64_t decay_half_life_tweets,
+          bool retain_mention_embeddings)
+        : trie(symbols),
+          candidates(decay_half_life_tweets, retain_mention_embeddings) {}
     CTrie trie;
     CandidateBase candidates;
     std::vector<int> local_to_gid;  // dense: local candidate id -> gid
@@ -309,7 +301,7 @@ class ShardedGlobalState {
   // Capacity bytes of every first_token_ list, kept by RegisterFirstToken.
   size_t dispatch_bytes_ = 0;
   // GovernedBytes terms kept by registration and Prune: the live
-  // candidates' key capacities and token counts, and the symbols with a
+  // candidates' KeyBytes and token counts, and the symbols with a
   // non-empty dispatch list, with the peaks of the last two (trie node slots
   // and dispatch lists are recycled but never released).
   size_t live_key_bytes_ = 0;

@@ -95,7 +95,7 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
       phrase_embedder_(phrase_embedder),
       classifier_(classifier),
       options_(options),
-      state_(options.shard_count),
+      state_(NewGlobalState()),
       governor_(&state_, &tweets_, options.memory),
       clock_(options.resilience.clock != nullptr ? options.resilience.clock
                                                  : Clock::Real()),
@@ -103,7 +103,6 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
       breaker_(options.resilience.breaker, clock_) {
   EMD_CHECK(system != nullptr);
   EMD_CHECK_GE(options_.shard_count, 1);
-  state_.set_decay_half_life(options_.memory.decay_half_life_tweets);
   if (options_.mode != GlobalizerOptions::Mode::kLocalOnly && system_->is_deep()) {
     EMD_CHECK(phrase_embedder != nullptr)
         << "deep local EMD requires an Entity Phrase Embedder";
@@ -112,6 +111,12 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
   if (options_.mode == GlobalizerOptions::Mode::kFull) {
     EMD_CHECK(classifier != nullptr) << "full mode requires an Entity Classifier";
   }
+}
+
+ShardedGlobalState Globalizer::NewGlobalState() const {
+  return ShardedGlobalState(options_.shard_count,
+                            options_.memory.decay_half_life_tweets,
+                            options_.retain_mention_embeddings);
 }
 
 size_t Globalizer::EmbeddingDim() const {

@@ -148,6 +148,12 @@ struct GlobalizerOptions {
   /// publishes service-wide aggregates instead, so concurrent streams do not
   /// fight over the same gauge.
   bool publish_shard_gauges = true;
+
+  /// Keep every mention embedding in its candidate record beside the pooled
+  /// sum (classifier training reads them; BuildClassifierExamples turns it
+  /// on). Off by default: serving keeps one pooled row per candidate.
+  /// Configuration, not checkpointed state.
+  bool retain_mention_embeddings = false;
 };
 
 /// Final framework output plus diagnostics.
@@ -277,13 +283,6 @@ class Globalizer {
   /// Must outlive the Globalizer. Append failures are logged, never fatal.
   void set_dead_letter_queue(DeadLetterQueue* dlq) { dead_letter_ = dlq; }
 
-  /// Keeps every mention embedding in its candidate record, in every shard,
-  /// beside the pooled sum (classifier training reads them). Owner
-  /// configuration, not checkpointed state: a restore keeps the setting.
-  void set_retain_mention_embeddings(bool retain) {
-    state_.set_retain_mention_embeddings(retain);
-  }
-
   /// Bounded ingest queue feeding this pipeline, if any. Must outlive the
   /// Globalizer. Finalize copies its admission/shedding stats into
   /// GlobalizerOutput so the operator report distinguishes backpressure,
@@ -312,16 +311,6 @@ class Globalizer {
   MemoryPressure memory_pressure() const { return governor_.pressure(); }
   const MemoryGovernor& memory_governor() const { return governor_; }
 
-  /// Shard-0 views. With the default shard_count=1 these are exactly the
-  /// historical single CTrie / CandidateBase; with more shards they expose
-  /// one partition (use global_state() for the whole id space).
-  const CTrie& ctrie() const { return state_.shard_trie(0); }
-  const CandidateBase& candidate_base() const {
-    return state_.shard_candidates(0);
-  }
-  CandidateBase& mutable_candidate_base() {
-    return state_.mutable_shard_candidates(0);
-  }
   const TweetBase& tweet_base() const { return tweets_; }
   /// The sharded global candidate state (gid-addressed facade).
   const ShardedGlobalState& global_state() const { return state_; }
@@ -367,6 +356,10 @@ class Globalizer {
     uint64_t pos;
     std::span<const float> row;
   };
+
+  /// An empty global state with the options' shard count and pooling
+  /// policy; the constructor and RestoreCheckpoint both start from one.
+  ShardedGlobalState NewGlobalState() const;
 
   /// Local mention embedding width: out_dim() or kNumSyntacticCategories.
   size_t EmbeddingDim() const;

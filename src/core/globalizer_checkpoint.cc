@@ -279,8 +279,8 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     binio::AppendU8(&buf, state_.IsTombstone(g) ? 0 : 1);
   }
   for (int s = 0; s < state_.shard_count(); ++s) {
-    binio::AppendU32(
-        &buf, static_cast<uint32_t>(state_.shard_trie(s).num_live_candidates()));
+    binio::AppendU32(&buf,
+                     static_cast<uint32_t>(state_.ShardLiveCandidates(s)));
     for (int g = 0; g < num_gids; ++g) {
       if (state_.IsTombstone(g) || state_.ShardOf(g) != s) continue;
       binio::AppendU32(&buf, static_cast<uint32_t>(g));
@@ -446,7 +446,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   // Parse into local stores; the members are only touched once the whole
   // checkpoint has validated, so a corrupt file leaves this Globalizer as
   // freshly constructed.
-  ShardedGlobalState state(options_.shard_count);
+  ShardedGlobalState state = NewGlobalState();
   TweetBase tweets;
 
   // Candidate keys. Both layouts produce the same inputs to the generic
@@ -755,10 +755,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
   }
 
   // Commit. governor_ points at state_/tweets_, whose addresses
-  // move-assignment keeps stable; the retain flag is owner configuration,
-  // not checkpointed state.
-  state.set_retain_mention_embeddings(state_.retain_mention_embeddings());
-  state.set_decay_half_life(options_.memory.decay_half_life_tweets);
+  // move-assignment keeps stable.
   // The label column was filled from the slots above; the tallies and dirty
   // set are derived state, not checkpointed. Every live candidate is
   // re-scored by the next classify pass, which reproduces its saved verdict

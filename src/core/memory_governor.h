@@ -70,7 +70,8 @@ struct MemoryGovernorOptions {
 
   /// Exponential decay half-life for global-embedding pooling, in stream
   /// positions (tweets). 0 = no decay: pooling stays bit-exact with the
-  /// original unweighted mean. Plumbed into CandidateBase by the owner.
+  /// original unweighted mean. The Globalizer builds its state's shards with
+  /// it, at construction and at restore; the governor does not read it.
   uint64_t decay_half_life_tweets = 0;
 
   /// Ambiguous/unlabeled candidates younger than this many stream positions
@@ -100,8 +101,9 @@ class MemoryGovernor {
   MemoryGovernor(ShardedGlobalState* state, TweetBase* tweets,
                  MemoryGovernorOptions options);
 
-  /// True when any governance feature is active (budget, decay, or
-  /// reclassification). An inert governor costs one branch per batch.
+  /// True when a byte budget or periodic reclassification is set. Decay is
+  /// not a trigger: it acts inside pooling. An inert governor costs one
+  /// branch per batch.
   bool enabled() const {
     return options_.budget_bytes > 0 ||
            options_.reclassify_interval_batches > 0;

@@ -69,6 +69,12 @@ Mat RandomEmbedding(Rng* rng, int dim) {
   return m;
 }
 
+/// `opt` with every mention embedding kept in its record.
+GlobalizerOptions Retaining(GlobalizerOptions opt) {
+  opt.retain_mention_embeddings = true;
+  return opt;
+}
+
 // -------------------------------------------------------- Single stores --
 
 TEST(AccountingTest, SymbolTableInternAndReleaseWithIdRecycling) {
@@ -112,15 +118,38 @@ TEST(AccountingTest, CTrieInsertPruneAndTombstones) {
     ASSERT_EQ(trie.ApproxBytes(), trie.RecountBytes()) << "step " << step;
     ASSERT_EQ(symbols.ApproxBytes(), symbols.RecountBytes()) << "step " << step;
   }
+
+  // A key charges only its heap allocation: one short enough to sit inside
+  // its entry slot's std::string adds no bytes beyond the slot. Each probe
+  // registers a prefix of a known phrase (no node, no edge) while the entry
+  // vectors have room, so the key is the only term that can move.
+  SymbolTable probe_symbols;
+  CTrie probe(&probe_symbols);
+  const std::string long_token(40, 'k');
+  for (const std::vector<std::string>& phrase :
+       std::vector<std::vector<std::string>>{{"andy", "beshear"},
+                                             {long_token, "office"},
+                                             {"kentucky"},
+                                             {"frankfort"},
+                                             {"louisville"}}) {
+    probe.Insert(phrase);
+  }
+  size_t before = probe.ApproxBytes();
+  const int short_id = probe.Insert({"andy"});
+  EXPECT_EQ(probe.ApproxBytes(), before) << "a short key added key bytes";
+  before = probe.ApproxBytes();
+  const int long_id = probe.Insert({long_token});
+  EXPECT_EQ(probe.ApproxBytes() - before,
+            probe.CandidateKey(long_id).capacity());
+  EXPECT_EQ(CTrie::KeyBytes(probe.CandidateKey(short_id)), 0u);
+  EXPECT_EQ(probe.ApproxBytes(), probe.RecountBytes());
 }
 
 TEST(AccountingTest, CandidateBaseDecayedPoolingRetentionAndEviction) {
   for (const bool retain : {false, true}) {
     SCOPED_TRACE(retain ? "retained embeddings" : "pooled only");
     Rng rng(7);
-    CandidateBase base;
-    base.set_decay_half_life(16);
-    base.set_retain_mention_embeddings(retain);
+    CandidateBase base(/*decay_half_life_tweets=*/16, retain);
     int next_id = 0;
     std::vector<int> live;
     for (int step = 0; step < 3000; ++step) {
@@ -310,9 +339,8 @@ TEST(AccountingTest, TweetBaseRefusesARewriteThatIsNotASuffix) {
 void ChurnShardedState(int shards, int threads, uint64_t seed) {
   SCOPED_TRACE("S=" + std::to_string(shards) + " T=" + std::to_string(threads));
   Rng rng(seed);
-  ShardedGlobalState state(shards);
-  state.set_decay_half_life(12);
-  state.set_retain_mention_embeddings(true);
+  ShardedGlobalState state(shards, /*decay_half_life_tweets=*/12,
+                           /*retain_mention_embeddings=*/true);
   std::vector<int> live;
   size_t pos = 0;
   int symbol_deaths = 0;
@@ -404,8 +432,8 @@ TEST(AccountingTest, GovernedPipelineAtEveryShardAndThreadCount) {
                    " T=" + std::to_string(threads));
       MockLocalSystem mock(ChurnRules(), /*dim=*/6);
       PhraseEmbedder pe(6, 4);
-      Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, threads));
-      g.set_retain_mention_embeddings(true);
+      Globalizer g(&mock, &pe, nullptr,
+                   Retaining(GovernedOptions(shards, threads)));
       for (size_t b = 0; b < batches; ++b) {
         ASSERT_TRUE(g.ProcessBatch(BatchAt(d, b)).ok());
         ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g)) << "batch " << b;
@@ -519,8 +547,7 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
   const std::string path = ::testing::TempDir() + "emd_accounting.ckpt";
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
-  Globalizer saved(&mock, &pe, nullptr, GovernedOptions(4, 4));
-  saved.set_retain_mention_embeddings(true);
+  Globalizer saved(&mock, &pe, nullptr, Retaining(GovernedOptions(4, 4)));
   for (size_t b = 0; b < batches / 2; ++b) {
     ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
   }
@@ -529,8 +556,7 @@ TEST(AccountingTest, CheckpointRestoreIntoADifferentShardCount) {
 
   for (const int shards : {1, 13}) {
     SCOPED_TRACE("restored into S=" + std::to_string(shards));
-    Globalizer g(&mock, &pe, nullptr, GovernedOptions(shards, 4));
-    g.set_retain_mention_embeddings(true);
+    Globalizer g(&mock, &pe, nullptr, Retaining(GovernedOptions(shards, 4)));
     ASSERT_TRUE(g.RestoreCheckpoint(path).ok());
     ASSERT_NO_FATAL_FAILURE(ExpectByteTotalsMatchRecount(g));
     for (size_t b = batches / 2; b < batches; ++b) {
@@ -557,16 +583,14 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   const std::string path = ::testing::TempDir() + "emd_accounting_resave.ckpt";
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
-  Globalizer saved(&mock, &pe, nullptr, GovernedOptions(3, 4));
-  saved.set_retain_mention_embeddings(true);
+  Globalizer saved(&mock, &pe, nullptr, Retaining(GovernedOptions(3, 4)));
   for (size_t b = 0; b < batches; ++b) {
     ASSERT_TRUE(saved.ProcessBatch(BatchAt(d, b)).ok());
   }
   ASSERT_GT(saved.memory_governor().stats().evicted_candidates, 0u);
   const std::string first = SavedStateSection(saved, path);
 
-  Globalizer restored(&mock, &pe, nullptr, GovernedOptions(3, 4));
-  restored.set_retain_mention_embeddings(true);
+  Globalizer restored(&mock, &pe, nullptr, Retaining(GovernedOptions(3, 4)));
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
   const std::string second = SavedStateSection(restored, path);
   ASSERT_EQ(first.size(), second.size());
@@ -574,36 +598,36 @@ TEST(AccountingTest, SaveRestoreSaveReproducesTheStateSection) {
   std::remove(path.c_str());
 }
 
-// Retention is owner configuration that reaches every shard: a 3-shard run
-// resumed from a checkpoint holds the same record bytes and writes the same
-// next checkpoint state as the run that was never interrupted. Ungoverned:
-// after a resume a governor's evictions follow byte figures and a sweep
-// schedule that a restore does not yet reproduce exactly.
+// Retention and decay are options that reach every shard, at construction
+// and at restore alike: a 3-shard run resumed from a checkpoint holds the
+// same record bytes and writes the same next checkpoint state as the run
+// that was never interrupted. Ungoverned, but pooling with decay (a restore
+// that lost the half-life would write other embedding sums): after a resume
+// a governor's evictions follow byte figures and a sweep schedule that a
+// restore does not yet reproduce exactly.
 TEST(AccountingTest, ResumedShardedRetainingRunMatchesAnUninterruptedOne) {
   const Dataset d = ChurnStream(320, 61);
   const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
   const std::string path = ::testing::TempDir() + "emd_accounting_retain.ckpt";
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
-  GlobalizerOptions opt = GovernedOptions(3, 4);
-  opt.memory = MemoryGovernorOptions();
+  GlobalizerOptions opt = Retaining(GovernedOptions(3, 4));
+  opt.memory = MemoryGovernorOptions{
+      .decay_half_life_tweets = opt.memory.decay_half_life_tweets};
 
   Globalizer whole(&mock, &pe, nullptr, opt);
-  whole.set_retain_mention_embeddings(true);
   for (size_t b = 0; b < batches; ++b) {
     ASSERT_TRUE(whole.ProcessBatch(BatchAt(d, b)).ok());
   }
 
   {
     Globalizer first(&mock, &pe, nullptr, opt);
-    first.set_retain_mention_embeddings(true);
     for (size_t b = 0; b < batches / 2; ++b) {
       ASSERT_TRUE(first.ProcessBatch(BatchAt(d, b)).ok());
     }
     ASSERT_TRUE(first.SaveCheckpoint(path).ok());
   }
   Globalizer resumed(&mock, &pe, nullptr, opt);
-  resumed.set_retain_mention_embeddings(true);
   ASSERT_TRUE(resumed.RestoreCheckpoint(path).ok());
   for (size_t b = batches / 2; b < batches; ++b) {
     ASSERT_TRUE(resumed.ProcessBatch(BatchAt(d, b)).ok());
@@ -612,17 +636,11 @@ TEST(AccountingTest, ResumedShardedRetainingRunMatchesAnUninterruptedOne) {
   const ShardedGlobalState& a = whole.global_state();
   const ShardedGlobalState& b = resumed.global_state();
   ASSERT_EQ(a.num_candidates(), b.num_candidates());
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_TRUE(a.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
-    EXPECT_TRUE(b.shard_candidates(s).retain_mention_embeddings()) << "shard " << s;
-  }
   // Record bytes: every retained embedding, float for float, and every
   // shard's byte total (restore grows the mention vectors as AddMention
   // does, so the capacities agree too).
   for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(a.shard_candidates(s).ApproxBytes(),
-              b.shard_candidates(s).ApproxBytes())
-        << "shard " << s;
+    EXPECT_EQ(a.ShardApproxBytes(s), b.ShardApproxBytes(s)) << "shard " << s;
   }
   size_t retained_off_shard_0 = 0;
   for (int gid = 0; gid < a.num_candidates(); ++gid) {
@@ -785,7 +803,6 @@ TEST(AccountingTest, GoldenCheckpointRestoresAndResavesItsStateSection) {
   MockLocalSystem mock(ChurnRules(), /*dim=*/6);
   PhraseEmbedder pe(6, 4);
   Globalizer g(&mock, &pe, nullptr, GoldenOptions());
-  g.set_retain_mention_embeddings(true);
   ASSERT_TRUE(g.RestoreCheckpoint(kGoldenCheckpoint).ok());
 
   // What the fixture covers.
@@ -812,7 +829,7 @@ TEST(AccountingTest, GoldenCheckpointRestoresAndResavesItsStateSection) {
   }
   EXPECT_GT(retained, 0u);
   EXPECT_GT(tombstones, 0u);
-  EXPECT_GT(state.shard_trie(1).num_live_candidates(), 0);
+  EXPECT_GT(state.ShardLiveCandidates(1), 0);
 
   const std::string path = ::testing::TempDir() + "emd_golden_resave.ckpt";
   const std::string resaved = SavedStateSection(g, path);

@@ -145,12 +145,13 @@ inline Result<std::string> SaveStateSection(const Globalizer& g,
 }
 
 /// The golden v5 checkpoint fixture (see golden_checkpoint_writer.cc): a
-/// deep pipeline over 2 shards under a 56 KiB budget, retaining mention
+/// deep pipeline over 2 shards under a 56 640 B budget, retaining mention
 /// embeddings, after 14 batches of ChurnStream(112, 79) in which tweet 37's
 /// Local EMD fails once.
 inline GlobalizerOptions GoldenOptions() {
   GlobalizerOptions opt = GovernedOptions(/*shards=*/2, /*threads=*/1);
-  opt.memory.budget_bytes = 56 * 1024;
+  opt.memory.budget_bytes = 56640;
+  opt.retain_mention_embeddings = true;
   return opt;
 }
 

@@ -295,8 +295,8 @@ TEST(CandidateBaseTest, IncrementalPoolingEqualsBatchMean) {
 }
 
 TEST(CandidateBaseTest, RetainMentionEmbeddings) {
-  CandidateBase base;
-  base.set_retain_mention_embeddings(true);
+  CandidateBase base(/*decay_half_life_tweets=*/0,
+                     /*retain_mention_embeddings=*/true);
   base.GetOrCreate(0);
   const float a[] = {1, 2};
   const float b[] = {3, 4};

@@ -592,8 +592,9 @@ TEST(FailureInjectionTest, PhraseEmbedderRetryCoversOneTweetsCall) {
     r.out = g.Run(d).value();
     r.hits = failpoint::HitCount("core.phrase_embedder.embed");
     failpoint::DisableAll();
-    for (size_t id = 0; id < g.candidate_base().size(); ++id) {
-      const Mat& sum = g.candidate_base().at(static_cast<int>(id)).embedding_sum;
+    const ShardedGlobalState& state = g.global_state();
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      const Mat& sum = state.at(gid).embedding_sum;
       r.sums.emplace_back(sum.data(), sum.data() + sum.size());
     }
     for (size_t i = 0; i < g.tweet_base().size(); ++i) {
@@ -923,8 +924,10 @@ TEST(FailureInjectionTest, CheckpointRoundTripsState) {
   Globalizer restored(&mock2, nullptr, nullptr, opt);
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
   EXPECT_EQ(restored.processed_tweets(), 2u);
-  EXPECT_EQ(restored.ctrie().num_candidates(), g.ctrie().num_candidates());
-  EXPECT_EQ(restored.candidate_base().size(), g.candidate_base().size());
+  EXPECT_EQ(restored.global_state().num_candidates(),
+            g.global_state().num_candidates());
+  EXPECT_EQ(restored.global_state().num_live_candidates(),
+            g.global_state().num_live_candidates());
   EXPECT_EQ(restored.Finalize().value().mentions, g.Finalize().value().mentions);
   std::filesystem::remove(path);
 }
@@ -979,11 +982,13 @@ TEST(FailureInjectionTest, KillAndResumeProducesIdenticalOutput) {
 
   EXPECT_EQ(out_a.mentions, out_b.mentions);
   EXPECT_EQ(out_a.num_candidates, out_b.num_candidates);
-  ASSERT_EQ(a.candidate_base().size(), b.candidate_base().size());
-  for (size_t c = 0; c < a.candidate_base().size(); ++c) {
-    if (!a.candidate_base().Contains(static_cast<int>(c))) continue;
-    const CandidateRecord& ra = a.candidate_base().at(static_cast<int>(c));
-    const CandidateRecord& rb = b.candidate_base().at(static_cast<int>(c));
+  const ShardedGlobalState& sa = a.global_state();
+  const ShardedGlobalState& sb = b.global_state();
+  ASSERT_EQ(sa.num_candidates(), sb.num_candidates());
+  for (int c = 0; c < sa.num_candidates(); ++c) {
+    if (!sa.Contains(c)) continue;
+    const CandidateRecord& ra = sa.at(c);
+    const CandidateRecord& rb = sb.at(c);
     ASSERT_EQ(ra.embedding_count, rb.embedding_count);
     for (size_t j = 0; j < ra.embedding_sum.size(); ++j) {
       EXPECT_EQ(ra.embedding_sum.data()[j], rb.embedding_sum.data()[j])

@@ -207,9 +207,9 @@ TEST(GlobalizerTest, DeepEmbeddingsPooledThroughPhraseEmbedder) {
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   Globalizer g(&deep_mock, &pe, nullptr, opt);
   g.Run(d).value();
-  const CandidateBase& cb = g.candidate_base();
-  ASSERT_GE(cb.size(), 1u);
-  const CandidateRecord& rec = cb.at(0);
+  const ShardedGlobalState& state = g.global_state();
+  ASSERT_TRUE(state.Contains(0));
+  const CandidateRecord& rec = state.at(0);
   EXPECT_EQ(rec.embedding_count, 2);
   EXPECT_EQ(rec.GlobalEmbedding().cols(), 4);
 }

@@ -68,19 +68,30 @@ uint32_t MentionDigest(const GlobalizerOutput& out) {
   return crc;
 }
 
-/// Live ids resolve through the trie, tombstoned ids miss and carry an
-/// eviction label — the structural invariant every prune must preserve.
-void CheckTrieCandidateInvariants(const CTrie& trie,
-                                  const CandidateBase& candidates) {
-  for (int id = 0; id < trie.num_candidates(); ++id) {
-    if (trie.IsTombstone(id)) {
-      EXPECT_FALSE(candidates.Contains(id)) << "tombstoned id " << id;
-      EXPECT_TRUE(trie.CandidateKey(id).empty()) << "tombstoned id " << id;
-      EXPECT_EQ(trie.CandidateLength(id), 0) << "tombstoned id " << id;
+/// Live gids resolve through their shard's trie, tombstoned gids miss and
+/// keep no record — the structural invariant every prune must preserve.
+/// Read through the gid facade, so it covers every shard.
+void CheckTrieCandidateInvariants(const ShardedGlobalState& state) {
+  int live = 0;
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    if (state.IsTombstone(gid)) {
+      EXPECT_FALSE(state.Contains(gid)) << "tombstoned gid " << gid;
+      EXPECT_TRUE(state.CandidateKey(gid).empty()) << "tombstoned gid " << gid;
+      EXPECT_EQ(state.CandidateLength(gid), 0) << "tombstoned gid " << gid;
     } else {
-      EXPECT_EQ(trie.Find(Split(trie.CandidateKey(id))), id);
+      ++live;
+      const std::vector<std::string> words = Split(state.CandidateKey(gid));
+      EXPECT_EQ(state.Find(words), gid);
+      EXPECT_EQ(state.CandidateLength(gid), static_cast<int>(words.size()))
+          << "gid " << gid;
     }
   }
+  int per_shard = 0;
+  for (int s = 0; s < state.shard_count(); ++s) {
+    per_shard += state.ShardLiveCandidates(s);
+  }
+  EXPECT_EQ(live, state.num_live_candidates());
+  EXPECT_EQ(per_shard, live);
 }
 
 // --------------------------------------------------------- CTrie pruning --
@@ -221,8 +232,7 @@ TEST(CandidateBaseEvictTest, EvictedSlotsAreReusedAndThePoolCompacts) {
 // --------------------------------------------------------- Decayed pooling --
 
 TEST(DecayedPoolingTest, HalfLifeScalesOldEvidence) {
-  CandidateBase cb;
-  cb.set_decay_half_life(1);  // lambda = 0.5 per stream position
+  CandidateBase cb(/*decay_half_life_tweets=*/1);  // lambda = 0.5 per position
   cb.GetOrCreate(0);
 
   Mat a(1, 2);
@@ -282,8 +292,7 @@ TEST(DecayedPoolingTest, DecayOffIsBitExactLegacyMean) {
 }
 
 TEST(DecayedPoolingTest, SamePositionMentionsDoNotDecayEachOther) {
-  CandidateBase cb;
-  cb.set_decay_half_life(4);
+  CandidateBase cb(/*decay_half_life_tweets=*/4);
   cb.GetOrCreate(0);
   Mat a(1, 1);
   a(0, 0) = 2.f;
@@ -320,7 +329,7 @@ TEST(MemoryGovernorTest, ConfirmedEntitiesAreNeverEvicted) {
   EXPECT_GT(governor.stats().pruned_nodes, 0u);
   // Reclaim could not free the entity: the budget stays blown -> hard.
   EXPECT_EQ(governor.pressure(), MemoryPressure::kHard);
-  CheckTrieCandidateInvariants(state.shard_trie(0), state.shard_candidates(0));
+  CheckTrieCandidateInvariants(state);
 }
 
 TEST(MemoryGovernorTest, YoungAmbiguousCandidatesAreRetained) {
@@ -406,12 +415,12 @@ TEST(MemoryGovernorTest, EvictFailpointAbortsSweepBetweenVictims) {
   EXPECT_TRUE(state.Contains(1));
   EXPECT_TRUE(state.Contains(2));
   EXPECT_TRUE(state.Contains(3));
-  CheckTrieCandidateInvariants(state.shard_trie(0), state.shard_candidates(0));
+  CheckTrieCandidateInvariants(state);
 
   // Next pass (failpoint spent) finishes the job.
   governor.Run({});
   EXPECT_EQ(governor.stats().evicted_candidates, 4u);
-  CheckTrieCandidateInvariants(state.shard_trie(0), state.shard_candidates(0));
+  CheckTrieCandidateInvariants(state);
 }
 
 // ------------------------------------------------- Pipeline integration --
@@ -459,10 +468,12 @@ TEST(GovernedPipelineTest, InertGovernanceIsBitIdenticalToUngoverned) {
   EXPECT_EQ(out_b.num_evicted, 0u);
   EXPECT_EQ(out_b.num_trimmed, 0u);
   EXPECT_EQ(out_b.memory_pressure, 0);
-  ASSERT_EQ(ungoverned.candidate_base().size(), with_budget.candidate_base().size());
-  for (size_t c = 0; c < ungoverned.candidate_base().size(); ++c) {
-    const CandidateRecord& ra = ungoverned.candidate_base().at(static_cast<int>(c));
-    const CandidateRecord& rb = with_budget.candidate_base().at(static_cast<int>(c));
+  const ShardedGlobalState& sa = ungoverned.global_state();
+  const ShardedGlobalState& sb = with_budget.global_state();
+  ASSERT_EQ(sa.num_candidates(), sb.num_candidates());
+  for (int c = 0; c < sa.num_candidates(); ++c) {
+    const CandidateRecord& ra = sa.at(c);
+    const CandidateRecord& rb = sb.at(c);
     ASSERT_EQ(ra.embedding_count, rb.embedding_count);
     EXPECT_EQ(ra.embedding_weight, rb.embedding_weight);
     ASSERT_EQ(ra.embedding_sum.size(), rb.embedding_sum.size());
@@ -519,7 +530,7 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
     marked += state.WasEvicted(gid) ? 1 : 0;
   }
   EXPECT_EQ(marked, out_evict.num_evicted);
-  CheckTrieCandidateInvariants(evicting.ctrie(), evicting.candidate_base());
+  CheckTrieCandidateInvariants(state);
 }
 
 // ------------------------------------------------------- Admission edge --
@@ -608,16 +619,16 @@ TEST(MemoryCheckpointTest, V4RoundTripsPrunedStateAndGovernorStats) {
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
 
   // The dense id space — including eviction holes — survives the round trip.
-  ASSERT_EQ(restored.ctrie().num_candidates(), g.ctrie().num_candidates());
-  EXPECT_EQ(restored.ctrie().num_live_candidates(),
-            g.ctrie().num_live_candidates());
-  for (int id = 0; id < g.ctrie().num_candidates(); ++id) {
-    EXPECT_EQ(restored.ctrie().IsTombstone(id), g.ctrie().IsTombstone(id));
-    EXPECT_EQ(restored.global_state().WasEvicted(id),
-              g.global_state().WasEvicted(id));
-    EXPECT_EQ(restored.global_state().Label(id), g.global_state().Label(id));
+  const ShardedGlobalState& before = g.global_state();
+  const ShardedGlobalState& after = restored.global_state();
+  ASSERT_EQ(after.num_candidates(), before.num_candidates());
+  EXPECT_EQ(after.num_live_candidates(), before.num_live_candidates());
+  for (int gid = 0; gid < before.num_candidates(); ++gid) {
+    EXPECT_EQ(after.IsTombstone(gid), before.IsTombstone(gid));
+    EXPECT_EQ(after.WasEvicted(gid), before.WasEvicted(gid));
+    EXPECT_EQ(after.Label(gid), before.Label(gid));
   }
-  CheckTrieCandidateInvariants(restored.ctrie(), restored.candidate_base());
+  CheckTrieCandidateInvariants(after);
   // Lifetime reclamation totals are cumulative across the restore.
   EXPECT_EQ(restored.memory_governor().stats().evicted_candidates,
             g.memory_governor().stats().evicted_candidates);
@@ -658,7 +669,7 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   MockLocalSystem mock2(StreamRules());
   Globalizer resumed(&mock2, nullptr, nullptr, opt);
   ASSERT_TRUE(resumed.RestoreCheckpoint(path).ok());
-  CheckTrieCandidateInvariants(resumed.ctrie(), resumed.candidate_base());
+  CheckTrieCandidateInvariants(resumed.global_state());
   EXPECT_EQ(resumed.memory_governor().stats().evicted_candidates, 1u);
 
   // The resumed stream keeps processing (and keeps evicting) normally.
@@ -667,7 +678,7 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
                       d.tweets.data() + 4, d.tweets.size() - 4))
                   .ok());
   EXPECT_TRUE(resumed.Finalize().ok());
-  CheckTrieCandidateInvariants(resumed.ctrie(), resumed.candidate_base());
+  CheckTrieCandidateInvariants(resumed.global_state());
 }
 
 /// Hand-crafted pre-governance (version 3) checkpoint: no governor stats, no
@@ -752,12 +763,13 @@ TEST(MemoryCheckpointTest, V3CheckpointLoadsIntoV4Reader) {
   ASSERT_TRUE(g.RestoreCheckpoint(path).ok());
 
   EXPECT_EQ(g.processed_tweets(), 1u);
-  ASSERT_EQ(g.ctrie().num_candidates(), 1);
-  EXPECT_FALSE(g.ctrie().IsTombstone(0));
-  ASSERT_TRUE(g.candidate_base().Contains(0));
+  const ShardedGlobalState& state = g.global_state();
+  ASSERT_EQ(state.num_candidates(), 1);
+  EXPECT_FALSE(state.IsTombstone(0));
+  ASSERT_TRUE(state.Contains(0));
   // Pre-governance files restore to the exact ungoverned state: weight is
   // the count, recency positions derive from the mention list.
-  const CandidateRecord& rec = g.candidate_base().at(0);
+  const CandidateRecord& rec = state.at(0);
   EXPECT_EQ(rec.embedding_weight, 1.0);
   EXPECT_EQ(rec.last_mention_pos, 0u);
   EXPECT_EQ(rec.last_update_pos, 0u);
@@ -771,7 +783,7 @@ TEST(MemoryCheckpointTest, V3CheckpointLoadsIntoV4Reader) {
   Globalizer again(&mock2, nullptr, nullptr, opt);
   ASSERT_TRUE(again.RestoreCheckpoint(v4_path).ok());
   EXPECT_EQ(again.processed_tweets(), 1u);
-  EXPECT_EQ(again.candidate_base().at(0).embedding_weight, 1.0);
+  EXPECT_EQ(again.global_state().at(0).embedding_weight, 1.0);
 }
 
 TEST(MemoryCheckpointTest, VersionSkewErrorNamesFoundAndSupportedVersions) {
@@ -807,6 +819,7 @@ TEST(MemoryChaosTest, EvictionAtBarrierNeverRacesWorkersOrPressureReaders) {
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.batch_size = 4;
   opt.num_threads = 4;  // workers Step() the trie while batches process
+  opt.shard_count = 3;  // the merge pools different shards on different workers
   opt.memory.budget_bytes = 8192;  // aggressive: evict during the stream
   opt.memory.min_retain_tweets = 0;
   opt.memory.decay_half_life_tweets = 16;
@@ -834,10 +847,13 @@ TEST(MemoryChaosTest, EvictionAtBarrierNeverRacesWorkersOrPressureReaders) {
 
   GlobalizerOutput out = g.Finalize().value();
   EXPECT_GT(out.num_trimmed, 0u);
-  CheckTrieCandidateInvariants(g.ctrie(), g.candidate_base());
-  // Parallel governed output must match a serial governed run bit for bit.
+  CheckTrieCandidateInvariants(g.global_state());
+  // Parallel 3-shard governed output must match a serial one-shard governed
+  // run bit for bit: the governor's figure, so its evictions, do not depend
+  // on the shard count.
   GlobalizerOptions serial = opt;
   serial.num_threads = 1;
+  serial.shard_count = 1;
   MockLocalSystem mock2(StreamRules(), /*dim=*/8);
   Globalizer s(&mock2, &pe, nullptr, serial);
   for (size_t i = 0; i < d.tweets.size(); i += 4) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/entity_classifier.h"
@@ -103,6 +104,15 @@ void ExpectSameGlobalState(const ShardedGlobalState& a,
                 0)
           << "gid " << gid;
     }
+    ASSERT_EQ(ra.mention_embeddings.size(), rb.mention_embeddings.size())
+        << "gid " << gid;
+    for (size_t m = 0; m < ra.mention_embeddings.size(); ++m) {
+      const Mat& ea = ra.mention_embeddings[m];
+      const Mat& eb = rb.mention_embeddings[m];
+      ASSERT_EQ(ea.size(), eb.size()) << "gid " << gid << " mention " << m;
+      EXPECT_EQ(std::memcmp(ea.data(), eb.data(), sizeof(float) * ea.size()), 0)
+          << "gid " << gid << " mention " << m;
+    }
   }
 }
 
@@ -157,8 +167,9 @@ TEST(ShardedGlobalStateTest, GidsAreDenseInDiscoveryOrderAtAnyShardCount) {
     const GidRef ref = sharded.ref(static_cast<int>(i));
     EXPECT_EQ(ref.shard, sharded.router().ShardOfFolded(
                              sharded.CandidateKey(static_cast<int>(i))));
-    EXPECT_EQ(sharded.shard_trie(ref.shard).CandidateKey(ref.local),
-              sharded.CandidateKey(static_cast<int>(i)));
+    EXPECT_EQ(sharded.ShardOf(static_cast<int>(i)), ref.shard);
+    // Nothing was pruned, so each shard's local ids are dense.
+    EXPECT_LT(ref.local, sharded.ShardLiveCandidates(ref.shard));
   }
   // Per-shard live counts partition the candidate set.
   int total = 0;
@@ -186,23 +197,41 @@ TEST(ShardedPipelineTest, DeepPipelineOutputBitIdenticalAcrossShardCounts) {
   Dataset d = ShardStream(4);
   PhraseEmbedder pe(8, 8);
 
-  GlobalizerOptions opt;
-  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  opt.batch_size = 4;
+  // Retention is one more input. BuildClassifierExamples reads each gid's
+  // key, length and retained mention embeddings, and runs one shard only, so
+  // those must match float for float at any shard and thread count.
+  for (const bool retain : {false, true}) {
+    SCOPED_TRACE(retain ? "retaining mention embeddings" : "pooled only");
+    GlobalizerOptions opt;
+    opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+    opt.batch_size = 4;
+    opt.retain_mention_embeddings = retain;
 
-  MockLocalSystem mock1(ShardRules(), /*dim=*/8);
-  Globalizer single(&mock1, &pe, nullptr, opt);
-  GlobalizerOutput out1 = single.Run(d).value();
+    MockLocalSystem mock1(ShardRules(), /*dim=*/8);
+    Globalizer single(&mock1, &pe, nullptr, opt);
+    GlobalizerOutput out1 = single.Run(d).value();
+    const ShardedGlobalState& state = single.global_state();
+    size_t retained = 0;
+    for (int gid = 0; gid < state.num_candidates(); ++gid) {
+      if (!state.Contains(gid)) continue;
+      retained += state.at(gid).mention_embeddings.size();
+    }
+    EXPECT_EQ(retained > 0, retain);
 
-  for (int shards : {2, 4, 7}) {
-    GlobalizerOptions sharded_opt = opt;
-    sharded_opt.shard_count = shards;
-    MockLocalSystem mock(ShardRules(), /*dim=*/8);
-    Globalizer sharded(&mock, &pe, nullptr, sharded_opt);
-    GlobalizerOutput out = sharded.Run(d).value();
-    EXPECT_EQ(MentionDigest(out1), MentionDigest(out)) << shards << " shards";
-    EXPECT_EQ(out1.num_candidates, out.num_candidates) << shards << " shards";
-    ExpectSameGlobalState(single.global_state(), sharded.global_state());
+    for (const auto& [shards, threads] :
+         {std::pair{2, 1}, std::pair{3, 4}, std::pair{4, 1}, std::pair{7, 1}}) {
+      SCOPED_TRACE(std::to_string(shards) + " shards, " +
+                   std::to_string(threads) + " threads");
+      GlobalizerOptions sharded_opt = opt;
+      sharded_opt.shard_count = shards;
+      sharded_opt.num_threads = threads;
+      MockLocalSystem mock(ShardRules(), /*dim=*/8);
+      Globalizer sharded(&mock, &pe, nullptr, sharded_opt);
+      GlobalizerOutput out = sharded.Run(d).value();
+      EXPECT_EQ(MentionDigest(out1), MentionDigest(out));
+      EXPECT_EQ(out1.num_candidates, out.num_candidates);
+      ExpectSameGlobalState(single.global_state(), sharded.global_state());
+    }
   }
 }
 
