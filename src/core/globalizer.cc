@@ -333,7 +333,7 @@ CandidateLabel Globalizer::LabelFor(float probability,
 
 void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
                                size_t first_index, int lanes,
-                               std::vector<Mat>* token_embeddings) {
+                               std::span<LocalStage> staged) {
   const size_t n = batch.size();
   const int chunks =
       static_cast<int>(std::max<size_t>(1, std::min<size_t>(lanes, n)));
@@ -352,7 +352,6 @@ void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
   // Chunk c is driven exclusively by lane system c (one task per chunk), so
   // non-concurrent-safe replicas stay single-threaded.
   const size_t per = (n + chunks - 1) / chunks;
-  std::vector<LocalStage> staged(n);
   auto run_chunk = [&](int /*slot*/, size_t c) {
     // ceil-divide can leave the last chunk empty (e.g. n=5, chunks=4).
     const size_t lo = std::min(n, c * per);
@@ -394,33 +393,30 @@ void Globalizer::RunLocalStage(std::span<const AnnotatedTweet> batch,
       breaker_.AllowRequest();
       breaker_.RecordSuccess();
     }
-    MergeLocalStage(batch[i], std::move(staged[i]), &(*token_embeddings)[i]);
+    MergeLocalStage(batch[i], staged[i]);
   }
 }
 
-void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage,
-                                 Mat* token_embeddings) {
+void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet,
+                                 const LocalStage& stage) {
   num_retries_ += stage.retries;
   if (stage.retries > 0) Counters().retries->Increment(stage.retries);
   Counters().tweets->Increment();
   if (!stage.status.ok()) {
-    // Per-tweet isolation: quarantine this tweet (kept in the TweetBase so
-    // stream indexes stay dense, but it contributes no candidates) and
-    // persist it to the dead-letter queue for replay.
+    // Per-tweet isolation: quarantine this tweet (still stored, so stream
+    // indexes stay dense, but it contributes no candidates) and persist it
+    // to the dead-letter queue for replay.
     ++num_quarantined_;
     Counters().quarantined->Increment();
     EMD_LOG(Warn) << "quarantined tweet " << tweet.tweet_id << ": "
                   << stage.status;
     DeadLetter(tweet, stage.status);
-    tweets_.Add(stage.record, tweet.tokens, stage.mentions);
     return;
   }
   if (stage.via_fallback) {
     ++num_fallback_;
     Counters().fallback->Increment();
   }
-  tweets_.Add(stage.record, tweet.tokens, stage.mentions);
-  *token_embeddings = std::move(stage.token_embeddings);
 }
 
 Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
@@ -435,26 +431,34 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   //
   // The batch is split into contiguous chunks, one per worker lane, staged
   // with no shared mutation (the breaker is mutex-guarded), then folded into
-  // the TweetBase by a single-threaded merge in tweet order — the merge is
+  // the counters by a single-threaded merge in tweet order — the merge is
   // the determinism barrier that keeps parallel output identical to serial.
   const int lanes = LocalLanes();
   last_local_lanes_ = (batch.size() > 1) ? lanes : 1;
   Timer global_timer;
   const bool local_only = options_.mode == GlobalizerOptions::Mode::kLocalOnly;
   {
-    // The batch's token embeddings are staged here, beside the batch: only
-    // the re-scan's embedding step reads them, so they never outlive it.
-    std::vector<Mat> token_embeddings(batch.size());
+    // Each tweet's local stage is kept here, beside the batch, until its
+    // tweet is stored: token embeddings are read only by the re-scan's
+    // embedding step, so they never outlive the batch.
+    std::vector<LocalStage> staged(batch.size());
     {
       const Timer local_timer;
       EMD_TRACE_SPAN("local_emd");
-      RunLocalStage(batch, first_index, lanes, &token_embeddings);
+      RunLocalStage(batch, first_index, lanes, staged);
       local_seconds_ += local_timer.ElapsedSeconds();
     }
 
-    // ---- Step 2+3: Global EMD over this batch (none in kLocalOnly). ----
+    // ---- Step 2+3: Global EMD over this batch. kLocalOnly has none and
+    // stores each tweet with its Local EMD spans. ----
     global_timer.Reset();
-    if (!local_only) ExtractAndPool(batch, token_embeddings, first_index);
+    if (local_only) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        tweets_.Add(staged[i].record, batch[i].tokens, staged[i].mentions);
+      }
+    } else {
+      ExtractAndPool(batch, staged, first_index);
+    }
   }
   Counters().batches->Increment();
 
@@ -474,19 +478,18 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
 }
 
 void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
-                                std::span<const Mat> token_embeddings,
+                                std::span<const LocalStage> staged,
                                 size_t first_index) {
   EMD_TRACE_SPAN("ctrie_extract");
 
   // Register this batch's seed candidates in the sharded global state
   // (single writer: the tries and CandidateBases only ever grow on this
   // thread). Gids come out in discovery order, identical at any shard count.
-  for (size_t i = first_index; i < tweets_.size(); ++i) {
-    if (tweets_.at(i).quarantined) continue;
-    const std::vector<Token>& tokens = batch[i - first_index].tokens;
-    for (RecordedMention& m : tweets_.mutable_mentions(i)) {
-      m.candidate_id = state_.Insert(tokens, m.span);
-      state_.GetOrCreate(m.candidate_id);
+  // A quarantined stage has no seed spans.
+  const size_t count = batch.size();
+  for (size_t idx = 0; idx < count; ++idx) {
+    for (const RecordedMention& m : staged[idx].mentions) {
+      state_.GetOrCreate(state_.Insert(batch[idx].tokens, m.span));
     }
   }
 
@@ -494,8 +497,7 @@ void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
   // and collect local embeddings. The trie is frozen for the rest of the
   // cycle, and the extractor + phrase embedder are const over shared state,
   // so this stage fans out per tweet regardless of the local system.
-  const size_t count = batch.size();
-  std::vector<ExtractStage> staged(count);
+  std::vector<ExtractStage> extract(count);
   const size_t slots = static_cast<size_t>(std::max(1, options_.num_threads));
   if (lane_arenas_.size() < slots) lane_arenas_.resize(slots);
   if (rescan_scratch_.size() < slots) rescan_scratch_.resize(slots);
@@ -503,36 +505,31 @@ void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
   ParallelForOrSerial(
       options_.num_threads > 1 ? pool_.get() : nullptr, count,
       [&](int slot, size_t idx) {
-        if (tweets_.at(first_index + idx).quarantined) return;
+        if (staged[idx].record.quarantined) return;
         const std::vector<Token>& tokens = batch[idx].tokens;
-        ExtractStage& stage = staged[idx];
+        ExtractStage& stage = extract[idx];
         stage.lane = slot;
         state_.ExtractInto(tokens, &rescan_scratch_[slot].scan,
                            &stage.extracted);
-        EmbedMentions(tokens, token_embeddings[idx], first_index + idx,
+        EmbedMentions(tokens, staged[idx].token_embeddings, first_index + idx,
                       &lane_arenas_[slot], &rescan_scratch_[slot], &stage);
       });
 
   // Deterministic merge barrier. Phase A walks the batch in tweet order —
-  // counters, the longest-match rewrite of each record's mention list,
-  // record creation — and queues every (gid, tweet index, embedding row)
-  // pooling op into its candidate's shard bucket, still in tweet order.
+  // counters, record creation, each tweet's final mention list and its
+  // append to the TweetBase — and queues every (gid, tweet index, embedding
+  // row) pooling op into its candidate's shard bucket, still in tweet order.
   // Phase B drains the buckets, one task per shard, in parallel only with a
   // pool and more than one shard. A candidate lives in one shard, so its ops
   // replay in tweet order either way: every global embedding is bit-exact.
   const size_t dim = EmbeddingDim();
   pool_ops_.resize(static_cast<size_t>(state_.shard_count()));
 
-  // The batch's rewritten mention lists are built in reused scratch and
-  // replace the TweetBase tail (the batch) in one step.
-  merged_mentions_.clear();
-  merged_counts_.assign(count, 0);
   for (size_t idx = 0; idx < count; ++idx) {
     const size_t i = first_index + idx;
-    // A quarantined record has no mentions: its count stays 0.
-    if (tweets_.at(i).quarantined) continue;
-    const std::span<const RecordedMention> local = tweets_.mentions(i);
-    ExtractStage& stage = staged[idx];
+    // A quarantined tweet's stages are empty: it is stored with no mentions.
+    const std::vector<RecordedMention>& local = staged[idx].mentions;
+    const ExtractStage& stage = extract[idx];
     const float* lane_rows = rescan_scratch_[stage.lane].rows.data();
     num_retries_ += stage.retries;
     num_degraded_ += stage.degraded;
@@ -542,6 +539,7 @@ void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
 
     // The extractor's longest matches replace the raw local spans: partial
     // local extractions extend to the full registered candidate (§V-A).
+    merged_mentions_.clear();
     for (size_t e = 0; e < stage.extracted.size(); ++e) {
       const ExtractedMention& em = stage.extracted[e];
       RecordedMention m;
@@ -559,11 +557,8 @@ void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
       pool_ops_[state_.ShardOf(em.candidate_id)].push_back(
           {em.candidate_id, i, row});
     }
-    merged_counts_[idx] = stage.extracted.size();
+    tweets_.Add(staged[idx].record, batch[idx].tokens, merged_mentions_);
   }
-  const Status rewritten = tweets_.ReplaceMentionTail(
-      first_index, merged_mentions_, merged_counts_);
-  EMD_CHECK(rewritten.ok()) << rewritten;
 
   // Phase B: no two workers ever touch the same CandidateBase.
   ParallelForOrSerial(
@@ -660,47 +655,6 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
   GlobalizerOutput out;
   out.mentions.resize(tweets_.size());
 
-  // Snapshot the resilience counters at return time (the classifier below may
-  // retry) and emit the one-line operator report.
-  auto fill_resilience = [&](GlobalizerOutput* o) {
-    o->num_quarantined = num_quarantined_;
-    o->num_degraded = num_degraded_;
-    o->num_retries = num_retries_;
-    o->num_fallback = num_fallback_;
-    o->num_dead_lettered = num_dead_lettered_;
-    o->breaker_trips = restored_breaker_trips_ + breaker_.trips();
-    o->breaker_recoveries = restored_breaker_recoveries_ + breaker_.recoveries();
-    if (ingest_queue_ != nullptr) {
-      const IngestQueueStats& qs = ingest_queue_->stats();
-      o->num_admission_rejected = qs.admission_rejected;
-      o->num_queue_rejected = qs.rejected;
-      o->num_queue_shed = qs.shed;
-      o->num_memory_rejected = qs.memory_rejected;
-    }
-    const MemoryGovernorStats& gs = governor_.stats();
-    o->num_evicted = gs.evicted_candidates;
-    o->num_pruned_nodes = gs.pruned_nodes;
-    o->num_trimmed = gs.trimmed_tweets;
-    o->num_reclassified = gs.reclassified;
-    o->governed_bytes = governor_.governed_bytes();
-    o->memory_pressure = static_cast<int>(governor_.pressure());
-    o->summary = o->ResilienceSummary();
-    o->metrics = obs::Metrics().Snapshot();
-    EMD_LOG(Info) << o->summary;
-  };
-
-  if (options_.mode == GlobalizerOptions::Mode::kLocalOnly) {
-    for (size_t i = 0; i < tweets_.size(); ++i) {
-      const std::span<const RecordedMention> mentions = tweets_.mentions(i);
-      if (mentions.empty()) continue;
-      out.mentions[i].reserve(mentions.size());
-      for (const RecordedMention& m : mentions) out.mentions[i].push_back(m.span);
-    }
-    out.local_seconds = local_seconds_;
-    fill_resilience(&out);
-    return out;
-  }
-
   {
     const Timer global_timer;
 
@@ -737,10 +691,10 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
     // ---- Outputs (§V-C): one sequential walk of the TweetBase's flat
     // mention array reading each mention's label from the dense column —
     // live verdicts and the labels frozen at eviction alike. Without a
-    // classifier (by mode, or degraded) every candidate counts as a likely
-    // entity, so all recovered mentions are produced (Fig. 6 middle curve).
-    // Each tweet counts its emitted mentions first, so a tweet that emits
-    // nothing allocates nothing.
+    // classifier every stored mention is produced: the Local EMD spans in
+    // kLocalOnly (Fig. 6 bottom curve), else all recovered mentions, by mode
+    // or degraded (Fig. 6 middle curve). Each tweet counts its emitted
+    // mentions first, so a tweet that emits nothing allocates nothing.
     EMD_TRACE_SPAN("emit");
     auto emits = [&](const RecordedMention& m) {
       return !classify || Emits(state_.Label(m.candidate_id));
@@ -755,12 +709,40 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
         if (emits(m)) spans.push_back(m.span);
       }
     }
-    global_seconds_ += global_timer.ElapsedSeconds();
+    // kLocalOnly runs no Global EMD: its output walk is not global time.
+    if (options_.mode != GlobalizerOptions::Mode::kLocalOnly) {
+      global_seconds_ += global_timer.ElapsedSeconds();
+    }
   }
 
   out.local_seconds = local_seconds_;
   out.global_seconds = global_seconds_;
-  fill_resilience(&out);
+  // Snapshot the resilience counters at return time (the classifier above
+  // may have retried) and emit the one-line operator report.
+  out.num_quarantined = num_quarantined_;
+  out.num_degraded = num_degraded_;
+  out.num_retries = num_retries_;
+  out.num_fallback = num_fallback_;
+  out.num_dead_lettered = num_dead_lettered_;
+  out.breaker_trips = restored_breaker_trips_ + breaker_.trips();
+  out.breaker_recoveries = restored_breaker_recoveries_ + breaker_.recoveries();
+  if (ingest_queue_ != nullptr) {
+    const IngestQueueStats& qs = ingest_queue_->stats();
+    out.num_admission_rejected = qs.admission_rejected;
+    out.num_queue_rejected = qs.rejected;
+    out.num_queue_shed = qs.shed;
+    out.num_memory_rejected = qs.memory_rejected;
+  }
+  const MemoryGovernorStats& gs = governor_.stats();
+  out.num_evicted = gs.evicted_candidates;
+  out.num_pruned_nodes = gs.pruned_nodes;
+  out.num_trimmed = gs.trimmed_tweets;
+  out.num_reclassified = gs.reclassified;
+  out.governed_bytes = governor_.governed_bytes();
+  out.memory_pressure = static_cast<int>(governor_.pressure());
+  out.summary = out.ResilienceSummary();
+  out.metrics = obs::Metrics().Snapshot();
+  EMD_LOG(Info) << out.summary;
   return out;
 }
 

@@ -2,8 +2,9 @@
 //
 // Orchestrates one execution cycle per tweet batch:
 //   (1) Local EMD on every sentence (any LocalEmdSystem, inserted as a black
-//       box), registering seed candidates in the CTrie and, for deep systems,
-//       storing entity-aware token embeddings in the TweetBase;
+//       box), kept in the batch's own stage: its seed mentions register
+//       candidates in the CTrie, and a deep system's entity-aware token
+//       embeddings are read only by step (3), never stored;
 //   (2) Candidate Mention Extraction: a re-scan of the batch against the
 //       CTrie finds all mentions of every candidate discovered so far;
 //   (3) local candidate embeddings (Entity Phrase Embedder for deep systems,
@@ -12,6 +13,8 @@
 //       CandidateBase;
 //   (4) the Entity Classifier separates entities from false positives; all
 //       mentions of entity-labelled candidates form the final output.
+// Each tweet is appended to the TweetBase once, with its final mentions, at
+// the merge barrier of steps (2)+(3).
 //
 // Modes support the ablation of Fig. 6: local-only, local + mention
 // extraction (no classifier), and the full framework.
@@ -316,8 +319,10 @@ class Globalizer {
   const ShardedGlobalState& global_state() const { return state_; }
 
  private:
-  /// One tweet's local stage computed off the shared state: the record to
-  /// append plus the resilience outcome, merged serially in tweet order.
+  /// One tweet's local stage, computed off the shared state and kept with
+  /// its batch until the merge barrier appends the tweet: the record, its
+  /// token embeddings (read by the re-scan's embedding step) and in-range
+  /// Local EMD spans, plus the resilience outcome.
   struct LocalStage {
     TweetRecord record;
     Mat token_embeddings;
@@ -419,26 +424,25 @@ class Globalizer {
   /// breaker closed — each chunk is one ProcessBatched call, whatever the
   /// system. Otherwise each tweet of the chunk runs LocalEmdResilient with
   /// TaskRng(index). A single-threaded loop then merges in tweet order,
-  /// replaying the breaker bookkeeping on the happy path. Tweet i's token
-  /// embeddings (empty when quarantined or served by a non-deep fallback)
-  /// land in (*token_embeddings)[i], the batch's own staging.
+  /// replaying the breaker bookkeeping on the happy path. Tweet i's stage
+  /// lands in staged[i] (its token embeddings are empty when quarantined or
+  /// served by a non-deep fallback).
   void RunLocalStage(std::span<const AnnotatedTweet> batch, size_t first_index,
-                     int lanes, std::vector<Mat>* token_embeddings);
+                     int lanes, std::span<LocalStage> staged);
 
-  /// Folds a computed local stage into TweetBase + counters, in tweet order,
-  /// and moves its token embeddings to `*token_embeddings`.
-  void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage,
-                       Mat* token_embeddings);
+  /// Folds a computed local stage's outcome into the counters and the
+  /// dead-letter queue, in tweet order.
+  void MergeLocalStage(const AnnotatedTweet& tweet, const LocalStage& stage);
 
-  /// Steps 2+3 over `batch`, stored as the records from `first_index` on:
-  /// registers their seed candidates, re-scans them against every known
-  /// candidate, embeds the matches into the lanes' rows and pools them at
-  /// the merge barrier, one shard bucket of PoolOps each. Tokens are read
-  /// from `batch` itself, embeddings from the batch's staging. Timed as the
-  /// `ctrie_extract` span.
+  /// Steps 2+3 over `batch`, whose tweets become the records from
+  /// `first_index` on: registers their seed candidates, re-scans them
+  /// against every known candidate, embeds the matches into the lanes' rows
+  /// and, at the merge barrier, appends each tweet to the TweetBase with its
+  /// final mentions and queues its pooling ops, one shard bucket each.
+  /// Tokens are read from `batch` itself, seed spans, quarantine flags and
+  /// token embeddings from `staged`. Timed as the `ctrie_extract` span.
   void ExtractAndPool(std::span<const AnnotatedTweet> batch,
-                      std::span<const Mat> token_embeddings,
-                      size_t first_index);
+                      std::span<const LocalStage> staged, size_t first_index);
 
   /// Deterministic per-tweet RNG for retry jitter: the draws depend on the
   /// tweet's stream index only, not on the lane or chunk that runs it.
@@ -471,8 +475,10 @@ class Globalizer {
   ShardedGlobalState state_;
   TweetBase tweets_;
   MemoryGovernor governor_;  // must follow the stores it governs (init order)
-  // Wall time of the local stage and of the global steps (ProcessBatch's
-  // steps 2+3 and Finalize's classify + emit), summed over the stream.
+  // Wall time of the local stage and of the global steps, summed over the
+  // stream: ProcessBatch's steps 2+3 (registration, re-scan, the TweetBase
+  // append and pooling at the merge barrier, and the memory governor) and
+  // Finalize's classify + emit. kLocalOnly runs no global step.
   double local_seconds_ = 0;
   double global_seconds_ = 0;
 
@@ -502,11 +508,9 @@ class Globalizer {
   // embedding stage allocates no scan or span buffers in steady state.
   std::vector<RescanScratch> rescan_scratch_;
 
-  // Merge-barrier scratch: the batch's rewritten mention lists, concatenated
-  // in tweet order, and each tweet's count, copied in as the TweetBase tail;
-  // and one bucket of pooling ops per shard.
+  // Merge-barrier scratch: one tweet's final mention list, appended with it
+  // to the TweetBase; and one bucket of pooling ops per shard.
   std::vector<RecordedMention> merged_mentions_;
-  std::vector<size_t> merged_counts_;
   std::vector<std::vector<PoolOp>> pool_ops_;
 
   // Fault-tolerance state; persisted by SaveCheckpoint. num_retries_ is

@@ -98,28 +98,6 @@ TweetBase::Tokens TweetBase::tokens(size_t index) const {
   return Tokens(&seg, first, seg.token_end[r] - first);
 }
 
-Status TweetBase::ReplaceMentionTail(size_t first,
-                                     std::span<const RecordedMention> tail,
-                                     std::span<const size_t> counts) {
-  if (first > size() || counts.size() != size() - first) {
-    return Status::InvalidArgument(
-        "mention rewrite of records [", first, ", ", first + counts.size(),
-        ") is not the suffix of a store of ", size(), " records");
-  }
-  size_t total = 0;
-  for (size_t c : counts) total += c;
-  if (total != tail.size()) {
-    return Status::InvalidArgument("mention rewrite counts sum to ", total,
-                                   " for ", tail.size(), " mentions");
-  }
-  mentions_.resize(offsets_[first]);
-  mentions_.insert(mentions_.end(), tail.begin(), tail.end());
-  for (size_t k = 0; k < counts.size(); ++k) {
-    offsets_[first + k + 1] = offsets_[first + k] + counts[k];
-  }
-  return Status::OK();
-}
-
 size_t TweetBase::TrimTokens(size_t end) {
   EMD_CHECK_LE(end, size());
   size_t trimmed = 0;

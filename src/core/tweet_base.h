@@ -1,8 +1,14 @@
 // TweetBase — per-sentence record store of §IV: one entry per
-// (tweet id, sentence id), holding the sentence's tokens and the detected
-// mentions (updated as the sentence moves through Global EMD). It is the
-// one store that grows for the life of a stream, so it keeps each token
-// once, in compact form.
+// (tweet id, sentence id), holding the sentence's tokens and its final
+// mentions. It is the one store that grows for the life of a stream, so it
+// keeps each token once, in compact form.
+//
+// Append-only: a record is added once, final, when its batch reaches the
+// Globalizer's merge barrier, with the mentions Global EMD settled on for it
+// (the Local EMD spans in kLocalOnly). Records and mentions never change
+// afterwards; the only other mutator is TrimTokens. A record restored from a
+// checkpoint is added the same way, so a restored store holds the same
+// bytes as the live one it was saved from.
 //
 // Layout: records live in fixed-size segments of kSegmentRecords records,
 // record i in segment i / kSegmentRecords. A segment holds its records'
@@ -19,12 +25,6 @@
 //
 // The pipeline reads a batch's tokens from the batch itself; stored tokens
 // are read back (tokens()) by the checkpoint writer and by tests.
-//
-// Mention rewrites are suffix-only: the merge barrier rewrites the current
-// batch, which is always the store's tail, so ReplaceMentionTail replaces
-// the mentions of records [first, size()) and refuses any other range.
-// Earlier records' mentions are written once (Add) and afterwards only their
-// candidate ids change, in place (mutable_mentions).
 //
 // Memory governance: token text can be trimmed once no future stage needs
 // it (mention spans and ids — the output — are retained). Trims are
@@ -48,7 +48,6 @@
 
 #include "text/token.h"
 #include "util/logging.h"
-#include "util/status.h"
 
 namespace emd {
 
@@ -137,8 +136,9 @@ class TweetBase {
     uint32_t count_;
   };
 
-  /// Adds a record with its tokens and mentions; returns its dense index.
-  /// Token offsets must fit in 32 bits, and a trimmed record has no tokens.
+  /// Adds a record with its tokens and final mentions; returns its dense
+  /// index. Token offsets must fit in 32 bits, and a trimmed record has no
+  /// tokens.
   size_t Add(const TweetRecord& record, std::span<const Token> tokens = {},
              std::span<const RecordedMention> mentions = {});
 
@@ -156,23 +156,6 @@ class TweetBase {
     return {mentions_.data() + offsets_[index],
             mentions_.data() + offsets_[index + 1]};
   }
-
-  /// The mentions of record `index`, writable in place (candidate ids) but
-  /// not resizable.
-  std::span<RecordedMention> mutable_mentions(size_t index) {
-    EMD_CHECK_LT(index, size());
-    return {mentions_.data() + offsets_[index],
-            mentions_.data() + offsets_[index + 1]};
-  }
-
-  /// Replaces the mentions of records [first, first + counts.size()), which
-  /// must be the store's tail: record first + k gets the next counts[k]
-  /// entries of `tail`, in order; `tail` must not view this store's own
-  /// mentions. Refused with InvalidArgument, leaving the store untouched,
-  /// when the range is not a suffix or the counts do not sum to tail.size().
-  Status ReplaceMentionTail(size_t first,
-                            std::span<const RecordedMention> tail,
-                            std::span<const size_t> counts);
 
   size_t size() const { return offsets_.size() - 1; }
 

@@ -1,7 +1,8 @@
 // Shared fixtures of the byte-accounting tests and of the golden
 // checkpoint writer: a churning stream of coined entities, the mock rules
-// that detect them, the governed pipeline options, and the checkpoint's
-// state section (every byte before the process-wide metrics block).
+// that detect them, the governed pipeline options, the checkpoint's state
+// section (every byte before the process-wide metrics block) and the golden
+// fixture's pipeline.
 
 #ifndef EMD_TESTS_CHURN_STREAM_H_
 #define EMD_TESTS_CHURN_STREAM_H_
@@ -16,6 +17,9 @@
 #include "obs/metrics.h"
 #include "stream/datasets.h"
 #include "text/tweet_tokenizer.h"
+#include "util/binary_io.h"
+#include "util/crc32.h"
+#include "util/failpoint.h"
 #include "util/file_io.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -144,15 +148,44 @@ inline Result<std::string> SaveStateSection(const Globalizer& g,
   return bytes.substr(0, bytes.size() - metrics - sizeof(uint32_t));
 }
 
-/// The golden v5 checkpoint fixture (see golden_checkpoint_writer.cc): a
-/// deep pipeline over 2 shards under a 56 640 B budget, retaining mention
-/// embeddings, after 14 batches of ChurnStream(112, 79) in which tweet 37's
-/// Local EMD fails once.
+/// The golden v5 checkpoint fixture's options: a deep pipeline over 2
+/// shards under a 71 500 B budget, retaining mention embeddings. The budget
+/// is tuned so that the fixture WriteGoldenCheckpoint writes from today's
+/// byte figures still covers what the golden test checks: some tweets
+/// trimmed but not all, and some candidates evicted.
 inline GlobalizerOptions GoldenOptions() {
   GlobalizerOptions opt = GovernedOptions(/*shards=*/2, /*threads=*/1);
-  opt.memory.budget_bytes = 56640;
+  opt.memory.budget_bytes = 71500;
   opt.retain_mention_embeddings = true;
   return opt;
+}
+
+/// The golden fixture's pipeline: GoldenOptions() over 14 batches of
+/// ChurnStream(112, 79), in which tweet 37's Local EMD fails once. Writes its
+/// checkpoint to `path` with an empty metrics block, so the state section is
+/// everything but the last 8 + 4 bytes, and returns the governor's stats.
+inline Result<MemoryGovernorStats> WriteGoldenCheckpoint(
+    const std::string& path) {
+  const Dataset d = ChurnStream(112, 79);
+  const size_t batches = (d.tweets.size() + kBatch - 1) / kBatch;
+  MockLocalSystem mock(ChurnRules(), /*dim=*/6);
+  PhraseEmbedder pe(6, 4);
+  Globalizer g(&mock, &pe, nullptr, GoldenOptions());
+  failpoint::EnableAfter("emd.mock.process", Status::Internal("golden"),
+                         /*skip=*/37, /*max_fires=*/1);
+  Status run = Status::OK();
+  for (size_t b = 0; b < batches && run.ok(); ++b) {
+    run = g.ProcessBatch(BatchAt(d, b));
+  }
+  failpoint::DisableAll();
+  EMD_RETURN_IF_ERROR(run);
+  std::string state;
+  EMD_ASSIGN_OR_RETURN(state, SaveStateSection(g, path));
+  binio::AppendU32(&state, 0);  // counters
+  binio::AppendU32(&state, 0);  // histograms
+  binio::AppendU32(&state, Crc32(state.data(), state.size()));
+  EMD_RETURN_IF_ERROR(WriteStringToFile(path, state));
+  return g.memory_governor().stats();
 }
 
 }  // namespace emd
