@@ -650,10 +650,68 @@ size_t Globalizer::ReclassifyAmbiguous() {
   return flipped;
 }
 
+std::vector<TokenSpan> Globalizer::EmittedSpans(size_t index,
+                                                bool classify) const {
+  // Without a classifier every stored mention is produced: the Local EMD
+  // spans in kLocalOnly (Fig. 6 bottom curve), else all recovered mentions,
+  // by mode or degraded (Fig. 6 middle curve). With one, the label column
+  // decides — live verdicts and the labels frozen at eviction alike.
+  auto emits = [&](const RecordedMention& m) {
+    return !classify || Emits(state_.Label(m.candidate_id));
+  };
+  const std::span<const RecordedMention> mentions = tweets_.mentions(index);
+  std::vector<TokenSpan> spans;
+  const size_t n = std::count_if(mentions.begin(), mentions.end(), emits);
+  if (n == 0) return spans;
+  spans.reserve(n);
+  for (const RecordedMention& m : mentions) {
+    if (emits(m)) spans.push_back(m.span);
+  }
+  return spans;
+}
+
+void Globalizer::EmitChanges(bool classify) {
+  const bool rebuild = classify != emitted_classify_;
+  if (emitted_->holders.load(std::memory_order_acquire) == 0) {
+    if (rebuild) emitted_->rows.clear();
+  } else {
+    auto fresh = std::make_shared<KeptTable>();
+    if (!rebuild) fresh->rows = emitted_->rows;
+    emitted_ = std::move(fresh);
+  }
+  EmittedMentions::Table& table = emitted_->rows;
+  emitted_classify_ = classify;
+
+  if (classify) {
+    // One byte per gid: a gid whose label crossed the output rule since the
+    // table was written has its stored tweets re-emitted. A gid the table
+    // has not seen yet is mentioned only by tweets it has not seen either.
+    if (rebuild) shadow_emits_.clear();
+    const size_t known = shadow_emits_.size();
+    const size_t old_tweets = table.size();
+    shadow_emits_.resize(static_cast<size_t>(state_.num_candidates()));
+    std::vector<size_t> stale;
+    for (size_t gid = 0; gid < shadow_emits_.size(); ++gid) {
+      const uint8_t emits = Emits(state_.Label(static_cast<int>(gid)));
+      if (emits == shadow_emits_[gid]) continue;
+      shadow_emits_[gid] = emits;
+      if (gid >= known) continue;
+      tweets_.ForEachMentionOf(static_cast<int>(gid), [&](size_t i, uint32_t) {
+        if (i < old_tweets) stale.push_back(i);
+      });
+    }
+    std::sort(stale.begin(), stale.end());
+    stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+    for (size_t i : stale) table[i] = EmittedSpans(i, classify);
+  }
+  for (size_t i = table.size(); i < tweets_.size(); ++i) {
+    table.push_back(EmittedSpans(i, classify));
+  }
+}
+
 Result<GlobalizerOutput> Globalizer::Finalize() {
   EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.globalizer.finalize"));
   GlobalizerOutput out;
-  out.mentions.resize(tweets_.size());
 
   {
     const Timer global_timer;
@@ -688,28 +746,18 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
       out.num_candidates = state_.num_live_candidates();
     }
 
-    // ---- Outputs (§V-C): one sequential walk of the TweetBase's flat
-    // mention array reading each mention's label from the dense column —
-    // live verdicts and the labels frozen at eviction alike. Without a
-    // classifier every stored mention is produced: the Local EMD spans in
-    // kLocalOnly (Fig. 6 bottom curve), else all recovered mentions, by mode
-    // or degraded (Fig. 6 middle curve). Each tweet counts its emitted
-    // mentions first, so a tweet that emits nothing allocates nothing.
-    EMD_TRACE_SPAN("emit");
-    auto emits = [&](const RecordedMention& m) {
-      return !classify || Emits(state_.Label(m.candidate_id));
-    };
-    for (size_t i = 0; i < tweets_.size(); ++i) {
-      const std::span<const RecordedMention> mentions = tweets_.mentions(i);
-      const size_t n = std::count_if(mentions.begin(), mentions.end(), emits);
-      if (n == 0) continue;
-      std::vector<TokenSpan>& spans = out.mentions[i];
-      spans.reserve(n);
-      for (const RecordedMention& m : mentions) {
-        if (emits(m)) spans.push_back(m.span);
-      }
+    // ---- Outputs (§V-C), on the kept table: only what changed. ----
+    {
+      EMD_TRACE_SPAN("emit");
+      EmitChanges(classify);
     }
-    // kLocalOnly runs no Global EMD: its output walk is not global time.
+    // The output holds the table until its last copy is dropped.
+    emitted_->holders.fetch_add(1, std::memory_order_relaxed);
+    out.mentions = EmittedMentions(std::shared_ptr<const EmittedMentions::Table>(
+        &emitted_->rows, [kept = emitted_](const EmittedMentions::Table*) {
+          kept->holders.fetch_sub(1, std::memory_order_release);
+        }));
+    // kLocalOnly runs no Global EMD: its output step is not global time.
     if (options_.mode != GlobalizerOptions::Mode::kLocalOnly) {
       global_seconds_ += global_timer.ElapsedSeconds();
     }

@@ -37,6 +37,7 @@
 #ifndef EMD_CORE_GLOBALIZER_H_
 #define EMD_CORE_GLOBALIZER_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -159,10 +160,53 @@ struct GlobalizerOptions {
   bool retain_mention_embeddings = false;
 };
 
+/// A read-only snapshot of the emitted mention table: the final mention
+/// spans of every tweet processed when Finalize returned it (dense index =
+/// order of processing). The Globalizer keeps the table between calls and
+/// updates only what changed; a snapshot shares it, and the Globalizer
+/// copies the table before its next write while any snapshot still holds it,
+/// so a snapshot never changes. Reads as a const vector of span lists:
+/// indexing, iteration and an implicit conversion. Safe to read from any
+/// thread while the Globalizer keeps finalizing.
+class EmittedMentions {
+ public:
+  using Table = std::vector<std::vector<TokenSpan>>;
+  using const_iterator = Table::const_iterator;
+  using iterator = const_iterator;
+
+  EmittedMentions() = default;
+  explicit EmittedMentions(std::shared_ptr<const Table> table)
+      : table_(std::move(table)) {}
+
+  size_t size() const { return table().size(); }
+  bool empty() const { return table().empty(); }
+  const_iterator begin() const { return table().begin(); }
+  const_iterator end() const { return table().end(); }
+  const std::vector<TokenSpan>& operator[](size_t i) const {
+    return table()[i];
+  }
+  operator const Table&() const {  // NOLINT(google-explicit-constructor)
+    return table();
+  }
+  bool operator==(const EmittedMentions& o) const {
+    return table() == o.table();
+  }
+  bool operator==(const Table& o) const { return table() == o; }
+
+ private:
+  const Table& table() const {
+    static const Table kEmpty;
+    return table_ != nullptr ? *table_ : kEmpty;
+  }
+
+  std::shared_ptr<const Table> table_;
+};
+
 /// Final framework output plus diagnostics.
 struct GlobalizerOutput {
-  /// Final mention spans per tweet (dense index = order of processing).
-  std::vector<std::vector<TokenSpan>> mentions;
+  /// Final mention spans per tweet (dense index = order of processing): a
+  /// snapshot of the Globalizer's emitted table, unchanged by later calls.
+  EmittedMentions mentions;
 
   int num_candidates = 0;
   int num_entity = 0;
@@ -249,10 +293,16 @@ class Globalizer {
   ///
   /// Incremental: only candidates created or pooled into since their last
   /// verdict are re-scored (a verdict is a pure function of the pooled
-  /// embedding, count and length, and decay is applied at pooling time), and
-  /// the output is one walk of the TweetBase over a dense per-candidate
-  /// label column. Cost is O(changed candidates + stored mentions), and the
-  /// output is identical to re-scoring everything — at any Finalize cadence.
+  /// embedding, count and length, and decay is applied at pooling time).
+  /// The emitted table is kept between calls: a call appends the tweets
+  /// processed since the last one and re-emits only the stored tweets that
+  /// mention a candidate whose verdict crossed the output rule, found
+  /// through the TweetBase postings after one byte-per-gid scan of the label
+  /// column (the whole table is rebuilt when classification turns on or
+  /// off: a degraded call, or the one after it). Cost is O(changed
+  /// candidates + gids + new tweets + tweets of flipped candidates), and the
+  /// output is identical to re-scoring and re-emitting everything — at any
+  /// Finalize cadence.
   /// Edge contract: with no changed candidates the classifier is not called
   /// at all, so a failing classifier cannot degrade that call — it returns
   /// the previous labels with classifier_degraded == false. The classifier
@@ -459,6 +509,26 @@ class Globalizer {
   /// Appends a quarantined tweet to the dead-letter queue, if one is set.
   void DeadLetter(const AnnotatedTweet& tweet, const Status& reason);
 
+  /// The emitted table, and how many outputs of Finalize still hold it. An
+  /// output's hold ends when its last copy is dropped, with a release
+  /// decrement; Finalize writes the rows in place only after an acquire
+  /// read of zero, so every dropped output's reads come first, and copies
+  /// them otherwise.
+  struct KeptTable {
+    EmittedMentions::Table rows;
+    std::atomic<int> holders{0};
+  };
+
+  /// The outputs step (§V-C) on the kept table: every stored mention when
+  /// `classify` is off, else those whose candidate's label Emits. Brings
+  /// emitted_ up to date with the TweetBase and the label column (see
+  /// Finalize), copying it first if an earlier output still shares it.
+  void EmitChanges(bool classify);
+
+  /// Record `index`'s emitted spans in stored order, sized exactly (no
+  /// allocation when none emits).
+  std::vector<TokenSpan> EmittedSpans(size_t index, bool classify) const;
+
   /// Re-scores γ-band (ambiguous/unlabeled) candidates with their current
   /// decayed global embeddings; returns how many labels flipped. Invoked by
   /// the memory governor on its reclassification interval, at the batch
@@ -512,6 +582,17 @@ class Globalizer {
   // to the TweetBase; and one bucket of pooling ops per shard.
   std::vector<RecordedMention> merged_mentions_;
   std::vector<std::vector<PoolOp>> pool_ops_;
+
+  // The emitted table Finalize keeps between calls: one span list per
+  // tweet, for the first emitted_->rows.size() tweets, built with
+  // classification on or off as emitted_classify_ says; with it on,
+  // shadow_emits_ holds Emits(label) per gid as the table has it. Shared
+  // with the outputs Finalize returned (copy-on-write). Not checkpointed: a
+  // restored Globalizer starts with an empty table and emits every tweet
+  // once.
+  std::shared_ptr<KeptTable> emitted_ = std::make_shared<KeptTable>();
+  bool emitted_classify_ = false;
+  std::vector<uint8_t> shadow_emits_;
 
   // Fault-tolerance state; persisted by SaveCheckpoint. num_retries_ is
   // mutable because the const SaveCheckpoint retries its IO.

@@ -85,8 +85,22 @@ size_t TweetBase::Add(const TweetRecord& record, std::span<const Token> tokens,
   // Sealed: no more records arrive, so drop the growth slack now.
   if (seg.records.size() == kSegmentRecords) seg.ShrinkToFit();
   segment_bytes_ = segment_bytes_ - before + seg.Bytes();
+  // Positions are 32 bits, and kNoPosting is never one.
+  EMD_CHECK_LE(mentions.size(), kNoPosting - mentions_.size())
+      << "the TweetBase holds at most 2^32 - 1 mentions";
+  const size_t first = mentions_.size();
   mentions_.insert(mentions_.end(), mentions.begin(), mentions.end());
-  offsets_.push_back(mentions_.size());
+  next_.resize(mentions_.size(), kNoPosting);
+  for (size_t pos = first; pos < mentions_.size(); ++pos) {
+    const int gid = mentions_[pos].candidate_id;
+    if (gid < 0) continue;
+    if (static_cast<size_t>(gid) >= heads_.size()) {
+      heads_.resize(static_cast<size_t>(gid) + 1, kNoPosting);
+    }
+    next_[pos] = heads_[gid];
+    heads_[gid] = static_cast<uint32_t>(pos);
+  }
+  offsets_.push_back(static_cast<uint32_t>(mentions_.size()));
   return size() - 1;
 }
 

@@ -20,8 +20,16 @@
 // slack, and a growth step copies at most one segment: never the whole
 // store. Every record's mentions live in one flat RecordedMention array
 // (16 B each: 32-bit span ends, candidate id and origin), record i owning
-// [offsets_[i], offsets_[i + 1]), so the output walk of Finalize is one
-// sequential pass over two arrays.
+// [offsets_[i], offsets_[i + 1]) with 32-bit offsets, so a stream holds at
+// most 2^32 - 1 mentions.
+//
+// Postings: each candidate's stored mentions are one intrusive list through
+// the flat array, newest first — a 32-bit next-link per mention (parallel to
+// the array) and a 32-bit head per gid, 4 B per mention plus 4 B per gid.
+// Positions never move (the store is append-only), so the list of a gid is
+// final for every record already added. Finalize walks it to re-emit the
+// records of a candidate whose verdict flipped; mentions of no candidate are
+// not listed.
 //
 // The pipeline reads a batch's tokens from the batch itself; stored tokens
 // are read back (tokens()) by the checkpoint writer and by tests.
@@ -34,12 +42,13 @@
 //
 // Byte accounting: each segment's heap bytes (column and arena capacities)
 // are a running sum adjusted by Add and TrimTokens — the only ways to change
-// a segment. The segment table, the flat mention array and the offsets are
-// container terms read at query time, so ApproxBytes() is O(1).
+// a segment. The segment table, the flat mention array, the offsets and the
+// postings are container terms read at query time, so ApproxBytes() is O(1).
 
 #ifndef EMD_CORE_TWEET_BASE_H_
 #define EMD_CORE_TWEET_BASE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -136,9 +145,10 @@ class TweetBase {
     uint32_t count_;
   };
 
-  /// Adds a record with its tokens and final mentions; returns its dense
-  /// index. Token offsets must fit in 32 bits, and a trimmed record has no
-  /// tokens.
+  /// Adds a record with its tokens and final mentions, and links each
+  /// mention of a candidate into its gid's postings; returns its dense
+  /// index. Token offsets must fit in 32 bits, the store's mention total
+  /// must stay below 2^32, and a trimmed record has no tokens.
   size_t Add(const TweetRecord& record, std::span<const Token> tokens = {},
              std::span<const RecordedMention> mentions = {});
 
@@ -159,6 +169,21 @@ class TweetBase {
 
   size_t size() const { return offsets_.size() - 1; }
 
+  /// Visits every stored mention of candidate `gid`, newest first, as
+  /// fn(record index, position in the flat mention array); a record that
+  /// mentions `gid` twice is visited twice. O(mentions of gid × log records).
+  template <typename Fn>
+  void ForEachMentionOf(int gid, Fn&& fn) const {
+    if (gid < 0 || static_cast<size_t>(gid) >= heads_.size()) return;
+    // Positions fall as the walk goes, so each record lies at or before the
+    // last one found.
+    auto end = offsets_.end();
+    for (uint32_t pos = heads_[gid]; pos != kNoPosting; pos = next_[pos]) {
+      end = std::upper_bound(offsets_.begin(), end, pos);
+      fn(static_cast<size_t>(end - offsets_.begin() - 1), pos);
+    }
+  }
+
   /// Drops the token text of every record before `end` (mentions and spans
   /// are retained). Returns how many records were newly trimmed. Only safe
   /// for batches that finished Global EMD — their re-scan no longer needs
@@ -166,7 +191,8 @@ class TweetBase {
   size_t TrimTokens(size_t end);
 
   /// Approximate heap bytes: the segment table, every segment's records,
-  /// columns and arena, the flat mention array and its offsets. O(1).
+  /// columns and arena, the flat mention array, its offsets and the
+  /// postings. O(1).
   size_t ApproxBytes() const { return ContainerBytes() + segment_bytes_; }
 
   /// The same figure by walking every segment: the oracle ApproxBytes() must
@@ -189,15 +215,24 @@ class TweetBase {
     void ShrinkToFit();
   };
 
+  static constexpr uint32_t kNoPosting = UINT32_MAX;
+
   size_t ContainerBytes() const {
     return segments_.capacity() * sizeof(Segment) +
            mentions_.capacity() * sizeof(RecordedMention) +
-           offsets_.capacity() * sizeof(size_t);
+           offsets_.capacity() * sizeof(uint32_t) +
+           next_.capacity() * sizeof(uint32_t) +
+           heads_.capacity() * sizeof(uint32_t);
   }
 
   std::vector<Segment> segments_;
   std::vector<RecordedMention> mentions_;  // every record's, in record order
-  std::vector<size_t> offsets_{0};         // size() + 1 entries
+  std::vector<uint32_t> offsets_{0};       // size() + 1 entries
+  // Postings: next_[p] is the position of the previous mention of
+  // mentions_[p]'s candidate (kNoPosting for the first, and for a mention of
+  // no candidate); heads_[gid] is the position of gid's newest mention.
+  std::vector<uint32_t> next_;
+  std::vector<uint32_t> heads_;
   size_t segment_bytes_ = 0;  // sum of every segment's Bytes()
   size_t trimmed_end_ = 0;    // records before it are trimmed
 };

@@ -195,10 +195,20 @@ void ExpectSameMentions(std::span<const RecordedMention> got,
   }
 }
 
-// The flat mention array and the segmented token store against a naive
-// per-record model, under both operations that change a TweetBase: append
-// and prefix token trims. The stream crosses segment boundaries, and a trim
-// may end inside a segment.
+/// `gid`'s postings as (record, position in the flat mention array), newest
+/// first.
+std::vector<std::pair<size_t, uint32_t>> Postings(const TweetBase& tweets,
+                                                  int gid) {
+  std::vector<std::pair<size_t, uint32_t>> out;
+  tweets.ForEachMentionOf(
+      gid, [&](size_t record, uint32_t pos) { out.emplace_back(record, pos); });
+  return out;
+}
+
+// The flat mention array, its postings and the segmented token store
+// against a naive per-record model, under both operations that change a
+// TweetBase: append and prefix token trims. The stream crosses segment
+// boundaries, and a trim may end inside a segment.
 TEST(AccountingTest, TweetBaseAppendAndTrim) {
   Rng rng(11);
   TweetBase tweets;
@@ -231,6 +241,29 @@ TEST(AccountingTest, TweetBaseAppendAndTrim) {
           << "step " << step << " record " << i;
     }
     if (step % 100 != 99) continue;
+    // Each gid's postings: its mentions in the model, newest first, at their
+    // positions in the flat array; mentions of no candidate are not listed.
+    std::vector<std::vector<std::pair<size_t, uint32_t>>> want_postings(501);
+    uint32_t pos = 0;
+    size_t heads = 0;
+    for (size_t i = 0; i < model.size(); ++i) {
+      for (const RecordedMention& m : model[i]) {
+        if (m.candidate_id >= 0) {
+          heads = std::max(heads, static_cast<size_t>(m.candidate_id) + 1);
+          want_postings[m.candidate_id].insert(
+              want_postings[m.candidate_id].begin(), {i, pos});
+        }
+        ++pos;
+      }
+    }
+    EXPECT_TRUE(Postings(tweets, -1).empty());
+    for (int gid = 0; gid <= 500; ++gid) {
+      EXPECT_EQ(Postings(tweets, gid), want_postings[gid]) << "gid " << gid;
+    }
+    // The figure counts a 4 B link per mention and a 4 B head per gid.
+    EXPECT_GE(tweets.ApproxBytes(),
+              pos * (sizeof(RecordedMention) + sizeof(uint32_t)) +
+                  heads * sizeof(uint32_t));
     for (size_t i = 0; i < model.size(); ++i) {
       EXPECT_EQ(tweets.at(i).tweet_id, model_ids[i]) << "record " << i;
       EXPECT_EQ(tweets.at(i).trimmed, i < trimmed) << "record " << i;
@@ -634,6 +667,10 @@ TEST(AccountingTest, GovernedRestoreRebuildsTheTweetBaseExactly) {
       const std::span<const RecordedMention> m = got.mentions(i);
       EXPECT_TRUE(std::equal(a.begin(), a.end(), m.begin(), m.end()))
           << "record " << i;
+    }
+    // The restore derives every gid's postings through Add.
+    for (int gid = 0; gid < whole.global_state().num_candidates(); ++gid) {
+      EXPECT_EQ(Postings(got, gid), Postings(want, gid)) << "gid " << gid;
     }
   }
   const MemoryGovernorStats& gov = whole.memory_governor().stats();

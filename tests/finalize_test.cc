@@ -27,6 +27,7 @@
 #include "core/entity_classifier.h"
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
+#include "full_emit.h"
 #include "mock_local_system.h"
 #include "text/tweet_tokenizer.h"
 #include "util/failpoint.h"
@@ -254,19 +255,8 @@ void ExpectMatchesFullRescore(const Globalizer& g, const GlobalizerOutput& out,
   EXPECT_EQ(out.num_non_entity, non_entity);
   EXPECT_EQ(out.num_ambiguous, live - entity - non_entity);
 
-  const TweetBase& tweets = g.tweet_base();
-  ASSERT_EQ(out.mentions.size(), tweets.size());
-  for (size_t i = 0; i < tweets.size(); ++i) {
-    std::vector<TokenSpan> want;
-    for (const RecordedMention& m : tweets.mentions(i)) {
-      const CandidateLabel label = state.Label(m.candidate_id);
-      if (label == CandidateLabel::kEntity ||
-          label == CandidateLabel::kAmbiguous) {
-        want.push_back(m.span);
-      }
-    }
-    EXPECT_EQ(out.mentions[i], want) << "tweet " << i;
-  }
+  EXPECT_FALSE(out.classifier_degraded);
+  ExpectEqualsFullReEmit(g, opt, out);
 }
 
 /// After a batch whose governor pass ran the γ-band sweep: every live

@@ -500,7 +500,9 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
   Globalizer ungoverned(&mock_a, nullptr, &clf, plain);
 
   GlobalizerOptions governed = plain;
-  governed.memory.budget_bytes = 4096;  // tiny: reclaim on every batch
+  // Tiny, sized to the byte figures so that the last batch evicts a
+  // candidate (the guard below checks it still does).
+  governed.memory.budget_bytes = 3840;
   governed.memory.min_retain_tweets = 8;
   MockLocalSystem mock_b(StreamRules());
   Globalizer evicting(&mock_b, nullptr, &clf, governed);
