@@ -24,6 +24,8 @@
 #include "obs/metrics.h"
 #include "nn/kernels/kernels.h"
 #include "nn/matrix.h"
+#include "nn/planner.h"
+#include "nn/transformer.h"
 #include "stream/datasets.h"
 #include "stream/entity_catalog.h"
 #include "stream/tweet_generator.h"
@@ -144,7 +146,7 @@ void BM_SyntacticEmbedding(benchmark::State& state) {
   for (auto _ : state) {
     const auto& t = tweets[i++ % tweets.size()];
     if (t.gold.empty()) continue;
-    SyntacticEmbedding(t.tokens, t.gold[0].span, row);
+    SyntacticEmbedding(ClassifyMentionSyntax(t.tokens, t.gold[0].span), row);
     benchmark::DoNotOptimize(row);
     benchmark::ClobberMemory();
   }
@@ -457,7 +459,7 @@ void RunForwardSlots(bench::BenchReporter* reporter, int reps) {
       scores.Resize(len, len);
       for (int h = 0; h < kHeads; ++h) {
         kern.attend_head(q.row(b) + h * kHead, k.row(b) + h * kHead,
-                         v.row(b) + h * kHead, kModel, len, kHead, scale,
+                         v.row(b) + h * kHead, kModel, len, len, kHead, scale,
                          scores.data(), fused.row(b) + h * kHead);
       }
     }
@@ -498,6 +500,45 @@ void RunForwardSlots(bench::BenchReporter* reporter, int reps) {
                 kTweets / fused_s, "tweets/sec");
   reporter->Add("attention_composed/" + dims, reps, composed_s * 1e9,
                 kTweets / composed_s, "tweets/sec");
+
+  // The last encoder layer (4 heads of 16, d_ff 128) over the same tweets:
+  // every row and then the first-piece gather, against the layer given the
+  // first-piece rows alone. About two pieces in three open a word, as on a
+  // D4-like stream; each tweet's first piece always does.
+  Rng layer_rng(19);
+  const TransformerEncoderLayer layer(kModel, kHeads, 2 * kModel, 0.f,
+                                      &layer_rng, "bench");
+  RaggedPack pieces, words;
+  pieces.Clear();
+  words.Clear();
+  std::vector<int> first_rows;
+  for (int t = 0; t < kTweets; ++t) {
+    pieces.Add(begin[t + 1] - begin[t]);
+    const size_t before = first_rows.size();
+    for (int r = begin[t]; r < begin[t + 1]; ++r) {
+      if (r == begin[t] || rng.NextU64(3) != 0) first_rows.push_back(r);
+    }
+    words.Add(static_cast<int>(first_rows.size() - before));
+  }
+  ForwardArena arena;
+  Mat all_rows, gathered, first_pieces, pruned;
+  const double all_s = BestSeconds(reps, [&] {
+    layer.ApplyBatched(q, pieces, q, pieces, &arena, 0, &all_rows);
+    GatherRowsInto(all_rows, first_rows, &gathered);
+  });
+  const double pruned_s = BestSeconds(reps, [&] {
+    GatherRowsInto(q, first_rows, &first_pieces);
+    layer.ApplyBatched(q, pieces, first_pieces, words, &arena, 0, &pruned);
+  });
+  fail_unless_equal(pruned, gathered, "encoder_layer_first_pieces/" + dims);
+  std::printf("encoder_layer/%s (%d rows, %zu first pieces): all rows %.1f "
+              "us, first pieces %.1f us (x%.2f)\n",
+              dims.c_str(), rows, first_rows.size(), all_s * 1e6,
+              pruned_s * 1e6, all_s / pruned_s);
+  reporter->Add("encoder_layer/" + dims, reps, all_s * 1e9, kTweets / all_s,
+                "tweets/sec");
+  reporter->Add("encoder_layer_first_pieces/" + dims, reps, pruned_s * 1e9,
+                kTweets / pruned_s, "tweets/sec");
 }
 
 // Naive §V-A oracle: at each start position the longest window whose folded

@@ -159,8 +159,11 @@ void Globalizer::EmbedMentions(const std::vector<Token>& tokens,
   rows.resize((first + spans.size()) * dim, 0.f);
   float* out = rows.data() + first * dim;
   if (!deep) {
+    const bool casing_informative = SentenceCasingInformative(tokens);
     for (size_t k = 0; k < spans.size(); ++k) {
-      SyntacticEmbedding(tokens, spans[k], {out + k * dim, dim});
+      SyntacticEmbedding(
+          ClassifyMentionSyntax(tokens, spans[k], casing_informative),
+          {out + k * dim, dim});
     }
     return;
   }

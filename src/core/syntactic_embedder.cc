@@ -6,35 +6,30 @@
 namespace emd {
 namespace {
 
-/// True when the sentence's own casing makes capitalization uninformative:
-/// all word tokens uppercase, all lowercase, or title case throughout.
-bool SentenceNonDiscriminative(const std::vector<Token>& tokens) {
-  int words = 0, caps = 0, uppers = 0, lowers = 0;
-  for (const Token& t : tokens) {
-    if (t.kind != TokenKind::kWord || !HasAlpha(t.text)) continue;
-    ++words;
-    if (IsAllUpper(t.text)) ++uppers;
-    if (IsAllLower(t.text)) ++lowers;
-    if (!t.text.empty() && IsUpperAscii(t.text[0])) ++caps;
-  }
-  if (words == 0) return true;
-  if (uppers == words || lowers == words || caps == words) return true;
-  return false;
-}
-
 bool TokenCapitalized(const Token& t) {
   return !t.text.empty() && IsUpperAscii(t.text[0]);
 }
 
 }  // namespace
 
+bool SentenceCasingInformative(const std::vector<Token>& tokens) {
+  int words = 0, caps = 0, uppers = 0, lowers = 0;
+  for (const Token& t : tokens) {
+    if (t.kind != TokenKind::kWord || !HasAlpha(t.text)) continue;
+    ++words;
+    if (IsAllUpper(t.text)) ++uppers;
+    if (IsAllLower(t.text)) ++lowers;
+    if (TokenCapitalized(t)) ++caps;
+  }
+  return words > 0 && uppers != words && lowers != words && caps != words;
+}
+
 SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
-                                        const TokenSpan& span) {
+                                        const TokenSpan& span,
+                                        bool casing_informative) {
   EMD_CHECK_LT(span.begin, span.end);
   EMD_CHECK_LE(span.end, tokens.size());
-  if (SentenceNonDiscriminative(tokens)) {
-    return SyntacticCategory::kNonDiscriminative;
-  }
+  if (!casing_informative) return SyntacticCategory::kNonDiscriminative;
   const size_t n = span.length();
   int caps = 0, full_caps = 0, alpha_tokens = 0;
   for (size_t t = span.begin; t < span.end; ++t) {
@@ -54,11 +49,15 @@ SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
   return SyntacticCategory::kNoCapitalization;
 }
 
-void SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span,
-                        std::span<float> out) {
+SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
+                                        const TokenSpan& span) {
+  return ClassifyMentionSyntax(tokens, span, SentenceCasingInformative(tokens));
+}
+
+void SyntacticEmbedding(SyntacticCategory category, std::span<float> out) {
   EMD_CHECK_EQ(out.size(), static_cast<size_t>(kNumSyntacticCategories));
   for (float& v : out) v = 0.f;
-  out[static_cast<size_t>(ClassifyMentionSyntax(tokens, span))] = 1.f;
+  out[static_cast<size_t>(category)] = 1.f;
 }
 
 }  // namespace emd

@@ -26,13 +26,25 @@ enum class SyntacticCategory : int {
 
 constexpr int kNumSyntacticCategories = 6;
 
-/// Classifies one mention (span within its sentence) into a category.
+/// False when the sentence's own casing makes capitalization uninformative:
+/// every alphabetic word uppercase, every one lowercase, title case
+/// throughout, or no alphabetic word at all. It depends on the sentence
+/// only, so a caller classifying several mentions of one tweet computes it
+/// once.
+bool SentenceCasingInformative(const std::vector<Token>& tokens);
+
+/// Classifies one mention (span within its sentence) into a category,
+/// given SentenceCasingInformative(tokens).
+SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
+                                        const TokenSpan& span,
+                                        bool casing_informative);
+
+/// The same, computing the sentence's casing class itself.
 SyntacticCategory ClassifyMentionSyntax(const std::vector<Token>& tokens,
                                         const TokenSpan& span);
 
-/// Writes the mention category's one-hot embedding to `out` (all 6 floats).
-void SyntacticEmbedding(const std::vector<Token>& tokens, const TokenSpan& span,
-                        std::span<float> out);
+/// Writes the category's one-hot embedding to `out` (all 6 floats).
+void SyntacticEmbedding(SyntacticCategory category, std::span<float> out);
 
 }  // namespace emd
 

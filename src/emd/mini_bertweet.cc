@@ -33,28 +33,28 @@ void MiniBertweetSystem::BuildModel() {
                                   "bertweet.out");
 }
 
-std::vector<int> MiniBertweetSystem::Segment(const std::vector<Token>& tokens,
-                                             std::vector<int>* first_piece) const {
-  std::vector<int> piece_ids;
-  first_piece->clear();
+void MiniBertweetSystem::SegmentInto(const std::vector<Token>& tokens,
+                                     SubwordTokenizer::Scratch* scratch,
+                                     std::vector<int>* piece_ids,
+                                     std::vector<int>* first_piece) const {
+  const std::size_t limit = piece_ids->size() + options_.max_positions;
   for (const Token& tok : tokens) {
-    if (static_cast<int>(piece_ids.size()) >= options_.max_positions) {
+    if (piece_ids->size() >= limit) {
       // Truncated: the word maps to the last in-range piece (rare).
-      first_piece->push_back(options_.max_positions - 1);
+      first_piece->push_back(static_cast<int>(limit - 1));
       continue;
     }
-    first_piece->push_back(static_cast<int>(piece_ids.size()));
-    for (int id : subword_.Split(tok.text).piece_ids) {
-      if (static_cast<int>(piece_ids.size()) >= options_.max_positions) break;
-      piece_ids.push_back(id);
-    }
+    first_piece->push_back(static_cast<int>(piece_ids->size()));
+    subword_.SplitInto(tok.text, scratch, piece_ids);
+    if (piece_ids->size() > limit) piece_ids->resize(limit);
   }
-  if (piece_ids.empty()) piece_ids.push_back(Vocabulary::kUnkId);
-  return piece_ids;
 }
 
 Mat MiniBertweetSystem::ForwardWords(const std::vector<Token>& tokens, bool training) {
-  std::vector<int> piece_ids = Segment(tokens, &first_piece_cache_);
+  SubwordTokenizer::Scratch scratch;
+  std::vector<int> piece_ids;
+  first_piece_cache_.clear();
+  SegmentInto(tokens, &scratch, &piece_ids, &first_piece_cache_);
   num_pieces_cache_ = static_cast<int>(piece_ids.size());
   std::vector<int> positions(piece_ids.size());
   for (size_t i = 0; i < positions.size(); ++i) positions[i] = static_cast<int>(i);
@@ -173,15 +173,14 @@ void MiniBertweetSystem::ProcessBatched(
   EMD_CHECK(trained_) << "MiniBertweetSystem used before Train()/Load()";
   const int d = options_.d_model;
 
-  // Arena layout: packs 0/1 = piece rows / word rows; ints 0/1/2 = word
-  // gather list, per-tweet first-piece scratch, packed piece ids; mats 0..4
-  // = encoder ping-pong, gathered words, FFNN activations, logits. Encoder
-  // layers use slots from kLayerBase up.
+  // Arena layout: packs 0/1 = piece rows / word rows; ints 0/1 = word
+  // gather list, packed piece ids; mats 0..4 = encoder ping-pong, word rows
+  // of the last encoder layer, FFNN activations, logits. Encoder layers use
+  // slots from kLayerBase up.
   RaggedPack* pieces = arena->pack(0);
   RaggedPack* word_pack = arena->pack(1);
   std::vector<int>* word_rows = arena->ints(0);
-  std::vector<int>* first_piece = arena->ints(1);
-  std::vector<int>* piece_ids = arena->ints(2);
+  std::vector<int>* piece_ids = arena->ints(1);
   Mat* x = arena->mat(0);
   Mat* y = arena->mat(1);
   Mat* words = arena->mat(2);
@@ -195,26 +194,15 @@ void MiniBertweetSystem::ProcessBatched(
   word_rows->clear();
   piece_ids->clear();
 
-  // Pass 1: segment every tweet, building the packed piece-id list and the
-  // word -> packed-row gather table. Empty tweets contribute zero rows (and
-  // finish with the same empty result Process returns for them).
+  // Pass 1: segment every tweet straight into the packed piece-id list and
+  // the word -> packed-row gather table. Empty tweets contribute zero rows
+  // (and finish with the same empty result Process returns for them).
+  SubwordTokenizer::Scratch scratch;
   for (const std::vector<Token>* tokens : tweets) {
-    if (tokens->empty()) {
-      pieces->Add(0);
-      word_pack->Add(0);
-      continue;
-    }
-    const int base = pieces->total_rows();
-    const std::vector<int> ids = Segment(*tokens, first_piece);
-    const int num_pieces = static_cast<int>(ids.size());
-    piece_ids->insert(piece_ids->end(), ids.begin(), ids.end());
-    pieces->Add(num_pieces);
+    const std::size_t base = piece_ids->size();
+    SegmentInto(*tokens, &scratch, piece_ids, word_rows);
+    pieces->Add(static_cast<int>(piece_ids->size() - base));
     word_pack->Add(static_cast<int>(tokens->size()));
-    for (std::size_t w = 0; w < tokens->size(); ++w) {
-      // Same truncation clamp ForwardWords applies per tweet.
-      word_rows->push_back(base +
-                           std::min((*first_piece)[w], num_pieces - 1));
-    }
   }
 
   const int total_rows = pieces->total_rows();
@@ -233,14 +221,22 @@ void MiniBertweetSystem::ProcessBatched(
     }
   }
 
-  // Encoder stack, fused over all rows (attention per tweet inside).
-  for (const auto& layer : layers_) {
-    layer->ApplyBatched(*x, *pieces, arena, kLayerBase, y);
+  // Encoder stack, fused over all rows (attention per tweet inside). The
+  // last layer computes only the words' first-piece rows, gathered into the
+  // idle ping-pong buffer: their K and V still come from every piece, and
+  // each row's bits are those of the full layer (nn/planner.h).
+  const std::size_t num_layers = layers_.size();
+  for (std::size_t l = 0; l + 1 < num_layers; ++l) {
+    layers_[l]->ApplyBatched(*x, *pieces, *x, *pieces, arena, kLayerBase, y);
     std::swap(x, y);
   }
+  GatherRowsInto(*x, *word_rows, num_layers == 0 ? words : y);
+  if (num_layers > 0) {
+    layers_.back()->ApplyBatched(*x, *pieces, *y, *word_pack, arena,
+                                 kLayerBase, words);
+  }
 
-  // First-piece gather + FFNN + prediction layer, fused over all words.
-  GatherRowsInto(*x, *word_rows, words);
+  // FFNN + prediction layer, fused over all words.
   ffnn_->ApplyAuto(*words, qs, ff_out, /*relu=*/true);
   out_->ApplyAuto(*ff_out, qs, logits);
 

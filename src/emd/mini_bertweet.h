@@ -61,8 +61,9 @@ class MiniBertweetSystem : public LocalEmdSystem {
 
   /// Forward-pass planner entry: packs the subword rows of every tweet into
   /// one ragged batch and runs the encoder with fused cross-tweet GEMMs
-  /// (attention per tweet). Entry i is bit-identical in fp32 to
-  /// Process(*tweets[i]); after PrepareQuantizedInference the projections
+  /// (attention per tweet). The last encoder layer computes only the
+  /// first-piece rows the word head reads. Entry i is bit-identical in fp32
+  /// to Process(*tweets[i]); after PrepareQuantizedInference the projections
   /// and FFNN run int8.
   bool batch_capable() const override { return trained_; }
   void ProcessBatched(const std::vector<const std::vector<Token>*>& tweets,
@@ -81,10 +82,14 @@ class MiniBertweetSystem : public LocalEmdSystem {
  private:
   void BuildModel();
 
-  /// Segments a sentence; fills `first_piece` with the subword row index of
-  /// each word's first piece. Sequences longer than max_positions truncate.
-  std::vector<int> Segment(const std::vector<Token>& tokens,
-                           std::vector<int>* first_piece) const;
+  /// Segments a sentence: appends its piece ids to `piece_ids` and, per
+  /// word, the index in `piece_ids` of the word's first piece. Sequences
+  /// longer than max_positions truncate, and a word past the cut maps to the
+  /// last kept piece.
+  void SegmentInto(const std::vector<Token>& tokens,
+                   SubwordTokenizer::Scratch* scratch,
+                   std::vector<int>* piece_ids,
+                   std::vector<int>* first_piece) const;
 
   /// Runs the encoder + FFNN; returns per-word entity-aware embeddings
   /// [num_words, d_model]. Caches for Backward.

@@ -1,5 +1,6 @@
 #include "emd/subword.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "util/string_util.h"
@@ -33,50 +34,71 @@ SubwordTokenizer SubwordTokenizer::Build(const Dataset& corpus, int min_word_cou
   for (const auto& [word, count] : word_counts) {
     if (count >= min_word_count) st.vocab_.Add(word);
   }
+  st.SetProbeBounds();
   return st;
 }
 
-SubwordSplit SubwordTokenizer::Split(const std::string& word) const {
-  SubwordSplit split;
-  std::string lower;
+void SubwordTokenizer::SplitInto(std::string_view word, Scratch* scratch,
+                                 std::vector<int>* out) const {
+  std::string& lower = scratch->lower;
   ToLowerAsciiInto(word, &lower);
   if (lower.empty()) {
-    split.piece_ids.push_back(Vocabulary::kUnkId);
-    return split;
+    out->push_back(Vocabulary::kUnkId);
+    return;
   }
-  // One piece buffer for the whole greedy scan: assign/append reuse its
-  // capacity and each candidate length costs one allocation-free probe.
-  std::string piece;
+  // Continuation probes are "##" + the candidate; the prefix stays put.
+  std::string& piece = scratch->piece;
+  piece.assign("##");
   size_t pos = 0;
   while (pos < lower.size()) {
-    // Greedy longest match; continuation pieces carry the "##" prefix.
-    size_t best_len = 0;
+    // Greedy longest match, from the longest piece that could match here.
+    size_t best_len = 1;
     int best_id = Vocabulary::kUnkId;
-    const std::string_view prefix = pos == 0 ? "" : "##";
-    for (size_t len = lower.size() - pos; len >= 1; --len) {
-      piece.assign(prefix);
-      piece.append(lower, pos, len);
-      const int id = vocab_.Find(piece);
+    const size_t bound = pos == 0 ? max_first_len_ : max_continuation_len_;
+    for (size_t len = std::min(lower.size() - pos, bound); len >= 1; --len) {
+      int id;
+      if (pos == 0) {
+        id = vocab_.Find(std::string_view(lower).substr(0, len));
+      } else {
+        piece.resize(2);
+        piece.append(lower, pos, len);
+        id = vocab_.Find(piece);
+      }
       if (id != Vocabulary::kAbsent) {
         best_len = len;
         best_id = id;
         break;
       }
     }
-    if (best_len == 0) {
-      // Non-ASCII or unseen char: emit <unk> for a single char.
-      best_len = 1;
-      best_id = Vocabulary::kUnkId;
-    }
-    split.piece_ids.push_back(best_id);
+    // No piece: a non-ASCII or unseen char becomes <unk>.
+    out->push_back(best_id);
     pos += best_len;
   }
-  return split;
+}
+
+std::vector<int> SubwordTokenizer::Split(std::string_view word) const {
+  Scratch scratch;
+  std::vector<int> ids;
+  SplitInto(word, &scratch, &ids);
+  return ids;
+}
+
+void SubwordTokenizer::SetProbeBounds() {
+  max_first_len_ = 0;
+  max_continuation_len_ = 0;
+  for (int id = 0; id < vocab_.size(); ++id) {
+    const std::string_view token = vocab_.Token(id);
+    max_first_len_ = std::max(max_first_len_, token.size());
+    if (token.starts_with("##")) {
+      max_continuation_len_ = std::max(max_continuation_len_, token.size() - 2);
+    }
+  }
 }
 
 Result<SubwordTokenizer> SubwordTokenizer::Deserialize(const std::string& data) {
   SubwordTokenizer st;
   EMD_ASSIGN_OR_RETURN(st.vocab_, Vocabulary::Deserialize(data));
+  st.SetProbeBounds();
   return st;
 }
 

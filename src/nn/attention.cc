@@ -32,40 +32,49 @@ Mat MultiHeadSelfAttention::Forward(const Mat& x) {
     const int off = h * d_head_;
     attn_[h].Resize(T, T);  // the softmax weights Backward reads
     kern.attend_head(q_.data() + off, k_.data() + off, v_.data() + off,
-                     d_model_, T, d_head_, scale, attn_[h].data(),
+                     d_model_, T, T, d_head_, scale, attn_[h].data(),
                      context_.data() + off);
   }
   return wo_.Forward(context_);
 }
 
 void MultiHeadSelfAttention::ApplyBatched(const Mat& x, const RaggedPack& pack,
+                                          const Mat& queries,
+                                          const RaggedPack& query_pack,
                                           ForwardArena* arena, int slot_base,
                                           Mat* out) const {
   EMD_CHECK_EQ(x.cols(), d_model_);
   EMD_CHECK_EQ(x.rows(), pack.total_rows());
+  EMD_CHECK_EQ(queries.cols(), d_model_);
+  EMD_CHECK_EQ(queries.rows(), query_pack.total_rows());
+  EMD_CHECK_EQ(query_pack.num_seqs(), pack.num_seqs());
   Mat* q = arena->mat(slot_base + 0);
   Mat* k = arena->mat(slot_base + 1);
   Mat* v = arena->mat(slot_base + 2);
   Mat* scores = arena->mat(slot_base + 3);
   Mat* context = arena->mat(slot_base + 4);
   QuantizedLinear::Scratch* qs = arena->qscratch(slot_base);
-  // One fused projection per matrix over every packed row.
-  wq_.ApplyAuto(x, qs, q);
+  // One fused projection per matrix: Q over the queries, K and V over every
+  // packed row.
+  wq_.ApplyAuto(queries, qs, q);
   wk_.ApplyAuto(x, qs, k);
   wv_.ApplyAuto(x, qs, v);
-  context->Resize(x.rows(), d_model_);
+  context->Resize(queries.rows(), d_model_);
   const kernels::KernelBackend& kern = kernels::Kernels();
   const float scale = 1.f / std::sqrt(static_cast<float>(d_head_));
   for (int s = 0; s < pack.num_seqs(); ++s) {
+    const int tq = query_pack.len(s);
+    if (tq == 0) continue;
     const int b = pack.begin(s);
-    const int T = pack.len(s);
-    if (T == 0) continue;
-    scores->Resize(T, T);
+    const int qb = query_pack.begin(s);
+    const int tk = pack.len(s);
+    EMD_CHECK_GT(tk, 0);
+    scores->Resize(tq, tk);
     for (int h = 0; h < num_heads_; ++h) {
       const int off = h * d_head_;
-      kern.attend_head(q->row(b) + off, k->row(b) + off, v->row(b) + off,
-                       d_model_, T, d_head_, scale, scores->data(),
-                       context->row(b) + off);
+      kern.attend_head(q->row(qb) + off, k->row(b) + off, v->row(b) + off,
+                       d_model_, tq, tk, d_head_, scale, scores->data(),
+                       context->row(qb) + off);
     }
   }
   wo_.ApplyAuto(*context, qs, out);

@@ -30,14 +30,19 @@ class MultiHeadSelfAttention {
   static constexpr int kArenaSlots = 5;
 
   /// Inference-only planner forward: `x` holds the packed token rows of many
-  /// sequences ([pack.total_rows(), d_model]); the Q/K/V/output projections
-  /// run fused over ALL rows while attention walks the offsets table per
-  /// sequence, one attend_head kernel call per (sequence, head) reading and
-  /// writing the head's columns in place. Const — no caches touched, safe
-  /// across worker lanes with per-lane arenas. In fp32 the result is
-  /// bit-identical per sequence to Forward; after PrepareQuantized the
-  /// projections run int8.
-  void ApplyBatched(const Mat& x, const RaggedPack& pack, ForwardArena* arena,
+  /// sequences ([pack.total_rows(), d_model]) and `queries` the rows to
+  /// compute, packed by `query_pack`: sequence s's queries are copies of some
+  /// of its own rows of x, in any order, repeats allowed. Pass x and pack
+  /// again to compute every row. K and V run fused over all of x, Q and the
+  /// output projection over the queries, and attention walks the offsets
+  /// tables, one attend_head kernel call per (sequence, head) reading and
+  /// writing the head's columns in place. Writes
+  /// [query_pack.total_rows(), d_model] into out. Const — no caches
+  /// touched, safe across worker lanes with per-lane arenas. In fp32 each
+  /// output row is bit-identical to its row of Forward on the sequence;
+  /// after PrepareQuantized the projections run int8.
+  void ApplyBatched(const Mat& x, const RaggedPack& pack, const Mat& queries,
+                    const RaggedPack& query_pack, ForwardArena* arena,
                     int slot_base, Mat* out) const;
 
   /// Packs int8 copies of the four projection weights (see nn/qlinear.h).

@@ -63,16 +63,20 @@ struct KernelBackend {
                  int m, int k, int n, bool relu);
 
   // ---- Attention. ----
-  /// One scaled-dot-product attention head over a sequence of t rows. q, k
-  /// and v point at the head's first column; row r of each starts `ld`
-  /// floats after row r-1 (ld = d_model for the head slices of [t, d_model]
-  /// projections). Writes the softmax weights
-  /// softmax_rows(scale * Q K^T) to `p` ([t, t], contiguous) and the head's
-  /// context P V to `out` (t rows of dh floats, `ld` apart). Bit for bit the
-  /// composition matmul_bt, vscale, softmax_rows, matmul of the same table
-  /// over contiguous copies of the head slices.
+  /// One scaled-dot-product attention head: tq query rows against a
+  /// sequence of tk key and value rows. q, k and v point at the head's first
+  /// column; row r of each starts `ld` floats after row r-1 (ld = d_model
+  /// for the head slices of [t, d_model] projections). Writes the softmax
+  /// weights softmax_rows(scale * Q K^T) to `p` ([tq, tk], contiguous) and
+  /// the head's context P V to `out` (tq rows of dh floats, `ld` apart).
+  /// Bit for bit the composition matmul_bt, vscale, softmax_rows, matmul of
+  /// the same table over contiguous copies of the head slices. Each output
+  /// row depends only on its own query row and all of K and V, so a call
+  /// over some of a sequence's query rows (tq < tk) gives those rows the
+  /// bits of the square call (tq == tk).
   void (*attend_head)(const float* q, const float* k, const float* v, int ld,
-                      int t, int dh, float scale, float* p, float* out);
+                      int tq, int tk, int dh, float scale, float* p,
+                      float* out);
 
   // ---- BLAS-1 style. ----
   /// sum(x[i] * y[i]).

@@ -714,55 +714,57 @@ inline __m256 HSum8(const __m256 s[8]) {
 }
 
 // Scores of every query row against the key rows j0..j0+7, scaled in the
-// store as vscale did after matmul_bt.
-void GroupColumns8(const float* q, const float* k, size_t ld, int t, int dh,
-                   int j0, __m256 scale, float* p) {
+// store as vscale did after matmul_bt. Score rows are tk floats apart.
+void GroupColumns8(const float* q, const float* k, size_t ld, int tq, int tk,
+                   int dh, int j0, __m256 scale, float* p) {
   const float* kc[8];
   for (int c = 0; c < 8; ++c) kc[c] = k + (j0 + c) * ld;
-  for (int i = 0; i < t; ++i) {
+  for (int i = 0; i < tq; ++i) {
     const float* qi = q + i * ld;
-    _mm256_storeu_ps(p + size_t(i) * t + j0,
+    _mm256_storeu_ps(p + size_t(i) * tk + j0,
                      _mm256_mul_ps(GroupScores(qi, qi, kc, dh), scale));
   }
 }
 
 // The same for a lone last group of four key rows, two query rows per
-// register (an odd last row pairs with itself).
-void GroupColumns4(const float* q, const float* k, size_t ld, int t, int dh,
-                   int j0, __m256 scale, float* p) {
+// register (an odd last row pairs with itself). The lanes do not mix, so
+// each row's scores keep their bits whichever row shares its register.
+void GroupColumns4(const float* q, const float* k, size_t ld, int tq, int tk,
+                   int dh, int j0, __m256 scale, float* p) {
   const float* kc[8];
   for (int c = 0; c < 8; ++c) kc[c] = k + (j0 + c % 4) * ld;
-  for (int i = 0; i < t; i += 2) {
-    const int i2 = std::min(i + 1, t - 1);
+  for (int i = 0; i < tq; i += 2) {
+    const int i2 = std::min(i + 1, tq - 1);
     const __m256 r = _mm256_mul_ps(
         GroupScores(q + i * ld, q + i2 * ld, kc, dh), scale);
-    _mm_storeu_ps(p + size_t(i) * t + j0, _mm256_castps256_ps128(r));
-    _mm_storeu_ps(p + size_t(i2) * t + j0, _mm256_extractf128_ps(r, 1));
+    _mm_storeu_ps(p + size_t(i) * tk + j0, _mm256_castps256_ps128(r));
+    _mm_storeu_ps(p + size_t(i2) * tk + j0, _mm256_extractf128_ps(r, 1));
   }
 }
 
 // One head, read in place from the strided Q/K/V rows. The scores of the
-// 4-column groups (j < t & ~3) go eight key rows at a time through
+// 4-column groups (j < tk & ~3) go eight key rows at a time through
 // GroupScores; the at most three columns past them use DotAvx2, as
 // matmul_bt did. Softmax is SoftmaxRowsAvx2 unchanged, and P V is the GEMM
 // walk writing straight into the head's columns of the context.
 void AttendHeadAvx2(const float* q, const float* k, const float* v, int ld,
-                    int t, int dh, float scale, float* p, float* out) {
-  const int groups = t & ~3;
+                    int tq, int tk, int dh, float scale, float* p,
+                    float* out) {
+  const int groups = tk & ~3;
   const __m256 vscale = _mm256_set1_ps(scale);
   int j0 = 0;
   for (; j0 + 8 <= groups; j0 += 8) {
-    GroupColumns8(q, k, ld, t, dh, j0, vscale, p);
+    GroupColumns8(q, k, ld, tq, tk, dh, j0, vscale, p);
   }
-  if (j0 < groups) GroupColumns4(q, k, ld, t, dh, j0, vscale, p);
-  for (int i = 0; i < t; ++i) {
-    for (int j = groups; j < t; ++j) {
-      p[size_t(i) * t + j] =
+  if (j0 < groups) GroupColumns4(q, k, ld, tq, tk, dh, j0, vscale, p);
+  for (int i = 0; i < tq; ++i) {
+    for (int j = groups; j < tk; ++j) {
+      p[size_t(i) * tk + j] =
           DotAvx2(q + size_t(i) * ld, k + size_t(j) * ld, dh) * scale;
     }
   }
-  SoftmaxRowsAvx2(p, t, t);
-  Gemm({p, t, v, ld, nullptr, false, out, ld, t}, t, dh);
+  SoftmaxRowsAvx2(p, tq, tk);
+  Gemm({p, tk, v, ld, nullptr, false, out, ld, tk}, tq, dh);
 }
 
 double LogSumExpAvx2(const float* x, int n) {

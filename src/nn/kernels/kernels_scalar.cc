@@ -293,25 +293,26 @@ void LinearScalar(const float* a, const float* w, const float* bias, float* c,
 // element sums its products in ascending order from zero, as MatMulBTScalar
 // and MatMulScalar do over contiguous copies.
 void AttendHeadScalar(const float* q, const float* k, const float* v, int ld,
-                      int t, int dh, float scale, float* p, float* out) {
-  for (int i = 0; i < t; ++i) {
+                      int tq, int tk, int dh, float scale, float* p,
+                      float* out) {
+  for (int i = 0; i < tq; ++i) {
     const float* qi = q + size_t(i) * ld;
-    float* prow = p + size_t(i) * t;
-    for (int j = 0; j < t; ++j) {
+    float* prow = p + size_t(i) * tk;
+    for (int j = 0; j < tk; ++j) {
       const float* kj = k + size_t(j) * ld;
       float s = 0;
       for (int c = 0; c < dh; ++c) s += qi[c] * kj[c];
       prow[j] = s;
     }
   }
-  VScaleScalar(scale, p, t * t);
-  SoftmaxRowsScalar(p, t, t);
-  for (int i = 0; i < t; ++i) {
-    const float* prow = p + size_t(i) * t;
+  VScaleScalar(scale, p, tq * tk);
+  SoftmaxRowsScalar(p, tq, tk);
+  for (int i = 0; i < tq; ++i) {
+    const float* prow = p + size_t(i) * tk;
     float* orow = out + size_t(i) * ld;
     for (int c = 0; c < dh; ++c) {
       float s = 0;
-      for (int j = 0; j < t; ++j) s += prow[j] * v[size_t(j) * ld + c];
+      for (int j = 0; j < tk; ++j) s += prow[j] * v[size_t(j) * ld + c];
       orow[c] = s;
     }
   }

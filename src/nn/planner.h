@@ -10,6 +10,14 @@
 // that depends only on that row of A and all of B, a packed call is
 // bit-identical per row to the per-sequence calls it replaces — batching is
 // a pure scheduling change, invisible in the output at any thread count.
+// The int8 path keeps the contract: activations are quantized per row.
+//
+// For the same reason a packed call may compute a subset of rows: a layer
+// given some rows of each sequence (gathered, with their own RaggedPack)
+// writes exactly those rows of the full call. Attention still reads every
+// row's keys and values, since scores and softmax are per query row. So a
+// model whose head reads only some rows runs its last layer over those rows
+// alone (see TransformerEncoderLayer::ApplyBatched).
 //
 // ForwardArena owns every intermediate buffer, keyed by small integer slots
 // (each model reserves its own slot range). Buffers are resized per batch

@@ -24,6 +24,8 @@ Mat TransformerEncoderLayer::Forward(const Mat& x, bool training, Rng* rng) {
 
 void TransformerEncoderLayer::ApplyBatched(const Mat& x,
                                            const RaggedPack& pack,
+                                           const Mat& queries,
+                                           const RaggedPack& query_pack,
                                            ForwardArena* arena, int slot_base,
                                            Mat* out) const {
   Mat* attn = arena->mat(slot_base + 0);
@@ -35,8 +37,8 @@ void TransformerEncoderLayer::ApplyBatched(const Mat& x,
   QuantizedLinear::Scratch* qs = arena->qscratch(slot_base + 5);
   const int mhsa_base = slot_base + 6;
 
-  mhsa_.ApplyBatched(x, pack, arena, mhsa_base, attn);
-  attn->Add(x);  // residual
+  mhsa_.ApplyBatched(x, pack, queries, query_pack, arena, mhsa_base, attn);
+  attn->Add(queries);  // residual
   ln1_.Apply(*attn, h1, ln_xhat, ln_inv_std);
   ff1_.ApplyAuto(*h1, qs, ff_a, /*relu=*/true);
   ff2_.ApplyAuto(*ff_a, qs, ff_b);

@@ -32,10 +32,13 @@ class TransformerEncoderLayer {
   static constexpr int kArenaSlots = 6 + MultiHeadSelfAttention::kArenaSlots;
 
   /// Inference-only planner forward over packed sequences: the FFN and
-  /// residual/norm chain run fused over all rows, attention per sequence
-  /// (see MultiHeadSelfAttention::ApplyBatched). Dropout is inference-mode
-  /// (identity). Writes [pack.total_rows(), d_model] into out. Const.
-  void ApplyBatched(const Mat& x, const RaggedPack& pack, ForwardArena* arena,
+  /// residual/norm chain run fused over the query rows, attention per
+  /// sequence (see MultiHeadSelfAttention::ApplyBatched for `queries` and
+  /// `query_pack`; pass x and pack again to compute every row). Dropout is
+  /// inference-mode (identity). Writes [query_pack.total_rows(), d_model]
+  /// into out, which must not alias x or queries. Const.
+  void ApplyBatched(const Mat& x, const RaggedPack& pack, const Mat& queries,
+                    const RaggedPack& query_pack, ForwardArena* arena,
                     int slot_base, Mat* out) const;
 
   /// Packs int8 copies of the attention projections and the FFN weights.

@@ -12,6 +12,8 @@
 #include "core/tweet_base.h"
 #include "text/bio.h"
 #include "eval/metrics.h"
+#include "stream/datasets.h"
+#include "stream/entity_catalog.h"
 #include "text/symbol_table.h"
 #include "text/tweet_tokenizer.h"
 #include "util/rng.h"
@@ -266,11 +268,92 @@ TEST(SyntacticEmbedderTest, OneHotEmbedding) {
   // Every float of the row is written, whatever it held before.
   Mat e(1, kNumSyntacticCategories);
   e.Fill(7.f);
-  SyntacticEmbedding(tokens, {1, 3}, {e.data(), e.size()});
+  SyntacticEmbedding(ClassifyMentionSyntax(tokens, {1, 3}), {e.data(), e.size()});
   float sum = 0;
   for (int j = 0; j < e.cols(); ++j) sum += e(0, j);
   EXPECT_FLOAT_EQ(sum, 1.f);
   EXPECT_FLOAT_EQ(e(0, 0), 1.f);
+}
+
+/// The per-mention form: it walks the whole sentence for every mention to
+/// decide whether casing is informative.
+SyntacticCategory PerMentionCategory(const std::vector<Token>& tokens,
+                                     const TokenSpan& span) {
+  int words = 0, caps = 0, uppers = 0, lowers = 0;
+  for (const Token& t : tokens) {
+    if (t.kind != TokenKind::kWord || !HasAlpha(t.text)) continue;
+    ++words;
+    if (IsAllUpper(t.text)) ++uppers;
+    if (IsAllLower(t.text)) ++lowers;
+    if (!t.text.empty() && IsUpperAscii(t.text[0])) ++caps;
+  }
+  if (words == 0 || uppers == words || lowers == words || caps == words) {
+    return SyntacticCategory::kNonDiscriminative;
+  }
+  int span_caps = 0, full_caps = 0, alpha_tokens = 0;
+  for (size_t t = span.begin; t < span.end; ++t) {
+    const std::string& text = tokens[t].text;
+    if (!HasAlpha(text)) continue;
+    ++alpha_tokens;
+    if (!text.empty() && IsUpperAscii(text[0])) ++span_caps;
+    if (IsAllUpper(text)) ++full_caps;
+  }
+  if (alpha_tokens == 0) return SyntacticCategory::kNoCapitalization;
+  if (full_caps == alpha_tokens) return SyntacticCategory::kFullCapitalization;
+  if (span_caps == alpha_tokens) {
+    return span.length() == 1 && span.begin == 0
+               ? SyntacticCategory::kStartOfSentenceCap
+               : SyntacticCategory::kProperCapitalization;
+  }
+  if (span_caps > 0) return SyntacticCategory::kSubstringCapitalization;
+  return SyntacticCategory::kNoCapitalization;
+}
+
+// The sentence's casing class, computed once per tweet, gives every span the
+// category of the per-mention form: over generated tweets as they come and
+// recased all-caps, all-lower and title case, every span up to six tokens.
+TEST(SyntacticEmbedderTest, SentenceCasingOnceMatchesThePerMentionForm) {
+  EntityCatalogOptions copt;
+  copt.entities_per_topic = 60;
+  copt.seed = 13;
+  const EntityCatalog catalog = EntityCatalog::Build(copt);
+  DatasetSuiteOptions sopt;
+  sopt.scale = 0.1;
+  const Dataset d = BuildD1(catalog, sopt);
+  ASSERT_GE(d.tweets.size(), 100u);
+  auto recase = [](std::vector<Token> tokens, int mode) {
+    for (Token& t : tokens) {
+      if (mode == 1) t.text = ToUpperAscii(t.text);
+      if (mode == 2) t.text = ToLowerAscii(t.text);
+      if (mode == 3 && !t.text.empty()) {
+        t.text = ToLowerAscii(t.text);
+        t.text[0] = ToUpperAscii(t.text.substr(0, 1))[0];
+      }
+    }
+    return tokens;
+  };
+  int seen[kNumSyntacticCategories] = {};
+  for (const AnnotatedTweet& tweet : d.tweets) {
+    for (int mode = 0; mode < 4; ++mode) {
+      const std::vector<Token> tokens = recase(tweet.tokens, mode);
+      const bool informative = SentenceCasingInformative(tokens);
+      if (mode > 0) {
+        EXPECT_FALSE(informative) << "recased tweet " << tweet.tweet_id;
+      }
+      for (size_t b = 0; b < tokens.size(); ++b) {
+        for (size_t e = b + 1; e <= tokens.size() && e <= b + 6; ++e) {
+          const SyntacticCategory want = PerMentionCategory(tokens, {b, e});
+          ASSERT_EQ(ClassifyMentionSyntax(tokens, {b, e}, informative), want)
+              << "mode " << mode << " span [" << b << ", " << e << ")";
+          ASSERT_EQ(ClassifyMentionSyntax(tokens, {b, e}), want);
+          ++seen[static_cast<int>(want)];
+        }
+      }
+    }
+  }
+  for (int c = 0; c < kNumSyntacticCategories; ++c) {
+    EXPECT_GT(seen[c], 0) << "category " << c << " never produced";
+  }
 }
 
 // --------------------------------------------------------- Candidate/Tweet base

@@ -218,8 +218,8 @@ TEST(SubwordTest, SplitCoversAnyAsciiWord) {
   SubwordTokenizer st = SubwordTokenizer::Build(w.train, 3);
   for (const std::string word : {"coronavirus", "xyzzyplugh", "a", "Beshear42"}) {
     auto split = st.Split(word);
-    EXPECT_FALSE(split.piece_ids.empty());
-    for (int id : split.piece_ids) {
+    EXPECT_FALSE(split.empty());
+    for (int id : split) {
       EXPECT_GE(id, 0);
       EXPECT_LT(id, st.vocab_size());
     }
@@ -229,7 +229,7 @@ TEST(SubwordTest, SplitCoversAnyAsciiWord) {
 TEST(SubwordTest, FrequentWordIsSinglePiece) {
   World& w = SharedWorld();
   SubwordTokenizer st = SubwordTokenizer::Build(w.train, 3);
-  EXPECT_EQ(st.Split("the").piece_ids.size(), 1u);
+  EXPECT_EQ(st.Split("the").size(), 1u);
 }
 
 TEST(SubwordTest, SerializeRoundTrip) {
@@ -238,7 +238,7 @@ TEST(SubwordTest, SerializeRoundTrip) {
   auto r = SubwordTokenizer::Deserialize(st.Serialize());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->vocab_size(), st.vocab_size());
-  EXPECT_EQ(r->Split("coronavirus").piece_ids, st.Split("coronavirus").piece_ids);
+  EXPECT_EQ(r->Split("coronavirus"), st.Split("coronavirus"));
 }
 
 TEST(CapClassifierTest, DistinguishesInformativeCasing) {

@@ -366,13 +366,65 @@ TEST_F(KernelBitsTest, AttendHeadMatchesCopyAndComposeForEveryLength) {
         RefAttendHead(ref, q.data() + off, k.data() + off, v.data() + off, ld,
                       t, dh, scale, want_p.data(), want_out.data() + off);
         ref.backend->attend_head(q.data() + off, k.data() + off,
-                                 v.data() + off, ld, t, dh, scale,
+                                 v.data() + off, ld, t, t, dh, scale,
                                  got_p.data(), got_out.data() + off);
         ASSERT_TRUE(SameBits(want_p, got_p))
             << ref.backend->name << " attention weights t=" << t
             << " dh=" << dh;
         ASSERT_TRUE(SameBits(want_out, got_out))
             << ref.backend->name << " context t=" << t << " dh=" << dh;
+      }
+    }
+  }
+}
+
+// A call over some query rows of a sequence (tq < tk, as the last encoder
+// layer makes for the first-piece rows) gives each of those rows the bits of
+// the square call: its scores, its softmax weights and its context. The
+// queries are copies of every (tk / tq)-th row, packed at the same stride.
+TEST_F(KernelBitsTest, AttendHeadQueryRowsMatchTheSquareCall) {
+  for (const Reference& ref : References()) {
+    for (int dh : {16, 12, 20, 24}) {
+      const int ld = 4 * dh;
+      const int off = dh;
+      const float scale = 1.f / std::sqrt(static_cast<float>(dh));
+      for (int tk = 1; tk <= 97; ++tk) {
+        const auto q = Gaussian(size_t(tk) * ld, 1.f, 1100 + tk);
+        const auto k = Gaussian(size_t(tk) * ld, 1.f, 1200 + tk);
+        const auto v = Gaussian(size_t(tk) * ld, 1.f, 1300 + tk);
+        std::vector<float> square_p(size_t(tk) * tk);
+        std::vector<float> square_out(size_t(tk) * ld, 7.f);
+        ref.backend->attend_head(q.data() + off, k.data() + off,
+                                 v.data() + off, ld, tk, tk, dh, scale,
+                                 square_p.data(), square_out.data() + off);
+        for (int tq : {1, tk / 2, tk - 1, tk}) {
+          if (tq == 0) continue;
+          std::vector<int> rows(tq);
+          std::vector<float> qsub(size_t(tq) * ld);
+          for (int i = 0; i < tq; ++i) {
+            rows[i] = static_cast<int>(int64_t(i) * tk / tq);
+            std::memcpy(qsub.data() + size_t(i) * ld,
+                        q.data() + size_t(rows[i]) * ld, sizeof(float) * ld);
+          }
+          std::vector<float> p(size_t(tq) * tk, -1.f);
+          std::vector<float> out(size_t(tq) * ld, 7.f);
+          ref.backend->attend_head(qsub.data() + off, k.data() + off,
+                                   v.data() + off, ld, tq, tk, dh, scale,
+                                   p.data(), out.data() + off);
+          for (int i = 0; i < tq; ++i) {
+            ASSERT_EQ(0, std::memcmp(p.data() + size_t(i) * tk,
+                                     square_p.data() + size_t(rows[i]) * tk,
+                                     sizeof(float) * tk))
+                << ref.backend->name << " weights tk=" << tk << " tq=" << tq
+                << " dh=" << dh << " row " << i;
+            // The whole row: the other heads' columns stay untouched.
+            ASSERT_EQ(0, std::memcmp(out.data() + size_t(i) * ld,
+                                     square_out.data() + size_t(rows[i]) * ld,
+                                     sizeof(float) * ld))
+                << ref.backend->name << " context tk=" << tk << " tq=" << tq
+                << " dh=" << dh << " row " << i;
+          }
+        }
       }
     }
   }

@@ -131,7 +131,8 @@ TEST_P(SeededTest, SyntacticCategoriesPartitionMentions) {
     AnnotatedTweet t = gen.Next();
     for (const auto& g : t.gold) {
       Mat e(1, kNumSyntacticCategories);
-      SyntacticEmbedding(t.tokens, g.span, {e.data(), e.size()});
+      SyntacticEmbedding(ClassifyMentionSyntax(t.tokens, g.span),
+                         {e.data(), e.size()});
       float sum = 0;
       int hot = -1;
       for (int j = 0; j < e.cols(); ++j) {

@@ -8,16 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <vector>
 
+#include "core/entity_classifier.h"
+#include "core/globalizer.h"
+#include "core/phrase_embedder.h"
 #include "emd/mini_bertweet.h"
 #include "emd/subword.h"
 #include "eval/metrics.h"
+#include "mock_local_system.h"
 #include "nn/kernels/kernels.h"
 #include "nn/planner.h"
 #include "nn/qlinear.h"
@@ -274,7 +280,7 @@ TEST(PlannerTest, BatchedEncoderLayerMatchesPerSequenceForward) {
 
   ForwardArena arena;
   Mat out;
-  layer.ApplyBatched(x, pack, &arena, 0, &out);
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);
   ASSERT_EQ(out.rows(), total);
   ASSERT_EQ(out.cols(), 32);
 
@@ -301,10 +307,10 @@ TEST(PlannerTest, WarmApplyBatchedIsAllocationFree) {
   const Mat x = GaussianMat(23, 32, 1.f, 31);
   ForwardArena arena;
   Mat out;
-  layer.ApplyBatched(x, pack, &arena, 0, &out);  // cold: arena grows
-  layer.ApplyBatched(x, pack, &arena, 0, &out);  // warm once more
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);  // cold: arena grows
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);  // warm once more
   const long before = g_allocations.load(std::memory_order_relaxed);
-  layer.ApplyBatched(x, pack, &arena, 0, &out);
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after)
       << "steady-state planner pass should not touch the heap";
@@ -321,12 +327,104 @@ TEST(PlannerTest, WarmQuantizedApplyBatchedIsAllocationFree) {
   const Mat x = GaussianMat(17, 32, 1.f, 35);
   ForwardArena arena;
   Mat out;
-  layer.ApplyBatched(x, pack, &arena, 0, &out);
-  layer.ApplyBatched(x, pack, &arena, 0, &out);
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);
   const long before = g_allocations.load(std::memory_order_relaxed);
-  layer.ApplyBatched(x, pack, &arena, 0, &out);
+  layer.ApplyBatched(x, pack, x, pack, &arena, 0, &out);
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after);
+}
+
+/// The query side of a pruned layer call: per sequence of `pack`, the listed
+/// rows (indices within the sequence, repeats allowed) gathered from x.
+struct QueryRows {
+  std::vector<int> rows;  // packed rows of x
+  RaggedPack pack;
+  Mat x;
+};
+
+QueryRows SelectRows(const Mat& x, const RaggedPack& pack,
+                     const std::vector<std::vector<int>>& per_seq) {
+  QueryRows q;
+  q.pack.Clear();
+  for (int s = 0; s < pack.num_seqs(); ++s) {
+    for (int r : per_seq[s]) q.rows.push_back(pack.begin(s) + r);
+    q.pack.Add(static_cast<int>(per_seq[s].size()));
+  }
+  GatherRowsInto(x, q.rows, &q.x);
+  return q;
+}
+
+// A layer given some rows of each sequence (the first-piece rows, say)
+// writes exactly the rows of the full layer followed by the gather: Q, the
+// residual/norm chain and the FFN are row-wise (nn/planner.h), and K and V
+// still come from every row. In fp32 and, after PrepareQuantized, in int8,
+// whose per-row activation scales keep the contract. The selections cover
+// a sequence with no keys, one with keys but no queries, repeats (a
+// truncated tweet's words), every row, and rows out of order.
+TEST(PlannerTest, PrunedEncoderLayerMatchesFullLayerThenGather) {
+  const std::vector<int> lens = {5, 0, 1, 17, 2, 9, 4};
+  const std::vector<std::vector<int>> per_seq = {
+      {0, 2, 3}, {}, {0}, {0, 1, 4, 7, 8, 12, 16}, {}, {0, 3, 3, 8, 8},
+      {3, 0, 1, 2}};
+  RaggedPack pack;
+  pack.Clear();
+  for (int len : lens) pack.Add(len);
+  const Mat x = GaussianMat(pack.total_rows(), 32, 1.f, 37);
+  const QueryRows q = SelectRows(x, pack, per_seq);
+
+  Mat fp32_out;
+  for (const bool int8 : {false, true}) {
+    Rng rng(41);
+    TransformerEncoderLayer layer(32, 4, 64, 0.1f, &rng, "t");
+    if (int8) layer.PrepareQuantized();
+    ForwardArena arena;
+    Mat full, want, pruned;
+    layer.ApplyBatched(x, pack, x, pack, &arena, 0, &full);
+    GatherRowsInto(full, q.rows, &want);
+    layer.ApplyBatched(x, pack, q.x, q.pack, &arena, 0, &pruned);
+    ASSERT_EQ(pruned.rows(), static_cast<int>(q.rows.size()));
+    ASSERT_EQ(pruned.cols(), 32);
+    EXPECT_EQ(0, std::memcmp(want.data(), pruned.data(),
+                             sizeof(float) * want.size()))
+        << (int8 ? "int8" : "fp32")
+        << " pruned layer differs from the full layer's rows";
+    if (!int8) {
+      fp32_out = pruned;
+    } else {
+      // The int8 leg really ran quantized.
+      EXPECT_NE(0, std::memcmp(fp32_out.data(), pruned.data(),
+                               sizeof(float) * pruned.size()));
+    }
+  }
+}
+
+// The encoder's steady state: full layers, then the last one over a row
+// subset, sharing one arena. Warm, neither touches the heap.
+TEST(PlannerTest, WarmPrunedApplyBatchedIsAllocationFree) {
+  RaggedPack pack;
+  pack.Clear();
+  pack.Add(9);
+  pack.Add(14);
+  const Mat x = GaussianMat(23, 32, 1.f, 39);
+  const QueryRows q = SelectRows(x, pack, {{0, 3, 8}, {0, 0, 5, 13}});
+  for (const bool int8 : {false, true}) {
+    Rng rng(43);
+    TransformerEncoderLayer layer(32, 4, 64, 0.f, &rng, "t");
+    if (int8) layer.PrepareQuantized();
+    ForwardArena arena;
+    Mat full, out;
+    auto pass = [&] {
+      layer.ApplyBatched(x, pack, x, pack, &arena, 0, &full);
+      layer.ApplyBatched(x, pack, q.x, q.pack, &arena, 0, &out);
+    };
+    pass();  // cold: arena grows
+    pass();
+    const long before = g_allocations.load(std::memory_order_relaxed);
+    pass();
+    const long after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(before, after) << (int8 ? "int8" : "fp32");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -339,26 +437,31 @@ struct TinyWorld {
   Dataset train;
   Dataset test;
   MiniBertweetSystem net;
+  // Two encoder layers: the first runs over every piece, the last over the
+  // first-piece rows.
+  MiniBertweetSystem deep_net;
 
   static TinyWorld* Make() {
     EntityCatalogOptions copt;
     copt.entities_per_topic = 60;
     copt.seed = 5;
-    auto* w = new TinyWorld{EntityCatalog::Build(copt), {}, {}, MakeNet()};
+    auto* w = new TinyWorld{EntityCatalog::Build(copt), {}, {}, MakeNet(1),
+                            MakeNet(2)};
     w->train = BuildTrainingCorpus(w->catalog, 200, 11);
     DatasetSuiteOptions sopt;
     sopt.scale = 0.1;
     w->test = BuildD1(w->catalog, sopt);
     w->net.Train(w->train, {.epochs = 2});
+    w->deep_net.Train(w->train, {.epochs = 2});
     return w;
   }
 
-  static MiniBertweetSystem MakeNet() {
+  static MiniBertweetSystem MakeNet(int num_layers) {
     MiniBertweetOptions opt;
     opt.d_model = 32;
     opt.num_heads = 2;
     opt.d_ff = 64;
-    opt.num_layers = 1;
+    opt.num_layers = num_layers;
     return MiniBertweetSystem(opt);
   }
 };
@@ -368,25 +471,30 @@ TinyWorld& World() {
   return *w;
 }
 
+/// A tweet of `n` tokens long enough to truncate: tweet 1's tokens repeated.
+std::vector<Token> RepeatTokens(const std::vector<Token>& tokens, size_t n) {
+  std::vector<Token> out;
+  while (out.size() < n) {
+    for (const Token& t : tokens) out.push_back(t);
+  }
+  return out;
+}
+
 TEST(MiniBertweetBatchTest, BatchedMatchesPerTweetBitwise) {
   if (kernels::Int8Enabled()) {
     GTEST_SKIP() << "bitwise batched-vs-serial is the fp32 contract; under "
                     "EMD_BACKEND=int8 the batched path quantizes on purpose";
   }
   TinyWorld& w = World();
-  ASSERT_TRUE(w.net.batch_capable());
 
   // A ragged batch: normal tweets, an empty tweet, a single-token tweet, and
-  // a truncation-length tweet (more pieces than max_positions).
+  // a truncation-length tweet (more pieces than max_positions), whose words
+  // past the cut share the last kept piece's row.
   std::vector<std::vector<Token>> tweets;
   for (int i = 0; i < 6; ++i) tweets.push_back(w.test.tweets[i].tokens);
   tweets.push_back({});
   tweets.push_back({w.test.tweets[0].tokens[0]});
-  std::vector<Token> longtweet;
-  while (longtweet.size() < 150) {
-    for (const Token& t : w.test.tweets[1].tokens) longtweet.push_back(t);
-  }
-  tweets.push_back(longtweet);
+  tweets.push_back(RepeatTokens(w.test.tweets[1].tokens, 150));
 
   // Tweets of T = 1..40 subword pieces (T is the attention length), built
   // from words that are one piece each, so every T mod 8 and both sides of
@@ -395,10 +503,10 @@ TEST(MiniBertweetBatchTest, BatchedMatchesPerTweetBitwise) {
   // compared. The tokenizer is rebuilt as Train() builds it to count pieces.
   const SubwordTokenizer subword = SubwordTokenizer::Build(
       w.train, MiniBertweetOptions().min_word_count);
-  std::vector<Token> single;
+  std::vector<Token> single, multi;
   for (const auto& tweet : w.test.tweets) {
     for (const Token& t : tweet.tokens) {
-      if (subword.Split(t.text).piece_ids.size() == 1) single.push_back(t);
+      (subword.Split(t.text).size() == 1 ? single : multi).push_back(t);
     }
   }
   ASSERT_GE(single.size(), 40u);
@@ -406,25 +514,154 @@ TEST(MiniBertweetBatchTest, BatchedMatchesPerTweetBitwise) {
     tweets.emplace_back(single.begin(), single.begin() + pieces);
   }
 
+  // Tweets that open with a multi-piece word and alternate, so the last
+  // layer's queries are fewer than the tweet's pieces (tq < tk), until every
+  // tk mod 8 is seen; then a truncated one of multi-piece words only, whose
+  // cut can fall inside a word.
+  ASSERT_GE(multi.size(), 60u);
+  std::vector<Token> mixed;
+  int pieces = 0;
+  std::vector<bool> residue_seen(8, false);
+  for (size_t i = 0; i < 60 && pieces < 96; ++i) {
+    const Token& t = i % 2 == 0 ? multi[i / 2] : single[i / 2];
+    mixed.push_back(t);
+    pieces += static_cast<int>(subword.Split(t.text).size());
+    tweets.push_back(mixed);
+    if (pieces < 96) residue_seen[pieces % 8] = true;
+  }
+  EXPECT_EQ(std::count(residue_seen.begin(), residue_seen.end(), true), 8);
+  tweets.emplace_back(multi.begin(), multi.begin() + 60);
+
   std::vector<const std::vector<Token>*> views;
   for (const auto& t : tweets) views.push_back(&t);
-  ForwardArena arena;
-  std::vector<LocalEmdResult> batched;
-  w.net.ProcessBatched(views, &arena, &batched);
-  ASSERT_EQ(batched.size(), tweets.size());
+  for (MiniBertweetSystem* net : {&w.net, &w.deep_net}) {
+    ASSERT_TRUE(net->batch_capable());
+    ForwardArena arena;
+    std::vector<LocalEmdResult> batched;
+    net->ProcessBatched(views, &arena, &batched);
+    ASSERT_EQ(batched.size(), tweets.size());
 
-  for (size_t i = 0; i < tweets.size(); ++i) {
-    const LocalEmdResult serial = w.net.Process(tweets[i]);
-    EXPECT_EQ(serial.mentions, batched[i].mentions) << "tweet " << i;
-    ASSERT_EQ(serial.token_embeddings.rows(), batched[i].token_embeddings.rows())
-        << "tweet " << i;
-    ASSERT_EQ(serial.token_embeddings.cols(), batched[i].token_embeddings.cols())
-        << "tweet " << i;
-    if (!serial.token_embeddings.empty()) {
-      EXPECT_EQ(0, std::memcmp(serial.token_embeddings.data(),
-                               batched[i].token_embeddings.data(),
-                               sizeof(float) * serial.token_embeddings.size()))
-          << "tweet " << i << " embeddings diverge";
+    for (size_t i = 0; i < tweets.size(); ++i) {
+      const LocalEmdResult serial = net->Process(tweets[i]);
+      EXPECT_EQ(serial.mentions, batched[i].mentions) << "tweet " << i;
+      const Mat& want = serial.token_embeddings;
+      const Mat& got = batched[i].token_embeddings;
+      ASSERT_EQ(want.rows(), got.rows()) << "tweet " << i;
+      ASSERT_EQ(want.cols(), got.cols()) << "tweet " << i;
+      if (!want.empty()) {
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 sizeof(float) * want.size()))
+            << "tweet " << i << " embeddings diverge";
+      }
+    }
+  }
+}
+
+/// Forwards to a MiniBertweet and counts which entry the Globalizer took.
+class CountingSystem : public LocalEmdSystem {
+ public:
+  explicit CountingSystem(MiniBertweetSystem* net) : net_(net) {}
+  std::string name() const override { return net_->name(); }
+  bool is_deep() const override { return true; }
+  int embedding_dim() const override { return net_->embedding_dim(); }
+  const char* process_failpoint() const override {
+    return net_->process_failpoint();
+  }
+  bool batch_capable() const override { return net_->batch_capable(); }
+  LocalEmdResult Process(const std::vector<Token>& tokens) override {
+    ++process_calls;
+    return net_->Process(tokens);
+  }
+  void ProcessBatched(const std::vector<const std::vector<Token>*>& tweets,
+                      ForwardArena* arena,
+                      std::vector<LocalEmdResult>* results) override {
+    ++batched_calls;
+    net_->ProcessBatched(tweets, arena, results);
+  }
+
+  int process_calls = 0;
+  int batched_calls = 0;
+
+ private:
+  MiniBertweetSystem* net_;
+};
+
+/// Everything a kFull Globalizer run exposes, flattened for exact comparison.
+struct GlobalizerRun {
+  std::vector<std::vector<TokenSpan>> mentions;
+  std::vector<CandidateLabel> labels;
+  std::vector<uint32_t> probability_bits;
+  std::vector<std::vector<float>> embedding_sums;
+  int process_calls = 0;
+  int batched_calls = 0;
+};
+
+GlobalizerRun RunGlobalizer(MiniBertweetSystem* net, const Dataset& d,
+                            bool resilient) {
+  std::optional<ForceResilientPath> force;
+  if (resilient) force.emplace();
+  CountingSystem system(net);
+  const PhraseEmbedder pe(net->embedding_dim(), 16);
+  const EntityClassifier clf({.input_dim = 17, .alpha = 0.5f, .beta = 0.45f});
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  Globalizer g(&system, &pe, &clf, opt);
+  for (size_t b = 0; b < d.tweets.size(); b += 16) {
+    const size_t e = std::min(d.tweets.size(), b + 16);
+    EXPECT_TRUE(g.ProcessBatch({d.tweets.data() + b, e - b}).ok());
+  }
+  GlobalizerRun run;
+  run.mentions = g.Finalize().value().mentions;
+  const ShardedGlobalState& state = g.global_state();
+  for (int gid = 0; gid < state.num_candidates(); ++gid) {
+    const CandidateRecord& rec = state.at(gid);
+    run.labels.push_back(state.Label(gid));
+    uint32_t bits = 0;
+    std::memcpy(&bits, &rec.entity_probability, sizeof(bits));
+    run.probability_bits.push_back(bits);
+    const Mat& sum = rec.embedding_sum;
+    run.embedding_sums.emplace_back(sum.data(), sum.data() + sum.size());
+  }
+  run.process_calls = system.process_calls;
+  run.batched_calls = system.batched_calls;
+  return run;
+}
+
+// The Globalizer's happy path (ProcessBatched chunks, so the last encoder
+// layer over first-piece rows) against its resilient path (one Process per
+// tweet, the full forward) in kFull mode: mentions, and every candidate's
+// label, entity probability and pooled embedding, bit for bit.
+TEST(MiniBertweetBatchTest, PrunedGlobalizerMatchesPerTweetProcess) {
+  if (kernels::Int8Enabled()) {
+    GTEST_SKIP() << "the per-tweet reference is fp32; under EMD_BACKEND=int8 "
+                    "the batched path quantizes on purpose";
+  }
+  TinyWorld& w = World();
+  Dataset d = w.test;
+  AnnotatedTweet truncated = d.tweets[1];
+  truncated.tokens = RepeatTokens(truncated.tokens, 150);
+  d.tweets.push_back(truncated);
+  for (MiniBertweetSystem* net : {&w.net, &w.deep_net}) {
+    const GlobalizerRun want = RunGlobalizer(net, d, /*resilient=*/true);
+    const GlobalizerRun got = RunGlobalizer(net, d, /*resilient=*/false);
+    EXPECT_EQ(want.batched_calls, 0) << "the reference runs Process per tweet";
+    EXPECT_GT(got.batched_calls, 0);
+    EXPECT_EQ(got.process_calls, 0) << "the happy path runs ProcessBatched";
+    ASSERT_FALSE(want.labels.empty());
+    ASSERT_EQ(want.mentions.size(), got.mentions.size());
+    for (size_t i = 0; i < want.mentions.size(); ++i) {
+      EXPECT_EQ(want.mentions[i], got.mentions[i]) << "tweet " << i;
+    }
+    EXPECT_EQ(want.labels, got.labels);
+    EXPECT_EQ(want.probability_bits, got.probability_bits);
+    ASSERT_EQ(want.embedding_sums.size(), got.embedding_sums.size());
+    for (size_t c = 0; c < want.embedding_sums.size(); ++c) {
+      const std::vector<float>& a = want.embedding_sums[c];
+      const std::vector<float>& b = got.embedding_sums[c];
+      ASSERT_EQ(a.size(), b.size()) << "candidate " << c;
+      if (a.empty()) continue;
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), sizeof(float) * a.size()))
+          << "candidate " << c;
     }
   }
 }

@@ -334,8 +334,14 @@ TEST(SymbolTableTest, LookupFromFourReadersWhileNoWriterRuns) {
   EXPECT_EQ(mismatches, std::vector<int>(4, 0));
 }
 
-// Split over a D4-like stream gives the piece ids of the same greedy longest
-// match run against a plain map from piece text to id.
+// SplitInto gives the piece ids of the probe loop it replaced — the same
+// greedy longest match, trying every length from the rest of the word down,
+// run against a plain map from piece text to id. SplitInto starts at the
+// vocabulary's longest first or continuation piece instead. Over a D4-like
+// stream, random strings (mixed case, '#', digits, non-ASCII bytes, lengths
+// past any piece) and the edge cases, each word appends its ids to a packed
+// list that already holds other words' ids; a deserialized tokenizer
+// probes from the same bounds, and warm calls do not allocate.
 TEST(SubwordSplitTest, MatchesAMapBackedVocabularyOverADLikeStream) {
   EntityCatalogOptions copt;
   copt.entities_per_topic = 150;
@@ -374,20 +380,57 @@ TEST(SubwordSplitTest, MatchesAMapBackedVocabularyOverADLikeStream) {
   sopt.seed = 11;
   Dataset d4 = BuildD4(catalog, sopt);
   ASSERT_GE(d4.tweets.size(), 4990u);
-  size_t words = 0, multi_piece = 0;
+  std::vector<std::string> words;
   for (const AnnotatedTweet& tweet : d4.tweets) {
-    for (const Token& t : tweet.tokens) {
-      const std::vector<int> got = tok.Split(t.text).piece_ids;
-      ASSERT_EQ(got, reference(t.text)) << "word " << t.text;
-      ++words;
-      multi_piece += got.size() > 1;
-    }
+    for (const Token& t : tweet.tokens) words.push_back(t.text);
   }
-  for (const std::string w : {"", "\xc3\x89" "cole", "Supercalifragilistic", "##x"}) {
-    EXPECT_EQ(tok.Split(w).piece_ids, reference(w)) << "word " << w;
+  EXPECT_GT(words.size(), 50000u);
+  Rng rng(29);
+  const std::string alphabet =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789#'-"
+      "\xc3\xa9";
+  for (int i = 0; i < 20000; ++i) {
+    std::string w(rng.NextU64(40), ' ');
+    for (char& c : w) c = alphabet[rng.NextU64(alphabet.size())];
+    words.push_back(w);
   }
-  EXPECT_GT(words, 50000u);
-  EXPECT_GT(multi_piece, 0u);
+  for (const std::string w :
+       {"", "##", "##abc", "##x", "#", "###", "\xc3\x89" "cole",
+        "\xff\xfe", "Supercalifragilistic",
+        "coronaviruscoronaviruscoronavirusbeshearbeshear"}) {
+    words.push_back(w);
+  }
+  words.push_back(std::string(200, 'e'));
+
+  SubwordTokenizer::Scratch scratch;
+  std::vector<int> packed = {7, 7};  // earlier words' ids stay put
+  size_t multi_piece = 0;
+  for (const std::string& w : words) {
+    const size_t before = packed.size();
+    tok.SplitInto(w, &scratch, &packed);
+    const std::vector<int> want = reference(w);
+    ASSERT_EQ(std::vector<int>(packed.begin() + before, packed.end()), want)
+        << "word " << w;
+    multi_piece += want.size() > 1;
+  }
+  EXPECT_EQ(packed[0], 7);
+  EXPECT_EQ(packed[1], 7);
+  EXPECT_GT(multi_piece, 10000u);
+
+  const Result<SubwordTokenizer> loaded =
+      SubwordTokenizer::Deserialize(tok.Serialize());
+  ASSERT_TRUE(loaded.ok());
+  for (size_t i = words.size() - 2000; i < words.size(); ++i) {
+    EXPECT_EQ(loaded->Split(words[i]), reference(words[i])) << words[i];
+  }
+
+  packed.clear();
+  for (size_t i = 0; i < 2000; ++i) tok.SplitInto(words[i], &scratch, &packed);
+  const long allocations = g_allocations.load(std::memory_order_relaxed);
+  packed.clear();
+  for (size_t i = 0; i < 2000; ++i) tok.SplitInto(words[i], &scratch, &packed);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), allocations)
+      << "warm SplitInto should not touch the heap";
 }
 
 // --------------------------------------------------- CTrie symbol edges --
