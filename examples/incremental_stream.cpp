@@ -69,6 +69,8 @@
 #include "util/failpoint.h"
 #include "util/file_io.h"
 
+#include "state_digest.h"
+
 using namespace emd;
 
 namespace {
@@ -80,37 +82,6 @@ uint32_t MentionDigest(const GlobalizerOutput& out) {
   for (const auto& tweet_mentions : out.mentions) {
     for (const TokenSpan& span : tweet_mentions) {
       uint64_t packed[2] = {span.begin, span.end};
-      crc = Crc32(packed, sizeof(packed), crc);
-    }
-  }
-  return crc;
-}
-
-/// Digest of the global state the mention digest cannot see: every live
-/// candidate's label, entity_probability bits and embedding_sum bits, and
-/// every stored tweet's token text, offsets and kind. A resumed run must
-/// match an uninterrupted one bit for bit.
-uint32_t StateDigest(const Globalizer& g) {
-  uint32_t crc = 0;
-  const ShardedGlobalState& state = g.global_state();
-  for (int gid = 0; gid < state.num_candidates(); ++gid) {
-    if (!state.Contains(gid)) continue;
-    const CandidateRecord& rec = state.at(gid);
-    const uint8_t label = static_cast<uint8_t>(state.Label(gid));
-    crc = Crc32(&gid, sizeof(gid), crc);
-    crc = Crc32(&label, sizeof(label), crc);
-    crc = Crc32(&rec.entity_probability, sizeof(rec.entity_probability), crc);
-    crc = Crc32(rec.embedding_sum.data(),
-                rec.embedding_sum.size() * sizeof(float), crc);
-  }
-  const TweetBase& tweets = g.tweet_base();
-  for (size_t i = 0; i < tweets.size(); ++i) {
-    const TweetBase::Tokens tokens = tweets.tokens(i);
-    for (size_t t = 0; t < tokens.size(); ++t) {
-      const StoredToken tok = tokens[t];
-      const uint64_t packed[3] = {tok.begin, tok.end,
-                                  static_cast<uint64_t>(tok.kind)};
-      crc = Crc32(tok.text.data(), tok.text.size(), crc);
       crc = Crc32(packed, sizeof(packed), crc);
     }
   }

@@ -106,7 +106,7 @@ fi
 if [[ "$MEMORY" == 1 ]]; then
   # Memory governance under a replayed stream: the governor/decay/eviction/
   # checkpoint tests, then a soak smoke that must hold the byte budget,
-  # plateau governed RSS, actually evict and trim, and keep F1 within a point
+  # plateau governed RSS, actually evict, and keep F1 within a point
   # of the unbounded baseline.
   ctest --test-dir build --output-on-failure -L memory
   ./build/bench/bench_memory_soak --smoke --out build/BENCH_memory.json

@@ -55,7 +55,6 @@ int ShardedGlobalState::InsertFolded(const FoldedPhrase& phrase) {
     sh.local_to_gid.push_back(gid);
     live_key_bytes_ += CTrie::KeyBytes(sh.trie.CandidateKey(local));
     live_key_tokens_ += phrase.size();
-    peak_key_tokens_ = std::max(peak_key_tokens_, live_key_tokens_);
     return gid;
   }
   return sh.local_to_gid[local];
@@ -85,10 +84,7 @@ void ShardedGlobalState::RegisterFirstToken(int shard, CTrie::RootEdge first) {
     EMD_CHECK_EQ(it->node, node);  // root edges are stable until pruned
     return;
   }
-  if (list.empty()) {
-    ++live_first_tokens_;
-    peak_first_tokens_ = std::max(peak_first_tokens_, live_first_tokens_);
-  }
+  if (list.empty()) ++live_first_tokens_;
   dispatch_bytes_ -= list.capacity() * sizeof(DispatchEntry);
   list.insert(it, {shard, node});
   dispatch_bytes_ += list.capacity() * sizeof(DispatchEntry);
@@ -398,32 +394,21 @@ size_t ShardedGlobalState::ApproxBytes() const {
   return bytes;
 }
 
-namespace {
-
-// Per gid, the governor's figure charges the three int32 index columns that
-// grow with the id space: the shard's local -> gid map, the trie's entry
-// index and the record store's slot index.
-constexpr size_t kIndexBytesPerGid = 3 * sizeof(int32_t);
-
-}  // namespace
-
-size_t ShardedGlobalState::GovernedBaseBytes() const {
+size_t ShardedGlobalState::GovernedRecordBytes() const {
   size_t records = 0;
   size_t payload = 0;
   for (const Shard& sh : shards_) {
     records += sh.candidates.num_records();
     payload += sh.candidates.PayloadBytes();
   }
-  return symbols_->ApproxBytes() + SharedContainerBytes() +
-         gids_.capacity() * kIndexBytesPerGid +
-         static_cast<size_t>(num_live_candidates()) * CTrie::EntryBytes() +
+  return static_cast<size_t>(num_live_candidates()) * CTrie::EntryBytes() +
          records * sizeof(CandidateRecord) + payload;
 }
 
 size_t ShardedGlobalState::GovernedBytes() const {
-  return GovernedBaseBytes() + live_key_bytes_ +
-         peak_key_tokens_ * CTrie::PathBytesPerToken() +
-         peak_first_tokens_ * sizeof(DispatchEntry);
+  return GovernedRecordBytes() + live_key_bytes_ +
+         live_key_tokens_ * CTrie::PathBytesPerToken() +
+         live_first_tokens_ * sizeof(DispatchEntry);
 }
 
 size_t ShardedGlobalState::RecountGovernedBytes() const {
@@ -434,13 +419,9 @@ size_t ShardedGlobalState::RecountGovernedBytes() const {
     key_tokens += static_cast<size_t>(CandidateLength(gid));
   }
   for (const auto& list : first_token_) first_tokens += !list.empty();
-  // The peaks are history a walk cannot see; it checks that they bound the
-  // live counts it finds.
-  EMD_CHECK_LE(key_tokens, peak_key_tokens_);
-  EMD_CHECK_LE(first_tokens, peak_first_tokens_);
-  return GovernedBaseBytes() + key_bytes +
-         peak_key_tokens_ * CTrie::PathBytesPerToken() +
-         peak_first_tokens_ * sizeof(DispatchEntry);
+  return GovernedRecordBytes() + key_bytes +
+         key_tokens * CTrie::PathBytesPerToken() +
+         first_tokens * sizeof(DispatchEntry);
 }
 
 size_t ShardedGlobalState::ShardApproxBytes(int shard) const {

@@ -196,12 +196,13 @@ class ShardedGlobalState {
   size_t ApproxBytes() const;
   /// Approximate heap bytes held by one shard. O(1).
   size_t ShardApproxBytes(int shard) const;
-  /// The memory governor's figure for the global state: ApproxBytes() with
-  /// every per-shard structure charged by gid-level counts instead of its
-  /// containers (live candidates and records, their key bytes, the peak
-  /// token and first-token counts, the gid map's capacity), so it is the
-  /// same at any shard count and so are the governor's eviction decisions
-  /// (docs/MEMORY.md, "Byte accounting"). O(shards).
+  /// The memory governor's figure: the bytes eviction returns, which are
+  /// each live candidate's record and payload, trie entry, key, key path and
+  /// first-token dispatch entry, all charged by gid-level counts so the
+  /// figure is the same at any shard count and so are the governor's
+  /// decisions. Structures no eviction shrinks (the symbol table, the
+  /// per-gid columns, container slack) are left out; ApproxBytes() has them
+  /// (docs/MEMORY.md, "The governor's figure"). O(shards).
   size_t GovernedBytes() const;
   /// The same figure with the live key bytes, token count and first-token
   /// count taken from a walk of every live candidate and dispatch list: the
@@ -265,7 +266,7 @@ class ShardedGlobalState {
   void RegisterFirstToken(int shard, CTrie::RootEdge first);
 
   /// The GovernedBytes terms that do not depend on the running sums.
-  size_t GovernedBaseBytes() const;
+  size_t GovernedRecordBytes() const;
 
   /// Byte terms of the service-wide structures read from container
   /// capacities at query time (the dispatch lists' bytes are a running
@@ -302,13 +303,10 @@ class ShardedGlobalState {
   size_t dispatch_bytes_ = 0;
   // GovernedBytes terms kept by registration and Prune: the live
   // candidates' KeyBytes and token counts, and the symbols with a
-  // non-empty dispatch list, with the peaks of the last two (trie node slots
-  // and dispatch lists are recycled but never released).
+  // non-empty dispatch list.
   size_t live_key_bytes_ = 0;
   size_t live_key_tokens_ = 0;
-  size_t peak_key_tokens_ = 0;
   size_t live_first_tokens_ = 0;
-  size_t peak_first_tokens_ = 0;
   // Lazily resolved per-shard gauges (registry owns the objects).
   std::vector<obs::Gauge*> shard_candidate_gauges_;
   std::vector<obs::Gauge*> shard_byte_gauges_;

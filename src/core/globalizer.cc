@@ -78,12 +78,11 @@ std::string GlobalizerOutput::ResilienceSummary() const {
      << " queue_backpressure=" << num_queue_rejected
      << " queue_shed=" << num_queue_shed
      << " memory_rejected=" << num_memory_rejected;
-  if (governed_bytes > 0 || num_evicted > 0 || num_trimmed > 0 ||
-      num_reclassified > 0) {
+  if (governed_bytes > 0 || num_evicted > 0 || num_reclassified > 0) {
     os << " | memory: pressure="
        << MemoryPressureName(static_cast<MemoryPressure>(memory_pressure))
        << " governed_bytes=" << governed_bytes << " evicted=" << num_evicted
-       << " pruned_nodes=" << num_pruned_nodes << " trimmed=" << num_trimmed
+       << " pruned_nodes=" << num_pruned_nodes
        << " reclassified=" << num_reclassified;
   }
   return os.str();
@@ -457,7 +456,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
     global_timer.Reset();
     if (local_only) {
       for (size_t i = 0; i < batch.size(); ++i) {
-        tweets_.Add(staged[i].record, batch[i].tokens, staged[i].mentions);
+        tweets_.Add(staged[i].record, staged[i].mentions);
       }
     } else {
       ExtractAndPool(batch, staged, first_index);
@@ -560,7 +559,7 @@ void Globalizer::ExtractAndPool(std::span<const AnnotatedTweet> batch,
       pool_ops_[state_.ShardOf(em.candidate_id)].push_back(
           {em.candidate_id, i, row});
     }
-    tweets_.Add(staged[idx].record, batch[idx].tokens, merged_mentions_);
+    tweets_.Add(staged[idx].record, merged_mentions_);
   }
 
   // Phase B: no two workers ever touch the same CandidateBase.
@@ -787,7 +786,6 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
   const MemoryGovernorStats& gs = governor_.stats();
   out.num_evicted = gs.evicted_candidates;
   out.num_pruned_nodes = gs.pruned_nodes;
-  out.num_trimmed = gs.trimmed_tweets;
   out.num_reclassified = gs.reclassified;
   out.governed_bytes = governor_.governed_bytes();
   out.memory_pressure = static_cast<int>(governor_.pressure());

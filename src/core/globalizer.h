@@ -255,7 +255,6 @@ struct GlobalizerOutput {
   /// Memory-governance accounting (zero when governance is off).
   uint64_t num_evicted = 0;        // candidates evicted
   uint64_t num_pruned_nodes = 0;   // trie nodes freed by pruning
-  uint64_t num_trimmed = 0;        // tweet records with token text dropped
   uint64_t num_reclassified = 0;   // γ-band labels flipped by re-scoring
   uint64_t governed_bytes = 0;     // bytes accounted at the last batch
   int memory_pressure = 0;         // MemoryPressure at Finalize time

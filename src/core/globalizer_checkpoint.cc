@@ -23,6 +23,9 @@
 //              tokens[u32: string text, u64 begin, u64 end,
 //              u8 kind], mentions[u32: u64 span.begin, u64 span.end,
 //              i32 candidate_id, u8 locally_detected]
+//              The TweetBase stores no token text, so the writer puts every
+//              record in the trimmed form (trimmed 1, no tokens); restore
+//              validates the tokens of older files and discards them.
 //   CandidateBase: u64 slots (== num_gids in v5); per slot (gid order):
 //              u8 present; when present:
 //              string key, i32 num_tokens (both as the candidate-key section
@@ -296,16 +299,8 @@ Status Globalizer::SaveCheckpoint(const std::string& path) const {
     binio::AppendI64(&buf, rec.tweet_id);
     binio::AppendI32(&buf, rec.sentence_id);
     binio::AppendU8(&buf, rec.quarantined ? 1 : 0);
-    binio::AppendU8(&buf, rec.trimmed ? 1 : 0);
-    const TweetBase::Tokens tokens = tweets_.tokens(i);
-    binio::AppendU32(&buf, static_cast<uint32_t>(tokens.size()));
-    for (size_t t = 0; t < tokens.size(); ++t) {
-      const StoredToken tok = tokens[t];
-      binio::AppendString(&buf, tok.text);
-      binio::AppendU64(&buf, tok.begin);
-      binio::AppendU64(&buf, tok.end);
-      binio::AppendU8(&buf, static_cast<uint8_t>(tok.kind));
-    }
+    binio::AppendU8(&buf, 1);   // trimmed
+    binio::AppendU32(&buf, 0);  // tokens
     const std::span<const RecordedMention> mentions = tweets_.mentions(i);
     binio::AppendU32(&buf, static_cast<uint32_t>(mentions.size()));
     for (const RecordedMention& m : mentions) {
@@ -559,7 +554,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     return Status::Corruption("checkpoint ", path, " cursor ", cursor,
                               " does not match ", num_tweets, " tweet records");
   }
-  std::vector<Token> tokens;
+  std::string token_text;  // read to validate, then discarded
   std::vector<RecordedMention> mentions;
   for (uint64_t i = 0; i < num_tweets; ++i) {
     TweetRecord rec;
@@ -573,24 +568,21 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     rec.tweet_id = tweet_id;
     rec.sentence_id = sentence_id;
     rec.quarantined = quarantined != 0;
-    rec.trimmed = trimmed != 0;
     uint32_t num_tokens = 0;
     EMD_RETURN_IF_ERROR(
         ReadCount(&reader, kMinTokenBytes, "token", &num_tokens));
-    if (rec.trimmed && num_tokens > 0) {
+    if (trimmed != 0 && num_tokens > 0) {
       return Status::Corruption("checkpoint ", path, " trimmed tweet record ",
                                 i, " holds ", num_tokens, " tokens");
     }
-    // The strings of `tokens` keep their capacity from record to record.
-    tokens.resize(num_tokens);
-    for (Token& tok : tokens) {
+    // Older files carry token text: it is validated, then dropped.
+    for (uint32_t t = 0; t < num_tokens; ++t) {
       uint64_t begin = 0, end = 0;
       uint8_t kind = 0;
-      EMD_RETURN_IF_ERROR(reader.ReadString(&tok.text));
+      EMD_RETURN_IF_ERROR(reader.ReadString(&token_text));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&begin));
       EMD_RETURN_IF_ERROR(reader.ReadU64(&end));
       EMD_RETURN_IF_ERROR(reader.ReadU8(&kind));
-      // The TweetBase keeps source offsets in 32 bits.
       if (begin > UINT32_MAX || end > UINT32_MAX) {
         return Status::Corruption("checkpoint ", path, " token offsets [",
                                   begin, ", ", end, ") of tweet record ", i,
@@ -600,9 +592,6 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
         return Status::Corruption("checkpoint ", path, " bad token kind ",
                                   int(kind));
       }
-      tok.begin = begin;
-      tok.end = end;
-      tok.kind = static_cast<TokenKind>(kind);
     }
     uint32_t num_mentions = 0;
     EMD_RETURN_IF_ERROR(ReadCount(&reader, kMinTweetMentionBytes,
@@ -633,7 +622,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       }
       mentions.push_back(mention);
     }
-    tweets.Add(rec, tokens, mentions);
+    tweets.Add(rec, mentions);
   }
 
   // CandidateBase. Slots are gid-ordered; v5 always writes one per gid,

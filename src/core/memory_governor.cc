@@ -15,7 +15,7 @@ namespace {
 struct GovernorCounters {
   obs::Gauge* governed_bytes = obs::Metrics().GetGauge(
       "emd_memory_governed_bytes",
-      "Approximate bytes held by CandidateBase + CTrie + TweetBase");
+      "Bytes of the live candidates, the part of the state eviction returns");
   obs::Gauge* budget_bytes = obs::Metrics().GetGauge(
       "emd_memory_budget_bytes",
       "Configured memory budget (0 = governance off)");
@@ -28,9 +28,6 @@ struct GovernorCounters {
   obs::Counter* pruned = obs::Metrics().GetCounter(
       "emd_memory_pruned_nodes_total",
       "CTrie nodes freed by eviction subtree pruning");
-  obs::Counter* trimmed = obs::Metrics().GetCounter(
-      "emd_memory_trimmed_tweets_total",
-      "Tweet records whose token text was trimmed under memory pressure");
   obs::Counter* reclassified = obs::Metrics().GetCounter(
       "emd_memory_reclassified_total",
       "Ambiguous-band candidates whose label flipped on periodic re-scoring");
@@ -69,12 +66,7 @@ void MemoryGovernor::RestoreStats(const MemoryGovernorStats& stats) {
   stats_ = stats;
   Counters().evicted->Set(stats.evicted_candidates);
   Counters().pruned->Set(stats.pruned_nodes);
-  Counters().trimmed->Set(stats.trimmed_tweets);
   Counters().reclassified->Set(stats.reclassified);
-}
-
-size_t MemoryGovernor::ComputeBytes() const {
-  return state_->GovernedBytes() + tweets_->ApproxBytes();
 }
 
 void MemoryGovernor::Run(const std::function<size_t()>& reclassify) {
@@ -98,7 +90,7 @@ void MemoryGovernor::Run(const std::function<size_t()>& reclassify) {
   const bool forced_hard =
       !EMD_FAILPOINT("core.memory_governor.pressure").ok();
 
-  size_t bytes = ComputeBytes();
+  size_t bytes = state_->GovernedBytes();
   const size_t soft =
       static_cast<size_t>(options_.soft_watermark *
                           static_cast<double>(options_.budget_bytes));
@@ -131,27 +123,18 @@ void MemoryGovernor::Run(const std::function<size_t()>& reclassify) {
 }
 
 size_t MemoryGovernor::Reclaim(size_t bytes) {
-  // Rung 1: trim token text of every record that already finished Global
-  // EMD — pure savings, no output impact (mentions/spans are retained).
-  const size_t trimmed = tweets_->TrimTokens(tweets_->size());
-  if (trimmed > 0) {
-    stats_.trimmed_tweets += trimmed;
-    Counters().trimmed->Increment(trimmed);
-    bytes = ComputeBytes();
-  }
-
   const size_t target =
       static_cast<size_t>(options_.evict_target *
                           static_cast<double>(options_.budget_bytes));
   if (bytes < target) return bytes;
 
-  // Rungs 2-3: evict cold candidates, confirmed non-entities first, then
-  // aged ambiguous/unlabeled ones. Confirmed entities are never evicted —
-  // they are the stream's accumulated signal.
+  // Evict cold candidates, confirmed non-entities first, then aged
+  // ambiguous/unlabeled ones. Confirmed entities are never evicted — they
+  // are the stream's accumulated signal.
   if (EvictTier(0, target, &bytes)) {
     EvictTier(1, target, &bytes);
   }
-  return ComputeBytes();
+  return state_->GovernedBytes();
 }
 
 bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
@@ -196,7 +179,7 @@ bool MemoryGovernor::EvictTier(int tier, size_t target, size_t* bytes) {
     stats_.pruned_nodes += static_cast<uint64_t>(pruned);
     Counters().evicted->Increment();
     Counters().pruned->Increment(static_cast<uint64_t>(pruned));
-    *bytes = ComputeBytes();
+    *bytes = state_->GovernedBytes();
   }
   return true;
 }

@@ -7,16 +7,19 @@
 // an operator-set byte budget with graceful, observable degradation instead
 // of an OOM kill:
 //
-//   * byte accounting — the global state's GovernedBytes() plus the
-//     TweetBase's ApproxBytes(), read at every batch barrier and exported as
-//     gauges. GovernedBytes() charges per-shard structures by gid-level
-//     counts, so every decision below is the same at any shard count. Each
-//     store keeps its per-element bytes as running sums, so a read is
-//     O(shards), not a walk of the state (the Recount* walks are kept as
-//     test oracles);
-//   * soft watermark — reclaim in escalating rungs: trim token text of
-//     tweets that finished Global EMD, then evict cold candidates (coldest
-//     first by last-mention recency; confirmed non-entities before
+//   * byte accounting — the global state's GovernedBytes(): the bytes
+//     eviction returns (each live candidate's record, trie entry, key, key
+//     path and dispatch entry), read at every batch barrier and exported as
+//     gauges. It charges by gid-level counts, so every decision below is
+//     the same at any shard count, and it is kept as running sums, so a
+//     read is O(shards), not a walk of the state (RecountGovernedBytes() is
+//     the test oracle). What no eviction shrinks is not charged: the
+//     TweetBase, the output ledger that grows with the stream by design,
+//     and the state's id-space columns and container slack. Charging them
+//     only made the governor evict every candidate once they alone filled
+//     the budget (docs/MEMORY.md, "The governor's figure");
+//   * soft watermark — reclaim by evicting cold candidates (coldest first
+//     by last-mention recency; confirmed non-entities before
 //     ambiguous/unlabeled; confirmed entities never) with safe CTrie subtree
 //     pruning. The admission edge reads pressure() and tightens;
 //   * hard watermark — when reclaim cannot get back under the hard line, the
@@ -52,9 +55,10 @@ enum class MemoryPressure : int { kNone = 0, kSoft = 1, kHard = 2 };
 const char* MemoryPressureName(MemoryPressure p);
 
 struct MemoryGovernorOptions {
-  /// Total byte budget across CandidateBase + CTrie + TweetBase. 0 (default)
-  /// disables budget governance entirely — no accounting, no eviction — so
-  /// an ungoverned Globalizer behaves exactly like pre-governor builds.
+  /// Byte budget on the live candidates' bytes (GovernedBytes()). 0
+  /// (default) disables budget governance entirely — no accounting, no
+  /// eviction — so an ungoverned Globalizer behaves exactly like
+  /// pre-governor builds.
   size_t budget_bytes = 0;
 
   /// Watermarks as fractions of budget_bytes. Crossing soft starts
@@ -89,6 +93,9 @@ struct MemoryGovernorOptions {
 struct MemoryGovernorStats {
   uint64_t evicted_candidates = 0;
   uint64_t pruned_nodes = 0;
+  /// Never incremented: the TweetBase keeps no token text to trim. Kept
+  /// because checkpoints (v4+) carry the field and capacity reports print
+  /// it; a restore reads back what an older writer counted.
   uint64_t trimmed_tweets = 0;
   uint64_t reclassified = 0;
 };
@@ -141,8 +148,7 @@ class MemoryGovernor {
   const MemoryGovernorOptions& options() const { return options_; }
 
  private:
-  size_t ComputeBytes() const;
-  /// Escalating reclamation; returns bytes after the sweep.
+  /// Eviction sweep, tier 0 then tier 1; returns bytes after the sweep.
   size_t Reclaim(size_t bytes);
   /// Evicts cold candidates of the given tier until `bytes` (in/out, re-read
   /// after each victim) falls below `target` or victims run out. Tier 0 =

@@ -102,7 +102,7 @@ inline GlobalizerOptions GovernedOptions(int shards, int threads) {
   opt.batch_size = kBatch;
   opt.shard_count = shards;
   opt.num_threads = threads;
-  opt.memory.budget_bytes = 48 * 1024;
+  opt.memory.budget_bytes = 18 * 1024;
   opt.memory.min_retain_tweets = 8;
   opt.memory.decay_half_life_tweets = 24;
   return opt;
@@ -149,13 +149,13 @@ inline Result<std::string> SaveStateSection(const Globalizer& g,
 }
 
 /// The golden v5 checkpoint fixture's options: a deep pipeline over 2
-/// shards under a 71 500 B budget, retaining mention embeddings. The budget
+/// shards under a 32 000 B budget, retaining mention embeddings. The budget
 /// is tuned so that the fixture WriteGoldenCheckpoint writes from today's
-/// byte figures still covers what the golden test checks: some tweets
-/// trimmed but not all, and some candidates evicted.
+/// byte figures still covers what the golden test checks: some candidates
+/// evicted, with tombstones in the gid space.
 inline GlobalizerOptions GoldenOptions() {
   GlobalizerOptions opt = GovernedOptions(/*shards=*/2, /*threads=*/1);
-  opt.memory.budget_bytes = 71500;
+  opt.memory.budget_bytes = 32000;
   opt.retain_mention_embeddings = true;
   return opt;
 }

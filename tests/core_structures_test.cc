@@ -1,6 +1,6 @@
 // Tests for the Global EMD data structures: BIO codec, CTrie, the §V-A
 // candidate re-scan (ShardedGlobalState::Extract), the syntactic embedder,
-// TweetBase/CandidateBase, and mention-level metrics. Includes parameterized
+// CandidateBase, and mention-level metrics. Includes parameterized
 // property sweeps.
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include "core/ctrie.h"
 #include "core/global_state.h"
 #include "core/syntactic_embedder.h"
-#include "core/tweet_base.h"
 #include "text/bio.h"
 #include "eval/metrics.h"
 #include "stream/datasets.h"
@@ -387,46 +386,6 @@ TEST(CandidateBaseTest, RetainMentionEmbeddings) {
   base.AddMention(0, 0, b);
   ASSERT_EQ(base.at(0).mention_embeddings.size(), 2u);
   EXPECT_FLOAT_EQ(base.at(0).mention_embeddings[1](0, 1), 4.f);
-}
-
-TEST(TweetBaseTest, TokensReadBackAcrossSegments) {
-  TweetBase base;
-  const std::vector<Token> tokens = Toks("Andy Beshear spoke in Kentucky");
-  const size_t n = TweetBase::kSegmentRecords + 3;
-  for (size_t i = 0; i < n; ++i) {
-    TweetRecord rec;
-    rec.tweet_id = static_cast<long>(i);
-    rec.quarantined = i % 7 == 0;
-    base.Add(rec, std::span(tokens).first(i % (tokens.size() + 1)));
-  }
-  ASSERT_EQ(base.size(), n);
-  auto expect_tokens = [&](size_t i) {
-    const TweetBase::Tokens got = base.tokens(i);
-    ASSERT_EQ(got.size(), i % (tokens.size() + 1)) << "record " << i;
-    for (size_t t = 0; t < got.size(); ++t) {
-      EXPECT_EQ(got[t].text, tokens[t].text);
-      EXPECT_EQ(got[t].begin, tokens[t].begin);
-      EXPECT_EQ(got[t].end, tokens[t].end);
-      EXPECT_EQ(got[t].kind, tokens[t].kind);
-    }
-  };
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(base.at(i).tweet_id, static_cast<long>(i));
-    EXPECT_EQ(base.at(i).quarantined, i % 7 == 0);
-    ASSERT_NO_FATAL_FAILURE(expect_tokens(i));
-  }
-  // A trim ending inside the second segment keeps the records after it.
-  const size_t end = TweetBase::kSegmentRecords + 1;
-  EXPECT_EQ(base.TrimTokens(end), end);
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(base.at(i).trimmed, i < end);
-    if (i < end) {
-      EXPECT_TRUE(base.tokens(i).empty()) << "record " << i;
-    } else {
-      ASSERT_NO_FATAL_FAILURE(expect_tokens(i));
-    }
-  }
-  EXPECT_EQ(base.ApproxBytes(), base.RecountBytes());
 }
 
 // ------------------------------------------------------------------ Metrics

@@ -41,8 +41,7 @@ EntityClassifier ChurnClassifier() {
 }
 
 /// GovernedOptions in kFull with a γ-band sweep every other batch: between
-/// two Finalizes the governor trims, evicts and prunes, and the sweep flips
-/// labels.
+/// two Finalizes the governor evicts and prunes, and the sweep flips labels.
 GlobalizerOptions FullGoverned(int shards) {
   GlobalizerOptions opt = GovernedOptions(shards, /*threads=*/4);
   opt.mode = GlobalizerOptions::Mode::kFull;
@@ -122,7 +121,6 @@ TEST(EmitTest, EveryFinalizeEqualsAFullReEmitUnderChurn) {
     EXPECT_GT(run.reemitted, 0u);
     EXPECT_GT(run.last.num_evicted, 0u);
     EXPECT_GT(run.last.num_pruned_nodes, 0u);
-    EXPECT_GT(run.last.num_trimmed, 0u);
     EXPECT_GT(run.last.num_reclassified, 0u);
     if (want.empty()) want = run.last.mentions;
     EXPECT_EQ(run.last.mentions, want) << "shard count changed the output";

@@ -434,7 +434,7 @@ struct GovernedRun {
 
 GovernedRun RunGoverned(const Dataset& d, int shards, int threads, int cadence,
                         const EntityClassifier& clf,
-                        size_t budget_bytes = 24 * 1024) {
+                        size_t budget_bytes = 5 * 1024) {
   Config c{.shards = shards, .threads = threads, .cadence = cadence};
   SCOPED_TRACE(Describe(c));
   GlobalizerOptions opt = OptionsFor(c);
@@ -530,7 +530,7 @@ TEST(FinalizeGovernedTest, ShardCountChangesNoEvictionAtAnyBudget) {
   // the budget.
   const Dataset d = CadenceStream(320, 17);
   const EntityClassifier clf = CadenceClassifier();
-  for (const size_t kib : {12, 20, 32}) {
+  for (const size_t kib : {3, 5, 8}) {
     SCOPED_TRACE("budget " + std::to_string(kib) + " KiB");
     const GovernedRun want = RunGoverned(d, 1, 1, 3, clf, kib * 1024);
     EXPECT_GT(want.evicted, 0u);
@@ -551,7 +551,7 @@ TEST(FinalizeGovernedTest, RestoredLabelColumnKeepsEvictedVerdicts) {
   const EntityClassifier clf = CadenceClassifier();
   Config c{.cadence = 3};
   GlobalizerOptions opt = OptionsFor(c);
-  opt.memory.budget_bytes = 24 * 1024;
+  opt.memory.budget_bytes = 7 * 1024;
   opt.memory.min_retain_tweets = 16;
   opt.memory.reclassify_interval_batches = 2;
   Pipeline p(c);

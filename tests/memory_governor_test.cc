@@ -332,6 +332,40 @@ TEST(MemoryGovernorTest, ConfirmedEntitiesAreNeverEvicted) {
   CheckTrieCandidateInvariants(state);
 }
 
+TEST(MemoryGovernorTest, BudgetChargesOnlyWhatEvictionReturns) {
+  // The governed figure is the live candidates' bytes: the TweetBase (the
+  // output ledger) and the id space are not in it, so once every candidate
+  // is evicted it reads 0 and pressure clears, however much the ledger and
+  // the rest of the state hold.
+  ShardedGlobalState state;
+  TweetBase tb;
+  const int a = state.Insert({"first", "phrase"});
+  const int b = state.Insert({"second"});
+  state.GetOrCreate(a);
+  state.GetOrCreate(b);
+  state.SetLabel(a, CandidateLabel::kNonEntity);
+  state.SetLabel(b, CandidateLabel::kNonEntity);
+  for (long id = 1; id <= 64; ++id) {
+    const RecordedMention m{{0, 1}, static_cast<int>(id % 2), true};
+    tb.Add({.tweet_id = id}, {&m, 1});
+  }
+  ASSERT_GT(state.GovernedBytes(), 0u);
+  const size_t ledger = tb.ApproxBytes();
+
+  MemoryGovernorOptions opt;
+  opt.budget_bytes = 4;  // any live candidate is over budget
+  MemoryGovernor governor(&state, &tb, opt);
+  governor.Run({});
+
+  EXPECT_EQ(governor.stats().evicted_candidates, 2u);
+  EXPECT_EQ(state.GovernedBytes(), 0u);
+  EXPECT_EQ(state.RecountGovernedBytes(), 0u);
+  EXPECT_EQ(governor.governed_bytes(), 0u);
+  EXPECT_EQ(governor.pressure(), MemoryPressure::kNone);
+  EXPECT_GT(state.ApproxBytes(), 0u);
+  EXPECT_EQ(tb.ApproxBytes(), ledger);
+}
+
 TEST(MemoryGovernorTest, YoungAmbiguousCandidatesAreRetained) {
   ShardedGlobalState state;
   TweetBase tb;
@@ -466,7 +500,6 @@ TEST(GovernedPipelineTest, InertGovernanceIsBitIdenticalToUngoverned) {
 
   EXPECT_EQ(MentionDigest(out_a), MentionDigest(out_b));
   EXPECT_EQ(out_b.num_evicted, 0u);
-  EXPECT_EQ(out_b.num_trimmed, 0u);
   EXPECT_EQ(out_b.memory_pressure, 0);
   const ShardedGlobalState& sa = ungoverned.global_state();
   const ShardedGlobalState& sb = with_budget.global_state();
@@ -502,7 +535,7 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
   GlobalizerOptions governed = plain;
   // Tiny, sized to the byte figures so that the last batch evicts a
   // candidate (the guard below checks it still does).
-  governed.memory.budget_bytes = 3840;
+  governed.memory.budget_bytes = 1024;
   governed.memory.min_retain_tweets = 8;
   MockLocalSystem mock_b(StreamRules());
   Globalizer evicting(&mock_b, nullptr, &clf, governed);
@@ -523,7 +556,6 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
   // Candidates were evicted, yet their recorded mentions still flow to the
   // output through the labels the column froze at eviction.
   EXPECT_GT(out_evict.num_evicted, 0u);
-  EXPECT_GT(out_evict.num_trimmed, 0u);
   EXPECT_EQ(MentionDigest(out_plain), MentionDigest(out_evict));
   EXPECT_NE(out_evict.summary.find("memory:"), std::string::npos);
   const ShardedGlobalState& state = evicting.global_state();
@@ -608,7 +640,7 @@ TEST(MemoryCheckpointTest, V4RoundTripsPrunedStateAndGovernorStats) {
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.batch_size = 4;
-  opt.memory.budget_bytes = 3072;  // trimming alone cannot meet it
+  opt.memory.budget_bytes = 896;
   opt.memory.min_retain_tweets = 0;  // everything is immediately evictable
   MockLocalSystem mock(StreamRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
@@ -652,7 +684,7 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   opt.batch_size = 4;
   // The first batch's state crosses the soft line (0.75 * budget) and needs
   // more than one victim to get under the eviction target.
-  opt.memory.budget_bytes = 2560;
+  opt.memory.budget_bytes = 864;
   opt.memory.min_retain_tweets = 0;
   MockLocalSystem mock(StreamRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
@@ -822,7 +854,7 @@ TEST(MemoryChaosTest, EvictionAtBarrierNeverRacesWorkersOrPressureReaders) {
   opt.batch_size = 4;
   opt.num_threads = 4;  // workers Step() the trie while batches process
   opt.shard_count = 3;  // the merge pools different shards on different workers
-  opt.memory.budget_bytes = 8192;  // aggressive: evict during the stream
+  opt.memory.budget_bytes = 1024;  // aggressive: evict during the stream
   opt.memory.min_retain_tweets = 0;
   opt.memory.decay_half_life_tweets = 16;
   Globalizer g(&mock, &pe, nullptr, opt);
@@ -848,7 +880,7 @@ TEST(MemoryChaosTest, EvictionAtBarrierNeverRacesWorkersOrPressureReaders) {
   poller.join();
 
   GlobalizerOutput out = g.Finalize().value();
-  EXPECT_GT(out.num_trimmed, 0u);
+  EXPECT_GT(out.num_evicted, 0u);
   CheckTrieCandidateInvariants(g.global_state());
   // Parallel 3-shard governed output must match a serial one-shard governed
   // run bit for bit: the governor's figure, so its evictions, do not depend

@@ -329,7 +329,7 @@ TEST(ShardCheckpointTest, EvictionHolesSurviveShardedRoundTrip) {
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.batch_size = 4;
   opt.shard_count = 4;
-  opt.memory.budget_bytes = 4096;  // tiny: evict during the stream
+  opt.memory.budget_bytes = 864;  // tiny: evict during the stream
   opt.memory.min_retain_tweets = 0;
   MockLocalSystem mock(ShardRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
@@ -627,7 +627,7 @@ TEST(MultiStreamServiceTest, NoisyStreamEvictsOnlyItsOwnCandidates) {
   mopt.globalizer.batch_size = 4;
   mopt.globalizer.shard_count = 2;
   GlobalizerOptions noisy_opt = mopt.globalizer;
-  noisy_opt.memory.budget_bytes = 4096;
+  noisy_opt.memory.budget_bytes = 960;
   noisy_opt.memory.min_retain_tweets = 0;
 
   MultiStreamService service(mopt);
